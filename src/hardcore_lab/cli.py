@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Single-shot commands print one JSON object on stdout; suite commands print
-JSON lines.  Exit codes: 0 when every check holds, 1 on usage errors, 2 when
-some check fails, 3 when the only deviations are inconclusive enclosures.
+JSON lines.  Exit codes: 0 when every check holds, 1 on usage errors and on
+the engine's memo limit, 2 when some check fails, 3 when the only deviations
+are inconclusive enclosures.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from . import bounds, repro
 from .graphs import Graph, generate, parse_graph6, read_edge_list
 from .hardcore import (
+    MemoLimitExceeded,
     independence_polynomial,
     occupancy_fraction,
     occupancy_value,
@@ -251,7 +253,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, MemoLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .graphs import Graph, bits_of
+from .graphs import Graph
 from .polynomials import Poly, RatFunc, lambda_d_dlambda
 
 DEFAULT_MEMO_LIMIT = 1 << 22
@@ -18,50 +19,94 @@ class MemoLimitExceeded(RuntimeError):
     """The residual-subgraph cache outgrew its configured bound."""
 
 
+@lru_cache(maxsize=None)
 def _binomial_row(k: int) -> tuple[int, ...]:
     return tuple(comb(k, i) for i in range(k + 1))
 
 
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
 def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tuple[int, ...]:
+    """Coefficients of Z of the subgraph induced by mask.
+
+    Z factors over connected components, so the mask is split into its
+    components by a BFS over the adjacency bitmasks and their polynomials
+    are multiplied; the k isolated vertices contribute one row (1 + x)^k.
+    Inside a component with an edge, the branch vertex u has maximum degree
+    in the component, ties going to the lowest index, and
+    Z(C) = Z(C - u) + x * Z(C - N[u]).  Memo entries are those components,
+    keyed by vertex mask; the whole mask is looked up first.
+    """
     cached = memo.get(mask)
     if cached is not None:
         return cached
-    best_v, best_d = -1, -1
-    for v in bits_of(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > best_d:
-            best_d, best_v = d, v
-    if best_d <= 0:
-        out = _binomial_row(mask.bit_count())
-    else:
-        without = _zpoly_coeffs(adj, mask & ~(1 << best_v), memo, limit)
-        closed = adj[best_v] | (1 << best_v)
-        with_u = _zpoly_coeffs(adj, mask & ~closed, memo, limit)
-        out = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
-        for i, c in enumerate(with_u):
-            out[i + 1] += c
-        out = tuple(out)
-    if len(memo) >= limit:
-        raise MemoLimitExceeded(f"residual cache exceeded {limit} entries")
-    memo[mask] = out
-    return out
+    out = None
+    isolated = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        comp = frontier = low
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grow = adj[bit.bit_length() - 1] & rest & ~comp
+            comp |= grow
+            frontier |= grow
+        rest ^= comp
+        if comp == low:
+            isolated += 1
+            continue
+        poly = memo.get(comp)
+        if poly is None:
+            best_v, best_d = -1, -1
+            m = comp
+            while m:
+                bit = m & -m
+                m ^= bit
+                v = bit.bit_length() - 1
+                d = (adj[v] & comp).bit_count()
+                if d > best_d:
+                    best_d, best_v = d, v
+            without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo, limit)
+            with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo, limit)
+            poly = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
+            for i, c in enumerate(with_u):
+                poly[i + 1] += c
+            poly = tuple(poly)
+            if len(memo) >= limit:
+                raise MemoLimitExceeded(f"residual cache exceeded {limit} entries")
+            memo[comp] = poly
+        out = poly if out is None else _mul(out, poly)
+    if isolated:
+        row = _binomial_row(isolated)
+        out = row if out is None else _mul(out, row)
+    return (1,) if out is None else out
 
 
 def independence_polynomial(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> Poly:
     """Partition function of the hard-core model on g.
 
-    Computed by conditioning on the branch vertex u being unoccupied or
-    occupied: Z(S) = Z(S - u) + x * Z(S - N[u]), memoized on the residual
-    vertex subset.  The branch vertex is the one of maximum residual degree,
-    ties broken by lowest index, so outputs are deterministic.
+    Z factors over connected components: each component's Z comes from
+    conditioning on a branch vertex u being unoccupied or occupied,
+    Z(C) = Z(C - u) + x * Z(C - N[u]), memoized on the vertex masks of
+    connected components.  The branch vertex is the one of maximum degree
+    within the component, ties broken by lowest index, so outputs are
+    deterministic.  Raises MemoLimitExceeded once the memo would hold more
+    than memo_limit components.
     """
-    memo: dict[int, tuple[int, ...]] = {}
-    return Poly(_zpoly_coeffs(g.adj, (1 << g.n) - 1, memo, memo_limit))
+    return Poly(_zpoly_coeffs(g.adj, (1 << g.n) - 1, {}, memo_limit))
 
 
 def subset_polynomial(g: Graph, mask: int, memo: dict | None = None,
                       memo_limit: int = DEFAULT_MEMO_LIMIT) -> Poly:
-    """Partition function of the subgraph induced by a vertex mask."""
+    """Partition function of the subgraph induced by a vertex mask.  A memo
+    passed in is shared with other calls on the same graph."""
     if memo is None:
         memo = {}
     return Poly(_zpoly_coeffs(g.adj, mask, memo, memo_limit))
@@ -119,14 +164,18 @@ def path_cycle_polynomial(kind: str, n: int) -> Poly:
 
 # -- marginals -----------------------------------------------------------
 
+def _marginal(g: Graph, u: int, z: Poly, memo: dict) -> RatFunc:
+    rest = subset_polynomial(g, ((1 << g.n) - 1) & ~g.closed_mask(u), memo)
+    return RatFunc(Poly([0, 1]) * rest, z)
+
+
 def marginal(g: Graph, u: int, z: Poly | None = None) -> RatFunc:
     """p_u as a rational function of the fugacity:
     x * Z_{G - N[u]} / Z_G."""
+    memo: dict[int, tuple[int, ...]] = {}
     if z is None:
-        z = independence_polynomial(g)
-    full = (1 << g.n) - 1
-    rest = subset_polynomial(g, full & ~g.closed_mask(u))
-    return RatFunc(Poly([0, 1]) * rest, z)
+        z = subset_polynomial(g, (1 << g.n) - 1, memo)
+    return _marginal(g, u, z, memo)
 
 
 def pair_marginal(g: Graph, u: int, v: int, z: Poly | None = None) -> RatFunc:
@@ -204,11 +253,12 @@ def variance_via_marginals(g: Graph) -> RatFunc:
 
         V_G = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u * sum_v p_v)
 
-    Asserts exact agreement with the derivative route before returning.
+    Z and every marginal share one memo.  Raises ArithmeticError, naming the
+    graph, unless the result equals the derivative route exactly.
     """
-    z = independence_polynomial(g)
     full = (1 << g.n) - 1
     memo: dict[int, tuple[int, ...]] = {}
+    z = subset_polynomial(g, full, memo)
     x = Poly([0, 1])
     single_sum = Poly()
     for u in range(g.n):
@@ -224,7 +274,9 @@ def variance_via_marginals(g: Graph) -> RatFunc:
     numerator = x * single_sum * z + 2 * x * x * pair_sum * z - x * x * single_sum * single_sum
     result = RatFunc(numerator * Fraction(1, g.n), z * z)
     direct = variance_fraction(g, z)
-    assert result == direct, "marginal and derivative variance paths disagree"
+    if result != direct:
+        raise ArithmeticError(
+            f"{g.display_name()}: marginal and derivative variance paths disagree")
     return result
 
 
@@ -251,11 +303,14 @@ class HardCoreProfile:
 
 
 def profile(g: Graph) -> HardCoreProfile:
-    z = independence_polynomial(g)
+    """Z, E, V and every vertex marginal of g, with one memo shared by Z and
+    the marginals."""
+    memo: dict[int, tuple[int, ...]] = {}
+    z = subset_polynomial(g, (1 << g.n) - 1, memo)
     return HardCoreProfile(
         graph=g,
         z=z,
         expectation=occupancy_fraction(g, z),
         variance=variance_fraction(g, z),
-        marginals=tuple(marginal(g, u, z) for u in range(g.n)),
+        marginals=tuple(_marginal(g, u, z, memo) for u in range(g.n)),
     )

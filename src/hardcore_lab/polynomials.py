@@ -263,7 +263,8 @@ def squarefree_part(p: Poly) -> Poly:
     if g.degree <= 0:
         return p.primitive()
     q, r = divmod(p, g)
-    assert r.is_zero
+    if not r.is_zero:
+        raise ArithmeticError("gcd(p, p') does not divide p")
     return q.primitive()
 
 

@@ -73,12 +73,14 @@ def _int_exact_div(f: Coeffs, g: Coeffs) -> Coeffs:
     for i in range(len(out) - 1, -1, -1):
         c = work[i + len(g) - 1]
         q, r = divmod(c, g[-1])
-        assert r == 0, "inexact integer polynomial division"
+        if r:
+            raise ArithmeticError("inexact integer polynomial division")
         out[i] = q
         if q:
             for j in range(len(g)):
                 work[i + j] -= q * g[j]
-    assert not any(work), "inexact integer polynomial division"
+    if any(work):
+        raise ArithmeticError("inexact integer polynomial division")
     return tuple(out)
 
 

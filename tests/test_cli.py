@@ -3,7 +3,10 @@
 import json
 from fractions import Fraction as F
 
+from hardcore_lab import cli, repro
 from hardcore_lab.cli import main
+from hardcore_lab.hardcore import MemoLimitExceeded
+from hardcore_lab.polynomials import Poly, RatFunc
 
 
 def run(capsys, *argv):
@@ -147,3 +150,31 @@ def test_tolerance_env_override(capsys, monkeypatch):
     lo, hi = data["free_energy_enclosure"][1:-1].split(",")
     width = F(hi.strip()) - F(lo.strip())
     assert width <= F(1, 1000)
+
+
+def test_memo_limit_is_a_one_line_usage_error(capsys, monkeypatch):
+    def exceeded(g):
+        raise MemoLimitExceeded("residual cache exceeded 4 entries")
+
+    monkeypatch.setattr(cli, "independence_polynomial", exceeded)
+    code, out, err = run(capsys, "poly", "path:64")
+    assert code == 1 and out == ""
+    assert err == "error: residual cache exceeded 4 entries\n"
+
+
+def test_repro_variance_identity_failure_is_a_record(capsys, monkeypatch):
+    def disagree(g):
+        raise ArithmeticError(f"{g.display_name()}: routes disagree")
+
+    monkeypatch.setattr(repro, "variance_via_marginals", disagree)
+    code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity",
+                       "variance.p5_threshold")
+    assert code == 2
+    records = {r["id"]: r for r in map(json.loads, out.splitlines())}
+    item = records["variance.pair_marginal_identity"]
+    assert item["status"] == "failed"
+    assert len(item["payload"]["failing"]) == len(item["payload"]["graphs"])
+    assert records["variance.p5_threshold"]["status"] == "verified"
+    monkeypatch.setattr(repro, "variance_via_marginals", lambda g: RatFunc(Poly()))
+    code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity")
+    assert code == 2 and json.loads(out)["status"] == "failed"

@@ -13,6 +13,7 @@ from hardcore_lab.graphs import (
     generate,
     pasch_graph,
     path_graph,
+    petersen_graph,
 )
 from hardcore_lab.hardcore import (
     MemoLimitExceeded,
@@ -87,9 +88,43 @@ def test_partition_invariants():
         assert z.degree == brute_force_polynomial(g).degree
 
 
+def test_engine_matches_brute_force_on_random_graphs():
+    # Densities from 1/2 down to 1/7, so the sample has disconnected graphs
+    # and isolated vertices, which the component split handles separately.
+    rng = SplitMix64(2025)
+    disconnected = with_isolated = 0
+    for i in range(200):
+        g = corpus.random_graph(1 + rng.randrange(14), rng, 1, 2 + i % 6)
+        disconnected += not g.is_connected()
+        with_isolated += 0 in g.degrees()
+        assert independence_polynomial(g) == brute_force_polynomial(g), g.adj
+    assert disconnected >= 50 and with_isolated >= 30
+
+
+def test_subset_polynomial_with_shared_memo():
+    rng = SplitMix64(77)
+    g = corpus.random_graph(13, rng, 1, 4)
+    memo: dict = {}
+    masks = [0, (1 << g.n) - 1] + [rng.randrange(1 << g.n) for _ in range(80)]
+    for mask in masks:
+        shared = subset_polynomial(g, mask, memo)
+        assert shared == subset_polynomial(g, mask), mask
+        assert shared == brute_force_polynomial(g.induced(mask)), mask
+    assert memo
+
+
+def test_engine_at_64_vertices():
+    assert independence_polynomial(path_graph(64)) == path_polynomial(64)
+    assert independence_polynomial(cycle_graph(64)) == cycle_polynomial(64)
+    z_petersen = brute_force_polynomial(petersen_graph())
+    assert independence_polynomial(generate("6*petersen")) == z_petersen ** 6
+
+
 def test_memo_limit():
     with pytest.raises(MemoLimitExceeded):
         independence_polynomial(cycle_graph(20), memo_limit=4)
+    with pytest.raises(MemoLimitExceeded):
+        subset_polynomial(path_graph(64), (1 << 64) - 1, {}, memo_limit=10)
 
 
 def test_marginal_examples():
@@ -126,6 +161,13 @@ def test_variance_via_marginals_examples():
     assert variance_via_marginals(empty_graph(2)) == RatFunc(X, ONE_PLUS ** 2)
     assert variance_via_marginals(complete_graph(3)) == RatFunc(X, Poly([1, 3]) ** 2)
     assert variance_via_marginals(path_graph(5)) == variance_fraction(path_graph(5))
+
+
+def test_variance_via_marginals_raises_on_disagreement(monkeypatch):
+    monkeypatch.setattr("hardcore_lab.hardcore.variance_fraction",
+                        lambda g, z=None: RatFunc(Poly()))
+    with pytest.raises(ArithmeticError, match="path:4"):
+        variance_via_marginals(generate("path:4"))
 
 
 def test_variance_via_marginals_on_corpus_sample():
@@ -213,3 +255,12 @@ def test_profile_lazy_pairs():
     p02 = prof.pair_marginal(0, 2)
     assert prof.pair_marginal(2, 0) is p02
     assert prof.pair_marginal(0, 1).is_zero
+
+
+def test_profile_marginals_match_marginal():
+    for g in [path_graph(7), generate("petersen + kab:2,3 + empty:2"),
+              corpus.random_graph(10, SplitMix64(5), 1, 3)]:
+        prof = profile(g)
+        assert prof.z == independence_polynomial(g)
+        for u in range(g.n):
+            assert prof.marginals[u] == marginal(g, u), u

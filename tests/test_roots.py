@@ -2,8 +2,11 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from hardcore_lab.polynomials import Poly
 from hardcore_lab.roots import (
+    _int_exact_div,
     count_roots,
     isolate_positive_roots,
     nonneg_on_halfline,
@@ -125,3 +128,11 @@ def test_witness_prefers_small_denominators():
     p = Poly([1, -3, 0, 1])  # negative on an interval around 1
     v = nonneg_on_halfline(p)
     assert v.witness.denominator <= 8
+
+
+def test_inexact_integer_division_raises():
+    assert _int_exact_div((-1, 0, 1), (1, 1)) == (-1, 1)
+    with pytest.raises(ArithmeticError):
+        _int_exact_div((1, 0, 1), (1, 2))
+    with pytest.raises(ArithmeticError):
+        _int_exact_div((1, 1, 2), (1, 2))
