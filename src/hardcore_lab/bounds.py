@@ -258,7 +258,6 @@ def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
     if lam <= 0:
         raise ValueError("fugacity must be positive")
     e = occupancy_value(g, lam)
-    s = lam / (1 + lam)
     degree_counts: dict[int, int] = {}
     for d in g.degrees():
         degree_counts[d] = degree_counts.get(d, 0) + 1
@@ -266,20 +265,8 @@ def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
     def lhs(tol: Fraction) -> RationalInterval:
         per = tol / (2 * len(degree_counts))
         acc = RationalInterval.point(0)
-        log_enc = log1p_interval(lam, per / 4)
-        while log_enc.lo <= 0:
-            per /= 10
-            log_enc = log1p_interval(lam, per / 4)
         for d, count in degree_counts.items():
-            if d == 0:
-                term = RationalInterval.point(s)
-            else:
-                arg = log_enc * d
-                w_lo = lambert_w_interval(arg.lo, per / 4)
-                w_hi = lambert_w_interval(arg.hi, per / 4)
-                w_enc = RationalInterval(w_lo.lo, w_hi.hi)
-                term = w_enc / (log_enc * d) * s
-            acc = acc + term * Fraction(count, g.n)
+            acc = acc + tf_weight_interval(d, lam, per) * Fraction(count, g.n)
         return acc
 
     return _interval_le("occupancy.triangle_free_degree_floor", g, lam,

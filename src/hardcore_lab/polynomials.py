@@ -3,11 +3,22 @@
 Polynomials are dense coefficient lists, lowest degree first, with trailing
 zeros trimmed; equality is therefore canonical-form equality.  Coefficients
 are Python ints or Fractions, so all arithmetic is exact.
+
+This module also holds the library's one exact gcd kernel.  A polynomial
+splits into a positive rational content times a primitive integer part, and
+gcds, exact quotients and squarefree parts are computed on the integer parts
+with the primitive pseudo-remainder sequence (Brown, "On Euclid's algorithm
+and the computation of polynomial greatest common divisors", J. ACM 1971).
+`RatFunc` reduction, `poly_gcd`, `squarefree_part` and the Sturm chains in
+`roots` all run on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+Coeffs = tuple[int, ...]
 
 
 def _norm_coeff(c):
@@ -40,16 +51,8 @@ class Poly:
         return cls([Fraction(p) for p in parts if p])
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Poly":
-        return cls([0] * k + [c])
 
     # -- basic queries ----------------------------------------------------
 
@@ -69,10 +72,6 @@ class Poly:
 
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    @property
-    def is_integer(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -206,19 +205,6 @@ class Poly:
             acc = acc * inner + Poly([c])
         return acc
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
-    def valuation(self) -> int:
-        """Multiplicity of the root x = 0 (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
-
     # -- normal forms ------------------------------------------------------
 
     def monic(self) -> "Poly":
@@ -233,46 +219,112 @@ class Poly:
         The scaling factor is strictly positive, so signs (and in particular
         Sturm sign variations) are preserved.
         """
-        if self.is_zero:
-            return self
-        from math import gcd, lcm
+        return Poly(_content_split(self.coeffs)[1])
 
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        return Poly([c // g for c in ints])
+
+# -- the primitive integer kernel ---------------------------------------------
+
+def _content_split(coeffs) -> tuple[Fraction, Coeffs]:
+    """(c, q) with coeffs = c * q, c a positive rational and q primitive
+    integer coefficients; the zero polynomial gives (0, ())."""
+    den = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in coeffs] if den != 1 else coeffs
+    g = gcd(*ints)
+    if g == 0:
+        return Fraction(0), ()
+    return Fraction(g, den), tuple(c // g for c in ints)
+
+
+def _int_primitive(cs) -> Coeffs:
+    g = gcd(*cs)
+    if g in (0, 1):
+        return tuple(cs)
+    return tuple(c // g for c in cs)
+
+
+def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
+    """Integer pseudo-remainder: (r, s) with r = lc(g)^s * (f mod g)."""
+    work = list(f)
+    lg = g[-1]
+    steps = 0
+    while work and len(work) >= len(g):
+        top = work.pop()
+        shift = len(work) - (len(g) - 1)
+        for i in range(len(work)):
+            work[i] *= lg
+        for i in range(len(g) - 1):
+            work[shift + i] -= top * g[i]
+        steps += 1
+        while work and work[-1] == 0:
+            work.pop()
+    return work, steps
+
+
+def _int_gcd(f: Coeffs, g: Coeffs) -> Coeffs:
+    """Primitive gcd with a positive leading coefficient (() if both are zero)."""
+    f = _int_primitive(f)
+    g = _int_primitive(g)
+    while g:
+        r, _ = _pseudo_rem(f, g)
+        f, g = g, _int_primitive(r)
+    if f and f[-1] < 0:
+        f = tuple(-c for c in f)
+    return f
+
+
+def _int_exact_div(f: Coeffs, g: Coeffs) -> Coeffs:
+    """Quotient f / g when the division is exact over the rationals and the
+    quotient is integral (both inputs primitive)."""
+    work = list(f)
+    out = [0] * (len(f) - len(g) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = work[i + len(g) - 1]
+        q, r = divmod(c, g[-1])
+        if r:
+            raise ArithmeticError("inexact integer polynomial division")
+        out[i] = q
+        if q:
+            for j in range(len(g)):
+                work[i + j] -= q * g[j]
+    if any(work):
+        raise ArithmeticError("inexact integer polynomial division")
+    return tuple(out)
+
+
+def _derivative(cs: Coeffs) -> Coeffs:
+    return tuple(i * c for i, c in enumerate(cs) if i)
+
+
+def _int_squarefree(cs: Coeffs) -> Coeffs:
+    """cs / gcd(cs, cs') for primitive cs; the quotient is primitive (Gauss's
+    lemma) and keeps the sign of the leading coefficient."""
+    g = _int_gcd(cs, _derivative(cs))
+    if len(g) <= 1:
+        return cs
+    return _int_exact_div(cs, g)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the rationals (zero polynomial if both are zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    g = _int_gcd(_content_split(a.coeffs)[1], _content_split(b.coeffs)[1])
+    return Poly(g).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), normalized to primitive integer form."""
-    if p.is_zero:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive()
-    q, r = divmod(p, g)
-    if not r.is_zero:
-        raise ArithmeticError("gcd(p, p') does not divide p")
-    return q.primitive()
+    return Poly(_int_squarefree(_content_split(p.coeffs)[1]))
 
 
 class RatFunc:
     """Ratio of two polynomials, stored gcd-reduced with a monic denominator.
 
-    The canonical form makes equality a plain field comparison, which is what
-    the identity checks in the verifier rely on.
+    Reduction splits off the rational contents and divides the primitive
+    integer parts by their integer gcd.  The canonical form makes equality a
+    plain field comparison, which is what the identity checks in the
+    verifier rely on.
     """
 
     __slots__ = ("num", "den")
@@ -285,13 +337,16 @@ class RatFunc:
         if num.is_zero:
             num, den = Poly(), Poly([1])
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lc = Fraction(den.lc)
-            num = num * (1 / lc)
-            den = den.monic()
+            num_c, num_i = _content_split(num.coeffs)
+            den_c, den_i = _content_split(den.coeffs)
+            g = _int_gcd(num_i, den_i)
+            if len(g) > 1:
+                num_i = _int_exact_div(num_i, g)
+                den_i = _int_exact_div(den_i, g)
+            lc = den_i[-1]
+            scale = num_c / (den_c * lc)
+            num = Poly([c * scale for c in num_i])
+            den = Poly([Fraction(c, lc) for c in den_i])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

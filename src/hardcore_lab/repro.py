@@ -7,6 +7,8 @@ emitted sorted by id, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -543,7 +545,10 @@ REGISTRY = {
 
 
 def run(ids: list[str] | None = None) -> list[ReproItem]:
-    """Run the requested items (all of them by default), sorted by id."""
+    """Run the requested items (all of them by default), sorted by id.
+
+    An item that raises is reported as failed with payload
+    {"error": "<Type>: <message>"}; the rest of the run goes on."""
     if not ids or ids == ["all"]:
         ids = sorted(REGISTRY)
     else:
@@ -551,4 +556,15 @@ def run(ids: list[str] | None = None) -> list[ReproItem]:
         if unknown:
             raise KeyError(f"unknown repro ids: {', '.join(unknown)}")
         ids = sorted(set(ids))
-    return [REGISTRY[item_id]() for item_id in ids]
+    return [_run_item(item_id) for item_id in ids]
+
+
+def _run_item(item_id: str) -> ReproItem:
+    """One item; an exception it raises becomes its own failed record, so
+    the other items still run.  The traceback goes to stderr, outside the
+    report."""
+    try:
+        return REGISTRY[item_id]()
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return ReproItem(item_id, FAILED, {"error": f"{type(exc).__name__}: {exc}"})

@@ -4,95 +4,29 @@ nonnegativity decision procedure.
 Everything here is exact: interval endpoints and witnesses are rationals and
 no verdict ever depends on floating point.  Internally the chains are kept as
 primitive integer coefficient lists (positive rescaling never changes a sign
-variation), which keeps the arithmetic in fast machine integers.
+variation), built with the primitive integer kernel of `polynomials`
+(content split, pseudo-remainders, squarefree part); this module defines no
+gcd or division of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .polynomials import Poly
+from .polynomials import (
+    Coeffs,
+    Poly,
+    _content_split,
+    _derivative,
+    _int_primitive,
+    _int_squarefree,
+    _pseudo_rem,
+)
 from .verdict import FAILS, HOLDS, Verdict
-
-Coeffs = tuple[int, ...]
-
-
-# -- integer polynomial kernels ------------------------------------------
-
-def _strip(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _int_primitive(cs: list[int]) -> Coeffs:
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    if g in (0, 1):
-        return tuple(cs)
-    return tuple(c // g for c in cs)
 
 
 def _to_ints(p: Poly) -> Coeffs:
-    return p.primitive().coeffs
-
-
-def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
-    """Integer pseudo-remainder: (r, s) with r = lc(g)^s * (f mod g)."""
-    work = list(f)
-    lg = g[-1]
-    steps = 0
-    while work and len(work) >= len(g):
-        top = work.pop()
-        shift = len(work) - (len(g) - 1)
-        for i in range(len(work)):
-            work[i] *= lg
-        for i in range(len(g) - 1):
-            work[shift + i] -= top * g[i]
-        steps += 1
-        _strip(work)
-    return work, steps
-
-
-def _int_gcd(f: Coeffs, g: Coeffs) -> Coeffs:
-    f = _int_primitive(list(f))
-    g = _int_primitive(list(g))
-    while g:
-        r, _ = _pseudo_rem(f, g)
-        f, g = g, _int_primitive(r)
-    return f
-
-
-def _int_exact_div(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Quotient f / g when the division is exact over the rationals and the
-    quotient is integral (both inputs primitive)."""
-    work = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + len(g) - 1]
-        q, r = divmod(c, g[-1])
-        if r:
-            raise ArithmeticError("inexact integer polynomial division")
-        out[i] = q
-        if q:
-            for j in range(len(g)):
-                work[i + j] -= q * g[j]
-    if any(work):
-        raise ArithmeticError("inexact integer polynomial division")
-    return tuple(out)
-
-
-def _derivative(cs: Coeffs) -> Coeffs:
-    return tuple(i * c for i, c in enumerate(cs) if i)
-
-
-def _int_squarefree(cs: Coeffs) -> Coeffs:
-    g = _int_gcd(cs, _derivative(cs))
-    if len(g) <= 1:
-        return cs
-    return _int_primitive(list(_int_exact_div(cs, g)))
+    return _content_split(p.coeffs)[1]
 
 
 def _eval_sign(cs: Coeffs, x: Fraction) -> int:
@@ -114,7 +48,7 @@ def _int_chain(cs: Coeffs) -> list[Coeffs]:
     the negated remainder joins the chain.
     """
     q = _int_squarefree(cs)
-    chain = [q, _int_primitive(list(_derivative(q)))]
+    chain = [q, _int_primitive(_derivative(q))]
     while chain[-1]:
         r, steps = _pseudo_rem(chain[-2], chain[-1])
         if not r:
@@ -172,14 +106,6 @@ def count_roots(chain: list[Poly], a, b) -> int:
     return variations_at(chain, a) - variations_at(chain, b)
 
 
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """Power-of-two upper bound on the absolute value of every root of p."""
-    cs = _to_ints(p)
-    if len(cs) <= 1:
-        return Fraction(1)
-    return _int_root_bound(cs)
-
-
 def _isolate(chain: list[Coeffs]) -> list[tuple[Fraction, Fraction]]:
     bound = _int_root_bound(chain[0]) if len(chain[0]) > 1 else Fraction(1)
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -228,12 +154,6 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
         width = Fraction(max_width)
         intervals = [_refine(chain, lo, hi, width) for lo, hi in intervals]
     return intervals
-
-
-def refine_root_interval(p: Poly, lo, hi, width) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] of p below the given width."""
-    cs = _to_ints(p)
-    return _refine(_int_chain(cs), Fraction(lo), Fraction(hi), Fraction(width))
 
 
 # -- decision procedures ----------------------------------------------------

@@ -9,8 +9,10 @@ platform.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .graphs import Graph
 from .verdict import format_rational
@@ -61,27 +63,42 @@ def new_chain(seed: int) -> ChainState:
     return ChainState(occupied=0, size=0, steps=0, rng=SplitMix64(seed))
 
 
+def _heat_bath(rng: SplitMix64, adj, n: int, p_occ: float, occupied: int = 0,
+               size: int = 0) -> Iterator[tuple[int, int]]:
+    """The step kernel: endless heat-bath updates, yielding (occupied, size)
+    after each.  Pick a uniform vertex; if some neighbor is occupied the
+    vertex becomes unoccupied, otherwise it is occupied with probability
+    p_occ.  The uniform draw is `SplitMix64.randrange` and the coin is
+    `SplitMix64.random`, spelled out on the generator for speed."""
+    limit = _MASK + 1 - ((_MASK + 1) % n)
+    while True:
+        while True:
+            r = rng.next_u64()
+            if r < limit:
+                break
+        v = r % n
+        bit = 1 << v
+        if adj[v] & occupied:
+            if occupied & bit:
+                occupied ^= bit
+                size -= 1
+        elif (rng.next_u64() >> 11) * 2.0 ** -53 < p_occ:
+            if not occupied & bit:
+                occupied |= bit
+                size += 1
+        elif occupied & bit:
+            occupied ^= bit
+            size -= 1
+        yield occupied, size
+
+
 def glauber_step(state: ChainState, g: Graph, lam) -> ChainState:
-    """One heat-bath update: pick a uniform vertex; if some neighbor is
-    occupied the vertex becomes unoccupied, otherwise it is occupied with
-    probability lam/(1+lam)."""
+    """One heat-bath update of the chain (see `_heat_bath`) at fugacity lam,
+    so the occupation probability is lam/(1+lam)."""
     lam = Fraction(lam)
-    p_occ = float(lam / (1 + lam))
-    rng = state.rng
-    v = rng.randrange(g.n)
-    bit = 1 << v
-    if g.adj[v] & state.occupied:
-        if state.occupied & bit:
-            state.occupied ^= bit
-            state.size -= 1
-    elif rng.random() < p_occ:
-        if not state.occupied & bit:
-            state.occupied |= bit
-            state.size += 1
-    else:
-        if state.occupied & bit:
-            state.occupied ^= bit
-            state.size -= 1
+    step = _heat_bath(state.rng, g.adj, g.n, float(lam / (1 + lam)),
+                      state.occupied, state.size)
+    state.occupied, state.size = next(step)
     state.steps += 1
     return state
 
@@ -130,36 +147,9 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     if batch_len == 0:
         raise ValueError("too few steps for the requested batch count")
 
-    p_occ = float(lam / (1 + lam))
-    rng = SplitMix64(seed)
-    adj = g.adj
-    n = g.n
-    limit = _MASK + 1 - ((_MASK + 1) % n)
-    occupied = 0
-    size = 0
-
-    def step() -> None:
-        nonlocal occupied, size
-        while True:
-            r = rng.next_u64()
-            if r < limit:
-                break
-        v = r % n
-        bit = 1 << v
-        if adj[v] & occupied:
-            if occupied & bit:
-                occupied ^= bit
-                size -= 1
-        elif (rng.next_u64() >> 11) * 2.0 ** -53 < p_occ:
-            if not occupied & bit:
-                occupied |= bit
-                size += 1
-        elif occupied & bit:
-            occupied ^= bit
-            size -= 1
-
-    for _ in range(burn_in):
-        step()
+    chain = _heat_bath(SplitMix64(seed), g.adj, g.n, float(lam / (1 + lam)))
+    for _ in islice(chain, burn_in):
+        pass
 
     batch_means = []
     batch_vars = []
@@ -168,8 +158,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     for _ in range(batches):
         s1 = 0
         s2 = 0
-        for _ in range(batch_len):
-            step()
+        for _, size in islice(chain, batch_len):
             s1 += size
             s2 += size * size
         m = s1 / batch_len

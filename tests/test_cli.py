@@ -178,3 +178,18 @@ def test_repro_variance_identity_failure_is_a_record(capsys, monkeypatch):
     monkeypatch.setattr(repro, "variance_via_marginals", lambda g: RatFunc(Poly()))
     code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity")
     assert code == 2 and json.loads(out)["status"] == "failed"
+
+
+def test_repro_item_that_raises_is_a_failed_record(capsys, monkeypatch):
+    def raises():
+        raise ValueError("boom")
+
+    monkeypatch.setitem(repro.REGISTRY, "test.raises", raises)
+    code, out, err = run(capsys, "repro", "test.raises", "lemmas.var_without_fv")
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["id"] for r in records] == ["lemmas.var_without_fv", "test.raises"]
+    assert records[0]["status"] == "verified"
+    assert records[1] == {"id": "test.raises", "status": "failed",
+                          "payload": {"error": "ValueError: boom"}}
+    assert "ValueError: boom" in err

@@ -75,10 +75,51 @@ def test_squarefree_part():
     assert sf == (Poly([1, 1]) * Poly([-2, 1])).primitive()
 
 
+def test_squarefree_part_keeps_a_negative_leading_sign():
+    for k in (2, 3):
+        p = Poly([1, 1]) ** k * Poly([-2, 1]) * F(-3, 2)
+        assert p.lc < 0
+        assert squarefree_part(p) == Poly([2, 1, -1])  # -(1 + x)(x - 2)
+    assert squarefree_part(Poly([1, 1]) ** 2 * F(-1, 2)) == Poly([-1, -1])
+    assert squarefree_part(Poly([F(3, 2), F(-9, 4)])) == Poly([2, -3])
+
+
 def test_primitive_preserves_sign():
     p = Poly([F(2, 3), -2])
     prim = p.primitive()
     assert prim.lc < 0 and prim.coeffs == (1, -3)
+
+
+def _rational_euclid_form(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The canonical RatFunc form by the rational Euclidean algorithm."""
+    a, b = num, den
+    while not b.is_zero:
+        a, b = b, a % b
+    g = a.monic()
+    num, den = num // g, den // g
+    return num * (1 / F(den.lc)), den.monic()
+
+
+def _random_rational_poly(rng, max_degree):
+    return Poly([F(rng.randrange(21) - 10, rng.randrange(6) + 1)
+                 for _ in range(rng.randrange(max_degree + 1) + 1)])
+
+
+def test_ratfunc_matches_the_rational_euclid_reference():
+    rng = SplitMix64(2024)
+    planted = negative = 0
+    for _ in range(300):
+        common = _random_rational_poly(rng, 3)
+        num = _random_rational_poly(rng, 4) * common
+        den = _random_rational_poly(rng, 4) * common
+        if num.is_zero or den.is_zero:
+            continue
+        planted += common.degree > 0
+        negative += num.lc < 0 or den.lc < 0
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == _rational_euclid_form(num, den)
+        assert f.den.lc == 1
+    assert planted >= 150 and negative >= 150
 
 
 def test_ratfunc_canonical_equality():

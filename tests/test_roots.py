@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab.polynomials import Poly
+from hardcore_lab.polynomials import Poly, _int_exact_div
 from hardcore_lab.roots import (
-    _int_exact_div,
     count_roots,
     isolate_positive_roots,
     nonneg_on_halfline,
