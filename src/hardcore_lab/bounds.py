@@ -25,6 +25,7 @@ from .hardcore import (
 )
 from .intervals import (
     RationalInterval,
+    _positive_tol,
     entropy_interval,
     free_energy_interval,
     lambert_w_interval,
@@ -106,7 +107,7 @@ def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
 def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol,
                  note: str | None = None) -> BoundCheck:
     """Certify lhs <= rhs where either side is an enclosure factory tol -> value."""
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     while True:
         lhs = make_lhs(tol)
         rhs = make_rhs(tol)

@@ -2,8 +2,15 @@
 
 Every constructor returns an interval guaranteed to contain the exact real
 value; series truncations carry explicit remainder bounds and all rounding is
-outward.  No binary floating point enters any enclosure (floats are used only
-to seed bisection brackets, never to justify them).
+outward.  Every tolerance must be positive: a width <= 0 is never reached, so
+the constructors raise ``ValueError`` instead of looping.
+
+No binary floating point enters any enclosure.  The Lambert W bisection uses
+a float Newton root only as a guess: it certifies the signs of w e^w - x just
+below and just above that guess, and since w e^w - x is increasing on w >= 0,
+those two certified signs decide every later sign test outside the tight
+bracket they span.  The bisection iterates, and so the enclosure, are the
+ones a bisection that certified every sign would produce.
 """
 
 from __future__ import annotations
@@ -110,6 +117,13 @@ class RationalInterval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
+def _positive_tol(tol) -> Fraction:
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol
+
+
 def _lift(value) -> RationalInterval:
     if isinstance(value, RationalInterval):
         return value
@@ -152,7 +166,7 @@ def log_interval(v, tol) -> RationalInterval:
     atanh series with an explicit geometric remainder bound.
     """
     v = Fraction(v)
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     if v <= 0:
         raise ValueError("log of a nonpositive value")
     if v == 1:
@@ -175,6 +189,7 @@ def log_interval(v, tol) -> RationalInterval:
 def log1p_interval(x, tol) -> RationalInterval:
     """Enclosure of log(1 + x) for rational x > -1, width <= tol."""
     x = Fraction(x)
+    tol = _positive_tol(tol)
     if x <= -1:
         raise ValueError("log1p requires x > -1")
     if x == 0:
@@ -186,7 +201,7 @@ def exp_interval(w, tol) -> RationalInterval:
     """Enclosure of exp(w) for rational w, width <= tol, via the power series
     with a Lagrange-style geometric tail bound."""
     w = Fraction(w)
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     if w == 0:
         return RationalInterval.point(1)
     total = Fraction(1)
@@ -228,35 +243,56 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     """Enclosure of the nonnegative branch of the Lambert W function at a
     rational x >= 0, with width <= tol.
 
-    Bisection on w * e^w - x from the bracket [0, max(1, x)], with every sign
-    test certified through interval evaluation of the exponential.  A float
-    Newton iteration only proposes a tighter starting bracket, which is then
-    certified before use.
+    Bisection on f(w) = w * e^w - x from the bracket [0, max(1, x)], or from
+    the narrower bracket seed -+ pad around a float Newton root once both of
+    its signs hold.  Before any of that, the signs f(s - delta) < 0 < f(s + delta)
+    are certified through interval evaluation of the exponential, with s
+    the seed as an exact dyadic and delta = max(s 2^-40, 2^-100).  f is
+    strictly increasing on w >= 0, so a later sign test at or below the
+    highest point known negative is -1 and one at or above the lowest point
+    known positive is +1; only a point strictly between them needs an
+    exponential enclosure.  W(x) is irrational for rational x > 0, so no test
+    point is a root and every sign is a fact: the iterates and the returned
+    endpoints are those of a bisection from the same start bracket that
+    certifies every sign, and the tight bracket changes only the cost.
     """
     x = Fraction(x)
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     if x < 0:
         raise ValueError("the nonnegative Lambert W branch needs x >= 0")
     if x == 0:
         return RationalInterval.point(0)
-    lo = Fraction(0)
-    hi = max(Fraction(1), x)
+    # f(below) < 0 < f(above), tightened by every certified sign.
+    below, above = Fraction(0), max(Fraction(1), x)
 
+    def sign(w: Fraction, tol_hint: Fraction) -> int:
+        nonlocal below, above
+        if w <= below:
+            return -1
+        if w >= above:
+            return 1
+        if _certified_sign(w, x, tol_hint) < 0:
+            below = w
+            return -1
+        above = w
+        return 1
+
+    lo, hi = below, above
     seed = _float_lambert_seed(float(x))
     if seed is not None:
+        s = Fraction(seed)
+        delta = max(s / 2**40, Fraction(1, 2**100))
+        sign(s - delta, delta)
+        sign(s + delta, delta)
         pad = max(Fraction(abs(seed)).limit_denominator(10**6) / 10**7, Fraction(1, 10**9))
         cand_lo = max(lo, _dyadic(seed) - pad)
         cand_hi = min(hi, _dyadic(seed) + pad)
-        if cand_lo < cand_hi:
-            if (cand_lo == 0 or _certified_sign(cand_lo, x, pad) < 0) and _certified_sign(
-                cand_hi, x, pad
-            ) > 0:
-                lo, hi = cand_lo, cand_hi
+        if sign(cand_lo, pad) < 0 and sign(cand_hi, pad) > 0:
+            lo, hi = cand_lo, cand_hi
 
     while hi - lo > tol:
         mid = _dyadic_between(lo, hi)
-        sign = _certified_sign(mid, x, (hi - lo) / 8)
-        if sign < 0:
+        if sign(mid, (hi - lo) / 8) < 0:
             lo = mid
         else:
             hi = mid
@@ -283,24 +319,26 @@ def _dyadic(value: float, bits: int = 64) -> Fraction:
 
 
 def _dyadic_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) with a small power-of-two
-    denominator, to keep bisection iterates cheap."""
-    center = (lo + hi) / 2
-    bits = 4
-    while True:
-        scale = 1 << bits
-        if Fraction(1, scale) < (hi - lo) / 2:
-            mid = Fraction(math.floor(center * scale) + 1, scale)
-            if lo < mid < hi:
-                return mid
+    """floor(c 2^b + 1) / 2^b for the center c of (lo, hi) and the smallest b
+    in 4, 8, 12, ... with 2^-b < (hi - lo) / 2.  It lies in (c, c + 2^-b], so
+    strictly inside (lo, hi); the small power-of-two denominator keeps
+    bisection iterates cheap."""
+    # c = num / den and (hi - lo) / 2 = gap / den.
+    den = 2 * lo.denominator * hi.denominator
+    num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    # gap 2^b > den needs b >= bitlen(den) - bitlen(gap).
+    bits = max(4, -(-(den.bit_length() - gap.bit_length()) // 4) * 4)
+    while gap << bits <= den:
         bits += 4
+    return Fraction((num << bits) // den + 1, 1 << bits)
 
 
 def entropy_interval(x, tol) -> RationalInterval:
     """Enclosure of h(x) = -x log x - (1-x) log(1-x) on [0, 1], with the
     endpoint values h(0) = h(1) = 0 handled exactly."""
     x = Fraction(x)
-    tol = Fraction(tol)
+    tol = _positive_tol(tol)
     if x < 0 or x > 1:
         raise ValueError("entropy argument outside [0, 1]")
     if x == 0 or x == 1:
@@ -312,9 +350,10 @@ def entropy_interval(x, tol) -> RationalInterval:
 
 def free_energy_interval(z: Poly, n: int, lam, tol) -> RationalInterval:
     """Enclosure of (1/n) log(Z(lam)) for a partition-function polynomial Z."""
+    tol = _positive_tol(tol)
     if n < 1:
         raise ValueError("need at least one vertex")
     value = Fraction(z.evaluate(Fraction(lam)))
     if value <= 0:
         raise ValueError("partition function evaluated nonpositive")
-    return log_interval(value, Fraction(tol) * n) * Fraction(1, n)
+    return log_interval(value, tol * n) * Fraction(1, n)

@@ -193,3 +193,20 @@ def test_repro_item_that_raises_is_a_failed_record(capsys, monkeypatch):
     assert records[1] == {"id": "test.raises", "status": "failed",
                           "payload": {"error": "ValueError: boom"}}
     assert "ValueError: boom" in err
+
+
+def test_nonpositive_tolerance_is_a_one_line_usage_error(capsys, monkeypatch):
+    for argv in (
+        ("bound", "occupancy_tf", "petersen", "--lambda", "1/100", "--tol", "0"),
+        ("bound", "combined", "cycle:5", "--lambda", "1", "--tol", "-1"),
+        ("quantities", "cycle:5", "--lambda", "1", "--tol", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: tolerance must be positive\n"
+    monkeypatch.setenv("HARDCORE_LAB_TOL", "0")
+    for argv in (("quantities", "cycle:5", "--lambda", "1"),
+                 ("bound", "occupancy_tf", "cycle:5", "--lambda", "1/100")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: tolerance must be positive\n"

@@ -4,11 +4,21 @@ High-precision references come from the decimal module (an independent
 implementation), never from the enclosures themselves.
 """
 
+import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
+import pytest
+
+from hardcore_lab import bounds, intervals
+from hardcore_lab.graphs import generate
 from hardcore_lab.intervals import (
     RationalInterval,
+    _certified_sign,
+    _dyadic,
+    _dyadic_between,
+    _float_lambert_seed,
     entropy_interval,
     exp_interval,
     free_energy_interval,
@@ -190,3 +200,152 @@ def test_midpoints_track_reference():
         enc = log_interval(v, F(1, 10**12))
         ref = _dec_to_frac(Decimal(v.numerator).ln() - Decimal(v.denominator).ln())
         assert abs(enc.midpoint - ref) <= enc.width
+
+
+# -- Lambert W against the bisection that certifies every sign ---------------
+#
+# Reference copies of the plain bisection: every sign test goes through
+# _certified_sign, and midpoints come from a Fraction loop.  The library,
+# which decides most signs from its certified tight bracket, must return the
+# same endpoints, bit for bit.
+
+def _reference_dyadic_between(lo, hi):
+    center = (lo + hi) / 2
+    bits = 4
+    while True:
+        scale = 1 << bits
+        if F(1, scale) < (hi - lo) / 2:
+            mid = F(math.floor(center * scale) + 1, scale)
+            if lo < mid < hi:
+                return mid
+        bits += 4
+
+
+def _reference_lambert_w(x, tol):
+    x = F(x)
+    tol = F(tol)
+    if x == 0:
+        return RationalInterval.point(0)
+    lo = F(0)
+    hi = max(F(1), x)
+    seed = intervals._float_lambert_seed(float(x))
+    if seed is not None:
+        pad = max(F(abs(seed)).limit_denominator(10**6) / 10**7, F(1, 10**9))
+        cand_lo = max(lo, _dyadic(seed) - pad)
+        cand_hi = min(hi, _dyadic(seed) + pad)
+        if cand_lo < cand_hi:
+            if (cand_lo == 0 or _certified_sign(cand_lo, x, pad) < 0) and _certified_sign(
+                cand_hi, x, pad
+            ) > 0:
+                lo, hi = cand_lo, cand_hi
+    while hi - lo > tol:
+        mid = _reference_dyadic_between(lo, hi)
+        sign = _certified_sign(mid, x, (hi - lo) / 8)
+        if sign < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi)
+
+
+def _random_tol(rng):
+    return F(rng.randrange(9) + 1, 10 ** (6 + rng.randrange(25)))
+
+
+def _lambert_cases():
+    rng = SplitMix64(404)
+    cases = []
+    for _ in range(80):
+        cases.append((F(rng.randrange(10**6) + 1, 10**12 + rng.randrange(10**9)), _random_tol(rng)))
+    for _ in range(80):
+        cases.append((F(rng.randrange(10**6 - 1) + 1, 10**6) + F(1, 10**7), _random_tol(rng)))
+    for _ in range(80):
+        cases.append((1 + F(rng.randrange(49 * 10**5 + 1), 10**5), _random_tol(rng)))
+    cases += [(F(1), F(1, 10**30)), (F(50), F(1, 10**30)), (F(1, 10**200), F(1, 10**30))]
+    cases += [(F(1, 10**400), F(1, 10**6)), (F(1, 10**400), F(1, 10**30))]
+    # The endpoints tf_weight_interval passes: d log(1+lam) enclosed at tol / 4.
+    for d in range(1, 8):
+        for lam in (F(1, 100 * d**4), F(1, 100), F(1), F(4)):
+            tol = _random_tol(rng)
+            arg = log1p_interval(lam, tol / 4) * d
+            cases += [(arg.lo, tol / 4), (arg.hi, tol / 4)]
+    return cases
+
+
+def test_lambert_matches_the_certify_every_sign_bisection():
+    cases = _lambert_cases()
+    assert len(cases) >= 300
+    assert any(_float_lambert_seed(float(x)) is None for x, _ in cases)
+    for x, tol in cases:
+        enc = lambert_w_interval(x, tol)
+        assert enc == _reference_lambert_w(x, tol), (x, tol)
+        assert enc.width <= tol
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda w: w * (1 + 1e-3),
+    lambda w: w * (1 - 1e-3),
+    lambda w: 0.0,
+    lambda w: None,
+])
+def test_lambert_wrong_seed_changes_no_sign(monkeypatch, wrong):
+    # The seed also places the padded start bracket, so a wrong seed moves
+    # the bisection iterates in the reference too; the tight bracket it
+    # certifies must not move them any further.
+    honest = intervals._float_lambert_seed
+
+    def seed(x):
+        w = honest(x)
+        return None if w is None else wrong(w)
+
+    monkeypatch.setattr(intervals, "_float_lambert_seed", seed)
+    for x in (F(1, 10**9), F(3, 1000), F(5, 7), F(1), F(17, 5), F(50), F(1, 10**400)):
+        for tol in (F(1, 10**9), F(1, 10**25)):
+            enc = lambert_w_interval(x, tol)
+            assert enc == _reference_lambert_w(x, tol), (x, tol)
+            assert enc.width <= tol
+            if x > F(1, 10**100):
+                ref = _dec_lambert(Decimal(x.numerator) / Decimal(x.denominator))
+                assert enc.contains(_dec_to_frac(ref))
+
+
+def test_dyadic_between_matches_the_fraction_loop():
+    rng = random.Random(2024)
+    for i in range(10**4):
+        kind = i % 4
+        if kind == 0:
+            # The padded seed bracket: a 64-bit dyadic minus a non-dyadic pad.
+            seed = rng.random() * 10 ** rng.randrange(-3, 4)
+            pad = max(F(seed).limit_denominator(10**6) / 10**7, F(1, 10**9))
+            lo = max(F(0), _dyadic(seed) - pad)
+            hi = _dyadic(seed) + pad
+        else:
+            den = rng.randrange(1, 10 ** rng.randrange(1, 61))
+            lo = F(rng.randrange(-5 * den, 5 * den), den)
+            width = F(rng.randrange(1, 2**20 + 1), 2**20) / 2 ** rng.randrange(201)
+            if kind == 2:
+                width *= F(rng.randrange(1, 10**9 + 1), 10**9 + 7)
+            hi = lo + width
+        mid = _dyadic_between(lo, hi)
+        assert mid == _reference_dyadic_between(lo, hi), (lo, hi)
+        assert lo < mid < hi
+
+
+def test_nonpositive_tolerance_raises():
+    g = generate("cycle:5")
+    calls = (
+        lambda t: log_interval(3, t),
+        lambda t: log1p_interval(F(1, 2), t),
+        lambda t: exp_interval(F(1, 2), t),
+        lambda t: exp_interval(0, t),
+        lambda t: lambert_w_interval(F(1, 2), t),
+        lambda t: lambert_w_interval(0, t),
+        lambda t: entropy_interval(F(1, 3), t),
+        lambda t: free_energy_interval(Poly([1, 5, 5]), 5, 1, t),
+        lambda t: bounds._interval_le("test", g, 1, lambda _: 0, lambda _: 1, t),
+    )
+    for call in calls:
+        for tol in (0, -1, F(-1, 10**9)):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                call(tol)
+        call(F(1, 10**6))
