@@ -34,7 +34,7 @@ from .intervals import (
 )
 from .polynomials import Poly
 from .roots import isolate_positive_roots
-from .verdict import FAILS, HOLDS, INCONCLUSIVE, format_rational
+from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, format_rational
 
 DEFAULT_TOL = Fraction(1, 10**9)
 TOL_FLOOR = Fraction(1, 10**30)
@@ -63,29 +63,25 @@ class BoundCheck:
         out = {
             "bound": self.name,
             "graph": self.graph,
-            "lambda": format_rational(self.lam) if self.lam is not None else None,
+            "lambda": _jsonify(self.lam),
             "status": self.status,
-            "lhs": _render(self.lhs),
-            "rhs": _render(self.rhs),
-            "margin": _render(self.margin),
+            "lhs": _jsonify(self.lhs),
+            "rhs": _jsonify(self.rhs),
+            "margin": _jsonify(self.margin),
         }
         if self.witness is not None:
-            out["witness"] = _render(self.witness)
+            out["witness"] = _jsonify(self.witness)
         if self.note:
             out["note"] = self.note
         return out
 
 
-def _render(value):
-    if value is None:
-        return None
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    if isinstance(value, RationalInterval):
-        return value.to_json()
-    if isinstance(value, tuple):
-        return [_render(v) for v in value]
-    return str(value)
+def _positive_lam(lam) -> Fraction:
+    """The fugacity as a Fraction; every bound here needs lam > 0."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("fugacity must be positive")
+    return lam
 
 
 def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
@@ -150,9 +146,7 @@ def clique_occupancy_value(d: int, lam: Fraction) -> Fraction:
 def check_free_energy_bounds(g: Graph, lam) -> list[BoundCheck]:
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
+    lam = _positive_lam(lam)
     z = independence_polynomial(g)
     zv = Fraction(z.evaluate(lam))
     n = g.n
@@ -203,7 +197,7 @@ def check_vertex_f_upper_counterexample(g: Graph, lam) -> BoundCheck:
     """The vertex-based biclique ceiling (1/n) sum_u F_{K_{d_u, d_u}}: a
     natural guess that fails; the comparison is decided exactly and the
     verdict simply reports which way it went."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     if g.n == 0 or min(g.degrees()) < 1:
         raise ValueError("vertex-based ceiling needs minimum degree one")
     z = independence_polynomial(g)
@@ -219,9 +213,7 @@ def check_vertex_f_upper_counterexample(g: Graph, lam) -> BoundCheck:
 # -- occupancy ---------------------------------------------------------------
 
 def check_occupancy_bounds(g: Graph, lam) -> list[BoundCheck]:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
+    lam = _positive_lam(lam)
     e = occupancy_value(g, lam)
     n = g.n
     out = [
@@ -237,27 +229,25 @@ def check_occupancy_bounds(g: Graph, lam) -> list[BoundCheck]:
                 "occupancy.biregular_ceiling", g, lam,
                 e, bipartite_occupancy_value(delta, delta, lam)))
     in_range = lam <= Fraction(3, (delta + 1) ** 2)
-    lhs = sum(clique_occupancy_value(d, lam) for d in g.degrees()) / n
     out.append(_exact_le(
-        "occupancy.degree_floor", g, lam, lhs, e,
+        "occupancy.degree_floor", g, lam, degree_floor_value(g, lam), e,
         note=None if in_range else "outside the guaranteed fugacity range; exploratory"))
     return out
 
 
 def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
     """(1/n) sum_u lam / (1 + (d_u + 1) lam)."""
-    return sum(clique_occupancy_value(d, Fraction(lam)) for d in g.degrees()) / g.n
+    lam = _positive_lam(lam)
+    return sum(clique_occupancy_value(d, lam) for d in g.degrees()) / g.n
 
 
 def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
     """Triangle-free degree-sequence floor with the Lambert-W weight,
     certified by enclosures: (1/n) sum_u (lam/(1+lam)) W(d_u L)/(d_u L) with
     L = log(1+lam) must not exceed the exact occupancy fraction."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     if not g.is_triangle_free():
         raise ValueError("triangle-free floor requires a triangle-free graph")
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
     e = occupancy_value(g, lam)
     degree_counts: dict[int, int] = {}
     for d in g.degrees():
@@ -276,7 +266,7 @@ def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
 
 def tf_weight_interval(d: int, lam: Fraction, tol) -> RationalInterval:
     """Enclosure of the triangle-free weight (lam/(1+lam)) W(d L)/(d L)."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     tol = Fraction(tol)
     s = lam / (1 + lam)
     if d == 0:
@@ -296,9 +286,7 @@ def tf_weight_interval(d: int, lam: Fraction, tol) -> RationalInterval:
 # -- variance -----------------------------------------------------------------
 
 def check_variance_bounds(g: Graph, lam) -> list[BoundCheck]:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
+    lam = _positive_lam(lam)
     z = independence_polynomial(g)
     v = variance_value_of_poly(z, g.n, lam)
     n = g.n
@@ -364,7 +352,7 @@ def check_p5_threshold() -> list[BoundCheck]:
 
 def cycle_growth_ratio(n: int, lam) -> Fraction:
     """V_{C_n}(lam) / (lam/(1+lam)^2), exactly."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     z = cycle_polynomial(n)
     v = variance_value_of_poly(z, n, lam)
     return v * (1 + lam) ** 2 / lam
@@ -373,7 +361,7 @@ def cycle_growth_ratio(n: int, lam) -> Fraction:
 def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:
     """Finite-size growth of the variance-to-ceiling ratio along a fugacity
     ladder (the limiting statement is out of scope at desk scale)."""
-    lams = [Fraction(l) for l in lams]
+    lams = [_positive_lam(l) for l in lams]
     ratios = [cycle_growth_ratio(n, l) for l in lams]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     g = cycle_graph(n) if n <= 64 else None
@@ -392,7 +380,7 @@ def check_local_occupancy(g: Graph, beta, gamma, lam,
     """Exhaustive check of the per-vertex neighborhood inequality family:
     for every u and every induced subgraph F of G[N(u)],
     beta (lam/(1+lam)) / Z_F + gamma lam Z_F' / Z_F >= 1."""
-    lam, beta, gamma = Fraction(lam), Fraction(beta), Fraction(gamma)
+    lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
     if g.max_degree > max_degree_budget:
         raise ValueError("neighborhood subset enumeration budget exceeded")
     s = lam / (1 + lam)
@@ -427,7 +415,7 @@ def check_weighted_marginal_sum(g: Graph, lam, weight: str = "clique",
     """Average marginal weighted by the reciprocal occupancy weight is at
     least one: exactly for the clique weight, by enclosure for the
     triangle-free Lambert-W weight."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     z = independence_polynomial(g)
     full = (1 << g.n) - 1
     memo: dict[int, tuple[int, ...]] = {}
@@ -472,9 +460,7 @@ def check_combined_chain(g: Graph, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
         ((1+lam) log(1+lam)/lam) E <= F <= E log(lam) + h(E) <= E log(e lam / E)
 
     certified with outward-rounded enclosures at the given tolerance."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
+    lam = _positive_lam(lam)
     z = independence_polynomial(g)
     e = occupancy_value(g, lam, z)
     if not 0 < e < 1:
@@ -506,7 +492,7 @@ def check_combined_chain(g: Graph, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
 
 def edge_occupancy_sum(g: Graph, lam) -> Fraction:
     """(1/n) sum over edges of ((d_u+d_v)/(d_u d_v)) E_{K_{d_u, d_v}}(lam)."""
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     total = Fraction(0)
     for u, v in g.edges():
         du, dv = g.degree(u), g.degree(v)
@@ -529,7 +515,7 @@ def check_edge_occ_counterexamples(lam=5) -> list[BoundCheck]:
     from .hardcore import occupancy_fraction
     from .polynomials import RatFunc
 
-    lam = Fraction(lam)
+    lam = _positive_lam(lam)
     out = []
     for name in ("g1", "g2", "pasch"):
         g = generate(name)

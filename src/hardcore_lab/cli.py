@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, repro
+from .bounds import DEFAULT_TOL
 from .graphs import Graph, generate, parse_graph6, read_edge_list
 from .hardcore import (
     MemoLimitExceeded,
@@ -29,8 +30,6 @@ from .orderings import OrderingKind, compare
 from .polynomials import Poly
 from .sampler import estimate
 from .verdict import FAILS, INCONCLUSIVE, format_rational
-
-DEFAULT_TOL = Fraction(1, 10**9)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,7 +164,7 @@ def cmd_bound(args) -> int:
             print("error: this bound needs a graph and --lambda", file=sys.stderr)
             return EXIT_USAGE
         g = resolve_graph(args.graph)
-        checks = BOUND_GROUPS[args.name](g, args.lam, tol)
+        checks = BOUND_GROUPS[args.name](g, bounds._positive_lam(args.lam), tol)
     else:
         known = ", ".join(sorted(BOUND_GROUPS) + sorted(GRAPHLESS_BOUNDS))
         print(f"error: unknown bound {args.name!r} (known: {known})", file=sys.stderr)

@@ -63,10 +63,6 @@ class RationalInterval:
         other = _lift(other)
         return self.hi < other.lo
 
-    def certainly_ge(self, other) -> bool:
-        other = _lift(other)
-        return self.lo >= other.hi
-
     def __neg__(self):
         return RationalInterval(-self.hi, -self.lo)
 

@@ -58,9 +58,6 @@ class MultiPoly:
             raise ValueError(f"not a constant: {self}")
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)

@@ -350,10 +350,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly([1]))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

@@ -227,25 +227,25 @@ def item_occupancy_named() -> ReproItem:
 
 
 def item_occupancy_degree_floor_corpus() -> ReproItem:
-    rows = []
+    graphs = corpus.connected_corpus(_CORPUS_MAX_N)
     ok = True
     equality_mismatch = 0
-    for g in corpus.connected_corpus(_CORPUS_MAX_N):
+    for g in graphs:
         lam = Fraction(3, (g.max_degree + 1) ** 2)
         check = [c for c in bounds.check_occupancy_bounds(g, lam)
                  if c.name == "occupancy.degree_floor"][0]
         ok = ok and check.holds
         if (check.margin == 0) != g.is_disjoint_union_of_cliques():
             equality_mismatch += 1
-    rows = {
-        "graphs": len(corpus.connected_corpus(_CORPUS_MAX_N)),
+    payload = {
+        "graphs": len(graphs),
         "equality_classification_mismatches": equality_mismatch,
         "note": "fugacity 3/(max_degree+1)^2 for each graph; equality expected "
                 "exactly on disjoint unions of cliques",
     }
     return ReproItem(
         "occupancy.degree_floor_corpus",
-        _verdict_ok(ok and equality_mismatch == 0), rows)
+        _verdict_ok(ok and equality_mismatch == 0), payload)
 
 
 def item_occupancy_triangle_free_floor() -> ReproItem:

@@ -40,7 +40,9 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def randrange(self, n: int) -> int:
-        """Unbiased uniform draw from 0..n-1 by rejection."""
+        """Unbiased uniform draw from 0..n-1 by rejection; 1 <= n <= 2**64."""
+        if not 1 <= n <= _MASK + 1:
+            raise ValueError(f"randrange needs 1 <= n <= 2**64, got {n}")
         limit = _MASK + 1 - ((_MASK + 1) % n)
         while True:
             r = self.next_u64()
@@ -92,11 +94,19 @@ def _heat_bath(rng: SplitMix64, adj, n: int, p_occ: float, occupied: int = 0,
         yield occupied, size
 
 
+def _occupation(lam: Fraction) -> float:
+    """The occupation probability lam/(1+lam) of a vertex with no occupied
+    neighbor; lam = 0 is allowed (the chain empties)."""
+    lam = Fraction(lam)
+    if lam < 0:
+        raise ValueError("fugacity must be nonnegative")
+    return float(lam / (1 + lam))
+
+
 def glauber_step(state: ChainState, g: Graph, lam) -> ChainState:
     """One heat-bath update of the chain (see `_heat_bath`) at fugacity lam,
     so the occupation probability is lam/(1+lam)."""
-    lam = Fraction(lam)
-    step = _heat_bath(state.rng, g.adj, g.n, float(lam / (1 + lam)),
+    step = _heat_bath(state.rng, g.adj, g.n, _occupation(lam),
                       state.occupied, state.size)
     state.occupied, state.size = next(step)
     state.steps += 1
@@ -147,7 +157,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     if batch_len == 0:
         raise ValueError("too few steps for the requested batch count")
 
-    chain = _heat_bath(SplitMix64(seed), g.adj, g.n, float(lam / (1 + lam)))
+    chain = _heat_bath(SplitMix64(seed), g.adj, g.n, _occupation(lam))
     for _ in islice(chain, burn_in):
         pass
 

@@ -52,11 +52,6 @@ class MultiSeries:
         return cls(vars, [MultiPoly.constant(vars, c)], order)
 
     @classmethod
-    def identity(cls, vars, order: int) -> "MultiSeries":
-        """The series of the formal parameter itself."""
-        return cls(vars, [MultiPoly(vars), MultiPoly.constant(vars, 1)], order)
-
-    @classmethod
     def log1p(cls, vars, order: int) -> "MultiSeries":
         """log(1 + t) truncated: sum_{k>=1} (-1)^(k+1) t^k / k."""
         coeffs = [MultiPoly(vars)]
@@ -76,11 +71,6 @@ class MultiSeries:
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "MultiSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return MultiSeries(self.vars, self.coeffs[:order + 1], order)
 
     def _coerce(self, other) -> "MultiSeries":
         if isinstance(other, MultiSeries):
@@ -180,11 +170,6 @@ class MultiSeries:
                 result = result + power * outer[n]
         return result
 
-    def substitute(self, assignments: dict) -> "MultiSeries":
-        return MultiSeries(
-            self.vars, [c.substitute(assignments) for c in self.coeffs], self.order
-        )
-
     def __repr__(self):
         inner = " , ".join(f"[{c}]" for c in self.coeffs)
         return f"MultiSeries(order={self.order}: {inner})"
@@ -227,10 +212,6 @@ def g_series(d, vars=("d",), order: int = 6) -> MultiSeries:
 
 T_VARS = ("d_u", "d_v")
 TPRIME_VARS = ("d_w", "d_uw")
-
-
-def _mp(vars, text_terms) -> MultiPoly:
-    return MultiPoly(vars, text_terms)
 
 
 def t_series(order: int = 4) -> MultiSeries:

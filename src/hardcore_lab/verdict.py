@@ -49,6 +49,10 @@ class Verdict:
 
 
 def _jsonify(value):
+    """JSON form of a report value: rationals as "p/q", tuples as lists,
+    anything with `to_json` through it, None as null, the rest as text."""
+    if value is None:
+        return None
     if isinstance(value, (Fraction, int)):
         return format_rational(value)
     if isinstance(value, tuple):

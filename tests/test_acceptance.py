@@ -1,14 +1,41 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its runtime against the stated budget.
 
+Every check lives once, in the library; a criterion only chooses inputs and
+asserts the verdict.  A criterion whose inputs are those of `repro` items
+runs the items and asserts that each record is *verified*; the larger-scale
+criteria call the library check those items call, on a larger corpus:
+
+    01 lemma suite            lemmas.fv_and_var_hold, lemmas.var_without_fv,
+                              lemmas.var_without_coef, lemmas.fv_without_var
+    02 edge counterexamples   counterexamples.six_vertex_search,
+                              counterexamples.edge_occupancy
+    03 degree floor           bounds.check_occupancy_bounds (occupancy.degree_floor)
+    04 variance window        bounds.check_variance_bounds (no conjecture record)
+    05 triangle-free floor    bounds.check_occupancy_tf
+    06 series prover          the five series.* items
+    07 five-vertex path       variance.p5_threshold
+    08 oracle equivalence     brute_force_polynomial, cycle_polynomial
+    09 local occupancy        bounds.check_local_occupancy,
+                              bounds.check_weighted_marginal_sum (clique)
+    10 implication web        orderings.implication_web_check
+    11 combined chain         bounds.check_combined_chain, the edgeless enclosures
+    12 sampler                sampler.cross_validation
+
+Every `repro.REGISTRY` id that no criterion claims is asserted *verified* by
+`test_unclaimed_repro_item_is_verified`, so each item is gated exactly once.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import json
 import time
 from fractions import Fraction as F
 
-from hardcore_lab import bounds, corpus, orderings, series
+import pytest
+
+from hardcore_lab import bounds, corpus, orderings, repro
 from hardcore_lab.graphs import (
     complete_bipartite,
     cycle_graph,
@@ -20,16 +47,31 @@ from hardcore_lab.hardcore import (
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
-    occupancy_value,
-    subset_polynomial,
-    var_of_polynomial,
-    variance_value_of_poly,
 )
 from hardcore_lab.intervals import free_energy_interval, log1p_interval
-from hardcore_lab.orderings import compare, var_difference_certificate
-from hardcore_lab.polynomials import Poly
 from hardcore_lab.sampler import CROSS_VALIDATION_CASES, SplitMix64, estimate
 from hardcore_lab.verdict import HOLDS
+
+# The repro items each criterion runs.
+CLAIMED = {
+    1: ("lemmas.fv_and_var_hold", "lemmas.var_without_fv",
+        "lemmas.var_without_coef", "lemmas.fv_without_var"),
+    2: ("counterexamples.six_vertex_search", "counterexamples.edge_occupancy"),
+    6: ("series.ratio_coefficients", "series.correction_coefficients",
+        "series.cubic_truncation", "series.clique_weight_identity",
+        "series.averaged_expansion"),
+    7: ("variance.p5_threshold",),
+    12: ("sampler.cross_validation",),
+}
+UNCLAIMED = sorted(set(repro.REGISTRY).difference(*CLAIMED.values()))
+
+
+def _assert_verified(ids) -> None:
+    records = repro.run(list(ids))
+    assert [r.id for r in records] == sorted(ids)
+    for record in records:
+        assert record.status == repro.VERIFIED, \
+            json.dumps(record.to_json(), sort_keys=True)
 
 
 def _pass(number: int, label: str, start: float, budget: float) -> None:
@@ -41,81 +83,41 @@ def _pass(number: int, label: str, start: float, budget: float) -> None:
 
 def test_criterion_01_lemma_suite():
     start = time.monotonic()
-    p_cube = Poly([1, 3, 1]) ** 3
-
-    # FV and VAR both hold, with the factored certificate.
-    q1 = Poly([1, 2]) ** 3 * Poly([1, 3])
-    assert compare("FV", p_cube, q1).holds
-    assert compare("VAR", p_cube, q1).holds
-    factored = (3 * Poly([0, 0, 0, 1]) * Poly([1, 2]) ** 4 * Poly([1, 3, 1]) ** 4
-                * Poly([3, 32, 118, 176, 86]))
-    assert var_difference_certificate(p_cube, q1) == factored
-
-    # VAR without FV, with the degree-21 certificate.
-    q2 = Poly([1, 9, 30, 44, 24, 9])
-    v = compare("FV", p_cube, q2)
-    assert v.fails and v.witness == 4
-    assert compare("VAR", p_cube, q2).holds
-    cert = var_difference_certificate(p_cube, q2)
-    assert cert.degree == 21 and cert.lc == 513
-
-    # VAR without COEF.
-    q3 = Poly([1, 9, 30, 44, 24, 10])
-    assert compare("COEF", p_cube, q3).fails
-    assert compare("VAR", p_cube, q3).holds
-
-    # FV without VAR, three pairs with the exact evaluation values.
-    pairs = [
-        (Poly([1, 4, 2, 2]), Poly([1, 2, 1, 1]), F(26, 25), F(74, 81)),
-        (Poly([1, 10, 210, 21, 21, 21]), Poly([1, 10, 10, 1, 1, 1]),
-         F(53, 48), F(18619, 20164)),
-        (Poly([1, 10, 1, 20010, 2001, 2001]), Poly([1, 10, 1, 10, 1, 1]),
-         F(293, 192), F(68604293, 192384192)),
-    ]
-    for p, q, vq, vp in pairs:
-        assert compare("FV", p, q).holds
-        assert compare("VAR", p, q).fails
-        assert var_of_polynomial(q).evaluate(1) == vq
-        assert var_of_polynomial(p).evaluate(1) == vp
-
+    _assert_verified(CLAIMED[1])
     _pass(1, "lemma suite", start, 5)
 
 
 def test_criterion_02_edge_counterexamples():
     start = time.monotonic()
-    found1 = corpus.search_g1()
-    found2 = corpus.search_g2()
-    assert len(found1) == 1 and corpus.are_isomorphic(found1[0], generate("g1"))
-    assert len(found2) == 1 and corpus.are_isomorphic(found2[0], generate("g2"))
-    for check in bounds.check_edge_occ_counterexamples(5):
-        assert check.holds, (check.name, check.graph)
+    _assert_verified(CLAIMED[2])
     _pass(2, "edge-based occupancy counterexamples", start, 60)
+
+
+def _degree_floor_holds(g) -> None:
+    lam = F(3, (g.max_degree + 1) ** 2)
+    check = next(c for c in bounds.check_occupancy_bounds(g, lam)
+                 if c.name == "occupancy.degree_floor")
+    assert check.holds, check.to_json()
+    assert (check.margin == 0) == g.is_disjoint_union_of_cliques(), check.to_json()
 
 
 def test_criterion_03_degree_floor_corpus():
     start = time.monotonic()
-    checked = 0
-    for g in corpus.connected_corpus(7):
-        lam = F(3, (g.max_degree + 1) ** 2)
-        z = independence_polynomial(g)
-        e = occupancy_value(g, lam, z)
-        floor = bounds.degree_floor_value(g, lam)
-        assert floor <= e, g.label
-        assert (floor == e) == g.is_disjoint_union_of_cliques(), g.label
-        checked += 1
-    assert checked == 996
+    graphs = corpus.connected_corpus(7)
+    assert len(graphs) == 996
+    for g in graphs:
+        _degree_floor_holds(g)
 
     rng = SplitMix64(30303)
     for _ in range(10**4):
         n = 2 + rng.randrange(11)
-        g = corpus.random_graph(n, rng)
-        lam = F(3, (g.max_degree + 1) ** 2)
-        z = independence_polynomial(g)
-        e = occupancy_value(g, lam, z)
-        floor = bounds.degree_floor_value(g, lam)
-        assert floor <= e
-        assert (floor == e) == g.is_disjoint_union_of_cliques()
+        _degree_floor_holds(corpus.random_graph(n, rng))
     _pass(3, "degree-sequence occupancy floor corpus", start, 600)
+
+
+def _variance_window(g, lam) -> dict:
+    return {c.name: c for c in bounds.check_variance_bounds(g, lam)
+            if c.name != "variance.clique_floor_conjecture"}
 
 
 def test_criterion_04_variance_window_corpus():
@@ -123,24 +125,18 @@ def test_criterion_04_variance_window_corpus():
     checked = 0
     for n in range(1, 8):
         for g in corpus.all_graphs(n):
-            z = independence_polynomial(g)
-            for lam, kind in ((F(1, 2 * n), "floor"), (F(1, n), "ceiling")):
-                v = variance_value_of_poly(z, n, lam)
-                if kind == "floor":
-                    assert lam / (1 + n * lam) ** 2 <= v, (n, g.adj)
-                else:
-                    assert v <= lam / (1 + lam) ** 2, (n, g.adj)
+            for lam in (F(1, 2 * n), F(1, n)):
+                for check in _variance_window(g, lam).values():
+                    assert check.holds, check.to_json()
             checked += 1
     assert checked == 1 + 2 + 4 + 11 + 34 + 156 + 1044
 
     # extremal graphs achieve equality
     for n in range(2, 8):
-        zk = independence_polynomial(generate(f"kn:{n}"))
-        lam = F(1, 2 * n)
-        assert variance_value_of_poly(zk, n, lam) == lam / (1 + n * lam) ** 2
-        ze = independence_polynomial(empty_graph(n))
-        lam = F(1, n)
-        assert variance_value_of_poly(ze, n, lam) == lam / (1 + lam) ** 2
+        floor = _variance_window(generate(f"kn:{n}"), F(1, 2 * n))
+        assert floor["variance.complete_floor"].margin == 0
+        ceiling = _variance_window(empty_graph(n), F(1, n))
+        assert ceiling["variance.edgeless_ceiling"].margin == 0
     _pass(4, "variance window corpus", start, 300)
 
 
@@ -163,27 +159,13 @@ def test_criterion_05_triangle_free_spot_checks():
 
 def test_criterion_06_series_prover():
     start = time.monotonic()
-    assert series.verify_t_coefficients()["ok"]
-    assert series.verify_tprime_coefficients()["ok"]
-    assert series.verify_g_cubic()["ok"]
-    assert series.verify_fidentity()["ok"]
-    for spec in ("cycle:5", "petersen", "kab:1,2", "kab:3,3"):
-        rep = series.verify_b_coefficients(generate(spec))
-        assert rep["ok"], (spec, rep["checks"])
+    _assert_verified(CLAIMED[6])
     _pass(6, "series prover", start, 60)
 
 
 def test_criterion_07_p5_threshold():
     start = time.monotonic()
-    checks = {c.name: c for c in bounds.check_p5_threshold()}
-    at33 = checks["variance.p5_exceeds_ceiling_at_33"]
-    assert at33.holds and at33.margin > 0
-    root = checks["variance.p5_threshold_root"]
-    assert root.holds
-    lo, hi = root.lhs
-    assert F(32) <= lo < hi <= F(33)
-    at1 = checks["variance.p5_below_ceiling_at_1"]
-    assert at1.holds
+    _assert_verified(CLAIMED[7])
     _pass(7, "five-vertex path threshold", start, 5)
 
 
@@ -209,37 +191,14 @@ def test_criterion_08_oracle_equivalence():
 
 def test_criterion_09_local_occupancy_corpus():
     start = time.monotonic()
-    lams = (F(1, 2), F(1), F(2))
-    weights = [(lam, 1 + 1 / lam, lam / (1 + lam)) for lam in lams]
     for g in corpus.connected_corpus(7):
-        memo: dict[int, tuple[int, ...]] = {}
-        full = (1 << g.n) - 1
-        # neighborhood certificate at beta = 1 + 1/lam, gamma = 1
-        for u in range(g.n):
-            neighbors = [v for v in range(g.n) if g.adj[u] >> v & 1]
-            for picks in range(1 << len(neighbors)):
-                mask = 0
-                for i, v in enumerate(neighbors):
-                    if picks >> i & 1:
-                        mask |= 1 << v
-                zf = subset_polynomial(g, mask, memo)
-                dzf = zf.derivative()
-                for lam, beta, s in weights:
-                    zv = F(zf.evaluate(lam))
-                    value = beta * s / zv + lam * dzf.evaluate(lam) / zv
-                    assert value >= 1, (g.label, lam, u, mask)
-        # clique-weighted marginal averages are at least one
-        z = independence_polynomial(g)
-        rests = [subset_polynomial(g, full & ~g.closed_mask(u), memo)
-                 for u in range(g.n)]
-        for lam in lams:
-            zv = F(z.evaluate(lam))
-            total = sum(
-                lam * rests[u].evaluate(lam) / zv
-                * (1 / lam + g.degree(u) + 1)
-                for u in range(g.n)
-            )
-            assert total >= g.n, (g.label, lam)
+        for lam in (F(1, 2), F(1), F(2)):
+            # neighborhood certificate at beta = 1 + 1/lam, gamma = 1
+            check = bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)
+            assert check.holds, check.to_json()
+            # clique-weighted marginal averages are at least one
+            check = bounds.check_weighted_marginal_sum(g, lam, "clique")
+            assert check.holds, check.to_json()
     _pass(9, "local occupancy corpus", start, 600)
 
 
@@ -281,16 +240,8 @@ def test_criterion_11_combined_chain():
 
 def test_criterion_12_sampler_cross_validation():
     start = time.monotonic()
-    from hardcore_lab.hardcore import variance_value
-
     assert len(CROSS_VALIDATION_CASES) == 20
-    for spec, lam, seed in CROSS_VALIDATION_CASES:
-        g = generate(spec)
-        rep = estimate(g, lam, 10**6, 10**4, seed=seed)
-        exact_mean = float(g.n * occupancy_value(g, lam))
-        exact_var = float(g.n * variance_value(g, lam))
-        assert abs(rep.mean_size - exact_mean) <= 3 * rep.se_mean, spec
-        assert abs(rep.var_size - exact_var) <= 3 * rep.se_var, spec
+    _assert_verified(CLAIMED[12])
 
     # byte-level reproducibility of a fixed-seed report
     g = generate("kab:3,3")
@@ -308,3 +259,14 @@ def test_edge_count_identity_exhaustive():
                 continue
             for u in range(g.n):
                 assert g.tf_edge_count_identity(u)
+
+
+def test_claimed_repro_ids_are_registered_once():
+    claimed = [item_id for ids in CLAIMED.values() for item_id in ids]
+    assert len(claimed) == len(set(claimed))
+    assert set(claimed) <= set(repro.REGISTRY)
+
+
+@pytest.mark.parametrize("item_id", UNCLAIMED)
+def test_unclaimed_repro_item_is_verified(item_id):
+    _assert_verified((item_id,))

@@ -245,6 +245,31 @@ def test_edge_sum_formula_matches_brute_force_on_pasch():
     assert total == 12 * single / 10
 
 
+def test_nonpositive_fugacity_raises():
+    g = cycle_graph(5)
+    calls = [
+        lambda lam: bounds.check_free_energy_bounds(g, lam),
+        lambda lam: bounds.check_vertex_f_upper_counterexample(g, lam),
+        lambda lam: bounds.check_occupancy_bounds(g, lam),
+        lambda lam: bounds.degree_floor_value(g, lam),
+        lambda lam: bounds.check_occupancy_tf(g, lam),
+        lambda lam: bounds.tf_weight_interval(2, lam, F(1, 10**6)),
+        lambda lam: bounds.check_variance_bounds(g, lam),
+        lambda lam: bounds.cycle_growth_ratio(5, lam),
+        lambda lam: bounds.check_cycle_growth(5, (1, lam)),
+        lambda lam: bounds.check_local_occupancy(g, 1, 1, lam),
+        lambda lam: bounds.check_weighted_marginal_sum(g, lam, "clique"),
+        lambda lam: bounds.check_weighted_marginal_sum(g, lam, "triangle_free"),
+        lambda lam: bounds.check_combined_chain(g, lam),
+        lambda lam: bounds.edge_occupancy_sum(g, lam),
+        lambda lam: bounds.check_edge_occ_counterexamples(lam),
+    ]
+    for call in calls:
+        for lam in (0, F(-1, 2)):
+            with pytest.raises(ValueError, match="fugacity must be positive"):
+                call(lam)
+
+
 def test_boundcheck_json_schema():
     c = bounds.check_occupancy_bounds(path_graph(3), F(1, 2))[0]
     out = c.to_json()

@@ -195,6 +195,23 @@ def test_repro_item_that_raises_is_a_failed_record(capsys, monkeypatch):
     assert "ValueError: boom" in err
 
 
+def test_nonpositive_fugacity_is_a_one_line_usage_error(capsys):
+    positive = "error: fugacity must be positive\n"
+    for argv, err_line in (
+        (("bound", "weighted_marginals_tf", "petersen", "--lambda", "0"), positive),
+        (("bound", "weighted_marginals_tf", "petersen", "--lambda=-1/2"), positive),
+        (("bound", "vertex_ceiling", "petersen", "--lambda=-1/2"), positive),
+        (("bound", "local_occupancy", "cycle:5", "--lambda=-1/2"), positive),
+        (("bound", "local_occupancy", "cycle:5", "--lambda", "0"), positive),
+        (("bound", "weighted_marginals", "cycle:5", "--lambda", "0"), positive),
+        (("bound", "edge_counterexamples", "--lambda", "0"), positive),
+        (("sample", "petersen", "--lambda=-1/2"),
+         "error: fugacity must be nonnegative\n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", err_line), argv
+
+
 def test_nonpositive_tolerance_is_a_one_line_usage_error(capsys, monkeypatch):
     for argv in (
         ("bound", "occupancy_tf", "petersen", "--lambda", "1/100", "--tol", "0"),

@@ -36,6 +36,23 @@ def test_splitmix64_ranges():
             assert 0 <= rng.randrange(n) < n
 
 
+def test_splitmix64_randrange_rejects_an_empty_or_too_wide_range():
+    rng = SplitMix64(7)
+    for n in (0, -1, 2**64 + 1, 10**60):
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+    # n = 2**64 accepts every 64-bit draw unchanged
+    assert rng.randrange(2**64) == SplitMix64(7).next_u64()
+
+
+def test_negative_fugacity_is_rejected():
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="fugacity must be nonnegative"):
+        glauber_step(new_chain(1), g, F(-1, 2))
+    with pytest.raises(ValueError, match="fugacity must be nonnegative"):
+        estimate(g, F(-1, 2), 10**5, 10**3)
+
+
 def test_glauber_step_support_on_k2():
     g = complete_graph(2)
     st = new_chain(1)
