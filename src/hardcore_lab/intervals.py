@@ -16,6 +16,7 @@ ones a bisection that certified every sign would produce.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,7 +238,8 @@ def _certified_sign(w: Fraction, x: Fraction, tol_hint: Fraction) -> int:
 
 def lambert_w_interval(x, tol) -> RationalInterval:
     """Enclosure of the nonnegative branch of the Lambert W function at a
-    rational x >= 0, with width <= tol.
+    rational x in [0, sys.float_info.max], with width <= tol; a larger x
+    raises ValueError, since the float seed needs float(x).
 
     Bisection on f(w) = w * e^w - x from the bracket [0, max(1, x)], or from
     the narrower bracket seed -+ pad around a float Newton root once both of
@@ -256,6 +258,9 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     tol = _positive_tol(tol)
     if x < 0:
         raise ValueError("the nonnegative Lambert W branch needs x >= 0")
+    if x > sys.float_info.max:
+        raise ValueError(f"lambert_w_interval supports 0 <= x <= {sys.float_info.max!r}, "
+                         "the largest double (its float seed)")
     if x == 0:
         return RationalInterval.point(0)
     # f(below) < 0 < f(above), tightened by every certified sign.

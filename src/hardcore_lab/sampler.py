@@ -1,23 +1,27 @@
 """Glauber dynamics for the hard-core model: a statistical oracle for the
 exact engine.
 
-This is the one module allowed to touch floating point (the acceptance
-probability), and it never feeds a verdict.  The generator is splitmix64,
-spelled out below so that fixed seeds reproduce bit-identically on any
-platform.
+This is the one module allowed to touch floating point, and it never feeds
+a verdict: floats appear only in the occupation probability p_occ and in the
+batch statistics.  The heat-bath coin itself is an integer comparison
+against ceil(p_occ * 2**53), the exact equivalent of comparing a 53-bit
+uniform double with p_occ.  The generator is splitmix64, spelled out below
+so that fixed seeds reproduce bit-identically on any platform; the step
+kernel draws it in blocks (see `_splitmix_block`), which yields exactly the
+stream of `SplitMix64.next_u64`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .graphs import Graph
 from .verdict import format_rational
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -29,7 +33,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -50,6 +54,34 @@ class SplitMix64:
                 return r % n
 
 
+# Block drawing.  splitmix64 is counter-based: the k-th draw after state s is
+# mix(s + k*GAMMA mod 2**64).  A block of up to _BLOCK draws is computed at
+# once, lane k of one big int holding draw k+1 in 128 bits: the 64-bit lane
+# value times a 64-bit constant fits its lane, so after every multiply and
+# every xor-shift, `& _LANE` restores each lane mod 2**64 and nothing carries
+# or shifts across lanes.  The constants for m lanes are the low m lanes of
+# these.
+_BLOCK = 1024
+_REP = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")  # 1 per lane
+_LANE = _MASK * _REP  # the low 64 bits of each lane
+_G_K = _GAMMA * int.from_bytes(
+    b"".join((k + 1).to_bytes(16, "little") for k in range(_BLOCK)), "little")
+# The low 64-bit word of each lane in the native-order words of `to_bytes`.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
+def _splitmix_block(state: int, m: int) -> list[int]:
+    """The next m (1 <= m <= _BLOCK) outputs of splitmix64 from state, the
+    same values m calls of `SplitMix64.next_u64` return."""
+    low = (1 << (128 * m)) - 1
+    lane = _LANE & low
+    z = (state * (_REP & low) + (_G_K & low)) & lane
+    z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
+    z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
+    z = (z ^ (z >> 31)) & lane
+    return memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+
+
 @dataclass
 class ChainState:
     """Occupancy bitmask plus the explicit generator state; the occupied set
@@ -65,50 +97,83 @@ def new_chain(seed: int) -> ChainState:
     return ChainState(occupied=0, size=0, steps=0, rng=SplitMix64(seed))
 
 
-def _heat_bath(rng: SplitMix64, adj, n: int, p_occ: float, occupied: int = 0,
-               size: int = 0) -> Iterator[tuple[int, int]]:
-    """The step kernel: endless heat-bath updates, yielding (occupied, size)
-    after each.  Pick a uniform vertex; if some neighbor is occupied the
-    vertex becomes unoccupied, otherwise it is occupied with probability
-    p_occ.  The uniform draw is `SplitMix64.randrange` and the coin is
-    `SplitMix64.random`, spelled out on the generator for speed."""
+def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,
+               steps: int) -> tuple[int, int, int, int]:
+    """The step kernel: run `steps` heat-bath updates from (occupied, size)
+    and return (occupied, size, s1, s2), where s1 and s2 sum the size and
+    its square after each update.  Each update picks a uniform vertex
+    (`SplitMix64.randrange`); if some neighbor is occupied the vertex
+    becomes unoccupied, otherwise it is occupied iff the next draw c has
+    (c >> 11) < coin, with coin from `_coin_threshold`.
+
+    Draws come from `_splitmix_block` in blocks of min(_BLOCK, 2*steps + 1),
+    so one update never pays for a large block.  An update that runs off
+    the end of a block is redone from a block that starts at its vertex
+    draw, and on return rng.state has advanced by exactly the draws
+    consumed: the stream is the one `next_u64` would have produced."""
     limit = _MASK + 1 - ((_MASK + 1) % n)
-    while True:
-        while True:
-            r = rng.next_u64()
-            if r < limit:
-                break
-        v = r % n
-        bit = 1 << v
-        if adj[v] & occupied:
-            if occupied & bit:
-                occupied ^= bit
-                size -= 1
-        elif (rng.next_u64() >> 11) * 2.0 ** -53 < p_occ:
-            if not occupied & bit:
-                occupied |= bit
-                size += 1
-        elif occupied & bit:
-            occupied ^= bit
-            size -= 1
-        yield occupied, size
+    cut = coin << 11  # (c >> 11) < coin  iff  c < coin * 2**11
+    m = min(_BLOCK, 2 * steps + 1)
+    state = rng.state
+    s1 = s2 = 0
+    while steps:
+        draws = _splitmix_block(state, m)
+        pos = start = 0
+        try:
+            while steps:
+                r = draws[pos]
+                pos += 1
+                if r >= limit:
+                    start = pos
+                    continue
+                v = r % n
+                bit = 1 << v
+                if adj[v] & occupied:
+                    if occupied & bit:
+                        occupied ^= bit
+                        size -= 1
+                else:
+                    c = draws[pos]
+                    pos += 1
+                    if c < cut:
+                        if not occupied & bit:
+                            occupied |= bit
+                            size += 1
+                    elif occupied & bit:
+                        occupied ^= bit
+                        size -= 1
+                s1 += size
+                s2 += size * size
+                steps -= 1
+                start = pos
+        except IndexError:
+            pass
+        state = (state + start * _GAMMA) & _MASK
+    rng.state = state
+    return occupied, size, s1, s2
 
 
-def _occupation(lam: Fraction) -> float:
-    """The occupation probability lam/(1+lam) of a vertex with no occupied
-    neighbor; lam = 0 is allowed (the chain empties)."""
+def _coin_threshold(lam: Fraction) -> int:
+    """ceil(p_occ * 2**53) for the occupation probability p_occ, the double
+    nearest lam/(1+lam), of a vertex with no occupied neighbor.  It is
+    computed from the exact ratio of p_occ, so for a draw c,
+    (c >> 11) < threshold iff (c >> 11) * 2**-53 < p_occ.  lam = 0 is
+    allowed (the chain empties)."""
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("fugacity must be nonnegative")
-    return float(lam / (1 + lam))
+    # lam/(1+lam) = n/(n+d) in lowest terms, and int division rounds it
+    # exactly as float(Fraction) does
+    p_occ = lam.numerator / (lam.numerator + lam.denominator)
+    num, den = p_occ.as_integer_ratio()
+    return -(-(num << 53) // den)
 
 
 def glauber_step(state: ChainState, g: Graph, lam) -> ChainState:
     """One heat-bath update of the chain (see `_heat_bath`) at fugacity lam,
     so the occupation probability is lam/(1+lam)."""
-    step = _heat_bath(state.rng, g.adj, g.n, _occupation(lam),
-                      state.occupied, state.size)
-    state.occupied, state.size = next(step)
+    state.occupied, state.size, _, _ = _heat_bath(
+        state.rng, g.adj, g.n, _coin_threshold(lam), state.occupied, state.size, 1)
     state.steps += 1
     return state
 
@@ -149,28 +214,27 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     """Run the chain and report batch-means estimates of the expected
     occupied count and its variance."""
     lam = Fraction(lam)
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     if steps < 10 * burn_in:
         raise ValueError("need steps >= 10 * burn_in")
     if batches < 30:
         raise ValueError("need at least 30 batches")
+    if steps < batches:
+        raise ValueError("need steps >= batches (at least one step per batch)")
     batch_len = steps // batches
-    if batch_len == 0:
-        raise ValueError("too few steps for the requested batch count")
 
-    chain = _heat_bath(SplitMix64(seed), g.adj, g.n, _occupation(lam))
-    for _ in islice(chain, burn_in):
-        pass
+    rng = SplitMix64(seed)
+    coin = _coin_threshold(lam)
+    occupied, size, _, _ = _heat_bath(rng, g.adj, g.n, coin, 0, 0, burn_in)
 
     batch_means = []
     batch_vars = []
     total1 = 0
     total2 = 0
     for _ in range(batches):
-        s1 = 0
-        s2 = 0
-        for _, size in islice(chain, batch_len):
-            s1 += size
-            s2 += size * size
+        occupied, size, s1, s2 = _heat_bath(rng, g.adj, g.n, coin, occupied, size,
+                                            batch_len)
         m = s1 / batch_len
         batch_means.append(m)
         batch_vars.append(s2 / batch_len - m * m)

@@ -114,6 +114,16 @@ def test_sample_command(capsys):
     assert data["seed"] == 3 and data["steps"] == 100000
 
 
+def test_bad_step_counts_are_a_one_line_usage_error(capsys):
+    for argv, err_line in (
+        (("--steps", "-5", "--burn-in", "-1"), "error: burn_in must be nonnegative\n"),
+        (("--steps", "10", "--burn-in", "0"),
+         "error: need steps >= batches (at least one step per batch)\n"),
+    ):
+        code, out, err = run(capsys, "sample", "kn:3", "--lambda", "1", *argv)
+        assert (code, out, err) == (1, "", err_line), argv
+
+
 def test_repro_selected_items(capsys):
     code, out, _ = run(capsys, "repro", "lemmas.fv_and_var_hold",
                        "series.clique_weight_identity")

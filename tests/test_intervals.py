@@ -6,6 +6,8 @@ implementation), never from the enclosures themselves.
 
 import math
 import random
+import re
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
@@ -349,3 +351,9 @@ def test_nonpositive_tolerance_raises():
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 call(tol)
         call(F(1, 10**6))
+
+
+def test_lambert_beyond_the_largest_double_is_a_range_error():
+    for x in (10**400, F(10**400, 3), F(sys.float_info.max) + 1):
+        with pytest.raises(ValueError, match=re.escape(repr(sys.float_info.max))):
+            lambert_w_interval(x, F(1, 10**12))

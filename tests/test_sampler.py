@@ -1,17 +1,63 @@
-"""Glauber dynamics: determinism, invariants, statistical agreement."""
+"""Glauber dynamics: determinism, invariants, statistical agreement.
 
+The block generator and the k-step kernel are checked against the
+one-draw-at-a-time reference `SplitMix64.next_u64` (through `randrange` and
+`random`), which is the stream every fixed-seed report is pinned to.
+"""
+
+import hashlib
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from hardcore_lab import sampler
 from hardcore_lab.graphs import bits_of, complete_graph, empty_graph, generate
 from hardcore_lab.hardcore import occupancy_value, variance_value
 from hardcore_lab.sampler import (
+    _BLOCK,
+    _GAMMA,
+    _MASK,
     SplitMix64,
+    _coin_threshold,
+    _heat_bath,
+    _splitmix_block,
     estimate,
     glauber_step,
     new_chain,
 )
+
+
+def _reference_steps(rng, g, lam, occupied, size, k):
+    """k heat-bath updates drawn one at a time from the reference generator,
+    with the float coin; returns (occupied, size, s1, s2) like `_heat_bath`."""
+    p_occ = float(F(lam) / (1 + F(lam)))
+    s1 = s2 = 0
+    for _ in range(k):
+        v = rng.randrange(g.n)
+        bit = 1 << v
+        if g.adj[v] & occupied or rng.random() >= p_occ:
+            occupied &= ~bit
+        else:
+            occupied |= bit
+        size = occupied.bit_count()
+        s1 += size
+        s2 += size * size
+    return occupied, size, s1, s2
+
+
+def _unmix(z):
+    """The counter whose splitmix64 output is z (the output function is a
+    bijection on 64-bit words)."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK, 30)
 
 
 def test_splitmix64_pinned_sequence():
@@ -99,6 +145,12 @@ def test_estimate_preconditions():
         estimate(g, 1, 10**4, 10**4)
     with pytest.raises(ValueError):
         estimate(g, 1, 10**5, 10**3, batches=10)
+    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        estimate(g, 1, -5, -1)
+    for steps in (-5, 0, 49):
+        with pytest.raises(ValueError, match="need steps >= "):
+            estimate(g, 1, steps, 0)
+    assert estimate(g, 1, 50, 0).steps == 50
 
 
 def test_estimate_deterministic_per_seed():
@@ -150,3 +202,148 @@ def test_report_json_fields():
     assert out["lambda"] == "1/2"
     assert out["steps"] == rep.steps and out["seed"] == 2
     assert isinstance(out["mean_size"], str)  # repr'd for byte-stable reports
+
+
+def _block_draws(state, count):
+    """count draws from state in blocks of at most _BLOCK."""
+    out = []
+    while len(out) < count:
+        m = min(_BLOCK, count - len(out))
+        out += _splitmix_block(state, m)
+        state = (state + m * _GAMMA) & _MASK
+    return out, state
+
+
+def test_splitmix_block_matches_next_u64():
+    # three consecutive requests of m draws each, from seeds including one
+    # whose counter wraps 2**64 at once
+    for seed in (0, 20260809, 2**64 - 5):
+        for m in (1, 2, 1023, 1024, 1025):
+            ref = SplitMix64(seed)
+            state = seed
+            for _ in range(3):
+                got, state = _block_draws(state, m)
+                assert got == [ref.next_u64() for _ in range(m)], (seed, m)
+                assert state == ref.state
+
+
+def test_heat_bath_matches_the_reference_steps():
+    # Step counts whose blocks (min(1024, 2k + 1) draws) end mid-update and
+    # that span several blocks; seed 2**64 - 5 wraps the counter.
+    for spec, lam, seed in (("petersen", F(1), 3), ("path:5", F(4), 2**64 - 5),
+                            ("kn:3", F(1, 4), 11), ("empty:6", F(4), 1001)):
+        g = generate(spec)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        occupied = size = 0
+        for k in (1, 2, 511, 512, 513, 3000, 0, 1):
+            got = _heat_bath(rng, g.adj, g.n, _coin_threshold(lam), occupied, size,
+                             k)
+            want = _reference_steps(ref, g, lam, occupied, size, k)
+            assert got == want, (spec, k)
+            assert rng.state == ref.state, (spec, k)
+            occupied, size = got[:2]
+
+
+def test_heat_bath_rejected_vertex_draw_at_a_block_edge():
+    # On the edgeless graph every update draws a vertex and then a coin, and
+    # on three vertices randrange rejects only the draw 2**64 - 1.  Place
+    # that draw where a vertex draw falls: inside a one-update block, just
+    # before the end of a 1024-draw block (so that update, or the next, runs
+    # off it) and at the start of the next block.
+    g = generate("empty:3")
+    counter = _unmix(_MASK)
+    for k, pos in ((1, 0), (600, 1020), (600, 1022), (600, 1024)):
+        seed = (counter - (pos + 1) * _GAMMA) & _MASK
+        ref = SplitMix64(seed)
+        assert [ref.next_u64() for _ in range(pos + 1)][pos] == _MASK
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        got = _heat_bath(rng, g.adj, g.n, _coin_threshold(1), 0, 0, k)
+        assert got == _reference_steps(ref, g, 1, 0, 0, k), (k, pos)
+        # two draws per update plus the one rejected
+        assert rng.state == ref.state == (seed + (2 * k + 1) * _GAMMA) & _MASK
+
+
+def test_rng_state_counts_the_draws_consumed(monkeypatch):
+    g = generate("cycle:5")
+    seed = 2**64 - 5
+
+    class Counting(SplitMix64):
+        __slots__ = ("draws",)
+
+        def next_u64(self):
+            self.draws += 1
+            return super().next_u64()
+
+    def consumed(steps):
+        # the reference draws one at a time, so its count is exact
+        ref = Counting(seed)
+        ref.draws = 0
+        _reference_steps(ref, g, F(2), 0, 0, steps)
+        return ref.draws
+
+    st = new_chain(seed)
+    for _ in range(5):
+        glauber_step(st, g, F(2))
+    assert st.rng.state == (seed + consumed(5) * _GAMMA) & _MASK
+
+    made = []
+
+    class Recorded(SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, s):
+            super().__init__(s)
+            made.append(self)
+
+    monkeypatch.setattr(sampler, "SplitMix64", Recorded)
+    rep = estimate(g, F(2), 6030, 201, seed=seed, batches=30)
+    assert rep.steps == 6030 and len(made) == 1
+    assert made[0].state == (seed + consumed(201 + 6030) * _GAMMA) & _MASK
+
+
+def test_glauber_step_interleaved_with_a_reference_replay():
+    for spec, lam, seed in (("kab:2,3", F(3, 2), 3), ("empty:1", F(1), 12),
+                            ("kn:4", F(1, 4), 2**64 - 5)):
+        g = generate(spec)
+        st = new_chain(seed)
+        ref = SplitMix64(seed)
+        occupied = size = 0
+        for _ in range(3000):
+            glauber_step(st, g, lam)
+            occupied, size, _, _ = _reference_steps(ref, g, lam, occupied, size, 1)
+            assert (st.occupied, st.size, st.rng.state) == (occupied, size, ref.state)
+
+
+def test_coin_threshold_matches_the_float_comparison():
+    # lam = 1/4, 1, 4 give p_occ = 1/5, 1/2, 4/5
+    for lam in (F(1, 4), F(1), F(4), F(7, 3), F(1, 10**30), F(10**400)):
+        p = float(lam / (1 + lam))
+        t = _coin_threshold(lam)
+        for c in ((t - 1) << 11, (t << 11) - 1, t << 11, (t + 1) << 11):
+            assert ((c >> 11) < t) == ((c >> 11) * 2.0**-53 < p), (lam, c)
+        assert ((t - 1) << 11) * 2.0**-64 < p <= (t << 11) * 2.0**-64
+    assert _coin_threshold(0) == 0
+    rng = SplitMix64(53)
+    for _ in range(2000):
+        lam = F(rng.randrange(10**19) * 10 ** rng.randrange(40), 1 + rng.randrange(10**19))
+        assert _coin_threshold(lam) == math.ceil(F(float(lam / (1 + lam))) * 2**53), lam
+
+
+# sha256 of the sorted-key JSON report at 10**5 steps and 10**4 burn-in,
+# recorded before the block generator replaced the one-draw-at-a-time
+# kernel; a drifted stream changes them.
+PINNED_REPORTS = {
+    ("kn:2", F(1, 4), 1000): "a18e90cd7769fcabb559fb87b0f68e241e89ae234e7aa6c96a46b1565f752f35",
+    ("empty:6", F(4), 1001): "6eebd10f216f3f48a5336c99eb185b3a5b97d02fac75d54092ddccb4f43e1e2f",
+    ("path:5", F(1), 1000): "1cf1bed3e81e75841a208b126203fa443c532d2ed22397d5aa2d068bdbebe05d",
+    ("cycle:7", F(4), 1000): "a2f67a032a2d8a17bf3f0a8b9b134a4166f5ff69e20c3adb0bd7534d2e3401c6",
+    ("petersen", F(1), 1000): "bffce39a88f5a48fd34907c190c0457d318c816a80a081c9f7183d436fc4aab4",
+}
+
+
+def test_pinned_report_digests():
+    assert set(PINNED_REPORTS) <= set(sampler.CROSS_VALIDATION_CASES)
+    for (spec, lam, seed), digest in PINNED_REPORTS.items():
+        rep = estimate(generate(spec), lam, 10**5, 10**4, seed=seed)
+        text = json.dumps(rep.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, spec
