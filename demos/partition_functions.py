@@ -7,12 +7,11 @@ Every quantity here is an exact rational object; nothing is floated.
 from fractions import Fraction
 
 from hardcore_lab import (
+    HardCoreProfile,
     brute_force_polynomial,
     generate,
     independence_polynomial,
-    marginal,
     occupancy_fraction,
-    pair_marginal,
     profile,
     variance_fraction,
     variance_via_marginals,
@@ -39,23 +38,26 @@ print(f"\nK_3,3:  E = ({e.num.to_text()}) / ({e.den.to_text()})")
 print(f"        V = ({v.num.to_text()}) / ({v.den.to_text()})")
 print(f"        E(1) = {e.evaluate(1)},  V(1) = {v.evaluate(1)}")
 
-# Vertex and pair marginals are rational functions too.  On an edge the pair
-# marginal vanishes identically.
-g = generate("path:3")
-p0 = marginal(g, 0)
-p02 = pair_marginal(g, 0, 2)
+# Vertex and pair marginals are rational functions too, read from the
+# graph's HardCoreProfile, which computes each part on first read through
+# one engine memo.  On an edge the pair marginal vanishes identically.
+path3 = HardCoreProfile(generate("path:3"))
+p0 = path3.marginals[0]
+p02 = path3.pair_marginal(0, 2)
 print(f"\npath:3  p_0  = ({p0.num.to_text()}) / ({p0.den.to_text()})")
 print(f"        p_02 = ({p02.num.to_text()}) / ({p02.den.to_text()})")
-assert pair_marginal(g, 0, 1).is_zero
+assert path3.pair_marginal(0, 1).is_zero
 
 # The variance admits a second computation path through the marginals:
 #   V = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u sum_v p_v)
-# and the engine asserts the two paths agree as reduced rational functions.
+# and the engine raises ArithmeticError unless the two paths agree as
+# reduced rational functions.
 g = generate("cycle:6")
 assert variance_via_marginals(g) == variance_fraction(g)
 print("\npair-marginal variance path agrees with the derivative path on cycle:6")
 
-# A profile bundles everything; pair marginals are filled lazily on demand.
+# profile(g) computes Z, E, V and every vertex marginal up front; pair
+# marginals still fill on first read.
 prof = profile(generate("path:5"))
 lam = Fraction(1, 3)
 print(f"\npath:5 at fugacity {lam}:")

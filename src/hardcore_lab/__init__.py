@@ -20,10 +20,8 @@ from .hardcore import (
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
-    marginal,
     occupancy_fraction,
     occupancy_value,
-    pair_marginal,
     path_polynomial,
     profile,
     var_of_polynomial,

@@ -16,10 +16,10 @@ from math import lcm
 
 from .graphs import Graph, bits_of, cycle_graph, path_graph
 from .hardcore import (
+    HardCoreProfile,
     cycle_polynomial,
     independence_polynomial,
     occupancy_value,
-    subset_polynomial,
     var_numerator,
     variance_value_of_poly,
 )
@@ -82,6 +82,16 @@ def _positive_lam(lam) -> Fraction:
     if lam <= 0:
         raise ValueError("fugacity must be positive")
     return lam
+
+
+def _require_vertices(g: Graph) -> None:
+    """A check that averages over the vertices needs at least one."""
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
+
+
+def _profile_of(g: Graph | HardCoreProfile) -> HardCoreProfile:
+    return g if isinstance(g, HardCoreProfile) else HardCoreProfile(g)
 
 
 def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
@@ -147,6 +157,7 @@ def check_free_energy_bounds(g: Graph, lam) -> list[BoundCheck]:
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
     lam = _positive_lam(lam)
+    _require_vertices(g)
     z = independence_polynomial(g)
     zv = Fraction(z.evaluate(lam))
     n = g.n
@@ -214,6 +225,7 @@ def check_vertex_f_upper_counterexample(g: Graph, lam) -> BoundCheck:
 
 def check_occupancy_bounds(g: Graph, lam) -> list[BoundCheck]:
     lam = _positive_lam(lam)
+    _require_vertices(g)
     e = occupancy_value(g, lam)
     n = g.n
     out = [
@@ -238,6 +250,7 @@ def check_occupancy_bounds(g: Graph, lam) -> list[BoundCheck]:
 def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
     """(1/n) sum_u lam / (1 + (d_u + 1) lam)."""
     lam = _positive_lam(lam)
+    _require_vertices(g)
     return sum(clique_occupancy_value(d, lam) for d in g.degrees()) / g.n
 
 
@@ -246,6 +259,7 @@ def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
     certified by enclosures: (1/n) sum_u (lam/(1+lam)) W(d_u L)/(d_u L) with
     L = log(1+lam) must not exceed the exact occupancy fraction."""
     lam = _positive_lam(lam)
+    _require_vertices(g)
     if not g.is_triangle_free():
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = occupancy_value(g, lam)
@@ -287,6 +301,7 @@ def tf_weight_interval(d: int, lam: Fraction, tol) -> RationalInterval:
 
 def check_variance_bounds(g: Graph, lam) -> list[BoundCheck]:
     lam = _positive_lam(lam)
+    _require_vertices(g)
     z = independence_polynomial(g)
     v = variance_value_of_poly(z, g.n, lam)
     n = g.n
@@ -375,29 +390,25 @@ def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:
 
 # -- local occupancy -----------------------------------------------------------
 
-def check_local_occupancy(g: Graph, beta, gamma, lam,
+def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam,
                           max_degree_budget: int = 20) -> BoundCheck:
     """Exhaustive check of the per-vertex neighborhood inequality family:
     for every u and every induced subgraph F of G[N(u)],
-    beta (lam/(1+lam)) / Z_F + gamma lam Z_F' / Z_F >= 1."""
+    beta (lam/(1+lam)) / Z_F + gamma lam Z_F' / Z_F >= 1.  The left side
+    depends on F only through Z_F, so the strict minimum over the profile's
+    neighborhood table (first (u, F) per Z_F) is the one over every (u, F)."""
     lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
+    prof = _profile_of(g)
+    g = prof.graph
     if g.max_degree > max_degree_budget:
         raise ValueError("neighborhood subset enumeration budget exceeded")
     s = lam / (1 + lam)
-    memo: dict[int, tuple[int, ...]] = {}
     worst = None
-    for u in range(g.n):
-        neighbors = list(bits_of(g.adj[u]))
-        for picks in range(1 << len(neighbors)):
-            mask = 0
-            for i, v in enumerate(neighbors):
-                if picks >> i & 1:
-                    mask |= 1 << v
-            zf = subset_polynomial(g, mask, memo)
-            zfv = Fraction(zf.evaluate(lam))
-            value = beta * s / zfv + gamma * lam * zf.derivative().evaluate(lam) / zfv
-            if worst is None or value < worst[0]:
-                worst = (value, u, mask)
+    for zf, dzf, u, mask in prof.neighborhood_table:
+        zfv = Fraction(zf.evaluate(lam))
+        value = beta * s / zfv + gamma * lam * dzf.evaluate(lam) / zfv
+        if worst is None or value < worst[0]:
+            worst = (value, u, mask)
     if worst is None:
         return BoundCheck("local_occupancy.certificate", g.display_name(), lam, HOLDS,
                           lhs=1, rhs=1, margin=0)
@@ -410,20 +421,17 @@ def check_local_occupancy(g: Graph, beta, gamma, lam,
         note=f"beta={format_rational(beta)} gamma={format_rational(gamma)}")
 
 
-def check_weighted_marginal_sum(g: Graph, lam, weight: str = "clique",
+def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "clique",
                                 tol=DEFAULT_TOL) -> BoundCheck:
     """Average marginal weighted by the reciprocal occupancy weight is at
     least one: exactly for the clique weight, by enclosure for the
-    triangle-free Lambert-W weight."""
+    triangle-free Lambert-W weight, with the marginals from the profile."""
     lam = _positive_lam(lam)
-    z = independence_polynomial(g)
-    full = (1 << g.n) - 1
-    memo: dict[int, tuple[int, ...]] = {}
-    zv = Fraction(z.evaluate(lam))
-    marginals = [
-        lam * subset_polynomial(g, full & ~g.closed_mask(u), memo).evaluate(lam) / zv
-        for u in range(g.n)
-    ]
+    prof = _profile_of(g)
+    g = prof.graph
+    _require_vertices(g)
+    zv = Fraction(prof.z.evaluate(lam))
+    marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
     if weight == "clique":
         total = sum(p / clique_occupancy_value(g.degree(u), lam)
                     for u, p in enumerate(marginals)) / g.n
@@ -461,6 +469,7 @@ def check_combined_chain(g: Graph, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
 
     certified with outward-rounded enclosures at the given tolerance."""
     lam = _positive_lam(lam)
+    _require_vertices(g)
     z = independence_polynomial(g)
     e = occupancy_value(g, lam, z)
     if not 0 < e < 1:
@@ -493,6 +502,7 @@ def check_combined_chain(g: Graph, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
 def edge_occupancy_sum(g: Graph, lam) -> Fraction:
     """(1/n) sum over edges of ((d_u+d_v)/(d_u d_v)) E_{K_{d_u, d_v}}(lam)."""
     lam = _positive_lam(lam)
+    _require_vertices(g)
     total = Fraction(0)
     for u, v in g.edges():
         du, dv = g.degree(u), g.degree(v)

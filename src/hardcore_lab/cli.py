@@ -95,6 +95,7 @@ def cmd_poly(args) -> int:
 
 def cmd_quantities(args) -> int:
     g = resolve_graph(args.graph)
+    bounds._require_vertices(g)
     lam = args.lam
     tol = args.tol if args.tol is not None else _default_tol()
     z = independence_polynomial(g)

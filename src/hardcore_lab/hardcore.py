@@ -1,15 +1,15 @@
 """Exact hard-core model quantities: partition functions, marginals, and the
 occupancy and variance fractions, each with an independent second
-computation path for cross-checking."""
+computation path for cross-checking.  A graph's HardCoreProfile owns its
+engine memo, and every per-graph quantity is read from it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, bits_of
 from .polynomials import Poly, RatFunc, lambda_d_dlambda
 
 DEFAULT_MEMO_LIMIT = 1 << 22
@@ -154,43 +154,6 @@ def cycle_polynomial(n: int) -> Poly:
     return path_polynomial(n - 1) + Poly([0, 1]) * path_polynomial(n - 3)
 
 
-def path_cycle_polynomial(kind: str, n: int) -> Poly:
-    if kind == "path":
-        return path_polynomial(n)
-    if kind == "cycle":
-        return cycle_polynomial(n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# -- marginals -----------------------------------------------------------
-
-def _marginal(g: Graph, u: int, z: Poly, memo: dict) -> RatFunc:
-    rest = subset_polynomial(g, ((1 << g.n) - 1) & ~g.closed_mask(u), memo)
-    return RatFunc(Poly([0, 1]) * rest, z)
-
-
-def marginal(g: Graph, u: int, z: Poly | None = None) -> RatFunc:
-    """p_u as a rational function of the fugacity:
-    x * Z_{G - N[u]} / Z_G."""
-    memo: dict[int, tuple[int, ...]] = {}
-    if z is None:
-        z = subset_polynomial(g, (1 << g.n) - 1, memo)
-    return _marginal(g, u, z, memo)
-
-
-def pair_marginal(g: Graph, u: int, v: int, z: Poly | None = None) -> RatFunc:
-    """p_uv for distinct vertices; identically zero when uv is an edge."""
-    if u == v:
-        raise ValueError("pair marginal needs two distinct vertices")
-    if g.has_edge(u, v):
-        return RatFunc(Poly())
-    if z is None:
-        z = independence_polynomial(g)
-    full = (1 << g.n) - 1
-    rest = subset_polynomial(g, full & ~(g.closed_mask(u) | g.closed_mask(v)))
-    return RatFunc(Poly([0, 0, 1]) * rest, z)
-
-
 # -- occupancy and variance ------------------------------------------------
 
 def occupancy_fraction(g: Graph, z: Poly | None = None) -> RatFunc:
@@ -248,69 +211,107 @@ def var_of_polynomial(p: Poly) -> RatFunc:
     return RatFunc(var_numerator(p), p * p)
 
 
-def variance_via_marginals(g: Graph) -> RatFunc:
-    """Second computation path for V_G through vertex and pair marginals:
+# -- the per-graph profile ---------------------------------------------------
 
-        V_G = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u * sum_v p_v)
-
-    Z and every marginal share one memo.  Raises ArithmeticError, naming the
-    graph, unless the result equals the derivative route exactly.
-    """
-    full = (1 << g.n) - 1
-    memo: dict[int, tuple[int, ...]] = {}
-    z = subset_polynomial(g, full, memo)
-    x = Poly([0, 1])
-    single_sum = Poly()
-    for u in range(g.n):
-        single_sum = single_sum + subset_polynomial(g, full & ~g.closed_mask(u), memo)
-    pair_sum = Poly()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            rest = subset_polynomial(g, full & ~(g.closed_mask(u) | g.closed_mask(v)), memo)
-            pair_sum = pair_sum + rest
-    # Over the common denominator Z^2, with the pair sum counted both ways.
-    numerator = x * single_sum * z + 2 * x * x * pair_sum * z - x * x * single_sum * single_sum
-    result = RatFunc(numerator * Fraction(1, g.n), z * z)
-    direct = variance_fraction(g, z)
-    if result != direct:
-        raise ArithmeticError(
-            f"{g.display_name()}: marginal and derivative variance paths disagree")
-    return result
-
-
-@dataclass
 class HardCoreProfile:
-    """All exact quantities for one graph; pair marginals fill lazily."""
+    """The exact data of one graph, each part computed on first read through
+    the one engine memo the profile owns: Z, E, V, the vertex and pair
+    marginals, and the neighborhood table of the local-occupancy checks."""
 
-    graph: Graph
-    z: Poly
-    expectation: RatFunc
-    variance: RatFunc
-    marginals: tuple[RatFunc, ...]
-    _pairs: dict[tuple[int, int], RatFunc] = field(default_factory=dict, repr=False)
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._memo: dict[int, tuple[int, ...]] = {}
+        self._pairs: dict[tuple[int, int], RatFunc] = {}
+
+    def _coeffs(self, mask: int) -> tuple[int, ...]:
+        return _zpoly_coeffs(self.graph.adj, mask, self._memo, DEFAULT_MEMO_LIMIT)
+
+    def _outside(self, mask: int) -> Poly:
+        """Z of the graph with the vertices of mask removed."""
+        return Poly(self._coeffs(((1 << self.graph.n) - 1) & ~mask))
+
+    @cached_property
+    def z(self) -> Poly:
+        return self._outside(0)
+
+    @cached_property
+    def expectation(self) -> RatFunc:
+        return occupancy_fraction(self.graph, self.z)
+
+    @cached_property
+    def variance(self) -> RatFunc:
+        return variance_fraction(self.graph, self.z)
+
+    @cached_property
+    def residuals(self) -> tuple[Poly, ...]:
+        """Z(G - N[u]) for each vertex u, so that p_u = x Z(G - N[u]) / Z."""
+        return tuple(self._outside(self.graph.closed_mask(u)) for u in range(self.graph.n))
+
+    @cached_property
+    def marginals(self) -> tuple[RatFunc, ...]:
+        return tuple(RatFunc(Poly([0, 1]) * rest, self.z) for rest in self.residuals)
+
+    def _pair_residual(self, u: int, v: int) -> Poly:
+        """Z(G - N[u] - N[v]) for non-adjacent u and v."""
+        return self._outside(self.graph.closed_mask(u) | self.graph.closed_mask(v))
 
     def pair_marginal(self, u: int, v: int) -> RatFunc:
+        """p_uv = x^2 Z(G - N[u] - N[v]) / Z for distinct vertices,
+        identically zero when uv is an edge; cached per pair."""
         if u == v:
             raise ValueError("pair marginal needs two distinct vertices")
         key = (min(u, v), max(u, v))
         cached = self._pairs.get(key)
         if cached is None:
-            cached = pair_marginal(self.graph, *key, z=self.z)
+            cached = RatFunc(Poly()) if self.graph.has_edge(*key) else \
+                RatFunc(Poly([0, 0, 1]) * self._pair_residual(*key), self.z)
             self._pairs[key] = cached
         return cached
 
+    @cached_property
+    def neighborhood_table(self) -> tuple[tuple[Poly, Poly, int, int], ...]:
+        """(Z_F, Z_F', u, mask) once per distinct Z_F over the subgraphs
+        F = G[mask] induced by subsets of each N(u), at its first (u, mask):
+        u ascending, and subset bit i picking the i-th lowest neighbor."""
+        table: dict[tuple[int, ...], tuple[Poly, Poly, int, int]] = {}
+        for u in range(self.graph.n):
+            neighbors = list(bits_of(self.graph.adj[u]))
+            for picks in range(1 << len(neighbors)):
+                mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+                coeffs = self._coeffs(mask)
+                if coeffs not in table:
+                    zf = Poly(coeffs)
+                    table[coeffs] = (zf, zf.derivative(), u, mask)
+        return tuple(table.values())
+
 
 def profile(g: Graph) -> HardCoreProfile:
-    """Z, E, V and every vertex marginal of g, with one memo shared by Z and
-    the marginals."""
-    memo: dict[int, tuple[int, ...]] = {}
-    z = subset_polynomial(g, (1 << g.n) - 1, memo)
-    return HardCoreProfile(
-        graph=g,
-        z=z,
-        expectation=occupancy_fraction(g, z),
-        variance=variance_fraction(g, z),
-        marginals=tuple(_marginal(g, u, z, memo) for u in range(g.n)),
-    )
+    """The profile of g with Z, E, V and every vertex marginal computed now;
+    the pair marginals and the neighborhood table fill on first read."""
+    prof = HardCoreProfile(g)
+    prof.expectation, prof.variance, prof.marginals
+    return prof
+
+
+def variance_via_marginals(g: Graph) -> RatFunc:
+    """Second computation path for V_G through vertex and pair marginals:
+
+        V_G = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u * sum_v p_v)
+
+    The residuals come from one HardCoreProfile, so Z and every marginal
+    share its memo.  Raises ArithmeticError, naming the graph, unless the
+    result equals the derivative route exactly.
+    """
+    prof = HardCoreProfile(g)
+    z = prof.z
+    x = Poly([0, 1])
+    single_sum = sum(prof.residuals, Poly())
+    pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if not g.has_edge(u, v)), Poly())
+    # Over the common denominator Z^2, with the pair sum counted both ways.
+    numerator = x * single_sum * z + 2 * x * x * pair_sum * z - x * x * single_sum * single_sum
+    result = RatFunc(numerator * Fraction(1, g.n), z * z)
+    if result != prof.variance:
+        raise ArithmeticError(
+            f"{g.display_name()}: marginal and derivative variance paths disagree")
+    return result

@@ -24,6 +24,7 @@ from .graphs import (
     petersen_graph,
 )
 from .hardcore import (
+    HardCoreProfile,
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
@@ -327,8 +328,9 @@ def item_local_occupancy_corpus() -> ReproItem:
     ok = True
     counted = 0
     for g in corpus.connected_corpus(5):
+        prof = HardCoreProfile(g)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            c = bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)
+            c = bounds.check_local_occupancy(prof, 1 + 1 / lam, 1, lam)
             counted += 1
             ok = ok and c.holds
     return ReproItem(
@@ -341,8 +343,9 @@ def item_local_occupancy_corpus() -> ReproItem:
 def item_local_occupancy_weighted() -> ReproItem:
     checks = []
     for g in [complete_graph(4), path_graph(5), cycle_graph(6), generate("kab:2,3")]:
+        prof = HardCoreProfile(g)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            checks.append(bounds.check_weighted_marginal_sum(g, lam, "clique"))
+            checks.append(bounds.check_weighted_marginal_sum(prof, lam, "clique"))
     for g, lam in [(petersen_graph(), Fraction(1, 100)),
                    (cycle_graph(5), Fraction(1, 100))]:
         checks.append(bounds.check_weighted_marginal_sum(g, lam, "triangle_free"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphs import Graph
 from .verdict import format_rational
@@ -153,12 +154,14 @@ def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int
     return occupied, size, s1, s2
 
 
+@lru_cache(maxsize=16)
 def _coin_threshold(lam: Fraction) -> int:
     """ceil(p_occ * 2**53) for the occupation probability p_occ, the double
     nearest lam/(1+lam), of a vertex with no occupied neighbor.  It is
     computed from the exact ratio of p_occ, so for a draw c,
     (c >> 11) < threshold iff (c >> 11) * 2**-53 < p_occ.  lam = 0 is
-    allowed (the chain empties)."""
+    allowed (the chain empties).  Cached, because `glauber_step` asks for
+    it on every single update."""
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("fugacity must be nonnegative")
@@ -214,6 +217,8 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     """Run the chain and report batch-means estimates of the expected
     occupied count and its variance."""
     lam = Fraction(lam)
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if steps < 10 * burn_in:

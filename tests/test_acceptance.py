@@ -17,7 +17,8 @@ criteria call the library check those items call, on a larger corpus:
     07 five-vertex path       variance.p5_threshold
     08 oracle equivalence     brute_force_polynomial, cycle_polynomial
     09 local occupancy        bounds.check_local_occupancy,
-                              bounds.check_weighted_marginal_sum (clique)
+                              bounds.check_weighted_marginal_sum (clique),
+                              on one HardCoreProfile per graph
     10 implication web        orderings.implication_web_check
     11 combined chain         bounds.check_combined_chain, the edgeless enclosures
     12 sampler                sampler.cross_validation
@@ -44,6 +45,7 @@ from hardcore_lab.graphs import (
     petersen_graph,
 )
 from hardcore_lab.hardcore import (
+    HardCoreProfile,
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
@@ -192,12 +194,15 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_local_occupancy_corpus():
     start = time.monotonic()
     for g in corpus.connected_corpus(7):
+        # one profile per graph: the neighborhood table and the marginals
+        # are computed once and swept over the fugacities
+        prof = HardCoreProfile(g)
         for lam in (F(1, 2), F(1), F(2)):
             # neighborhood certificate at beta = 1 + 1/lam, gamma = 1
-            check = bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)
+            check = bounds.check_local_occupancy(prof, 1 + 1 / lam, 1, lam)
             assert check.holds, check.to_json()
             # clique-weighted marginal averages are at least one
-            check = bounds.check_weighted_marginal_sum(g, lam, "clique")
+            check = bounds.check_weighted_marginal_sum(prof, lam, "clique")
             assert check.holds, check.to_json()
     _pass(9, "local occupancy corpus", start, 600)
 

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab import bounds
+from hardcore_lab import bounds, corpus
 from hardcore_lab.graphs import (
+    bits_of,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -15,7 +16,7 @@ from hardcore_lab.graphs import (
     path_graph,
     petersen_graph,
 )
-from hardcore_lab.hardcore import independence_polynomial, subset_polynomial
+from hardcore_lab.hardcore import HardCoreProfile, independence_polynomial, subset_polynomial
 from hardcore_lab.polynomials import Poly
 from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
 
@@ -171,6 +172,47 @@ def test_local_occupancy_zero_parameters_fail():
     assert c.status == FAILS
     u, subset = c.witness
     assert subset == []  # the empty neighborhood subgraph already fails
+
+
+def _full_enumeration(g, beta, gamma, lam):
+    """(status, rhs, margin, witness) of the local-occupancy certificate by
+    evaluating every induced subgraph of every neighborhood, strict < for
+    the worst: the check's behaviour before the neighborhood table."""
+    s = lam / (1 + lam)
+    memo: dict = {}
+    worst = None
+    for u in range(g.n):
+        neighbors = list(bits_of(g.adj[u]))
+        for picks in range(1 << len(neighbors)):
+            mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+            zf = subset_polynomial(g, mask, memo)
+            zfv = F(zf.evaluate(lam))
+            value = beta * s / zfv + gamma * lam * zf.derivative().evaluate(lam) / zfv
+            if worst is None or value < worst[0]:
+                worst = (value, u, mask)
+    value, u, mask = worst
+    if value >= 1:
+        return HOLDS, value, value - 1, None
+    return FAILS, value, value - 1, (u, sorted(bits_of(mask)))
+
+
+def test_local_occupancy_matches_full_enumeration():
+    # The table keeps one entry per distinct Z_F at its first (u, F), so the
+    # worst value and its witness must be those of the full enumeration,
+    # for a graph and for one profile shared across the parameter sets.
+    params = [(F(3), F(1), F(1, 2)), (F(1), F(1, 2), F(1)), (F(1, 2), F(1, 3), F(2)),
+              (F(0), F(1), F(1)), (F(2), F(0), F(1, 3))]
+    cases = failing = 0
+    for g in corpus.connected_corpus(6):
+        prof = HardCoreProfile(g)
+        for beta, gamma, lam in params:
+            expected = _full_enumeration(g, beta, gamma, lam)
+            for source in (g, prof):
+                c = bounds.check_local_occupancy(source, beta, gamma, lam)
+                assert (c.status, c.rhs, c.margin, c.witness) == expected, (g.label, lam)
+            cases += 1
+            failing += expected[0] == FAILS
+    assert (cases, failing) == (715, 572)
 
 
 def test_local_occupancy_budget():

@@ -237,3 +237,20 @@ def test_nonpositive_tolerance_is_a_one_line_usage_error(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: tolerance must be positive\n"
+
+
+def test_graph_without_vertices_is_a_one_line_usage_error(capsys):
+    # Every command that averages over the vertices refuses n = 0, instead
+    # of a verdict on (1/n) log Z or an arithmetic error.
+    for argv in (
+        ("bound", "free_energy", "path:0", "--lambda", "1"),
+        ("bound", "occupancy", "kab:0,0", "--lambda", "1"),
+        ("bound", "variance", "g6:?", "--lambda", "1"),
+        ("bound", "combined", "path:0", "--lambda", "1"),
+        ("bound", "occupancy_tf", "path:0", "--lambda", "1"),
+        ("bound", "weighted_marginals", "path:0", "--lambda", "1"),
+        ("quantities", "path:0", "--lambda", "1"),
+        ("sample", "path:0", "--lambda", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: graph has no vertices\n"), argv

@@ -16,16 +16,14 @@ from hardcore_lab.graphs import (
     petersen_graph,
 )
 from hardcore_lab.hardcore import (
+    HardCoreProfile,
     MemoLimitExceeded,
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
-    marginal,
     occupancy_fraction,
     occupancy_value,
-    pair_marginal,
     path_polynomial,
-    path_cycle_polynomial,
     profile,
     subset_polynomial,
     var_of_polynomial,
@@ -60,12 +58,12 @@ def test_path_cycle_recurrences():
     assert path_polynomial(0) == Poly([1])
     assert path_polynomial(2) == Poly([1, 2])
     assert cycle_polynomial(4) == Poly([1, 4, 2])
-    assert path_cycle_polynomial("cycle", 20) == independence_polynomial(cycle_graph(20))
-    assert path_cycle_polynomial("path", 6) == independence_polynomial(path_graph(6))
+    assert cycle_polynomial(20) == independence_polynomial(cycle_graph(20))
+    assert path_polynomial(6) == independence_polynomial(path_graph(6))
     with pytest.raises(ValueError):
         cycle_polynomial(2)
     with pytest.raises(ValueError):
-        path_cycle_polynomial("wheel", 5)
+        path_polynomial(-1)
 
 
 def test_oracle_equivalence_small():
@@ -128,13 +126,13 @@ def test_memo_limit():
 
 
 def test_marginal_examples():
-    assert marginal(complete_graph(2), 0) == RatFunc(X, Poly([1, 2]))
-    assert marginal(complete_graph(2), 1) == RatFunc(X, Poly([1, 2]))
-    assert pair_marginal(empty_graph(2), 0, 1) == RatFunc(X * X, ONE_PLUS ** 2)
-    assert pair_marginal(path_graph(3), 0, 2) == RatFunc(X * X, Poly([1, 3, 1]))
-    assert pair_marginal(path_graph(3), 0, 1).is_zero
+    assert profile(complete_graph(2)).marginals == (RatFunc(X, Poly([1, 2])),) * 2
+    assert HardCoreProfile(empty_graph(2)).pair_marginal(0, 1) == RatFunc(X * X, ONE_PLUS ** 2)
+    path3 = HardCoreProfile(path_graph(3))
+    assert path3.pair_marginal(0, 2) == RatFunc(X * X, Poly([1, 3, 1]))
+    assert path3.pair_marginal(0, 1).is_zero
     with pytest.raises(ValueError):
-        pair_marginal(path_graph(3), 1, 1)
+        path3.pair_marginal(1, 1)
 
 
 def test_occupancy_closed_forms():
@@ -150,11 +148,11 @@ def test_occupancy_closed_forms():
 
 def test_occupancy_is_mean_marginal():
     for g in [path_graph(5), cycle_graph(6), generate("kab:2,3")]:
-        z = independence_polynomial(g)
+        prof = profile(g)
         total = RatFunc(Poly())
-        for u in range(g.n):
-            total = total + marginal(g, u, z)
-        assert total * F(1, g.n) == occupancy_fraction(g, z)
+        for p in prof.marginals:
+            total = total + p
+        assert total * F(1, g.n) == occupancy_fraction(g) == prof.expectation
 
 
 def test_variance_via_marginals_examples():
@@ -258,9 +256,19 @@ def test_profile_lazy_pairs():
 
 
 def test_profile_marginals_match_marginal():
+    # p_u = x Z(G - N[u]) / Z and p_uv = x^2 Z(G - N[u] - N[v]) / Z, with
+    # every Z from the brute-force oracle on the induced subgraph.
     for g in [path_graph(7), generate("petersen + kab:2,3 + empty:2"),
               corpus.random_graph(10, SplitMix64(5), 1, 3)]:
         prof = profile(g)
-        assert prof.z == independence_polynomial(g)
+        full = (1 << g.n) - 1
+        z = brute_force_polynomial(g)
+        assert prof.z == z
         for u in range(g.n):
-            assert prof.marginals[u] == marginal(g, u), u
+            rest = brute_force_polynomial(g.induced(full & ~g.closed_mask(u)))
+            assert prof.marginals[u] == RatFunc(X * rest, z), u
+            for v in range(u + 1, g.n):
+                both = full & ~(g.closed_mask(u) | g.closed_mask(v))
+                expected = RatFunc(Poly()) if g.has_edge(u, v) else \
+                    RatFunc(X * X * brute_force_polynomial(g.induced(both)), z)
+                assert prof.pair_marginal(u, v) == expected, (u, v)

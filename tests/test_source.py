@@ -52,3 +52,22 @@ def test_every_private_helper_has_a_caller():
     ]
     assert len(defined) > 20
     assert unused == []
+
+
+
+def test_only_the_profile_owns_an_engine_memo():
+    # A graph's engine memo belongs to its HardCoreProfile.  Besides the
+    # profile, only independence_polynomial and subset_polynomial run the
+    # recursion, and no other module calls subset_polynomial: each such call
+    # would build a second memo for data the profile already holds.
+    engine = {"subset_polynomial", "_zpoly_coeffs"}
+    callers = {
+        f"{path.name}:{fn.name}"
+        for path in MODULES
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(node, ast.Call) and engine & set(_names_used(node.func))
+            for node in ast.walk(fn))
+    }
+    assert callers == {"hardcore.py:_zpoly_coeffs", "hardcore.py:independence_polynomial",
+                       "hardcore.py:subset_polynomial", "hardcore.py:_coeffs"}
