@@ -54,7 +54,7 @@ assert path3.pair_marginal(0, 1).is_zero
 # reduced rational functions.
 g = generate("cycle:6")
 assert variance_via_marginals(g) == variance_fraction(g)
-print("\npair-marginal variance path agrees with the derivative path on cycle:6")
+print("\npair-marginal variance path agrees with the closed form on cycle:6")
 
 # profile(g) computes Z, E, V and every vertex marginal up front; pair
 # marginals still fill on first read.

@@ -45,7 +45,7 @@ from .orderings import (
     implication_web_check,
     var_difference_certificate,
 )
-from .polynomials import Poly, RatFunc, lambda_d_dlambda, poly_gcd, squarefree_part
+from .polynomials import Poly, RatFunc, poly_gcd, squarefree_part
 from .roots import (
     isolate_positive_roots,
     nonneg_on_halfline,

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Graph, bits_of, cycle_graph, path_graph
+from .graphs import Graph, bits_of, cycle_graph, generate, path_graph
 from .hardcore import (
     HardCoreProfile,
+    _profile_of,
+    _require_vertices,
     cycle_polynomial,
-    independence_polynomial,
-    occupancy_value,
     var_numerator,
     variance_value_of_poly,
 )
@@ -32,12 +32,14 @@ from .intervals import (
     log1p_interval,
     log_interval,
 )
-from .polynomials import Poly
+from .polynomials import Poly, RatFunc
 from .roots import isolate_positive_roots
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, format_rational
 
 DEFAULT_TOL = Fraction(1, 10**9)
 TOL_FLOOR = Fraction(1, 10**30)
+# The local-occupancy check enumerates all 2^d subsets of each neighborhood.
+MAX_DEGREE_BUDGET = 20
 
 
 @dataclass
@@ -82,16 +84,6 @@ def _positive_lam(lam) -> Fraction:
     if lam <= 0:
         raise ValueError("fugacity must be positive")
     return lam
-
-
-def _require_vertices(g: Graph) -> None:
-    """A check that averages over the vertices needs at least one."""
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-
-
-def _profile_of(g: Graph | HardCoreProfile) -> HardCoreProfile:
-    return g if isinstance(g, HardCoreProfile) else HardCoreProfile(g)
 
 
 def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
@@ -153,13 +145,14 @@ def clique_occupancy_value(d: int, lam: Fraction) -> Fraction:
 
 # -- free energy -----------------------------------------------------------
 
-def check_free_energy_bounds(g: Graph, lam) -> list[BoundCheck]:
+def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
     lam = _positive_lam(lam)
+    prof = _profile_of(g)
+    g = prof.graph
     _require_vertices(g)
-    z = independence_polynomial(g)
-    zv = Fraction(z.evaluate(lam))
+    zv = Fraction(prof.z.evaluate(lam))
     n = g.n
     out = []
 
@@ -204,15 +197,16 @@ def check_free_energy_bounds(g: Graph, lam) -> list[BoundCheck]:
     return out
 
 
-def check_vertex_f_upper_counterexample(g: Graph, lam) -> BoundCheck:
+def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> BoundCheck:
     """The vertex-based biclique ceiling (1/n) sum_u F_{K_{d_u, d_u}}: a
     natural guess that fails; the comparison is decided exactly and the
     verdict simply reports which way it went."""
     lam = _positive_lam(lam)
+    prof = _profile_of(g)
+    g = prof.graph
     if g.n == 0 or min(g.degrees()) < 1:
         raise ValueError("vertex-based ceiling needs minimum degree one")
-    z = independence_polynomial(g)
-    zv = Fraction(z.evaluate(lam))
+    zv = Fraction(prof.z.evaluate(lam))
     m = lcm(*(2 * d for d in g.degrees()))
     rhs = Fraction(1)
     for u in range(g.n):
@@ -223,10 +217,11 @@ def check_vertex_f_upper_counterexample(g: Graph, lam) -> BoundCheck:
 
 # -- occupancy ---------------------------------------------------------------
 
-def check_occupancy_bounds(g: Graph, lam) -> list[BoundCheck]:
+def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     lam = _positive_lam(lam)
-    _require_vertices(g)
-    e = occupancy_value(g, lam)
+    prof = _profile_of(g)
+    g = prof.graph
+    e = prof.expectation_at(lam)
     n = g.n
     out = [
         _exact_le("occupancy.complete_floor", g, lam, lam / (1 + n * lam), e),
@@ -254,15 +249,16 @@ def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
     return sum(clique_occupancy_value(d, lam) for d in g.degrees()) / g.n
 
 
-def check_occupancy_tf(g: Graph, lam, tol=DEFAULT_TOL) -> BoundCheck:
+def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> BoundCheck:
     """Triangle-free degree-sequence floor with the Lambert-W weight,
     certified by enclosures: (1/n) sum_u (lam/(1+lam)) W(d_u L)/(d_u L) with
     L = log(1+lam) must not exceed the exact occupancy fraction."""
     lam = _positive_lam(lam)
-    _require_vertices(g)
+    prof = _profile_of(g)
+    g = prof.graph
     if not g.is_triangle_free():
         raise ValueError("triangle-free floor requires a triangle-free graph")
-    e = occupancy_value(g, lam)
+    e = prof.expectation_at(lam)
     degree_counts: dict[int, int] = {}
     for d in g.degrees():
         degree_counts[d] = degree_counts.get(d, 0) + 1
@@ -299,11 +295,11 @@ def tf_weight_interval(d: int, lam: Fraction, tol) -> RationalInterval:
 
 # -- variance -----------------------------------------------------------------
 
-def check_variance_bounds(g: Graph, lam) -> list[BoundCheck]:
+def check_variance_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     lam = _positive_lam(lam)
-    _require_vertices(g)
-    z = independence_polynomial(g)
-    v = variance_value_of_poly(z, g.n, lam)
+    prof = _profile_of(g)
+    g = prof.graph
+    v = prof.variance_at(lam)
     n = g.n
     floor_note = None if lam < Fraction(1, 2 * n - 1) else \
         "outside the guaranteed fugacity window; exploratory"
@@ -326,7 +322,7 @@ def check_variance_bounds(g: Graph, lam) -> list[BoundCheck]:
 def p5_variance_gap_numerator() -> Poly:
     """Numerator of V_{P5} - lam/(1+lam)^2 over the manifestly positive
     denominator n Z^2 (1+lam)^2."""
-    z = independence_polynomial(path_graph(5))
+    z = HardCoreProfile(path_graph(5)).z
     one_plus = Poly([1, 1])
     return var_numerator(z) * one_plus * one_plus - 5 * Poly([0, 1]) * z * z
 
@@ -336,18 +332,18 @@ def check_p5_threshold() -> list[BoundCheck]:
     from 33 on: strict inequality at 33 exactly, the last sign change pinned
     inside (32, 33], and failure at 1."""
     g = path_graph(5)
-    z = independence_polynomial(g)
+    prof = HardCoreProfile(g)
     gap = p5_variance_gap_numerator()
     out = []
 
-    v33 = variance_value_of_poly(z, 5, 33)
+    v33 = prof.variance_at(33)
     ceiling33 = Fraction(33, 34 ** 2)
     out.append(BoundCheck(
         "variance.p5_exceeds_ceiling_at_33", g.display_name(), Fraction(33),
         HOLDS if v33 > ceiling33 else FAILS, lhs=ceiling33, rhs=v33,
         margin=v33 - ceiling33))
 
-    v1 = variance_value_of_poly(z, 5, 1)
+    v1 = prof.variance_at(1)
     out.append(BoundCheck(
         "variance.p5_below_ceiling_at_1", g.display_name(), Fraction(1),
         HOLDS if v1 <= Fraction(1, 4) else FAILS, lhs=v1, rhs=Fraction(1, 4),
@@ -390,8 +386,7 @@ def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:
 
 # -- local occupancy -----------------------------------------------------------
 
-def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam,
-                          max_degree_budget: int = 20) -> BoundCheck:
+def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> BoundCheck:
     """Exhaustive check of the per-vertex neighborhood inequality family:
     for every u and every induced subgraph F of G[N(u)],
     beta (lam/(1+lam)) / Z_F + gamma lam Z_F' / Z_F >= 1.  The left side
@@ -400,7 +395,7 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam,
     lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
     prof = _profile_of(g)
     g = prof.graph
-    if g.max_degree > max_degree_budget:
+    if g.max_degree > MAX_DEGREE_BUDGET:
         raise ValueError("neighborhood subset enumeration budget exceeded")
     s = lam / (1 + lam)
     worst = None
@@ -462,16 +457,16 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
 
 # -- combined chain -----------------------------------------------------------
 
-def check_combined_chain(g: Graph, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
+def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> list[BoundCheck]:
     """The chain linking expectation and free energy:
 
         ((1+lam) log(1+lam)/lam) E <= F <= E log(lam) + h(E) <= E log(e lam / E)
 
     certified with outward-rounded enclosures at the given tolerance."""
     lam = _positive_lam(lam)
-    _require_vertices(g)
-    z = independence_polynomial(g)
-    e = occupancy_value(g, lam, z)
+    prof = _profile_of(g)
+    g, z = prof.graph, prof.z
+    e = prof.expectation_at(lam)
     if not 0 < e < 1:
         raise ValueError("chain requires 0 < E < 1")
 
@@ -521,23 +516,20 @@ def check_edge_occ_counterexamples(lam=5) -> list[BoundCheck]:
     """For the three counterexample graphs: the engine-computed occupancy
     fraction matches the pinned closed form identically, and at the given
     fugacity the edge-based sum falls strictly below it."""
-    from .graphs import generate
-    from .hardcore import occupancy_fraction
-    from .polynomials import RatFunc
-
     lam = _positive_lam(lam)
     out = []
     for name in ("g1", "g2", "pasch"):
-        g = generate(name)
+        prof = HardCoreProfile(generate(name))
+        g = prof.graph
         num, den = DISPLAYED_OCCUPANCY[name]
         displayed = RatFunc(num, den)
-        engine = occupancy_fraction(g)
+        engine = prof.expectation
         out.append(BoundCheck(
             "occupancy.closed_form_identity", g.display_name(), None,
             HOLDS if engine == displayed else FAILS,
             lhs=f"{engine.num.to_text()} / {engine.den.to_text()}",
             rhs=f"{displayed.num.to_text()} / {displayed.den.to_text()}"))
-        e = occupancy_value(g, lam)
+        e = prof.expectation_at(lam)
         edge_sum = edge_occupancy_sum(g, lam)
         out.append(BoundCheck(
             "occupancy.edge_ceiling_violation", g.display_name(), lam,

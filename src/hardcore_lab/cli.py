@@ -17,14 +17,7 @@ from fractions import Fraction
 from . import bounds, repro
 from .bounds import DEFAULT_TOL
 from .graphs import Graph, generate, parse_graph6, read_edge_list
-from .hardcore import (
-    MemoLimitExceeded,
-    independence_polynomial,
-    occupancy_fraction,
-    occupancy_value,
-    variance_fraction,
-    variance_value,
-)
+from .hardcore import HardCoreProfile, MemoLimitExceeded, _require_vertices
 from .intervals import free_energy_interval
 from .orderings import OrderingKind, compare
 from .polynomials import Poly
@@ -83,7 +76,7 @@ def _exit_code(statuses) -> int:
 
 def cmd_poly(args) -> int:
     g = resolve_graph(args.graph)
-    z = independence_polynomial(g)
+    z = HardCoreProfile(g).z
     _emit({
         "graph": g.display_name(),
         "n": g.n,
@@ -95,12 +88,11 @@ def cmd_poly(args) -> int:
 
 def cmd_quantities(args) -> int:
     g = resolve_graph(args.graph)
-    bounds._require_vertices(g)
+    _require_vertices(g)
     lam = args.lam
     tol = args.tol if args.tol is not None else _default_tol()
-    z = independence_polynomial(g)
-    e = occupancy_fraction(g, z)
-    v = variance_fraction(g, z)
+    prof = HardCoreProfile(g)
+    z, e, v = prof.z, prof.expectation, prof.variance
     fe = free_energy_interval(z, g.n, lam, tol)
     _emit({
         "graph": g.display_name(),
@@ -108,9 +100,9 @@ def cmd_quantities(args) -> int:
         "partition": z.to_text(),
         "partition_at_lambda": format_rational(Fraction(z.evaluate(lam))),
         "occupancy": {"num": e.num.to_text(), "den": e.den.to_text()},
-        "occupancy_at_lambda": format_rational(occupancy_value(g, lam, z)),
+        "occupancy_at_lambda": format_rational(prof.expectation_at(lam)),
         "variance": {"num": v.num.to_text(), "den": v.den.to_text()},
-        "variance_at_lambda": format_rational(variance_value(g, lam, z)),
+        "variance_at_lambda": format_rational(prof.variance_at(lam)),
         "free_energy_enclosure": fe.to_json(),
     })
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Exact hard-core model quantities: partition functions, marginals, and the
-occupancy and variance fractions, each with an independent second
-computation path for cross-checking.  A graph's HardCoreProfile owns its
-engine memo, and every per-graph quantity is read from it."""
+occupancy and variance fractions.  A graph's HardCoreProfile owns its engine
+memo and computes Z, E = x Z'/(n Z) and V = x dE/dx from it, once each.  V has
+two routes, cross-checked exactly: the closed-form numerator over n Z^2
+(var_numerator) and the vertex and pair marginals (variance_via_marginals)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import Poly, RatFunc, lambda_d_dlambda
+from .polynomials import Poly, RatFunc
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -156,24 +157,10 @@ def cycle_polynomial(n: int) -> Poly:
 
 # -- occupancy and variance ------------------------------------------------
 
-def occupancy_fraction(g: Graph, z: Poly | None = None) -> RatFunc:
-    """E_G = x Z' / (n Z)."""
-    if z is None:
-        z = independence_polynomial(g)
-    return RatFunc(Poly([0, Fraction(1, g.n)]) * z.derivative(), z)
-
-
-def variance_fraction(g: Graph, z: Poly | None = None) -> RatFunc:
-    """V_G = x * d/dx E_G."""
-    return lambda_d_dlambda(occupancy_fraction(g, z))
-
-
-def occupancy_value(g: Graph, lam, z: Poly | None = None) -> Fraction:
-    """E_G(lam) by direct exact evaluation (no rational-function reduction)."""
-    if z is None:
-        z = independence_polynomial(g)
-    lam = Fraction(lam)
-    return lam * z.derivative().evaluate(lam) / (g.n * Fraction(z.evaluate(lam)))
+def _require_vertices(g: Graph) -> None:
+    """A quantity averaged over the vertices needs at least one."""
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
 
 
 def variance_value_of_poly(z: Poly, n: int, lam) -> Fraction:
@@ -185,12 +172,6 @@ def variance_value_of_poly(z: Poly, n: int, lam) -> Fraction:
     d1v = d1.evaluate(lam)
     d2v = d1.derivative().evaluate(lam)
     return lam * ((d1v + lam * d2v) * zv - lam * d1v * d1v) / (n * zv * zv)
-
-
-def variance_value(g: Graph, lam, z: Poly | None = None) -> Fraction:
-    if z is None:
-        z = independence_polynomial(g)
-    return variance_value_of_poly(z, g.n, lam)
 
 
 def var_numerator(p: Poly) -> Poly:
@@ -236,11 +217,26 @@ class HardCoreProfile:
 
     @cached_property
     def expectation(self) -> RatFunc:
-        return occupancy_fraction(self.graph, self.z)
+        """E = x Z' / (n Z)."""
+        _require_vertices(self.graph)
+        return RatFunc(Poly([0, Fraction(1, self.graph.n)]) * self.z.derivative(), self.z)
 
     @cached_property
     def variance(self) -> RatFunc:
-        return variance_fraction(self.graph, self.z)
+        """V = x dE/dx, in closed form var_numerator(Z) / (n Z^2)."""
+        _require_vertices(self.graph)
+        return RatFunc(var_numerator(self.z) * Fraction(1, self.graph.n), self.z * self.z)
+
+    def expectation_at(self, lam) -> Fraction:
+        """E(lam) by direct exact evaluation (no rational-function reduction)."""
+        _require_vertices(self.graph)
+        lam, z = Fraction(lam), self.z
+        return lam * z.derivative().evaluate(lam) / (self.graph.n * Fraction(z.evaluate(lam)))
+
+    def variance_at(self, lam) -> Fraction:
+        """V(lam) by direct exact evaluation."""
+        _require_vertices(self.graph)
+        return variance_value_of_poly(self.z, self.graph.n, lam)
 
     @cached_property
     def residuals(self) -> tuple[Poly, ...]:
@@ -285,6 +281,11 @@ class HardCoreProfile:
         return tuple(table.values())
 
 
+def _profile_of(g: Graph | HardCoreProfile) -> HardCoreProfile:
+    """The profile itself, or a fresh one for a graph."""
+    return g if isinstance(g, HardCoreProfile) else HardCoreProfile(g)
+
+
 def profile(g: Graph) -> HardCoreProfile:
     """The profile of g with Z, E, V and every vertex marginal computed now;
     the pair marginals and the neighborhood table fill on first read."""
@@ -293,17 +294,39 @@ def profile(g: Graph) -> HardCoreProfile:
     return prof
 
 
-def variance_via_marginals(g: Graph) -> RatFunc:
+def occupancy_fraction(g: Graph) -> RatFunc:
+    """E_G = x Z' / (n Z), read from a fresh profile."""
+    return HardCoreProfile(g).expectation
+
+
+def variance_fraction(g: Graph) -> RatFunc:
+    """V_G = x * d/dx E_G, read from a fresh profile."""
+    return HardCoreProfile(g).variance
+
+
+def occupancy_value(g: Graph, lam) -> Fraction:
+    """E_G(lam), evaluated exactly on a fresh profile."""
+    return HardCoreProfile(g).expectation_at(lam)
+
+
+def variance_value(g: Graph, lam) -> Fraction:
+    """V_G(lam), evaluated exactly on a fresh profile."""
+    return HardCoreProfile(g).variance_at(lam)
+
+
+def variance_via_marginals(g: Graph | HardCoreProfile) -> RatFunc:
     """Second computation path for V_G through vertex and pair marginals:
 
         V_G = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u * sum_v p_v)
 
-    The residuals come from one HardCoreProfile, so Z and every marginal
-    share its memo.  Raises ArithmeticError, naming the graph, unless the
-    result equals the derivative route exactly.
+    Z, V and the residuals are read from the given profile, or from a fresh
+    one for a graph, so they share its memo.  Raises ValueError on a graph
+    with no vertices, and ArithmeticError, naming the graph, unless the
+    result equals the closed form exactly.
     """
-    prof = HardCoreProfile(g)
-    z = prof.z
+    prof = _profile_of(g)
+    g = prof.graph
+    variance, z = prof.variance, prof.z
     x = Poly([0, 1])
     single_sum = sum(prof.residuals, Poly())
     pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(u + 1, g.n)
@@ -311,7 +334,7 @@ def variance_via_marginals(g: Graph) -> RatFunc:
     # Over the common denominator Z^2, with the pair sum counted both ways.
     numerator = x * single_sum * z + 2 * x * x * pair_sum * z - x * x * single_sum * single_sum
     result = RatFunc(numerator * Fraction(1, g.n), z * z)
-    if result != prof.variance:
+    if result != variance:
         raise ArithmeticError(
-            f"{g.display_name()}: marginal and derivative variance paths disagree")
+            f"{g.display_name()}: marginal and closed-form variance paths disagree")
     return result

@@ -50,10 +50,6 @@ class Poly:
         parts = [p.strip() for p in text.split(",")]
         return cls([Fraction(p) for p in parts if p])
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -428,9 +424,3 @@ def _as_ratfunc(value):
     if isinstance(value, (int, Fraction)):
         return RatFunc(Poly([value]))
     return NotImplemented
-
-
-def lambda_d_dlambda(f: RatFunc) -> RatFunc:
-    """The operator f |-> x * f'(x): expectation from free energy, variance
-    from expectation."""
-    return RatFunc(Poly.x()) * f.derivative()

@@ -35,7 +35,7 @@ from .hardcore import (
 )
 from .intervals import log1p_interval, free_energy_interval
 from .polynomials import Poly
-from .sampler import SplitMix64, estimate
+from .sampler import CROSS_VALIDATION_CASES, SplitMix64, estimate
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, format_rational
 
 VERIFIED = "verified"
@@ -203,9 +203,9 @@ _WINDOW_CORPUS_MAX_N = 6
 def item_free_energy_named() -> ReproItem:
     checks = []
     for spec in _NAMED_SAMPLE:
-        g = generate(spec)
+        prof = HardCoreProfile(generate(spec))
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            checks.extend(bounds.check_free_energy_bounds(g, lam))
+            checks.extend(bounds.check_free_energy_bounds(prof, lam))
     return _item_from_checks("free_energy.named_bounds", checks)
 
 
@@ -264,9 +264,9 @@ def item_variance_window_corpus() -> ReproItem:
     ok = True
     counted = 0
     for g in corpus.connected_corpus(_WINDOW_CORPUS_MAX_N):
-        n = g.n
+        prof, n = HardCoreProfile(g), g.n
         for lam in (Fraction(1, 2 * n), Fraction(1, n)):
-            for c in bounds.check_variance_bounds(g, lam):
+            for c in bounds.check_variance_bounds(prof, lam):
                 if "conjecture" in c.name:
                     continue
                 counted += 1
@@ -282,8 +282,9 @@ def item_variance_window_corpus() -> ReproItem:
 def item_variance_conjectured_floor() -> ReproItem:
     ok = True
     for g in corpus.connected_corpus(5):
+        prof = HardCoreProfile(g)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)):
-            c = [c for c in bounds.check_variance_bounds(g, lam)
+            c = [c for c in bounds.check_variance_bounds(prof, lam)
                  if c.name == "variance.clique_floor_conjecture"][0]
             ok = ok and c.holds
     return ReproItem(
@@ -359,8 +360,9 @@ def item_local_occupancy_weighted() -> ReproItem:
 def item_combined_chain() -> ReproItem:
     checks = []
     for g in [path_graph(4), complete_graph(5), cycle_graph(5)]:
+        prof = HardCoreProfile(g)
         for lam in (Fraction(1, 4), Fraction(1), Fraction(4)):
-            checks.extend(bounds.check_combined_chain(g, lam))
+            checks.extend(bounds.check_combined_chain(prof, lam))
     # Edgeless graphs make the first inequality an equality; exhibit the
     # near-equality with tight enclosures instead of a verdict.
     g = empty_graph(3)
@@ -480,16 +482,14 @@ def item_engine_multiplicativity() -> ReproItem:
 
 
 def item_sampler_cross_validation() -> ReproItem:
-    from .hardcore import occupancy_value, variance_value
-    from .sampler import CROSS_VALIDATION_CASES
-
     rows = []
     ok = True
     for spec, lam, seed in CROSS_VALIDATION_CASES:
-        g = generate(spec)
+        prof = HardCoreProfile(generate(spec))
+        g = prof.graph
         rep = estimate(g, lam, 10**6, 10**4, seed=seed)
-        ne = float(g.n * occupancy_value(g, lam))
-        nv = float(g.n * variance_value(g, lam))
+        ne = float(g.n * prof.expectation_at(lam))
+        nv = float(g.n * prof.variance_at(lam))
         ze = abs(rep.mean_size - ne) / rep.se_mean
         zv = abs(rep.var_size - nv) / rep.se_var
         ok = ok and ze <= 3 and zv <= 3

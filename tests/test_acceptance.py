@@ -11,7 +11,8 @@ criteria call the library check those items call, on a larger corpus:
     02 edge counterexamples   counterexamples.six_vertex_search,
                               counterexamples.edge_occupancy
     03 degree floor           bounds.check_occupancy_bounds (occupancy.degree_floor)
-    04 variance window        bounds.check_variance_bounds (no conjecture record)
+    04 variance window        bounds.check_variance_bounds (no conjecture record),
+                              on one HardCoreProfile per graph
     05 triangle-free floor    bounds.check_occupancy_tf
     06 series prover          the five series.* items
     07 five-vertex path       variance.p5_threshold
@@ -127,8 +128,9 @@ def test_criterion_04_variance_window_corpus():
     checked = 0
     for n in range(1, 8):
         for g in corpus.all_graphs(n):
+            prof = HardCoreProfile(g)
             for lam in (F(1, 2 * n), F(1, n)):
-                for check in _variance_window(g, lam).values():
+                for check in _variance_window(prof, lam).values():
                     assert check.holds, check.to_json()
             checked += 1
     assert checked == 1 + 2 + 4 + 11 + 34 + 156 + 1044

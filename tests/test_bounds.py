@@ -217,7 +217,7 @@ def test_local_occupancy_matches_full_enumeration():
 
 def test_local_occupancy_budget():
     with pytest.raises(ValueError):
-        bounds.check_local_occupancy(generate("kab:1,21"), 2, 1, 1, max_degree_budget=20)
+        bounds.check_local_occupancy(generate("kab:1,21"), 2, 1, 1)
 
 
 def test_triangle_free_neighborhoods_are_edgeless():
@@ -310,6 +310,32 @@ def test_nonpositive_fugacity_raises():
         for lam in (0, F(-1, 2)):
             with pytest.raises(ValueError, match="fugacity must be positive"):
                 call(lam)
+
+
+def _reports(checks) -> list[dict]:
+    return [c.to_json() for c in (checks if isinstance(checks, list) else [checks])]
+
+
+def test_checks_accept_a_profile_for_the_graph():
+    # One profile, reused across fugacities, gives every per-graph check the
+    # same report as the graph itself.
+    checks = [
+        bounds.check_free_energy_bounds,
+        bounds.check_vertex_f_upper_counterexample,
+        bounds.check_occupancy_bounds,
+        bounds.check_occupancy_tf,
+        bounds.check_variance_bounds,
+        bounds.check_combined_chain,
+        lambda g, lam: bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam),
+        lambda g, lam: bounds.check_weighted_marginal_sum(g, lam, "clique"),
+        lambda g, lam: bounds.check_weighted_marginal_sum(g, lam, "triangle_free"),
+    ]
+    for spec in ("cycle:5", "petersen", "kab:2,3"):
+        g = generate(spec)
+        prof = HardCoreProfile(g)
+        for lam in (F(1, 2), F(1), F(2)):
+            for i, check in enumerate(checks):
+                assert _reports(check(g, lam)) == _reports(check(prof, lam)), (spec, lam, i)
 
 
 def test_boundcheck_json_schema():

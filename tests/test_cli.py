@@ -3,9 +3,8 @@
 import json
 from fractions import Fraction as F
 
-from hardcore_lab import cli, repro
+from hardcore_lab import hardcore, repro
 from hardcore_lab.cli import main
-from hardcore_lab.hardcore import MemoLimitExceeded
 from hardcore_lab.polynomials import Poly, RatFunc
 
 
@@ -163,10 +162,7 @@ def test_tolerance_env_override(capsys, monkeypatch):
 
 
 def test_memo_limit_is_a_one_line_usage_error(capsys, monkeypatch):
-    def exceeded(g):
-        raise MemoLimitExceeded("residual cache exceeded 4 entries")
-
-    monkeypatch.setattr(cli, "independence_polynomial", exceeded)
+    monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 4)
     code, out, err = run(capsys, "poly", "path:64")
     assert code == 1 and out == ""
     assert err == "error: residual cache exceeded 4 entries\n"

@@ -162,10 +162,46 @@ def test_variance_via_marginals_examples():
 
 
 def test_variance_via_marginals_raises_on_disagreement(monkeypatch):
-    monkeypatch.setattr("hardcore_lab.hardcore.variance_fraction",
-                        lambda g, z=None: RatFunc(Poly()))
+    monkeypatch.setattr(HardCoreProfile, "variance", property(lambda self: RatFunc(Poly())))
     with pytest.raises(ArithmeticError, match="path:4"):
         variance_via_marginals(generate("path:4"))
+
+
+def test_variance_via_marginals_reads_the_given_profile(monkeypatch):
+    prof = HardCoreProfile(generate("petersen + kab:2,3"))
+    z, variance = prof.z, prof.variance
+    assert variance_via_marginals(prof.graph) == variance
+
+    def second_profile(self, graph):
+        raise AssertionError("a second profile was built")
+
+    monkeypatch.setattr(HardCoreProfile, "__init__", second_profile)
+    assert variance_via_marginals(prof) == variance
+    assert prof.z is z and prof.variance is variance
+    # A planted V on this profile alone is what the marginal route is
+    # compared against.
+    prof.variance = RatFunc(Poly())
+    with pytest.raises(ArithmeticError, match="petersen"):
+        variance_via_marginals(prof)
+
+
+def test_variance_is_x_times_the_derivative_of_expectation():
+    # The closed form V = var_numerator(Z) / (n Z^2) against the definition
+    # V = x dE/dx, differentiated as a rational function.
+    graphs = list(corpus.connected_corpus(5)) + [path_graph(24), generate("2*petersen + kab:3,3")]
+    for g in graphs:
+        prof = HardCoreProfile(g)
+        assert prof.variance == RatFunc(X) * prof.expectation.derivative(), g.label
+
+
+@pytest.mark.parametrize("read", [
+    occupancy_fraction, variance_fraction, profile, variance_via_marginals,
+    lambda g: occupancy_value(g, 1), lambda g: variance_value(g, F(1, 2)),
+], ids=["occupancy_fraction", "variance_fraction", "profile", "variance_via_marginals",
+        "occupancy_value", "variance_value"])
+def test_empty_graph_has_no_quantities(read):
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        read(empty_graph(0))
 
 
 def test_variance_via_marginals_on_corpus_sample():
@@ -188,7 +224,7 @@ def test_var_of_polynomial():
 def test_var_of_partition_is_scaled_variance_fraction():
     g = cycle_graph(6)
     z = independence_polynomial(g)
-    assert var_of_polynomial(z) == variance_fraction(g, z) * g.n
+    assert var_of_polynomial(z) == variance_fraction(g) * g.n
 
 
 def test_pointwise_evaluation_paths_agree():
@@ -196,9 +232,8 @@ def test_pointwise_evaluation_paths_agree():
     for _ in range(20):
         g = corpus.random_graph(2 + rng.randrange(8), rng)
         lam = F(1 + rng.randrange(8), 1 + rng.randrange(8))
-        z = independence_polynomial(g)
-        assert occupancy_value(g, lam, z) == occupancy_fraction(g, z).evaluate(lam)
-        assert variance_value(g, lam, z) == variance_fraction(g, z).evaluate(lam)
+        assert occupancy_value(g, lam) == occupancy_fraction(g).evaluate(lam)
+        assert variance_value(g, lam) == variance_fraction(g).evaluate(lam)
 
 
 def test_union_multiplicativity():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from hardcore_lab.polynomials import Poly, RatFunc, lambda_d_dlambda, poly_gcd, squarefree_part
+from hardcore_lab.polynomials import Poly, RatFunc, poly_gcd, squarefree_part
 from hardcore_lab.sampler import SplitMix64
 
 
@@ -134,11 +134,11 @@ def test_ratfunc_reduction():
     assert f == RatFunc(Poly([0, 1]), Poly([1, 1]))
 
 
-def test_fugacity_derivative_operator():
+def test_ratfunc_derivative():
     f = RatFunc(Poly([0, 1]), Poly([1, 1]))  # x/(1+x)
-    assert lambda_d_dlambda(f) == RatFunc(Poly([0, 1]), Poly([1, 2, 1]))
+    assert f.derivative() == RatFunc(Poly([1]), Poly([1, 2, 1]))
     f4 = RatFunc(Poly([0, 1]), Poly([1, 4]))
-    assert lambda_d_dlambda(f4) == RatFunc(Poly([0, 1]), Poly([1, 8, 16]))
+    assert f4.derivative() == RatFunc(Poly([1]), Poly([1, 8, 16]))
 
 
 def test_ratfunc_evaluate():

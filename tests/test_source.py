@@ -54,7 +54,6 @@ def test_every_private_helper_has_a_caller():
     assert unused == []
 
 
-
 def test_only_the_profile_owns_an_engine_memo():
     # A graph's engine memo belongs to its HardCoreProfile.  Besides the
     # profile, only independence_polynomial and subset_polynomial run the
@@ -71,3 +70,43 @@ def test_only_the_profile_owns_an_engine_memo():
     }
     assert callers == {"hardcore.py:_zpoly_coeffs", "hardcore.py:independence_polynomial",
                        "hardcore.py:subset_polynomial", "hardcore.py:_coeffs"}
+
+
+def _defaults(args: ast.arguments):
+    positional = args.posonlyargs + args.args
+    padded = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    return list(zip(positional, padded)) + list(zip(args.kwonlyargs, args.kw_defaults))
+
+
+def test_per_graph_quantities_come_from_the_profile():
+    # A graph's Z, E and V are read from its HardCoreProfile: the checks and
+    # the command line never compute Z themselves, no function takes a
+    # precomputed Z through an optional z= parameter, and the one
+    # Graph-or-profile coercion lives next to the profile.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in MODULES}
+    functions = [(name, fn) for name, tree in trees.items() for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    engine_calls = [
+        f"{name}:{node.lineno}"
+        for name in ("bounds.py", "cli.py")
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Call) and "independence_polynomial" in _names_used(node.func)
+    ]
+    optional_z = [
+        f"{name}:{fn.lineno} {fn.name}"
+        for name, fn in functions
+        for arg, default in _defaults(fn.args)
+        if arg.arg == "z" and isinstance(default, ast.Constant) and default.value is None
+    ]
+    coercions = {
+        f"{name}:{fn.name}"
+        for name, fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and "HardCoreProfile" in _names_used(node.args[1])
+    }
+    assert engine_calls == []
+    assert optional_z == []
+    assert coercions == {"hardcore.py:_profile_of"}
