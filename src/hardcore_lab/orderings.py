@@ -39,21 +39,22 @@ IMPLICATIONS: tuple[tuple[OrderingKind, OrderingKind], ...] = (
 def _padded(p: Poly, q: Poly) -> tuple[list, list, int]:
     if p.coefficient(0) != 1 or q.coefficient(0) != 1:
         raise ValueError("orderings require constant term 1 on both sides")
-    if any(c < 0 for c in p.coeffs) or any(c < 0 for c in q.coeffs):
+    if min(p.coeffs) < 0 or min(q.coeffs) < 0:
         raise ValueError("orderings require nonnegative coefficients")
-    n = max(p.degree, q.degree, 0)
-    return [p.coefficient(k) for k in range(n + 1)], [q.coefficient(k) for k in range(n + 1)], n
+    n = max(p.degree, q.degree)
+    return ([*p.coeffs] + [0] * (n - p.degree), [*q.coeffs] + [0] * (n - q.degree), n)
 
 
-def compare(kind: OrderingKind | str, p: Poly, q: Poly) -> Verdict:
+def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdict:
     """Decide whether p dominates q in the given ordering, exactly.
 
     Coefficient-indexed kinds fail with the offending index as witness; the
     pointwise kinds fail with an exact rational point where the defining
-    inequality is violated.
+    inequality is violated.  `compare_all` validates and pads the pair once
+    and hands the result over as `padded`.
     """
     kind = OrderingKind(kind) if not isinstance(kind, OrderingKind) else kind
-    a, b, n = _padded(p, q)
+    a, b, n = padded if padded is not None else _padded(p, q)
 
     if kind is OrderingKind.COUNT:
         pa, qa = sum(a), sum(b)
@@ -105,7 +106,8 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly) -> Verdict:
 
 
 def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
-    return {kind: compare(kind, p, q) for kind in OrderingKind}
+    padded = _padded(p, q)
+    return {kind: compare(kind, p, q, padded=padded) for kind in OrderingKind}
 
 
 def var_difference_certificate(p: Poly, q: Poly) -> Poly:

@@ -4,6 +4,12 @@ Polynomials are dense coefficient lists, lowest degree first, with trailing
 zeros trimmed; equality is therefore canonical-form equality.  Coefficients
 are Python ints or Fractions, so all arithmetic is exact.
 
+Partition functions and the ordering certificates have integer coefficients,
+so an all-`int` coefficient list skips per-entry normalisation, and its value
+at a rational p/q is one homogenized integer Horner pass (`_int_horner`, shared
+with the Sturm sign tests in `roots`) over q^deg, of the same exact value and
+type as the general Fraction Horner.
+
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts
@@ -28,13 +34,32 @@ def _norm_coeff(c):
     return c
 
 
+def _all_int(cs) -> bool:
+    for c in cs:
+        if type(c) is not int:
+            return False
+    return True
+
+
+def _int_horner(cs: Coeffs, num: int, den: int) -> int:
+    """den^deg * p(num/den) for integer coefficients cs, in integers only."""
+    acc = 0
+    dp = 1
+    for c in reversed(cs):
+        acc = acc * num + c * dp
+        dp *= den
+    return acc
+
+
 class Poly:
     """Univariate polynomial with exact rational coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _all_int(cs):
+            cs = [_norm_coeff(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -98,10 +123,10 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -113,20 +138,16 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, (Poly, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other) -> "Poly":
         return Poly([other]) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return Poly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
@@ -187,8 +208,12 @@ class Poly:
 
     def evaluate(self, x):
         """Exact Horner evaluation at a rational point."""
+        cs = self.coeffs
+        if type(x) is Fraction and cs and _all_int(cs):
+            return Fraction(_int_horner(cs, x.numerator, x.denominator),
+                            x.denominator ** (len(cs) - 1))
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = acc * x + c
         return acc
 
@@ -225,7 +250,7 @@ def _content_split(coeffs) -> tuple[Fraction, Coeffs]:
     integer coefficients; the zero polynomial gives (0, ())."""
     den = 1
     for c in coeffs:
-        if isinstance(c, Fraction):
+        if type(c) is not int:
             den = lcm(den, c.denominator)
     ints = [int(c * den) for c in coeffs] if den != 1 else coeffs
     g = gcd(*ints)

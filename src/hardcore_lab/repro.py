@@ -30,7 +30,6 @@ from .hardcore import (
     independence_polynomial,
     occupancy_fraction,
     var_of_polynomial,
-    variance_fraction,
     variance_via_marginals,
 )
 from .intervals import log1p_interval, free_energy_interval
@@ -313,7 +312,8 @@ def item_variance_marginal_identity() -> ReproItem:
     failing = []
     for g in sample:
         try:
-            if variance_via_marginals(g) != variance_fraction(g):
+            prof = HardCoreProfile(g)
+            if variance_via_marginals(prof) != prof.variance:
                 failing.append({"graph": g.display_name(), "error": "routes disagree"})
         except ArithmeticError as exc:
             failing.append({"graph": g.display_name(), "error": str(exc)})

@@ -18,6 +18,7 @@ from .polynomials import (
     Poly,
     _content_split,
     _derivative,
+    _int_horner,
     _int_primitive,
     _int_squarefree,
     _pseudo_rem,
@@ -31,12 +32,7 @@ def _to_ints(p: Poly) -> Coeffs:
 
 def _eval_sign(cs: Coeffs, x: Fraction) -> int:
     """Sign of the polynomial at a rational point, in integer arithmetic."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    dp = 1
-    for c in reversed(cs):
-        acc = acc * num + c * dp
-        dp *= den
+    acc = _int_horner(cs, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -80,12 +76,13 @@ def _chain_count(chain: list[Coeffs], a: Fraction, b: Fraction) -> int:
 
 
 def _int_root_bound(cs: Coeffs) -> Fraction:
+    """The least power of two at or above Cauchy's bound 1 + max|c_i| / |lc|."""
     lc = abs(cs[-1])
-    bound = 1 + Fraction(max(abs(c) for c in cs[:-1]), lc) if len(cs) > 1 else Fraction(1)
-    b = Fraction(1)
-    while b < bound:
+    top = lc + max((abs(c) for c in cs[:-1]), default=0)
+    b = 1
+    while b * lc < top:
         b *= 2
-    return b
+    return Fraction(b)
 
 
 # -- public wrappers ---------------------------------------------------------

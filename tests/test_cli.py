@@ -169,8 +169,8 @@ def test_memo_limit_is_a_one_line_usage_error(capsys, monkeypatch):
 
 
 def test_repro_variance_identity_failure_is_a_record(capsys, monkeypatch):
-    def disagree(g):
-        raise ArithmeticError(f"{g.display_name()}: routes disagree")
+    def disagree(prof):
+        raise ArithmeticError(f"{prof.graph.display_name()}: routes disagree")
 
     monkeypatch.setattr(repro, "variance_via_marginals", disagree)
     code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity",

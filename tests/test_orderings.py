@@ -1,5 +1,6 @@
 """The seven polynomial orderings and the implication web."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -183,3 +184,19 @@ def test_interior_zero_coefficients_break_fv_implications():
 def test_compare_all_returns_every_kind():
     verdicts = compare_all(P_CUBE, Q_CLIQUES)
     assert set(verdicts) == set(OrderingKind)
+
+
+def test_implication_web_regression_pin():
+    # sha256 over every verdict, witness and margin (repr, so the value types
+    # count too) of 512 seeded random pairs.  The digest was recorded before
+    # Poly gained its integer-coefficient fast path; any change to a verdict,
+    # a witness, a margin or their types shows here.
+    rng = SplitMix64(2024)
+    h = hashlib.sha256()
+    for _ in range(512):
+        p, q = random_generating_pair(rng)
+        report = implication_web_check(p, q)
+        for kind, v in report["verdicts"].items():
+            h.update(repr((kind, v.status, v.witness, v.margin)).encode())
+        h.update(repr(report["violations"]).encode())
+    assert h.hexdigest() == "cb324223999f6d797db3331719da675f946e4ea06d4af8f0054efdb77a42a556"

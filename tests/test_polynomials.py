@@ -10,6 +10,10 @@ def test_canonical_form_trims_trailing_zeros():
     assert Poly([0, 1, 0, 0]) == Poly([0, 1])
     assert Poly([]).is_zero and Poly([0, 0]).is_zero
     assert Poly([F(4, 2)]).coeffs == (2,)  # integral fractions normalize to int
+    assert type(Poly([F(4, 2), 1]).coeffs[0]) is int
+    mixed = Poly([1, F(1, 2), F(6, 3), 0]).coeffs
+    assert mixed == (1, F(1, 2), 2) and [type(c) for c in mixed] == [int, F, int]
+    assert Poly(iter([1, 2, 0])).coeffs == (1, 2)
 
 
 def test_derivative():
@@ -164,3 +168,24 @@ def test_ratfunc_arithmetic():
     assert f * g == RatFunc(x, Poly([1, 2, 1]))
     assert (f / g) == RatFunc(x)
     assert f.derivative() == RatFunc(Poly([1]), Poly([1, 2, 1]))
+
+
+def _reference_horner(coeffs, x):
+    """Horner in Fraction arithmetic over the raw coefficients, the route
+    every polynomial took before the integer fast path."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_evaluate_matches_the_fraction_horner():
+    rng = SplitMix64(31)
+    points = [F(0), 0, F(7, 1), F(-3, 1), -5, 4, F(1, 2), F(-2, 3), F(-7, 4), F(22, 7)]
+    polys = [Poly(), Poly([F(1, 2), 3, F(-5, 3)])]
+    for _ in range(200):
+        polys.append(Poly([rng.randrange(201) - 100 for _ in range(1 + rng.randrange(12))]))
+    for p in polys:
+        for x in points + [F(rng.randrange(41) - 20, 1 + rng.randrange(30))]:
+            got, want = p.evaluate(x), _reference_horner(p.coeffs, x)
+            assert got == want and type(got) is type(want), (p, x)

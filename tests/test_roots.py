@@ -6,6 +6,7 @@ import pytest
 
 from hardcore_lab.polynomials import Poly, _int_exact_div
 from hardcore_lab.roots import (
+    _int_root_bound,
     count_roots,
     isolate_positive_roots,
     nonneg_on_halfline,
@@ -135,3 +136,27 @@ def test_inexact_integer_division_raises():
         _int_exact_div((1, 0, 1), (1, 2))
     with pytest.raises(ArithmeticError):
         _int_exact_div((1, 1, 2), (1, 2))
+
+
+def _fraction_root_bound(cs):
+    """The Cauchy bound rounded up to a power of two in Fraction arithmetic,
+    as the root bound was computed before it moved to integers."""
+    lc = abs(cs[-1])
+    bound = 1 + F(max(abs(c) for c in cs[:-1]), lc) if len(cs) > 1 else F(1)
+    b = F(1)
+    while b < bound:
+        b *= 2
+    return b
+
+
+def test_integer_root_bound_matches_the_fraction_definition():
+    rng = SplitMix64(47)
+    cases = [(1,), (-7,), (0, 1), (5, -1), (1, 0, 0, 3), (-8, 4), (4, -4), (9, 3)]
+    for _ in range(500):
+        scale = 10 ** rng.randrange(8)
+        cs = [rng.randrange(2 * scale + 1) - scale for _ in range(rng.randrange(10))]
+        cs.append((rng.randrange(scale) + 1) * (1 if rng.randrange(2) else -1))
+        cases.append(tuple(cs))
+    for cs in cases:
+        got = _int_root_bound(cs)
+        assert got == _fraction_root_bound(cs) and type(got) is F, cs
