@@ -175,11 +175,13 @@ def variance_value_of_poly(z: Poly, n: int, lam) -> Fraction:
 
 
 def var_numerator(p: Poly) -> Poly:
-    """(x^2 p'' + x p') p - x^2 p'^2, the numerator of V_p over p^2."""
-    x = Poly([0, 1])
-    d1 = p.derivative()
-    d2 = d1.derivative()
-    return (x * x * d2 + x * d1) * p - x * x * d1 * d1
+    """(x^2 p'' + x p') p - x^2 p'^2, the numerator of V_p over p^2.
+
+    With theta = x d/dx, x^2 p'' + x p' is theta^2 p and x p' is theta p,
+    whose coefficients are k^2 a_k and k a_k: two products in all."""
+    theta = Poly([k * c for k, c in enumerate(p.coeffs)])
+    theta2 = Poly([k * k * c for k, c in enumerate(p.coeffs)])
+    return theta2 * p - theta * theta
 
 
 def var_of_polynomial(p: Poly) -> RatFunc:

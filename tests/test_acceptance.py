@@ -16,7 +16,8 @@ criteria call the library check those items call, on a larger corpus:
     05 triangle-free floor    bounds.check_occupancy_tf
     06 series prover          the five series.* items
     07 five-vertex path       variance.p5_threshold
-    08 oracle equivalence     brute_force_polynomial, cycle_polynomial
+    08 oracle equivalence     brute_force_polynomial, cycle_polynomial,
+                              the pinned all_graphs(8) digest
     09 local occupancy        bounds.check_local_occupancy,
                               bounds.check_weighted_marginal_sum (clique),
                               on one HardCoreProfile per graph
@@ -31,6 +32,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -181,6 +183,11 @@ def test_criterion_08_oracle_equivalence():
             assert independence_polynomial(g) == brute_force_polynomial(g)
             total += 1
     assert total == 13598
+    # The eight-vertex corpus, representatives and order, as enumerated by the
+    # unpruned individualization-refinement search it was first built with.
+    adjs = repr([g.adj for g in corpus.all_graphs(8)]).encode()
+    assert hashlib.sha256(adjs).hexdigest() == (
+        "605736f29dc8a8d491feda4d5a5fb7f97f32c932869aa22da5a46f55e8d492d5")
 
     rng = SplitMix64(80808)
     for _ in range(200):
