@@ -5,12 +5,17 @@ value; series truncations carry explicit remainder bounds and all rounding is
 outward.  Every tolerance must be positive: a width <= 0 is never reached, so
 the constructors raise ``ValueError`` instead of looping.
 
-No binary floating point enters any enclosure.  The Lambert W bisection uses
-a float Newton root only as a guess: it certifies the signs of w e^w - x just
-below and just above that guess, and since w e^w - x is increasing on w >= 0,
-those two certified signs decide every later sign test outside the tight
-bracket they span.  The bisection iterates, and so the enclosure, are the
-ones a bisection that certified every sign would produce.
+No binary floating point enters any enclosure.  The exponential is
+computed in dyadic fixed point: integers at p fractional bits, rounded
+outward at every step (``_exp_fixed``).  The Lambert W bisection uses a
+float Newton root only as a guess: rational Newton steps refine it, and the
+signs of w e^w - x are certified just below and just above the refined
+point, at most 2^-20 tol apart.  Since w e^w - x is increasing on w >= 0,
+those two signs decide every later sign test outside that tight bracket,
+and only bisection steps inside it evaluate the exponential, by an integer
+comparison.  The
+bisection iterates, and so the enclosure, are the ones a bisection that
+certified every sign would produce.
 """
 
 from __future__ import annotations
@@ -195,45 +200,104 @@ def log1p_interval(x, tol) -> RationalInterval:
 
 
 def exp_interval(w, tol) -> RationalInterval:
-    """Enclosure of exp(w) for rational w, width <= tol, via the power series
-    with a Lagrange-style geometric tail bound."""
+    """Enclosure of exp(w) for rational w, width <= tol, with dyadic
+    endpoints from ``_exp_fixed``: argument reduction, a fixed-point Taylor
+    sum and repeated squaring, each step rounded outward (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, 2010, sections 4.3-4.4;
+    Johansson, arXiv:1410.7176).  With a = |w|, an ulp 2^-p,
+    p = max(bits, 0) + s + g and g = bitlen(max(bits, 0) + s) + 4:
+
+    - r = a / 2^s <= 2^-9 for the least such s >= 0;
+    - the Taylor terms of e^r in ulps: term k is term k-1 times r / k,
+      floored for lo and ceiled for hi, so every lower term is at most the
+      exact r^k / k! and every upper term at least it.  The sum stops at the
+      first upper term <= 1; every later exact term is below r / (k + 1)
+      times the one before, so the rest of the series is below r / (1 - r)
+      < 1 ulp, and hi adds one ulp for it.  Each upper term exceeds its
+      lower one by an integer below 2 / (1 - 2^-9), so K terms leave
+      hi - lo <= 2K + 1 ulp at a value >= 1, and K <= p / 9 + 1;
+    - s squarings, lo floored and hi ceiled, give e^a.  Each about doubles
+      the relative width hi / lo - 1 and adds under 2^(1-p), so the width
+      ends near 2^s (2K + 3) 2^-p, which 2^g >= 2K + 3 keeps near 2^-bits;
+    - for w < 0, floor(4^p / hi) and ceil(4^p / lo) enclose e^-a, with an
+      absolute width near 2^-bits.
+
+    The enclosure holds at every precision; bits only sets its width.  The
+    first bits gives 2^-bits <= tol / max(1, e^w) (log2 e < 1443/1000);
+    while the width is still above tol, bits rises by 32.
+    """
     w = Fraction(w)
     tol = _positive_tol(tol)
     if w == 0:
         return RationalInterval.point(1)
-    total = Fraction(1)
-    term = Fraction(1)
+    n, d = w.numerator, w.denominator
+    tn, td = tol.numerator, tol.denominator
+    bits = td.bit_length() - tn.bit_length() + 1 + max(0, n * 1443 // (1000 * d) + 1)
+    while True:
+        lo, hi, p = _exp_fixed(n, d, bits)
+        if (hi - lo) * td <= tn << p:
+            return RationalInterval(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
+        bits += 32
+
+
+def _exp_fixed(n: int, d: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, p) with lo / 2^p <= exp(n / d) <= hi / 2^p, for d > 0: the
+    steps of ``exp_interval``, whose docstring gives their error analysis.
+    The width is near 2^-bits relative for n > 0, absolute for n < 0."""
+    a = abs(n)
+    s = max(0, a.bit_length() - d.bit_length() + 9)
+    while a << 9 > d << s:
+        s += 1
+    p = max(bits, 0) + s
+    p += p.bit_length() + 4
+    den = d << s
+    lo = hi = low = high = 1 << p
     k = 0
-    aw = abs(w)
-    while True:
+    while high > 1:
         k += 1
-        term *= w
-        term /= k
-        total += term
-        if aw < k + 2:
-            tail = abs(term) * aw / ((k + 1) * (1 - aw / (k + 2)))
-            if tail <= tol / 2:
-                return RationalInterval(total - tail, total + tail)
+        low = low * a // (den * k)
+        high = -(-high * a // (den * k))
+        lo += low
+        hi += high
+    hi += 1
+    for _ in range(s):
+        lo = lo * lo >> p
+        hi = -(-(hi * hi) >> p)
+    if n < 0:
+        lo, hi = (1 << 2 * p) // hi, -(-(1 << 2 * p) // lo)
+    return lo, hi, p
 
 
-def _we_w_minus(w: Fraction, x: Fraction, tol: Fraction) -> RationalInterval:
-    """Enclosure of w * exp(w) - x."""
-    if w == 0:
-        return RationalInterval.point(-x)
-    return exp_interval(w, tol / abs(w)) * w - x
-
-
-def _certified_sign(w: Fraction, x: Fraction, tol_hint: Fraction) -> int:
-    """Sign of w*e^w - x at a rational w != W(x), decided by refining the
-    exponential enclosure as far as needed."""
-    tol = tol_hint
+def _we_sign(wn: int, wd: int, xn: int, xd: int, bits: int) -> int:
+    """Sign of w e^w - x at w = wn / wd > 0 and x = xn / xd, for w != W(x):
+    wn lo xd and wn hi xd against xn wd 2^p, for e^w in [lo, hi] / 2^p from
+    ``_exp_fixed``, with bits raised by 32 until both fall on one side."""
+    wx, xw = wn * xd, xn * wd
     while True:
-        box = _we_w_minus(w, x, tol)
-        if box.lo > 0:
+        lo, hi, p = _exp_fixed(wn, wd, bits)
+        if wx * lo > xw << p:
             return 1
-        if box.hi < 0:
+        if wx * hi < xw << p:
             return -1
-        tol /= 16
+        bits += 32
+
+
+def _lambert_newton(seed: float, xn: int, xd: int, q: int) -> int:
+    """m with m / 2^q near W(x) for x = xn / xd: Newton steps
+    w <- (w^2 + x e^-w) / (1 + w) from the float seed, in q-bit fixed point,
+    at most 12 of them, until a step's square (the next error, to first
+    order) is at most 2^(6-q).  A guess only: nothing relies on its
+    accuracy."""
+    n, d = seed.as_integer_ratio()
+    one = 1 << q
+    m = (n << q) // d
+    for _ in range(12):
+        e, _, p = _exp_fixed(m, one, q)
+        nxt = (m * m * e * xd + (xn << (2 * q + p))) // (xd * (one + m) * e)
+        step, m = abs(nxt - m), nxt
+        if step * step <= one << 6:
+            break
+    return m
 
 
 def lambert_w_interval(x, tol) -> RationalInterval:
@@ -241,18 +305,23 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     rational x in [0, sys.float_info.max], with width <= tol; a larger x
     raises ValueError, since the float seed needs float(x).
 
-    Bisection on f(w) = w * e^w - x from the bracket [0, max(1, x)], or from
+    Bisection on f(w) = w e^w - x from the bracket [0, max(1, x)], or from
     the narrower bracket seed -+ pad around a float Newton root once both of
-    its signs hold.  Before any of that, the signs f(s - delta) < 0 < f(s + delta)
-    are certified through interval evaluation of the exponential, with s
-    the seed as an exact dyadic and delta = max(s 2^-40, 2^-100).  f is
-    strictly increasing on w >= 0, so a later sign test at or below the
-    highest point known negative is -1 and one at or above the lowest point
-    known positive is +1; only a point strictly between them needs an
-    exponential enclosure.  W(x) is irrational for rational x > 0, so no test
-    point is a root and every sign is a fact: the iterates and the returned
-    endpoints are those of a bisection from the same start bracket that
-    certifies every sign, and the tight bracket changes only the cost.
+    its signs hold.  f is strictly increasing on w >= 0, so a sign test at
+    or below the highest point known negative is -1 and one at or above the
+    lowest point known positive is +1; only a point strictly between them
+    needs an exponential (``_we_sign``).  The lowest point known positive
+    starts at max(1, bitlen(ceil x)), where e^w >= 2^w > x, so the bisection
+    from [0, x] that a seedless x above about 2.56e305 runs halves down to it
+    without one.  Before the bisection, rational Newton steps refine the
+    float seed to a point c, and the signs f(c - 2^-b) < 0 < f(c + 2^-b) are
+    certified, with 2^(1-b) <= 2^-20 tol: a tight bracket narrower than tol.
+    Only bisection steps inside it evaluate the exponential.  The iterates
+    are integer pairs (num, den), never normalised.  W(x) is irrational for
+    rational x > 0, so no test point is a root and every sign is a fact: the
+    iterates and the returned endpoints are those of a bisection from the
+    same start bracket that certifies every sign, and the tight bracket
+    changes only the cost.
     """
     x = Fraction(x)
     tol = _positive_tol(tol)
@@ -263,41 +332,49 @@ def lambert_w_interval(x, tol) -> RationalInterval:
                          "the largest double (its float seed)")
     if x == 0:
         return RationalInterval.point(0)
-    # f(below) < 0 < f(above), tightened by every certified sign.
-    below, above = Fraction(0), max(Fraction(1), x)
+    xn, xd = x.numerator, x.denominator
+    lo, hi = Fraction(0), max(Fraction(1), x)
+    # 2^-b <= 2^-21 tol: the tight bracket's half-width, and the precision
+    # every sign test starts from.
+    b = max(0, tol.denominator.bit_length() - tol.numerator.bit_length() + 1) + 21
+    # f(bn / bd) < 0 < f(an / ad), tightened by every certified sign.
+    top = min(hi, Fraction(max(1, (-(-xn // xd)).bit_length())))
+    bn, bd, an, ad = 0, 1, top.numerator, top.denominator
 
-    def sign(w: Fraction, tol_hint: Fraction) -> int:
-        nonlocal below, above
-        if w <= below:
+    def sign(wn: int, wd: int) -> int:
+        nonlocal bn, bd, an, ad
+        if wn * bd <= bn * wd:
             return -1
-        if w >= above:
+        if wn * ad >= an * wd:
             return 1
-        if _certified_sign(w, x, tol_hint) < 0:
-            below = w
+        if _we_sign(wn, wd, xn, xd, b) < 0:
+            bn, bd = wn, wd
             return -1
-        above = w
+        an, ad = wn, wd
         return 1
 
-    lo, hi = below, above
     seed = _float_lambert_seed(float(x))
     if seed is not None:
-        s = Fraction(seed)
-        delta = max(s / 2**40, Fraction(1, 2**100))
-        sign(s - delta, delta)
-        sign(s + delta, delta)
+        q = b + 8
+        center = _lambert_newton(seed, xn, xd, q)
+        sign(center - (1 << 8), 1 << q)
+        sign(center + (1 << 8), 1 << q)
         pad = max(Fraction(abs(seed)).limit_denominator(10**6) / 10**7, Fraction(1, 10**9))
         cand_lo = max(lo, _dyadic(seed) - pad)
         cand_hi = min(hi, _dyadic(seed) + pad)
-        if sign(cand_lo, pad) < 0 and sign(cand_hi, pad) > 0:
+        if (sign(cand_lo.numerator, cand_lo.denominator) < 0
+                and sign(cand_hi.numerator, cand_hi.denominator) > 0):
             lo, hi = cand_lo, cand_hi
 
-    while hi - lo > tol:
-        mid = _dyadic_between(lo, hi)
-        if sign(mid, (hi - lo) / 8) < 0:
-            lo = mid
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    tn, td = tol.numerator, tol.denominator
+    while (hn * ld - ln * hd) * td > tn * ld * hd:
+        mn, md = _dyadic_between(ln, ld, hn, hd)
+        if sign(mn, md) < 0:
+            ln, ld = mn, md
         else:
-            hi = mid
-    return RationalInterval(lo, hi)
+            hn, hd = mn, md
+    return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def _float_lambert_seed(x: float):
@@ -319,20 +396,22 @@ def _dyadic(value: float, bits: int = 64) -> Fraction:
     return Fraction(round(value * (1 << bits)), 1 << bits)
 
 
-def _dyadic_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """floor(c 2^b + 1) / 2^b for the center c of (lo, hi) and the smallest b
-    in 4, 8, 12, ... with 2^-b < (hi - lo) / 2.  It lies in (c, c + 2^-b], so
-    strictly inside (lo, hi); the small power-of-two denominator keeps
+def _dyadic_between(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """(floor(c 2^b + 1), 2^b) for the center c of (lo, hi) = (ln / ld,
+    hn / hd), ld, hd > 0, and the smallest b in 4, 8, 12, ... with
+    2^-b < (hi - lo) / 2.  Its value lies in (c, c + 2^-b], so strictly
+    inside (lo, hi), and depends only on the values lo and hi, not on how
+    their pairs are written; the small power-of-two denominator keeps
     bisection iterates cheap."""
     # c = num / den and (hi - lo) / 2 = gap / den.
-    den = 2 * lo.denominator * hi.denominator
-    num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
-    gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    den = 2 * ld * hd
+    num = ln * hd + hn * ld
+    gap = hn * ld - ln * hd
     # gap 2^b > den needs b >= bitlen(den) - bitlen(gap).
     bits = max(4, -(-(den.bit_length() - gap.bit_length()) // 4) * 4)
     while gap << bits <= den:
         bits += 4
-    return Fraction((num << bits) // den + 1, 1 << bits)
+    return (num << bits) // den + 1, 1 << bits
 
 
 def entropy_interval(x, tol) -> RationalInterval:

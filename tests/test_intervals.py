@@ -8,7 +8,7 @@ import math
 import random
 import re
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +17,6 @@ from hardcore_lab import bounds, intervals
 from hardcore_lab.graphs import generate
 from hardcore_lab.intervals import (
     RationalInterval,
-    _certified_sign,
     _dyadic,
     _dyadic_between,
     _float_lambert_seed,
@@ -120,6 +119,45 @@ def test_exp_enclosure():
         assert enc.lo <= ref <= enc.hi
 
 
+def _dec_exp(w: F, digits: int) -> F:
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return _dec_to_frac((Decimal(w.numerator) / Decimal(w.denominator)).exp())
+
+
+def test_exp_enclosure_against_decimal_at_twice_the_precision():
+    # The enclosure needs about log10(max(1, e^w)) + log10(1/tol) digits;
+    # the reference carries twice as many.
+    rng = random.Random(1410)
+    ws = [F(rng.randrange(-50 * 10**6, 700 * 10**6), 10**6) for _ in range(40)]
+    ws += [F(rng.randrange(1, 10**9), rng.randrange(1, 10**12)) for _ in range(10)]
+    ws += [F(-50), F(1, 512), F(-1, 512), F(1, 513), F(690), F(6931, 10), F(700)]
+    assert any(w > 1000 * F(6932, 10**4) for w in ws)  # e^w above 2^1000
+    for w in ws:
+        tol = F(rng.randrange(1, 10), 10 ** rng.randrange(6, 61))
+        enc = exp_interval(w, tol)
+        digits = 2 * (max(0, int(w * F(4343, 10**4))) + len(str(tol.denominator)) + 5)
+        assert enc.lo <= _dec_exp(w, digits) <= enc.hi, (w, tol)
+        assert enc.width <= tol, (w, tol)
+
+
+def test_exp_fixed_rounds_outward_at_every_precision():
+    # At a few bits every rounding is a large part of the width, so rounding
+    # one step inward shows up as a missed reference.  The one exception is
+    # the ceiling in the squarings of hi: the tail ulp leaves hi nearly one
+    # ulp above e^r, each squaring about doubles that margin, and a floored
+    # square loses under one ulp, so hi would stay above e^|w| without it.
+    rng = random.Random(44)
+    ws = [F(1, 512), F(-1, 512), F(1, 2**20), F(3, 1024), F(1), F(-1), F(7, 3), F(-7, 3),
+          F(50), F(-50)]
+    ws += [F(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**5)) for _ in range(60)]
+    for w in ws:
+        ref = _dec_exp(w, 120)
+        for bits in range(-8, 40):
+            lo, hi, p = intervals._exp_fixed(w.numerator, w.denominator, bits)
+            assert F(lo, 2**p) <= ref <= F(hi, 2**p), (w, bits)
+
+
 def test_lambert_at_zero():
     assert lambert_w_interval(0, F(1, 10**9)) == RationalInterval.point(0)
 
@@ -207,9 +245,22 @@ def test_midpoints_track_reference():
 # -- Lambert W against the bisection that certifies every sign ---------------
 #
 # Reference copies of the plain bisection: every sign test goes through
-# _certified_sign, and midpoints come from a Fraction loop.  The library,
-# which decides most signs from its certified tight bracket, must return the
-# same endpoints, bit for bit.
+# _certified_sign, Fraction interval arithmetic over exp_interval, and
+# midpoints come from a Fraction loop.  The library, which decides most signs
+# from its certified tight bracket and the rest by an integer comparison,
+# must return the same endpoints, bit for bit.
+
+def _certified_sign(w, x, tol):
+    """Sign of w e^w - x at a rational w > 0, w != W(x), from enclosures of
+    w e^w - x refined as far as needed."""
+    while True:
+        box = exp_interval(w, tol / w) * w - x
+        if box.lo > 0:
+            return 1
+        if box.hi < 0:
+            return -1
+        tol /= 16
+
 
 def _reference_dyadic_between(lo, hi):
     center = (lo + hi) / 2
@@ -328,9 +379,14 @@ def test_dyadic_between_matches_the_fraction_loop():
             if kind == 2:
                 width *= F(rng.randrange(1, 10**9 + 1), 10**9 + 7)
             hi = lo + width
-        mid = _dyadic_between(lo, hi)
-        assert mid == _reference_dyadic_between(lo, hi), (lo, hi)
-        assert lo < mid < hi
+        # Any writing of the endpoints gives the same pair.
+        k, j = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+        mid = _dyadic_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        scaled = _dyadic_between(k * lo.numerator, k * lo.denominator,
+                                 j * hi.numerator, j * hi.denominator)
+        assert mid == scaled, (lo, hi, k, j)
+        assert F(*mid) == _reference_dyadic_between(lo, hi), (lo, hi)
+        assert lo < F(*mid) < hi
 
 
 def test_nonpositive_tolerance_raises():
@@ -351,6 +407,20 @@ def test_nonpositive_tolerance_raises():
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 call(tol)
         call(F(1, 10**6))
+
+
+@pytest.mark.parametrize("x", [F(10) ** 40, F(10) ** 300, F(10) ** 306, F(10) ** 308,
+                               F(sys.float_info.max)])
+def test_lambert_at_large_arguments(x):
+    # From about 2.56e305 on the float seed overflows and the bisection
+    # starts from [0, x]; a test point from max(1, bitlen(ceil x)) up is
+    # positive without an exponential.
+    assert (_float_lambert_seed(float(x)) is None) == (x > F(10) ** 306 / 4)
+    ref = _dec_to_frac(_dec_lambert(Decimal(x.numerator) / Decimal(x.denominator)))
+    for tol in (F(1, 10**12), F(1, 10**30)):
+        enc = lambert_w_interval(x, tol)
+        assert enc.contains(ref), (x, tol)
+        assert enc.width <= tol
 
 
 def test_lambert_beyond_the_largest_double_is_a_range_error():
