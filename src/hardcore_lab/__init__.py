@@ -6,6 +6,7 @@ sampler, all over exact rationals (the sampler alone uses floats, and only
 for statistics).
 """
 
+from .corpus import random_triangle_free_graph
 from .graphs import (
     Graph,
     disjoint_union,
@@ -24,6 +25,7 @@ from .hardcore import (
     occupancy_value,
     path_polynomial,
     profile,
+    subset_polynomial,
     var_of_polynomial,
     variance_fraction,
     variance_value,

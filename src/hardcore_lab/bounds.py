@@ -21,7 +21,6 @@ from .hardcore import (
     _require_vertices,
     cycle_polynomial,
     var_numerator,
-    variance_value_of_poly,
 )
 from .intervals import (
     RationalInterval,
@@ -365,7 +364,8 @@ def cycle_growth_ratio(n: int, lam) -> Fraction:
     """V_{C_n}(lam) / (lam/(1+lam)^2), exactly."""
     lam = _positive_lam(lam)
     z = cycle_polynomial(n)
-    v = variance_value_of_poly(z, n, lam)
+    zv = z.evaluate(lam)
+    v = var_numerator(z).evaluate(lam) / (n * zv * zv)
     return v * (1 + lam) ** 2 / lam
 
 

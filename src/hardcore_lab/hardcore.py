@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly, RatFunc, _int_mul
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -23,14 +23,6 @@ class MemoLimitExceeded(RuntimeError):
 @lru_cache(maxsize=None)
 def _binomial_row(k: int) -> tuple[int, ...]:
     return tuple(comb(k, i) for i in range(k + 1))
-
-
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return tuple(out)
 
 
 def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tuple[int, ...]:
@@ -83,10 +75,10 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tu
             if len(memo) >= limit:
                 raise MemoLimitExceeded(f"residual cache exceeded {limit} entries")
             memo[comp] = poly
-        out = poly if out is None else _mul(out, poly)
+        out = poly if out is None else _int_mul(out, poly)
     if isolated:
         row = _binomial_row(isolated)
-        out = row if out is None else _mul(out, row)
+        out = row if out is None else _int_mul(out, row)
     return (1,) if out is None else out
 
 
@@ -163,17 +155,6 @@ def _require_vertices(g: Graph) -> None:
         raise ValueError("graph has no vertices")
 
 
-def variance_value_of_poly(z: Poly, n: int, lam) -> Fraction:
-    """V(lam) for partition polynomial z on n vertices:
-    lam * ((Z' + lam Z'') Z - lam Z'^2) / (n Z^2)."""
-    lam = Fraction(lam)
-    zv = Fraction(z.evaluate(lam))
-    d1 = z.derivative()
-    d1v = d1.evaluate(lam)
-    d2v = d1.derivative().evaluate(lam)
-    return lam * ((d1v + lam * d2v) * zv - lam * d1v * d1v) / (n * zv * zv)
-
-
 def var_numerator(p: Poly) -> Poly:
     """(x^2 p'' + x p') p - x^2 p'^2, the numerator of V_p over p^2.
 
@@ -236,9 +217,12 @@ class HardCoreProfile:
         return lam * z.derivative().evaluate(lam) / (self.graph.n * Fraction(z.evaluate(lam)))
 
     def variance_at(self, lam) -> Fraction:
-        """V(lam) by direct exact evaluation."""
+        """V(lam) = var_numerator(Z)(lam) / (n Z(lam)^2), by direct exact
+        evaluation."""
         _require_vertices(self.graph)
-        return variance_value_of_poly(self.z, self.graph.n, lam)
+        lam, z = Fraction(lam), self.z
+        zv = z.evaluate(lam)
+        return var_numerator(z).evaluate(lam) / (self.graph.n * zv * zv)
 
     @cached_property
     def residuals(self) -> tuple[Poly, ...]:

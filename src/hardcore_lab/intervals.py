@@ -34,8 +34,10 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
@@ -48,15 +50,8 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def intersects(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

@@ -7,8 +7,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .hardcore import var_numerator
-from .polynomials import Poly
+from .polynomials import Poly, _content_split, _int_poly, _pack, _unpack
 from .roots import nonneg_on_halfline
 from .verdict import FAILS, HOLDS, Verdict
 
@@ -82,23 +81,18 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdi
     if kind is OrderingKind.PART:
         return nonneg_on_halfline(p - q)
 
-    if kind is OrderingKind.OCC:
-        # x p'/p >= x q'/q on x >= 0 reduces to p' q - q' p >= 0 there,
-        # since both polynomials are positive on the half-line.
-        diff = p.derivative() * q - q.derivative() * p
-        v = nonneg_on_halfline(diff)
+    if kind is OrderingKind.OCC or kind is OrderingKind.VAR:
+        # x p'/p >= x q'/q on x >= 0 reduces to p' q - q' p >= 0 there, since
+        # both polynomials are positive on the half-line, and V_p >= V_q to
+        # p^2 q^2 (V_p - V_q) >= 0.  A failing verdict's margin is that
+        # polynomial at the witness, divided back.
+        occ = kind is OrderingKind.OCC
+        v = nonneg_on_halfline(p.derivative() * q - q.derivative() * p if occ
+                               else var_difference_certificate(p, q))
         if v.fails:
             x = v.witness
-            margin = Fraction(x) * diff.evaluate(x) / (p.evaluate(x) * q.evaluate(x))
-            return Verdict(FAILS, witness=x, margin=margin)
-        return v
-
-    if kind is OrderingKind.VAR:
-        cert = var_difference_certificate(p, q)
-        v = nonneg_on_halfline(cert)
-        if v.fails:
-            x = v.witness
-            margin = Fraction(cert.evaluate(x)) / (p.evaluate(x) ** 2 * q.evaluate(x) ** 2)
+            pq = p.evaluate(x) * q.evaluate(x)
+            margin = x * v.margin / pq if occ else v.margin / (pq * pq)
             return Verdict(FAILS, witness=x, margin=margin)
         return v
 
@@ -111,9 +105,32 @@ def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
 
 
 def var_difference_certificate(p: Poly, q: Poly) -> Poly:
-    """The exact polynomial p^2 q^2 (V_p - V_q); nonnegative on the half-line
-    iff p dominates q in the variance ordering."""
-    return var_numerator(p) * q * q - var_numerator(q) * p * p
+    """The exact polynomial p^2 q^2 (V_p - V_q) = N_p q^2 - N_q p^2, with N_p
+    = var_numerator(p); nonnegative on the half-line iff p dominates q in the
+    variance ordering.  One Kronecker substitution: p, theta p and theta^2 p
+    for both are packed at 2^k, and the certificate is unpacked once.  N_p
+    has coefficients sum_{i+j=m} (i-j)^2 a_i a_j / 2, so its l1 norm is at
+    most S2 S0 - S1^2 with S_r = sum_j j^r |a_j|, and every coefficient of
+    the certificate is at most |N_p|_1 |q|_1^2 + |N_q|_1 |p|_1^2 in size.
+    Contents are split off first: cert(c P, d Q) = (c d)^2 cert(P, Q).
+    """
+    c, a = _content_split(p.coeffs)
+    d, b = _content_split(q.coeffs)
+    if not a or not b:
+        return Poly()
+    series = []
+    for cs in (a, b):
+        t1 = [j * x for j, x in enumerate(cs)]
+        t2 = [j * x for j, x in enumerate(t1)]
+        s0, s1, s2 = (sum(map(abs, t)) for t in (cs, t1, t2))
+        series.append((cs, t1, t2, s0, s2 * s0 - s1 * s1))
+    (a, a1, a2, a_l1, na_l1), (b, b1, b2, b_l1, nb_l1) = series
+    k = (na_l1 * b_l1 * b_l1 + nb_l1 * a_l1 * a_l1).bit_length() + 1
+    pa, ta, t2a, pb, tb, t2b = (_pack(cs, k) for cs in (a, a1, a2, b, b1, b2))
+    value = (t2a * pa - ta * ta) * pb * pb - (t2b * pb - tb * tb) * pa * pa
+    cs = _unpack(value, k, 2 * (len(a) + len(b)) - 3)
+    scale = (c * d) ** 2
+    return _int_poly(cs) if scale == 1 else Poly([x * scale for x in cs])
 
 
 def implication_web_check(p: Poly, q: Poly) -> dict:

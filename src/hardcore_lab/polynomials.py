@@ -4,11 +4,20 @@ Polynomials are dense coefficient lists, lowest degree first, with trailing
 zeros trimmed; equality is therefore canonical-form equality.  Coefficients
 are Python ints or Fractions, so all arithmetic is exact.
 
-Partition functions and the ordering certificates have integer coefficients,
-so an all-`int` coefficient list skips per-entry normalisation, and its value
-at a rational p/q is one homogenized integer Horner pass (`_int_horner`, shared
-with the Sturm sign tests in `roots`) over q^deg, of the same exact value and
-type as the general Fraction Horner.
+A `Poly` records at construction whether its coefficients are all `int`, as
+those of partition functions and ordering certificates are; sums, negations
+and products of integer polys then skip the type scan, and the value of one
+at p/q is one integer Horner pass over q^deg (`_int_horner`, also in `roots`).
+
+Every product goes through one integer kernel, `_int_mul` (rational polys
+split off their contents first): schoolbook below 6 coefficients a side,
+Kronecker substitution above (Schoenhage, EUROCAM 1982; Harvey, J. Symb.
+Comput. 2009).  `_pack` evaluates both factors at 2^k, one big-integer
+product gives a*b there, and `_unpack` reads back signed base-2^k digits,
+exact while every coefficient lies in (-2^(k-1), 2^(k-1)).  A coefficient of
+a*b is at most |a|_1 max|b_j|, so k is their two bit lengths plus one.  The
+cutoff is measured on engine and orderings shapes: schoolbook is 1.4-1.7x
+faster at 2 coefficients a side, they tie at 5, Kronecker leads 1.1-2x at 6-8.
 
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
@@ -34,11 +43,53 @@ def _norm_coeff(c):
     return c
 
 
+_KRONECKER_CUTOFF = 6  # coefficients of the shorter factor
+
+
 def _all_int(cs) -> bool:
     for c in cs:
         if type(c) is not int:
             return False
     return True
+
+
+def _pack(cs, k: int) -> int:
+    """The value at 2^k of the polynomial with integer coefficients cs."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << k) + c
+    return acc
+
+
+def _unpack(value: int, k: int, n: int) -> Coeffs:
+    """The n coefficients in (-2^(k-1), 2^(k-1)) of the polynomial with this
+    value at 2^k; a digit of 2^(k-1) or more is negative and borrowed one."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    out = []
+    for _ in range(n):
+        digit = value & mask
+        value >>= k
+        if digit >= half:
+            digit -= 1 << k
+            value += 1
+        out.append(digit)
+    return tuple(out)
+
+
+def _int_mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    """The len(a) + len(b) - 1 coefficients of a*b, for nonempty a and b."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) < _KRONECKER_CUTOFF:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+        return tuple(out)
+    k = sum(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + 1
+    return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
 
 
 def _int_horner(cs: Coeffs, num: int, den: int) -> int:
@@ -54,15 +105,18 @@ def _int_horner(cs: Coeffs, num: int, den: int) -> int:
 class Poly:
     """Univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        if not _all_int(cs):
+        is_int = _all_int(cs)
+        if not is_int:
             cs = [_norm_coeff(c) for c in cs]
+            is_int = _all_int(cs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
+        self._int = is_int
 
     # -- construction ----------------------------------------------------
 
@@ -120,7 +174,8 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        cs = tuple(-c for c in self.coeffs)
+        return _int_poly(cs) if self._int else Poly(cs)
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -133,15 +188,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out)
+        return _int_poly(tuple(out)) if self._int and other._int else Poly(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         return self + (-other) if isinstance(other, (Poly, int, Fraction)) else NotImplemented
-
-    def __rsub__(self, other) -> "Poly":
-        return Poly([other]) - self
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -151,13 +203,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+        if self._int and other._int:
+            return _int_poly(_int_mul(a, b))
+        ca, ia = _content_split(a)
+        cb, ib = _content_split(b)
+        scale = ca * cb
+        return Poly([c * scale for c in _int_mul(ia, ib)])
 
     __rmul__ = __mul__
 
@@ -173,34 +224,6 @@ class Poly:
             k >>= 1
         return result
 
-    def __divmod__(self, other: "Poly"):
-        """Exact division with remainder over the rationals."""
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [0] * (dq + 1)
-        dlc = Fraction(other.lc)
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if c == 0:
-                continue
-            q = Fraction(c) / dlc
-            quo[i] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] -= q * oc
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
@@ -209,21 +232,12 @@ class Poly:
     def evaluate(self, x):
         """Exact Horner evaluation at a rational point."""
         cs = self.coeffs
-        if type(x) is Fraction and cs and _all_int(cs):
+        if self._int and type(x) is Fraction and cs:
             return Fraction(_int_horner(cs, x.numerator, x.denominator),
                             x.denominator ** (len(cs) - 1))
         acc = 0
         for c in reversed(cs):
             acc = acc * x + c
-        return acc
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
         return acc
 
     # -- normal forms ------------------------------------------------------
@@ -234,13 +248,15 @@ class Poly:
         lc = Fraction(self.lc)
         return Poly([Fraction(c) / lc for c in self.coeffs])
 
-    def primitive(self) -> "Poly":
-        """Rescale by a positive rational to coprime integer coefficients.
 
-        The scaling factor is strictly positive, so signs (and in particular
-        Sturm sign variations) are preserved.
-        """
-        return Poly(_content_split(self.coeffs)[1])
+
+def _int_poly(cs: Coeffs) -> Poly:
+    """The Poly of a tuple of ints, without the constructor's type scan."""
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    p = object.__new__(Poly)
+    p.coeffs, p._int = cs, True
+    return p
 
 
 # -- the primitive integer kernel ---------------------------------------------
@@ -405,9 +421,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _as_ratfunc(other) - self
-
     def __mul__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
@@ -424,9 +437,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _as_ratfunc(other) / self
-
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
@@ -436,9 +446,6 @@ class RatFunc:
         if dv == 0:
             raise ZeroDivisionError(f"evaluation at a pole: {x}")
         return Fraction(self.num.evaluate(x), 1) / dv
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
 
 def _as_ratfunc(value):

@@ -7,6 +7,10 @@ primitive integer coefficient lists (positive rescaling never changes a sign
 variation), built with the primitive integer kernel of `polynomials`
 (content split, pseudo-remainders, squarefree part); this module defines no
 gcd or division of its own.
+
+Each isolation or decision call keeps one dict of the chain's sign
+variations at each point, shared by `_isolate` and `_refine`: a bisection
+step evaluates the chain at its midpoint alone.
 """
 
 from __future__ import annotations
@@ -24,16 +28,6 @@ from .polynomials import (
     _pseudo_rem,
 )
 from .verdict import FAILS, HOLDS, Verdict
-
-
-def _to_ints(p: Poly) -> Coeffs:
-    return _content_split(p.coeffs)[1]
-
-
-def _eval_sign(cs: Coeffs, x: Fraction) -> int:
-    """Sign of the polynomial at a rational point, in integer arithmetic."""
-    acc = _int_horner(cs, x.numerator, x.denominator)
-    return (acc > 0) - (acc < 0)
 
 
 def _int_chain(cs: Coeffs) -> list[Coeffs]:
@@ -54,25 +48,18 @@ def _int_chain(cs: Coeffs) -> list[Coeffs]:
     return chain
 
 
-def _variations(signs) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def _chain_variations(chain: list[Coeffs], x: Fraction, seen: dict) -> int:
+    """Sign variations of the chain at x, kept in seen for later steps."""
+    v = seen.get(x)
+    if v is None:
+        values = [y for y in (_int_horner(cs, x.numerator, x.denominator) for cs in chain) if y]
+        v = seen[x] = sum((s < 0) != (t < 0) for s, t in zip(values, values[1:]))
+    return v
 
 
-def _chain_variations(chain: list[Coeffs], x: Fraction) -> int:
-    return _variations(_eval_sign(cs, x) for cs in chain)
-
-
-def _chain_count(chain: list[Coeffs], a: Fraction, b: Fraction) -> int:
+def _chain_count(chain: list[Coeffs], a: Fraction, b: Fraction, seen: dict) -> int:
     """Distinct real roots in the half-open interval (a, b]."""
-    return _chain_variations(chain, a) - _chain_variations(chain, b)
+    return _chain_variations(chain, a, seen) - _chain_variations(chain, b, seen)
 
 
 def _int_root_bound(cs: Coeffs) -> Fraction:
@@ -91,22 +78,13 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of the squarefree part of p, in primitive integer form."""
     if p.is_zero:
         raise ValueError("no Sturm chain for the zero polynomial")
-    return [Poly(cs) for cs in _int_chain(_to_ints(p))]
+    return [Poly(cs) for cs in _int_chain(_content_split(p.coeffs)[1])]
 
 
-def variations_at(chain: list[Poly], x) -> int:
-    return _variations(_eval_sign(p.coeffs, Fraction(x)) for p in chain)
-
-
-def count_roots(chain: list[Poly], a, b) -> int:
-    """Number of distinct real roots in (a, b]."""
-    return variations_at(chain, a) - variations_at(chain, b)
-
-
-def _isolate(chain: list[Coeffs]) -> list[tuple[Fraction, Fraction]]:
+def _isolate(chain: list[Coeffs], seen: dict) -> list[tuple[Fraction, Fraction]]:
     bound = _int_root_bound(chain[0]) if len(chain[0]) > 1 else Fraction(1)
     intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), bound, _chain_count(chain, Fraction(0), bound))]
+    stack = [(Fraction(0), bound, _chain_count(chain, Fraction(0), bound, seen))]
     while stack:
         a, b, k = stack.pop()
         if k == 0:
@@ -115,17 +93,18 @@ def _isolate(chain: list[Coeffs]) -> list[tuple[Fraction, Fraction]]:
             intervals.append((a, b))
             continue
         mid = (a + b) / 2
-        kl = _chain_count(chain, a, mid)
+        kl = _chain_count(chain, a, mid, seen)
         stack.append((a, mid, kl))
         stack.append((mid, b, k - kl))
     intervals.sort()
     return intervals
 
 
-def _refine(chain: list[Coeffs], lo: Fraction, hi: Fraction, width) -> tuple[Fraction, Fraction]:
+def _refine(chain: list[Coeffs], lo: Fraction, hi: Fraction, width,
+            seen: dict) -> tuple[Fraction, Fraction]:
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _chain_count(chain, lo, mid) == 1:
+        if _chain_count(chain, lo, mid, seen) == 1:
             hi = mid
         else:
             lo = mid
@@ -141,15 +120,16 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    cs = _to_ints(p)
+    cs = _content_split(p.coeffs)[1]
     cs = cs[next(i for i, c in enumerate(cs) if c):]  # x = 0 is excluded anyway
     if len(cs) <= 1:
         return []
     chain = _int_chain(cs)
-    intervals = _isolate(chain)
+    seen: dict = {}
+    intervals = _isolate(chain, seen)
     if max_width is not None:
         width = Fraction(max_width)
-        intervals = [_refine(chain, lo, hi, width) for lo, hi in intervals]
+        intervals = [_refine(chain, lo, hi, width, seen) for lo, hi in intervals]
     return intervals
 
 
@@ -157,17 +137,19 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
 
 def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
     """Walk the Stern-Brocot tree toward x, returning the first mediant that
-    still certifies a negative value; keeps reported witnesses readable."""
-    if _eval_sign(cs, x) >= 0:
+    still certifies a negative value; keeps reported witnesses readable.
+    Mediants are integer pairs in lowest terms, compared by cross-multiplying;
+    only the one returned becomes a Fraction."""
+    num, den = x.numerator, x.denominator
+    if _int_horner(cs, num, den) >= 0:
         raise ValueError("witness candidate does not certify failure")
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0
     for _ in range(128):
         m_n, m_d = lo_n + hi_n, lo_d + hi_d
-        m = Fraction(m_n, m_d)
-        if _eval_sign(cs, m) < 0:
-            return m
-        if m < x:
+        if _int_horner(cs, m_n, m_d) < 0:
+            return Fraction(m_n, m_d)
+        if m_n * den < num * m_d:
             lo_n, lo_d = m_n, m_d
         else:
             hi_n, hi_d = m_n, m_d
@@ -175,17 +157,10 @@ def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
 
 
 def _witness_near_zero(cs: Coeffs) -> Fraction:
-    x = Fraction(1)
-    while _eval_sign(cs, x) >= 0:
-        x /= 2
-    return _simplify_witness(cs, x)
-
-
-def _witness_beyond(cs: Coeffs, start: Fraction) -> Fraction:
-    x = start if start > 0 else Fraction(1)
-    while _eval_sign(cs, x) >= 0:
-        x *= 2
-    return _simplify_witness(cs, x)
+    den = 1
+    while _int_horner(cs, 1, den) >= 0:
+        den *= 2
+    return _simplify_witness(cs, Fraction(1, den))
 
 
 def nonneg_on_halfline(p: Poly) -> Verdict:
@@ -200,15 +175,15 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     """
     if p.is_zero:
         return Verdict(HOLDS)
-    cs = _to_ints(p)
+    cs = _content_split(p.coeffs)[1]
 
     def fail_at(w: Fraction) -> Verdict:
-        return Verdict(FAILS, witness=w, margin=Fraction(p.evaluate(w)))
+        return Verdict(FAILS, witness=w, margin=p.evaluate(w))
 
     if cs[0] < 0:
         return fail_at(Fraction(0))
-    if cs[-1] < 0:
-        return fail_at(_witness_beyond(cs, _int_root_bound(cs)))
+    if cs[-1] < 0:  # p has the sign of its leading coefficient past the root bound
+        return fail_at(_simplify_witness(cs, _int_root_bound(cs)))
     if all(c >= 0 for c in cs):
         return Verdict(HOLDS)
 
@@ -220,20 +195,21 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     bound = _int_root_bound(r)
     probe = Fraction(1, 4)
     while probe <= 2 * bound:
-        if _eval_sign(cs, probe) < 0:
+        if _int_horner(cs, probe.numerator, probe.denominator) < 0:
             return fail_at(_simplify_witness(cs, probe))
         probe *= 4
 
     chain = _int_chain(r)
-    intervals = _isolate(chain)
+    seen: dict = {}
+    intervals = _isolate(chain, seen)
 
     # Refine until consecutive intervals leave a gap to sample in.
     for i in range(len(intervals) - 1):
         lo1, hi1 = intervals[i]
         lo2, hi2 = intervals[i + 1]
         while hi1 >= lo2:
-            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2)
-            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2)
+            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
+            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
         intervals[i] = (lo1, hi1)
         intervals[i + 1] = (lo2, hi2)
 
@@ -241,7 +217,7 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     if intervals:
         samples.append(intervals[-1][1] + 1)
     for s in samples:
-        if _eval_sign(cs, s) < 0:
+        if _int_horner(cs, s.numerator, s.denominator) < 0:
             return fail_at(_simplify_witness(cs, s))
     return Verdict(HOLDS)
 
@@ -256,7 +232,7 @@ def nonneg_on_segment(p: Poly, a, b) -> Verdict:
     if b < a:
         raise ValueError("empty segment")
     if p.evaluate(b) < 0:
-        return Verdict(FAILS, witness=b, margin=Fraction(p.evaluate(b)))
+        return Verdict(FAILS, witness=b, margin=p.evaluate(b))
     if p.is_zero or a == b:
         return Verdict(HOLDS)
     n = p.degree
@@ -271,5 +247,5 @@ def nonneg_on_segment(p: Poly, a, b) -> Verdict:
     if v.fails:
         t = v.witness
         x = a + (b - a) * t / (1 + t)
-        return Verdict(FAILS, witness=x, margin=Fraction(p.evaluate(x)))
+        return Verdict(FAILS, witness=x, margin=p.evaluate(x))
     return v

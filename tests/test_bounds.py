@@ -155,8 +155,17 @@ def test_cycle_growth_ladder():
     assert c.lhs[-1] > 10
     # n = 4 smoke value: V_{C4}(1) = 5/49, so the ratio is 4 * 5/49
     assert bounds.cycle_growth_ratio(4, 1) == F(20, 49)
-    assert bounds.variance_value_of_poly(
-        independence_polynomial(cycle_graph(4)), 4, 1) == F(5, 49)
+    # The ratio and V_{C_n} against the derivative route
+    # V = lam ((Z' + lam Z'') Z - lam Z'^2) / (n Z^2).
+    for n in (3, 4, 7):
+        g = cycle_graph(n)
+        z = independence_polynomial(g)
+        d1 = z.derivative()
+        for lam in (F(1), F(1, 3), F(7, 2), F(100)):
+            zv, d1v, d2v = z.evaluate(lam), d1.evaluate(lam), d1.derivative().evaluate(lam)
+            v = lam * ((d1v + lam * d2v) * zv - lam * d1v * d1v) / (n * zv * zv)
+            assert HardCoreProfile(g).variance_at(lam) == v
+            assert bounds.cycle_growth_ratio(n, lam) == v * (1 + lam) ** 2 / lam
 
 
 def test_local_occupancy_default_parameters():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab.hardcore import var_of_polynomial
+from hardcore_lab.hardcore import var_numerator, var_of_polynomial
 from hardcore_lab.orderings import (
     IMPLICATIONS,
     OrderingKind,
@@ -200,3 +200,29 @@ def test_implication_web_regression_pin():
             h.update(repr((kind, v.status, v.witness, v.margin)).encode())
         h.update(repr(report["violations"]).encode())
     assert h.hexdigest() == "cb324223999f6d797db3331719da675f946e4ea06d4af8f0054efdb77a42a556"
+
+
+def test_certificate_matches_the_product_route():
+    # The one-shot Kronecker certificate against
+    # var_numerator(p) q^2 - var_numerator(q) p^2 in Poly products.
+    rng = SplitMix64(4096)
+    pairs = [random_generating_pair(rng) for _ in range(512)]
+    for _ in range(64):  # signed, with zeros, of any length
+        pairs.append(tuple(Poly([rng.randrange(201) - 100 for _ in range(rng.randrange(12))])
+                           for _ in range(2)))
+    def rational():
+        return Poly([F(rng.randrange(61) - 30, 1 + rng.randrange(12))
+                     for _ in range(1 + rng.randrange(8))])
+    for _ in range(64):  # rational coefficients on one side or both
+        p, q = rational(), rational()
+        pairs += [(p, q), (p, Poly([1, 3, 1]) ** 2), (Poly([1, 4, 2, 2]) * 6, q)]
+    for a in range(1, 9):  # one nonzero coefficient, as large as the size bound allows
+        for m in (1, 2, 50, 10 ** 9):
+            pairs += [(Poly([1] + [0] * (a - 1) + [m]), Poly([1])),
+                      (Poly([1]), Poly([1] + [0] * (a - 1) + [m]))]
+    pairs += [(Poly(), Poly([1, 2])), (Poly([3]), Poly([5])), (Poly([F(1, 2)]), Poly([1, 1]))]
+    for p, q in pairs:
+        cert = var_difference_certificate(p, q)
+        want = var_numerator(p) * q * q - var_numerator(q) * p * p
+        assert cert == want, (p, q)
+        assert [type(c) for c in cert.coeffs] == [type(c) for c in want.coeffs]

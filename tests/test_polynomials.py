@@ -1,8 +1,17 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import random
 from fractions import Fraction as F
 
-from hardcore_lab.polynomials import Poly, RatFunc, poly_gcd, squarefree_part
+from hardcore_lab.polynomials import (
+    _KRONECKER_CUTOFF,
+    Poly,
+    RatFunc,
+    _content_split,
+    _int_mul,
+    poly_gcd,
+    squarefree_part,
+)
 from hardcore_lab.sampler import SplitMix64
 
 
@@ -37,18 +46,6 @@ def test_text_round_trip():
     assert q.coeffs == (F(1, 2), -3, F(5, 7))
 
 
-def test_divmod_reconstructs():
-    rng = SplitMix64(42)
-    for _ in range(200):
-        a = Poly([rng.randrange(19) - 9 for _ in range(rng.randrange(8) + 1)])
-        b = Poly([rng.randrange(19) - 9 for _ in range(rng.randrange(5) + 1)])
-        if b.is_zero:
-            continue
-        q, r = divmod(a, b)
-        assert b * q + r == a
-        assert r.is_zero or r.degree < b.degree
-
-
 def test_evaluation_is_a_homomorphism():
     rng = SplitMix64(7)
     for _ in range(200):
@@ -57,12 +54,6 @@ def test_evaluation_is_a_homomorphism():
         x = F(rng.randrange(40) - 20, rng.randrange(9) + 1)
         assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
         assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
-
-
-def test_compose():
-    p = Poly([1, 0, 1])  # 1 + x^2
-    q = Poly([0, 1, 1])  # x + x^2
-    assert p.compose(q) == Poly([1]) + q * q
 
 
 def test_gcd_is_monic_and_idempotent():
@@ -76,7 +67,7 @@ def test_gcd_is_monic_and_idempotent():
 def test_squarefree_part():
     p = Poly([1, 1]) ** 3 * Poly([-2, 1])
     sf = squarefree_part(p)
-    assert sf == (Poly([1, 1]) * Poly([-2, 1])).primitive()
+    assert sf == Poly([-2, -1, 1])  # (1 + x)(x - 2), primitive
 
 
 def test_squarefree_part_keeps_a_negative_leading_sign():
@@ -89,18 +80,30 @@ def test_squarefree_part_keeps_a_negative_leading_sign():
 
 
 def test_primitive_preserves_sign():
-    p = Poly([F(2, 3), -2])
-    prim = p.primitive()
-    assert prim.lc < 0 and prim.coeffs == (1, -3)
+    # The content is positive, so the primitive part keeps every sign.
+    assert _content_split(Poly([F(2, 3), -2]).coeffs) == (F(2, 3), (1, -3))
+    assert _content_split((-4, 6, -8)) == (F(2), (-2, 3, -4))
+
+
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Division with remainder over the rationals, coefficient by coefficient."""
+    rem = list(a.coeffs)
+    quo = [F(0)] * max(0, len(rem) - len(b.coeffs) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q = F(rem[i + b.degree]) / b.lc
+        quo[i] = q
+        for j, c in enumerate(b.coeffs):
+            rem[i + j] -= q * c
+    return Poly(quo), Poly(rem)
 
 
 def _rational_euclid_form(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """The canonical RatFunc form by the rational Euclidean algorithm."""
     a, b = num, den
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, _divmod(a, b)[1]
     g = a.monic()
-    num, den = num // g, den // g
+    num, den = _divmod(num, g)[0], _divmod(den, g)[0]
     return num * (1 / F(den.lc)), den.monic()
 
 
@@ -189,3 +192,56 @@ def test_evaluate_matches_the_fraction_horner():
         for x in points + [F(rng.randrange(41) - 20, 1 + rng.randrange(30))]:
             got, want = p.evaluate(x), _reference_horner(p.coeffs, x)
             assert got == want and type(got) is type(want), (p, x)
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
+def test_int_mul_matches_schoolbook_on_both_sides_of_the_cutoff():
+    rng = random.Random(77)
+    lengths = [1, 2, _KRONECKER_CUTOFF - 1, _KRONECKER_CUTOFF, _KRONECKER_CUTOFF + 1, 9, 17, 40]
+    cases = []
+    for la in lengths:
+        for lb in lengths:
+            for bits in (1, 7, 40, 130):
+                top = (1 << bits) - 1
+                # all coefficients at +-(2^bits - 1): the size bound on the
+                # product's coefficients is reached exactly
+                cases.append(((top,) * la, (top,) * lb))
+                cases.append(((-top,) * la, (top,) * lb))
+                cases.append((tuple(top if i % 2 else -top for i in range(la)), (-top,) * lb))
+                for _ in range(3):
+                    a = [rng.randint(-top, top) for _ in range(la)]
+                    b = [rng.randint(-top, top) for _ in range(lb)]
+                    for cs in (a, b):  # zeros inside and at both ends
+                        for _ in range(rng.randrange(3)):
+                            cs[rng.randrange(len(cs))] = 0
+                    cases.append((tuple(a), tuple(b)))
+    cases += [((0,), (5,)), ((0, 0, 3), (-1, 0, 0, 0, 0, 0, 0)), ((0,) * 8, (0,) * 6),
+              ((0, 0, 0, 0, 0, 1, 0), (2, 0, 0, 0, 0, 0, 0, -3))]
+    for a, b in cases:
+        got = _int_mul(a, b)
+        assert got == _schoolbook(a, b) and _int_mul(b, a) == got, (a, b)
+        assert all(type(c) is int for c in got)
+
+
+def test_integer_polys_stay_integer():
+    a, b = Poly([3, -1, 0, 2, 7, 1, 5]), Poly([1, 2, 3, 4, 5, 6, -6])
+    for p in (a * b, a + b, a - b, -a, a * 3, a ** 3, Poly([F(4, 2), F(6, 3)])):
+        assert p._int and all(type(c) is int for c in p.coeffs)
+    assert (a - a).coeffs == () and (a * 0).coeffs == ()
+    half = Poly([F(1, 2), 3])
+    assert not half._int and not (a * half)._int and not (a + half)._int
+    assert (half * 2)._int and (half * 2).coeffs == (1, 6)
+    rng = SplitMix64(5)
+    for _ in range(100):
+        # rational products take the integer kernel after a content split
+        p, q = _random_rational_poly(rng, 8), _random_rational_poly(rng, 8)
+        got = p * q
+        want = Poly(_schoolbook(p.coeffs, q.coeffs)) if p and q else Poly()
+        assert got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]

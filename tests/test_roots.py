@@ -1,5 +1,7 @@
 """Sturm machinery: isolation and the half-line nonnegativity decision."""
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from hardcore_lab.polynomials import Poly, _int_exact_div
 from hardcore_lab.roots import (
     _int_root_bound,
-    count_roots,
+    _simplify_witness,
     isolate_positive_roots,
     nonneg_on_halfline,
     nonneg_on_segment,
@@ -82,11 +84,19 @@ def test_isolate_known_random_roots():
             assert lo < r <= hi
 
 
+def _count_roots(chain, a, b):
+    """Distinct real roots in (a, b] by Sturm's theorem, in Fraction arithmetic."""
+    def variations(x):
+        signs = [s for s in ((p.evaluate(x) > 0) - (p.evaluate(x) < 0) for p in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(a) - variations(b)
+
+
 def test_sign_change_across_odd_root():
     p = Poly([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
     chain = sturm_chain(p)
     for lo, hi in isolate_positive_roots(p, max_width=F(1, 8)):
-        assert count_roots(chain, lo, hi) == 1
+        assert _count_roots(chain, lo, hi) == 1
         assert p.evaluate(lo) * p.evaluate(hi) <= 0
 
 
@@ -160,3 +170,70 @@ def test_integer_root_bound_matches_the_fraction_definition():
     for cs in cases:
         got = _int_root_bound(cs)
         assert got == _fraction_root_bound(cs) and type(got) is F, cs
+
+
+def _sign_at(cs, x):
+    value = Poly(cs).evaluate(x)
+    return (value > 0) - (value < 0)
+
+
+def _fraction_walk(cs, x):
+    """The Stern-Brocot witness walk in Fraction arithmetic, as it ran before
+    it moved to integer pairs."""
+    if _sign_at(cs, x) >= 0:
+        raise ValueError("witness candidate does not certify failure")
+    lo_n, lo_d = 0, 1
+    hi_n, hi_d = 1, 0
+    for _ in range(128):
+        m_n, m_d = lo_n + hi_n, lo_d + hi_d
+        m = F(m_n, m_d)
+        if _sign_at(cs, m) < 0:
+            return m
+        if m < x:
+            lo_n, lo_d = m_n, m_d
+        else:
+            hi_n, hi_d = m_n, m_d
+    return x
+
+
+def test_integer_witness_walk_matches_the_fraction_walk():
+    rng = SplitMix64(123)
+    checked = 0
+    for _ in range(300):
+        cs = tuple(rng.randrange(81) - 40 for _ in range(2 + rng.randrange(8)))
+        if not any(cs):
+            continue
+        for x in (F(1 + rng.randrange(200), 1 + rng.randrange(50)), F(1, 2 ** rng.randrange(40)),
+                  F(rng.randrange(2 ** 20), 2 ** 17)):
+            if _sign_at(cs, x) < 0:
+                got = _simplify_witness(cs, x)
+                assert got == _fraction_walk(cs, x) and type(got) is F
+                checked += 1
+            else:
+                with pytest.raises(ValueError):
+                    _simplify_witness(cs, x)
+    # (x - 10^-6)^2 - 10^-30 dips below zero only in a window no mediant
+    # within 128 steps reaches: the walk gives the candidate back
+    narrow = Poly([10 ** 24 - 1, -2 * 10 ** 30, 10 ** 36]).coeffs
+    x = F(1, 10 ** 6)
+    assert _simplify_witness(narrow, x) == _fraction_walk(narrow, x) == x
+    assert checked > 200
+
+
+def test_isolation_digest_is_pinned():
+    # sha256 over the isolating intervals, plain and refined to width 1/1000,
+    # of 160 seeded polynomials with planted positive rational roots, some
+    # of them double.  Recorded before the chain variations were memoized.
+    rng = random.Random(1013)
+    h = hashlib.sha256()
+    for _ in range(160):
+        p = Poly([rng.randint(-20, 20) for _ in range(1 + rng.randrange(7))])
+        if p.is_zero:
+            p = Poly([1])
+        for _ in range(rng.randrange(5)):
+            num, den = 1 + rng.randrange(40), 1 + rng.randrange(12)
+            p = p * Poly([-num, den]) ** (1 + rng.randrange(2))
+        for width in (None, F(1, 1000)):
+            intervals = isolate_positive_roots(p, width)
+            h.update(repr([(str(lo), str(hi)) for lo, hi in intervals]).encode())
+    assert h.hexdigest() == "c05eda0fa75c1b2e8e48025b919f5a844c6aa9f24131abaeed2a7a06638846ee"

@@ -7,6 +7,7 @@ from pathlib import Path
 import hardcore_lab
 
 MODULES = sorted(Path(hardcore_lab.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(hardcore_lab.__file__).parents[2] / "demos").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
@@ -52,6 +53,59 @@ def test_every_private_helper_has_a_caller():
     ]
     assert len(defined) > 20
     assert unused == []
+
+
+def test_every_public_function_is_exported_or_used():
+    # A public module-level function is exported from the package, or
+    # something in the library, the command line or the demos references it
+    # outside its own definition.  One that only tests call is deleted.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in MODULES + DEMOS}
+    exported = set(_names_used(trees[Path(hardcore_lab.__file__)]))
+    used = Counter(name for tree in trees.values() for name in _names_used(tree))
+    public = [
+        (path.name, node)
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unused = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in public
+        if node.name not in exported and used[node.name] == Counter(_names_used(node))[node.name]
+    ]
+    assert len(DEMOS) > 3 and len(public) > 50
+    assert unused == []
+
+
+def _is_convolution_step(node) -> bool:
+    """out[...] += a * b"""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult))
+
+
+def _convolutions(tree):
+    """Names of the functions that convolve coefficient lists: a convolution
+    step inside two nested loops."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and any(
+                _is_convolution_step(node)
+                for outer in ast.walk(fn) if isinstance(outer, ast.For)
+                for inner in ast.walk(outer) if inner is not outer and isinstance(inner, ast.For)
+                for node in ast.walk(inner)):
+            yield fn.name
+
+
+def test_one_integer_product_kernel():
+    # Every polynomial product goes through polynomials._int_mul: no other
+    # function convolves coefficient lists, and the engine has no product
+    # of its own.
+    found = {f"{path.name}:{name}" for path in MODULES
+             for name in _convolutions(ast.parse(path.read_text(encoding="utf-8"), str(path)))}
+    hardcore = ast.parse((Path(hardcore_lab.__file__).parent / "hardcore.py").read_text())
+    assert found == {"polynomials.py:_int_mul"}
+    assert "_mul" not in {n.name for n in ast.walk(hardcore) if isinstance(n, ast.FunctionDef)}
 
 
 def test_only_the_profile_owns_an_engine_memo():
