@@ -4,8 +4,11 @@ seeded random graph streams, and the six-vertex counterexample search."""
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import Counter
 
 from .graphs import Graph, bits_of
+from .hardcore import HardCoreProfile
 
 
 # -- canonical labeling -----------------------------------------------------
@@ -292,27 +295,25 @@ def find_six_vertex_counterexamples(
     z_coeffs: tuple[int, ...],
     edge_types: dict[tuple[int, int], int],
 ) -> list[Graph]:
-    """Scan all 2^15 graphs on six labeled vertices for those whose
-    independence polynomial matches z_coeffs and whose multiset of edge
-    degree pairs matches edge_types; returns one representative per
-    isomorphism class."""
-    from .hardcore import brute_force_polynomial
+    """The six-vertex graphs whose independence polynomial matches z_coeffs
+    and whose multiset of edge degree pairs matches edge_types, one per
+    isomorphism class, in the order of all_graphs(6).
 
-    found: dict[int, Graph] = {}
+    Each class of all_graphs(6) is tested once, and a match is reported as
+    its least labelled copy: the graph read off the least upper-triangle
+    readout over all 720 relabelings. The readout of a labelling is the
+    integer that _graph_from_bits decodes to it, so this is the copy a scan
+    of the 2^15 labelled graphs in increasing order meets first.
+    """
     n = 6
-    for bits in range(1 << 15):
-        g = _graph_from_bits(n, bits)
-        types: dict[tuple[int, int], int] = {}
-        for u, v in g.edges():
-            du, dv = g.degree(u), g.degree(v)
-            key = (min(du, dv), max(du, dv))
-            types[key] = types.get(key, 0) + 1
-        if types != edge_types:
+    orders = list(itertools.permutations(range(n)))
+    found = []
+    for g in all_graphs(n):
+        types = Counter(tuple(sorted((g.degree(u), g.degree(v)))) for u, v in g.edges())
+        if types != edge_types or HardCoreProfile(g).z.coeffs != z_coeffs:
             continue
-        if brute_force_polynomial(g).coeffs != z_coeffs:
-            continue
-        found.setdefault(canonical_bits(n, g.adj), g)
-    return [found[k] for k in sorted(found)]
+        found.append(_graph_from_bits(n, min(_key_for_order(n, g.adj, p) for p in orders)))
+    return found
 
 
 G1_SIGNATURE = {

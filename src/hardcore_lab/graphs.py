@@ -55,9 +55,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, u: int) -> list[int]:
-        return list(bits_of(self.adj[u]))
-
     def closed_mask(self, u: int) -> int:
         return self.adj[u] | (1 << u)
 
@@ -190,9 +187,9 @@ def disjoint_union(g: Graph, h: Graph, label: str | None = None) -> Graph:
 # Blocks of the Pasch configuration on points 1..6, here 0-indexed.
 _PASCH_BLOCKS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
-# Six-vertex graphs pinned by the search oracle in corpus.py (unique up to
-# isomorphism; see find_six_vertex_counterexamples).  The oracle run is kept
-# as a regression test.
+# Six-vertex graphs pinned by the search in corpus.py (unique up to
+# isomorphism; see find_six_vertex_counterexamples).  tests/test_corpus.py
+# checks the search against a scan of all 2^15 labelled graphs.
 G1_EDGES = ((0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5))
 G2_EDGES = ((0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5))
 

@@ -1,8 +1,9 @@
 """Exact hard-core model quantities: partition functions, marginals, and the
 occupancy and variance fractions.  A graph's HardCoreProfile owns its engine
-memo and computes Z, E = x Z'/(n Z) and V = x dE/dx from it, once each.  V has
-two routes, cross-checked exactly: the closed-form numerator over n Z^2
-(var_numerator) and the vertex and pair marginals (variance_via_marginals)."""
+memo and computes Z, E = x Z'/(n Z) and V = x dE/dx from it, once each; every
+other entrance to the engine reads a fresh profile.  V has two routes,
+cross-checked exactly: the closed-form numerator over n Z^2 (var_numerator)
+and the vertex and pair marginals (variance_via_marginals)."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return tuple(comb(k, i) for i in range(k + 1))
 
 
-def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tuple[int, ...]:
+def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...]:
     """Coefficients of Z of the subgraph induced by mask.
 
     Z factors over connected components, so the mask is split into its
@@ -34,7 +35,9 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tu
     Inside a component with an edge, the branch vertex u has maximum degree
     in the component, ties going to the lowest index, and
     Z(C) = Z(C - u) + x * Z(C - N[u]).  Memo entries are those components,
-    keyed by vertex mask; the whole mask is looked up first.
+    keyed by vertex mask; the whole mask is looked up first.  Raises
+    MemoLimitExceeded once the memo would hold more than DEFAULT_MEMO_LIMIT
+    components.
     """
     cached = memo.get(mask)
     if cached is not None:
@@ -66,43 +69,20 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict, limit: int) -> tu
                 d = (adj[v] & comp).bit_count()
                 if d > best_d:
                     best_d, best_v = d, v
-            without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo, limit)
-            with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo, limit)
+            without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo)
+            with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
             poly = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
             for i, c in enumerate(with_u):
                 poly[i + 1] += c
             poly = tuple(poly)
-            if len(memo) >= limit:
-                raise MemoLimitExceeded(f"residual cache exceeded {limit} entries")
+            if len(memo) >= DEFAULT_MEMO_LIMIT:
+                raise MemoLimitExceeded(f"residual cache exceeded {DEFAULT_MEMO_LIMIT} entries")
             memo[comp] = poly
         out = poly if out is None else _int_mul(out, poly)
     if isolated:
         row = _binomial_row(isolated)
         out = row if out is None else _int_mul(out, row)
     return (1,) if out is None else out
-
-
-def independence_polynomial(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> Poly:
-    """Partition function of the hard-core model on g.
-
-    Z factors over connected components: each component's Z comes from
-    conditioning on a branch vertex u being unoccupied or occupied,
-    Z(C) = Z(C - u) + x * Z(C - N[u]), memoized on the vertex masks of
-    connected components.  The branch vertex is the one of maximum degree
-    within the component, ties broken by lowest index, so outputs are
-    deterministic.  Raises MemoLimitExceeded once the memo would hold more
-    than memo_limit components.
-    """
-    return Poly(_zpoly_coeffs(g.adj, (1 << g.n) - 1, {}, memo_limit))
-
-
-def subset_polynomial(g: Graph, mask: int, memo: dict | None = None,
-                      memo_limit: int = DEFAULT_MEMO_LIMIT) -> Poly:
-    """Partition function of the subgraph induced by a vertex mask.  A memo
-    passed in is shared with other calls on the same graph."""
-    if memo is None:
-        memo = {}
-    return Poly(_zpoly_coeffs(g.adj, mask, memo, memo_limit))
 
 
 def brute_force_polynomial(g: Graph) -> Poly:
@@ -188,7 +168,7 @@ class HardCoreProfile:
         self._pairs: dict[tuple[int, int], RatFunc] = {}
 
     def _coeffs(self, mask: int) -> tuple[int, ...]:
-        return _zpoly_coeffs(self.graph.adj, mask, self._memo, DEFAULT_MEMO_LIMIT)
+        return _zpoly_coeffs(self.graph.adj, mask, self._memo)
 
     def _outside(self, mask: int) -> Poly:
         """Z of the graph with the vertices of mask removed."""
@@ -278,6 +258,19 @@ def profile(g: Graph) -> HardCoreProfile:
     prof = HardCoreProfile(g)
     prof.expectation, prof.variance, prof.marginals
     return prof
+
+
+def independence_polynomial(g: Graph) -> Poly:
+    """Partition function Z of the hard-core model on g, read from a fresh
+    profile.  Raises MemoLimitExceeded once the engine memo would hold more
+    than DEFAULT_MEMO_LIMIT components."""
+    return HardCoreProfile(g).z
+
+
+def subset_polynomial(g: Graph, mask: int) -> Poly:
+    """Partition function of the subgraph induced by a vertex mask, read from
+    a fresh profile."""
+    return Poly(HardCoreProfile(g)._coeffs(mask))
 
 
 def occupancy_fraction(g: Graph) -> RatFunc:

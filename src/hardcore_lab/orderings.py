@@ -114,8 +114,8 @@ def var_difference_certificate(p: Poly, q: Poly) -> Poly:
     the certificate is at most |N_p|_1 |q|_1^2 + |N_q|_1 |p|_1^2 in size.
     Contents are split off first: cert(c P, d Q) = (c d)^2 cert(P, Q).
     """
-    c, a = _content_split(p.coeffs)
-    d, b = _content_split(q.coeffs)
+    c, a = _content_split(p)
+    d, b = _content_split(q)
     if not a or not b:
         return Poly()
     series = []

@@ -205,8 +205,8 @@ class Poly:
             return Poly()
         if self._int and other._int:
             return _int_poly(_int_mul(a, b))
-        ca, ia = _content_split(a)
-        cb, ib = _content_split(b)
+        ca, ia = _content_split(self)
+        cb, ib = _content_split(other)
         scale = ca * cb
         return Poly([c * scale for c in _int_mul(ia, ib)])
 
@@ -261,18 +261,16 @@ def _int_poly(cs: Coeffs) -> Poly:
 
 # -- the primitive integer kernel ---------------------------------------------
 
-def _content_split(coeffs) -> tuple[Fraction, Coeffs]:
-    """(c, q) with coeffs = c * q, c a positive rational and q primitive
-    integer coefficients; the zero polynomial gives (0, ())."""
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs] if den != 1 else coeffs
-    g = gcd(*ints)
-    if g == 0:
-        return Fraction(0), ()
-    return Fraction(g, den), tuple(c // g for c in ints)
+def _content_split(p: Poly) -> tuple[Fraction, Coeffs]:
+    """(c, q) with p = c * q, c a positive rational and q primitive integer
+    coefficients; the zero polynomial gives (0, ()).  An integer p skips the
+    denominators, and a primitive one is its own q."""
+    den = 1 if p._int else lcm(*(c.denominator for c in p.coeffs))
+    coeffs = p.coeffs if den == 1 else tuple(int(c * den) for c in p.coeffs)
+    g = gcd(*coeffs)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+    return Fraction(g, den), coeffs
 
 
 def _int_primitive(cs) -> Coeffs:
@@ -346,13 +344,13 @@ def _int_squarefree(cs: Coeffs) -> Coeffs:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the rationals (zero polynomial if both are zero)."""
-    g = _int_gcd(_content_split(a.coeffs)[1], _content_split(b.coeffs)[1])
+    g = _int_gcd(_content_split(a)[1], _content_split(b)[1])
     return Poly(g).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), normalized to primitive integer form."""
-    return Poly(_int_squarefree(_content_split(p.coeffs)[1]))
+    return Poly(_int_squarefree(_content_split(p)[1]))
 
 
 class RatFunc:
@@ -374,8 +372,8 @@ class RatFunc:
         if num.is_zero:
             num, den = Poly(), Poly([1])
         else:
-            num_c, num_i = _content_split(num.coeffs)
-            den_c, den_i = _content_split(den.coeffs)
+            num_c, num_i = _content_split(num)
+            den_c, den_i = _content_split(den)
             g = _int_gcd(num_i, den_i)
             if len(g) > 1:
                 num_i = _int_exact_div(num_i, g)

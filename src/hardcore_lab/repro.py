@@ -262,7 +262,8 @@ def item_occupancy_triangle_free_floor() -> ReproItem:
 def item_variance_window_corpus() -> ReproItem:
     ok = True
     counted = 0
-    for g in corpus.connected_corpus(_WINDOW_CORPUS_MAX_N):
+    graphs = corpus.connected_corpus(_WINDOW_CORPUS_MAX_N)
+    for g in graphs:
         prof, n = HardCoreProfile(g), g.n
         for lam in (Fraction(1, 2 * n), Fraction(1, n)):
             for c in bounds.check_variance_bounds(prof, lam):
@@ -271,7 +272,7 @@ def item_variance_window_corpus() -> ReproItem:
                 counted += 1
                 ok = ok and c.holds
     payload = {
-        "graphs": len(corpus.connected_corpus(_WINDOW_CORPUS_MAX_N)),
+        "graphs": len(graphs),
         "comparisons": counted,
         "note": "floor at fugacity 1/(2n), ceiling at 1/n",
     }
@@ -328,7 +329,8 @@ def item_variance_marginal_identity() -> ReproItem:
 def item_local_occupancy_corpus() -> ReproItem:
     ok = True
     counted = 0
-    for g in corpus.connected_corpus(5):
+    graphs = corpus.connected_corpus(5)
+    for g in graphs:
         prof = HardCoreProfile(g)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
             c = bounds.check_local_occupancy(prof, 1 + 1 / lam, 1, lam)
@@ -336,7 +338,7 @@ def item_local_occupancy_corpus() -> ReproItem:
             ok = ok and c.holds
     return ReproItem(
         "local_occupancy.certificate_corpus", _verdict_ok(ok),
-        {"graphs": len(corpus.connected_corpus(5)), "cases": counted,
+        {"graphs": len(graphs), "cases": counted,
          "note": "beta = 1 + 1/fugacity, gamma = 1, every induced "
                  "neighborhood subgraph enumerated"})
 
@@ -444,7 +446,8 @@ def item_orderings_web() -> ReproItem:
 
 def item_engine_oracle() -> ReproItem:
     mismatches = 0
-    for g in corpus.connected_corpus(_CORPUS_MAX_N):
+    graphs = corpus.connected_corpus(_CORPUS_MAX_N)
+    for g in graphs:
         if independence_polynomial(g) != brute_force_polynomial(g):
             mismatches += 1
     rng = SplitMix64(7)
@@ -461,7 +464,7 @@ def item_engine_oracle() -> ReproItem:
     )
     return ReproItem(
         "engine.oracle_equivalence", _verdict_ok(mismatches == 0 and cycles_ok),
-        {"corpus_graphs": len(corpus.connected_corpus(_CORPUS_MAX_N)),
+        {"corpus_graphs": len(graphs),
          "random_graphs": random_checked, "mismatches": mismatches,
          "cycle_recurrence_ok": cycles_ok})
 

@@ -78,7 +78,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of the squarefree part of p, in primitive integer form."""
     if p.is_zero:
         raise ValueError("no Sturm chain for the zero polynomial")
-    return [Poly(cs) for cs in _int_chain(_content_split(p.coeffs)[1])]
+    return [Poly(cs) for cs in _int_chain(_content_split(p)[1])]
 
 
 def _isolate(chain: list[Coeffs], seen: dict) -> list[tuple[Fraction, Fraction]]:
@@ -120,7 +120,7 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    cs = _content_split(p.coeffs)[1]
+    cs = _content_split(p)[1]
     cs = cs[next(i for i, c in enumerate(cs) if c):]  # x = 0 is excluded anyway
     if len(cs) <= 1:
         return []
@@ -175,7 +175,7 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     """
     if p.is_zero:
         return Verdict(HOLDS)
-    cs = _content_split(p.coeffs)[1]
+    cs = _content_split(p)[1]
 
     def fail_at(w: Fraction) -> Verdict:
         return Verdict(FAILS, witness=w, margin=p.evaluate(w))

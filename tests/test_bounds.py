@@ -188,13 +188,12 @@ def _full_enumeration(g, beta, gamma, lam):
     evaluating every induced subgraph of every neighborhood, strict < for
     the worst: the check's behaviour before the neighborhood table."""
     s = lam / (1 + lam)
-    memo: dict = {}
     worst = None
     for u in range(g.n):
         neighbors = list(bits_of(g.adj[u]))
         for picks in range(1 << len(neighbors)):
             mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
-            zf = subset_polynomial(g, mask, memo)
+            zf = subset_polynomial(g, mask)
             zfv = F(zf.evaluate(lam))
             value = beta * s / zfv + gamma * lam * zf.derivative().evaluate(lam) / zfv
             if worst is None or value < worst[0]:

@@ -1,10 +1,11 @@
-"""Enumeration up to isomorphism and the six-vertex search oracle."""
+"""Enumeration up to isomorphism and the six-vertex search."""
 
 import hashlib
 import time
 
 from hardcore_lab import corpus
 from hardcore_lab.graphs import Graph, bits_of, disjoint_union, generate
+from hardcore_lab.hardcore import brute_force_polynomial
 from hardcore_lab.sampler import SplitMix64
 
 # Counts of graphs (all / connected) up to isomorphism, cross-checked against
@@ -137,8 +138,8 @@ def test_random_triangle_free_generator():
 
 
 def test_six_vertex_search_oracle_regression():
-    # The search scans all 2^15 labeled six-vertex graphs; each signature
-    # pins a unique isomorphism class, matching the frozen edge lists.
+    # Each signature pins a unique isomorphism class, matching the frozen
+    # edge lists.
     found1 = corpus.search_g1()
     assert len(found1) == 1
     assert corpus.are_isomorphic(found1[0], generate("g1"))
@@ -146,6 +147,32 @@ def test_six_vertex_search_oracle_regression():
     found2 = corpus.search_g2()
     assert len(found2) == 1
     assert corpus.are_isomorphic(found2[0], generate("g2"))
+
+
+def _labelled_scan():
+    """The six-vertex search as first written: scan all 2^15 labelled graphs
+    in increasing order, with Z from the subset-enumeration oracle, and keep
+    the first graph met of each class, per (Z, edge types) signature."""
+    found = {}
+    for bits in range(1 << 15):
+        g = corpus._graph_from_bits(6, bits)
+        types = {}
+        for u, v in g.edges():
+            key = tuple(sorted((g.degree(u), g.degree(v))))
+            types[key] = types.get(key, 0) + 1
+        signature = (brute_force_polynomial(g).coeffs, tuple(sorted(types.items())))
+        found.setdefault(signature, {}).setdefault(corpus.canonical_bits(6, g.adj), g)
+    return found
+
+
+def test_six_vertex_search_matches_the_labelled_scan():
+    # For every signature that occurs, the search over all_graphs(6) returns
+    # the graphs the labelled scan kept, labelling and order included.
+    scanned = _labelled_scan()
+    assert sum(len(classes) for classes in scanned.values()) == 156
+    for (z, types), classes in scanned.items():
+        found = corpus.find_six_vertex_counterexamples(z, dict(types))
+        assert [g.adj for g in found] == [classes[k].adj for k in sorted(classes)], (z, types)
 
 
 # -- the unpruned search, as first written: the reference for every key ------

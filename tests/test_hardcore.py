@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab import corpus
+from hardcore_lab import corpus, hardcore
 from hardcore_lab.graphs import (
     complete_bipartite,
     complete_graph,
@@ -100,16 +100,12 @@ def test_engine_matches_brute_force_on_random_graphs():
     assert disconnected >= 50 and with_isolated >= 30
 
 
-def test_subset_polynomial_with_shared_memo():
+def test_subset_polynomial_matches_brute_force():
     rng = SplitMix64(77)
     g = corpus.random_graph(13, rng, 1, 4)
-    memo: dict = {}
     masks = [0, (1 << g.n) - 1] + [rng.randrange(1 << g.n) for _ in range(80)]
     for mask in masks:
-        shared = subset_polynomial(g, mask, memo)
-        assert shared == subset_polynomial(g, mask), mask
-        assert shared == brute_force_polynomial(g.induced(mask)), mask
-    assert memo
+        assert subset_polynomial(g, mask) == brute_force_polynomial(g.induced(mask)), mask
 
 
 def test_engine_at_64_vertices():
@@ -119,11 +115,13 @@ def test_engine_at_64_vertices():
     assert independence_polynomial(generate("6*petersen")) == z_petersen ** 6
 
 
-def test_memo_limit():
+def test_memo_limit(monkeypatch):
+    monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 4)
     with pytest.raises(MemoLimitExceeded):
-        independence_polynomial(cycle_graph(20), memo_limit=4)
+        independence_polynomial(cycle_graph(20))
+    monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 10)
     with pytest.raises(MemoLimitExceeded):
-        subset_polynomial(path_graph(64), (1 << 64) - 1, {}, memo_limit=10)
+        subset_polynomial(path_graph(64), (1 << 64) - 1)
 
 
 def test_marginal_examples():

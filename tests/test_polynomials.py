@@ -81,8 +81,8 @@ def test_squarefree_part_keeps_a_negative_leading_sign():
 
 def test_primitive_preserves_sign():
     # The content is positive, so the primitive part keeps every sign.
-    assert _content_split(Poly([F(2, 3), -2]).coeffs) == (F(2, 3), (1, -3))
-    assert _content_split((-4, 6, -8)) == (F(2), (-2, 3, -4))
+    assert _content_split(Poly([F(2, 3), -2])) == (F(2, 3), (1, -3))
+    assert _content_split(Poly([-4, 6, -8])) == (F(2), (-2, 3, -4))
 
 
 def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

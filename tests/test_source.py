@@ -108,22 +108,51 @@ def test_one_integer_product_kernel():
     assert "_mul" not in {n.name for n in ast.walk(hardcore) if isinstance(n, ast.FunctionDef)}
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node, methods as
+    Class.method and nested functions as outer.inner."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
 def test_only_the_profile_owns_an_engine_memo():
-    # A graph's engine memo belongs to its HardCoreProfile.  Besides the
-    # profile, only independence_polynomial and subset_polynomial run the
-    # recursion, and no other module calls subset_polynomial: each such call
-    # would build a second memo for data the profile already holds.
-    engine = {"subset_polynomial", "_zpoly_coeffs"}
+    # A graph's engine memo belongs to its HardCoreProfile: only the
+    # recursion itself and HardCoreProfile._coeffs call _zpoly_coeffs, so
+    # every entrance to the engine (independence_polynomial and
+    # subset_polynomial included) reads a profile.
     callers = {
-        f"{path.name}:{fn.name}"
+        f"{path.name}:{name}"
         for path in MODULES
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(fn, ast.FunctionDef) and any(
-            isinstance(node, ast.Call) and engine & set(_names_used(node.func))
-            for node in ast.walk(fn))
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if any(isinstance(node, ast.Call) and "_zpoly_coeffs" in _names_used(node.func)
+               for node in ast.walk(fn))
     }
-    assert callers == {"hardcore.py:_zpoly_coeffs", "hardcore.py:independence_polynomial",
-                       "hardcore.py:subset_polynomial", "hardcore.py:_coeffs"}
+    assert callers == {"hardcore.py:_zpoly_coeffs", "hardcore.py:HardCoreProfile._coeffs"}
+
+
+def test_only_the_engine_check_runs_the_oracle():
+    # brute_force_polynomial is the deliberately naive oracle the recursion
+    # is checked against, so no production path runs it: besides its
+    # definition, only the package export and repro.item_engine_oracle
+    # refer to it.
+    def scope(stmt):
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            return "import"
+        return stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+
+    refs = {
+        f"{path.name}:{scope(stmt)}"
+        for path in MODULES
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if "brute_force_polynomial" in _names_used(stmt)
+    }
+    assert callable(hardcore_lab.hardcore.brute_force_polynomial)
+    assert refs == {"__init__.py:import", "repro.py:import", "repro.py:item_engine_oracle"}
 
 
 def _defaults(args: ast.arguments):
