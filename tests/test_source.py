@@ -124,12 +124,15 @@ def test_only_the_profile_owns_an_engine_memo():
     # A graph's engine memo belongs to its HardCoreProfile: only the
     # recursion itself and HardCoreProfile._coeffs call _zpoly_coeffs, so
     # every entrance to the engine (independence_polynomial and
-    # subset_polynomial included) reads a profile.
+    # subset_polynomial included) reads a profile.  No module calls
+    # subset_polynomial either: it builds a fresh profile, so each such call
+    # would build a second memo for data a profile already holds.
+    engine = {"subset_polynomial", "_zpoly_coeffs"}
     callers = {
         f"{path.name}:{name}"
         for path in MODULES
         for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if any(isinstance(node, ast.Call) and "_zpoly_coeffs" in _names_used(node.func)
+        if any(isinstance(node, ast.Call) and engine & set(_names_used(node.func))
                for node in ast.walk(fn))
     }
     assert callers == {"hardcore.py:_zpoly_coeffs", "hardcore.py:HardCoreProfile._coeffs"}
