@@ -5,6 +5,7 @@ degree-sequence induction rests on.
 
 from hardcore_lab.multipoly import MultiPoly
 from hardcore_lab.series import (
+    coefficient,
     g_series,
     t_series,
     verify_b_coefficients,
@@ -18,14 +19,14 @@ from hardcore_lab.graphs import generate
 s = g_series(MultiPoly.variable(("d",), "d"), ("d",), 4)
 print("g(d) series coefficients:")
 for k in range(5):
-    print(f"  x^{k}: {s.coefficient(k)}")
+    print(f"  x^{k}: {coefficient(s, k)}")
 
 # The ratio driving the induction, t = (g(d_v - 1) - g(d_v)) / g(d_u),
 # expanded to fourth order; every displayed coefficient checks exactly.
 t = t_series(4)
 print("\nt series coefficients (symbolic in d_u, d_v):")
 for k in range(1, 5):
-    print(f"  x^{k}: {t.coefficient(k)}")
+    print(f"  x^{k}: {coefficient(t, k)}")
 report = verify_t_coefficients()
 print("checks:", report["checks"])
 

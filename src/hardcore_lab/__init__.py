@@ -55,7 +55,7 @@ from .roots import (
     sturm_chain,
 )
 from .sampler import ChainState, EstimateReport, SplitMix64, estimate, glauber_step, new_chain
-from .series import MultiSeries, g_series
+from .series import g_series
 from .verdict import Verdict
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .hardcore import (
 )
 from .intervals import (
     RationalInterval,
+    _lift,
     _positive_tol,
     entropy_interval,
     free_energy_interval,
@@ -108,8 +109,7 @@ def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol,
     while True:
         lhs = make_lhs(tol)
         rhs = make_rhs(tol)
-        lhs_i = lhs if isinstance(lhs, RationalInterval) else RationalInterval.point(lhs)
-        rhs_i = rhs if isinstance(rhs, RationalInterval) else RationalInterval.point(rhs)
+        lhs_i, rhs_i = _lift(lhs), _lift(rhs)
         if lhs_i.certainly_le(rhs_i):
             return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS,
                               lhs=lhs, rhs=rhs, margin=rhs_i.lo - lhs_i.hi, note=note)

@@ -87,9 +87,9 @@ def cmd_poly(args) -> int:
 
 
 def cmd_quantities(args) -> int:
+    lam = bounds._positive_lam(args.lam)
     g = resolve_graph(args.graph)
     _require_vertices(g)
-    lam = args.lam
     tol = args.tol if args.tol is not None else _default_tol()
     prof = HardCoreProfile(g)
     z, e, v = prof.z, prof.expectation, prof.variance

@@ -168,8 +168,12 @@ def bits_of(mask: int):
 
 
 def from_edges(n: int, edges, label: str | None = None) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
         if u == v:
             raise ValueError("self-loops are not allowed")
         adj[u] |= 1 << v
@@ -258,11 +262,9 @@ def generate(spec: str) -> Graph:
         if "*" in term:
             count, _, term = term.partition("*")
             try:
-                copies = int(count.strip())
-            except ValueError:
-                raise ValueError(f"bad copy count in generator spec term {term!r}") from None
-            if copies < 1:
-                raise ValueError("copy count must be positive")
+                copies = _positive_int(count)
+            except ValueError as exc:
+                raise ValueError(f"bad copy count in generator spec term {term!r}: {exc}") from None
             term = term.strip()
         parts.extend(_generate_atom(term) for _ in range(copies))
     g = parts[0]
@@ -280,9 +282,7 @@ def _generate_atom(term: str) -> Graph:
         if name == "empty":
             return empty_graph(_positive_int(arg))
         if name == "kab":
-            a, b = (int(x) for x in arg.split(","))
-            if a < 0 or b < 0:
-                raise ValueError
+            a, b = (_positive_int(x, minimum=0) for x in arg.split(","))
             return complete_bipartite(a, b)
         if name == "path":
             return path_graph(_positive_int(arg, minimum=0))
@@ -386,8 +386,6 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {line!r}")
         u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0:
-            raise ValueError("vertices must be nonnegative")
         top = max(top, u, v)
         edges.append((u, v))
     return from_edges(top + 1, edges)

@@ -196,7 +196,6 @@ def item_counterexamples_six_vertex_search() -> ReproItem:
 
 _NAMED_SAMPLE = ("path:3", "kn:4", "kab:2,2", "cycle:5", "kab:1,3", "pasch", "petersen")
 _CORPUS_MAX_N = 6
-_WINDOW_CORPUS_MAX_N = 6
 
 
 def item_free_energy_named() -> ReproItem:
@@ -262,7 +261,7 @@ def item_occupancy_triangle_free_floor() -> ReproItem:
 def item_variance_window_corpus() -> ReproItem:
     ok = True
     counted = 0
-    graphs = corpus.connected_corpus(_WINDOW_CORPUS_MAX_N)
+    graphs = corpus.connected_corpus(_CORPUS_MAX_N)
     for g in graphs:
         prof, n = HardCoreProfile(g), g.n
         for lam in (Fraction(1, 2 * n), Fraction(1, n)):

@@ -1,6 +1,12 @@
-"""Truncated power series in the fugacity with MultiPoly coefficients in
-symbolic degree variables, plus the Taylor-coefficient and identity
-verifications they exist to support."""
+"""Truncated power series in the fugacity t, plus the Taylor-coefficient and
+identity verifications they exist to support.
+
+A series over symbolic degree variables vars, truncated after t^order, is a
+MultiPoly over vars + ("t",) with no term of t-degree above order.  Sums and
+differences are MultiPoly ones; every product is a MultiPoly product cut back
+with truncate.  The order is an argument of each function here, never stored
+on the series, and coefficient(s, k) is a MultiPoly over vars again.
+"""
 
 from __future__ import annotations
 
@@ -14,165 +20,66 @@ from .roots import nonneg_on_segment
 MAX_SERIES_ORDER = 8
 
 
-class MultiSeries:
-    """Power series in one formal parameter, truncated after a fixed order.
+def truncate(s: MultiPoly, order: int) -> MultiPoly:
+    """s without its terms of t-degree above order."""
+    return MultiPoly(s.vars, {e: c for e, c in s.terms.items() if e[-1] <= order})
 
-    Coefficients are MultiPolys over a shared variable tuple.  No operation
-    ever consults coefficients beyond the truncation order.
-    """
 
-    __slots__ = ("vars", "order", "coeffs")
+def series_of(vars, coeffs) -> MultiPoly:
+    """Sum of coeffs[k] t^k; each coefficient is a rational or a MultiPoly
+    over vars."""
+    vars = tuple(vars)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if isinstance(c, (int, Fraction)):
+            c = MultiPoly.constant(vars, c)
+        if c.vars != vars:
+            raise ValueError("coefficient variable mismatch")
+        terms.update((e + (k,), v) for e, v in c.terms.items())
+    return MultiPoly(vars + ("t",), terms)
 
-    def __init__(self, vars: tuple[str, ...], coeffs, order: int | None = None):
-        vars = tuple(vars)
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        zero = MultiPoly(vars)
-        out = []
-        for k in range(order + 1):
-            c = coeffs[k] if k < len(coeffs) else zero
-            if isinstance(c, (int, Fraction)):
-                c = MultiPoly.constant(vars, c)
-            if c.vars != vars:
-                raise ValueError("coefficient variable mismatch")
-            out.append(c)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(out))
 
-    @classmethod
-    def zero(cls, vars, order: int) -> "MultiSeries":
-        return cls(vars, [], order)
+def coefficient(s: MultiPoly, k: int) -> MultiPoly:
+    """The coefficient of t^k, a MultiPoly over the variables before t."""
+    return MultiPoly(s.vars[:-1], {e[:-1]: c for e, c in s.terms.items() if e[-1] == k})
 
-    @classmethod
-    def constant(cls, vars, c, order: int) -> "MultiSeries":
-        return cls(vars, [MultiPoly.constant(vars, c)], order)
 
-    @classmethod
-    def log1p(cls, vars, order: int) -> "MultiSeries":
-        """log(1 + t) truncated: sum_{k>=1} (-1)^(k+1) t^k / k."""
-        coeffs = [MultiPoly(vars)]
-        for k in range(1, order + 1):
-            coeffs.append(MultiPoly.constant(vars, Fraction((-1) ** (k + 1), k)))
-        return cls(vars, coeffs, order)
+def shift_down(s: MultiPoly, k: int) -> MultiPoly:
+    """Divide by t^k; the coefficients below t^k must vanish identically."""
+    if any(e[-1] < k for e in s.terms):
+        raise ValueError("series is not divisible by that power")
+    return MultiPoly(s.vars, {e[:-1] + (e[-1] - k,): c for e, c in s.terms.items()})
 
-    @classmethod
-    def fugacity_weight(cls, vars, order: int) -> "MultiSeries":
-        """t/(1 + t) truncated: sum_{k>=1} (-1)^(k+1) t^k."""
-        coeffs = [MultiPoly(vars)]
-        for k in range(1, order + 1):
-            coeffs.append(MultiPoly.constant(vars, (-1) ** (k + 1)))
-        return cls(vars, coeffs, order)
 
-    def coefficient(self, k: int) -> MultiPoly:
-        if not 0 <= k <= self.order:
-            raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+def compose_scalar(s: MultiPoly, outer: list[Fraction], order: int) -> MultiPoly:
+    """Sum of outer[n] * s**n truncated after t^order; s needs a zero
+    constant term so that the truncation stays exact."""
+    if any(e[-1] == 0 for e in s.terms):
+        raise ValueError("composition requires a zero constant term")
+    result = MultiPoly.constant(s.vars, outer[0] if outer else 0)
+    power = MultiPoly.constant(s.vars, 1)
+    for n in range(1, min(len(outer), order + 1)):
+        power = truncate(power * s, order)
+        result = result + power * outer[n]
+    return result
 
-    def _coerce(self, other) -> "MultiSeries":
-        if isinstance(other, MultiSeries):
-            if other.vars != self.vars:
-                raise ValueError("variable mismatch")
-            return other
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            c = other if isinstance(other, MultiPoly) else MultiPoly.constant(self.vars, other)
-            return MultiSeries(self.vars, [c], self.order)
-        return NotImplemented
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+def divide(a: MultiPoly, b: MultiPoly, order: int) -> MultiPoly:
+    """a / b truncated after t^order, through the geometric series
+    1/b = (1/b0) sum_n (-(b/b0 - 1))^n; b's constant term b0 must be a
+    nonzero constant polynomial."""
+    b0 = coefficient(b, 0)
+    if not b0.is_constant or b0.constant_value() == 0:
+        raise ValueError("divisor constant term must be a nonzero constant")
+    inv_b0 = 1 / b0.constant_value()
+    geometric = [(-1) ** n for n in range(order + 1)]
+    inverse = compose_scalar(b * inv_b0 - 1, geometric, order) * inv_b0
+    return truncate(a * inverse, order)
 
-    def __neg__(self):
-        return MultiSeries(self.vars, [-c for c in self.coeffs], self.order)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        order = min(self.order, other.order)
-        return MultiSeries(
-            self.vars, [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            c = other if isinstance(other, MultiPoly) else MultiPoly.constant(self.vars, other)
-            return MultiSeries(self.vars, [ck * c for ck in self.coeffs], self.order)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        order = min(self.order, other.order)
-        zero = MultiPoly(self.vars)
-        out = [zero] * (order + 1)
-        for i, ci in enumerate(self.coeffs[:order + 1]):
-            if ci.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if cj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return MultiSeries(self.vars, out, order)
-
-    __rmul__ = __mul__
-
-    def divide(self, other: "MultiSeries") -> "MultiSeries":
-        """Series division; the divisor's constant term must be a nonzero
-        constant polynomial."""
-        other = self._coerce(other)
-        b0 = other.coeffs[0]
-        if not b0.is_constant or b0.constant_value() == 0:
-            raise ValueError("divisor constant term must be a nonzero constant")
-        inv = 1 / b0.constant_value()
-        order = min(self.order, other.order)
-        out: list[MultiPoly] = []
-        for k in range(order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc = acc - other.coeffs[j] * out[k - j]
-            out.append(acc * inv)
-        return MultiSeries(self.vars, out, order)
-
-    def shift_down(self, k: int) -> "MultiSeries":
-        """Divide by the k-th power of the parameter; the low-order
-        coefficients must vanish identically."""
-        if any(not c.is_zero for c in self.coeffs[:k]):
-            raise ValueError("series is not divisible by that power")
-        return MultiSeries(self.vars, self.coeffs[k:], self.order - k)
-
-    def compose_scalar(self, outer: list[Fraction]) -> "MultiSeries":
-        """Sum of outer[n] * self**n; requires a zero constant term so that
-        the truncation stays exact."""
-        if not self.coeffs[0].is_zero:
-            raise ValueError("composition requires a zero constant term")
-        result = MultiSeries.constant(self.vars, outer[0] if outer else 0, self.order)
-        power = MultiSeries.constant(self.vars, 1, self.order)
-        for n in range(1, min(len(outer), self.order + 1)):
-            power = power * self
-            if outer[n] != 0:
-                result = result + power * outer[n]
-        return result
-
-    def __repr__(self):
-        inner = " , ".join(f"[{c}]" for c in self.coeffs)
-        return f"MultiSeries(order={self.order}: {inner})"
+def log1p_coefficients(order: int) -> list[Fraction]:
+    """Taylor coefficients of log(1 + t): 0, then (-1)^(k+1) / k."""
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
 
 
 def lambert_over_x_coefficients(order: int) -> list[Fraction]:
@@ -189,23 +96,24 @@ def lambert_over_x_coefficients(order: int) -> list[Fraction]:
     return out
 
 
-def g_series(d, vars=("d",), order: int = 6) -> MultiSeries:
+def g_series(d, vars=("d",), order: int = 6) -> MultiPoly:
     """Series of the triangle-free occupancy weight
     (t/(1+t)) * W(d log(1+t)) / (d log(1+t)) with a symbolic degree d.
 
     d may be a MultiPoly over vars (e.g. the degree variable itself, or a
     shifted degree); the order is capped to keep the expansion budget tame.
     """
-    if order > MAX_SERIES_ORDER:
-        raise ValueError(f"series order capped at {MAX_SERIES_ORDER}")
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order outside 0..{MAX_SERIES_ORDER}")
     vars = tuple(vars)
     if isinstance(d, (int, Fraction)):
         d = MultiPoly.constant(vars, d)
     if d.vars != vars:
         raise ValueError("degree polynomial must use the declared variables")
-    x = MultiSeries.log1p(vars, order) * d
-    w_over_x = x.compose_scalar(lambert_over_x_coefficients(order))
-    return MultiSeries.fugacity_weight(vars, order) * w_over_x
+    x = series_of(vars, [c * d for c in log1p_coefficients(order)])
+    w_over_x = compose_scalar(x, lambert_over_x_coefficients(order), order)
+    fugacity_weight = series_of(vars, [0] + [(-1) ** (k + 1) for k in range(1, order + 1)])
+    return truncate(fugacity_weight * w_over_x, order)
 
 
 # -- symbolic verification reports -----------------------------------------
@@ -214,13 +122,13 @@ T_VARS = ("d_u", "d_v")
 TPRIME_VARS = ("d_w", "d_uw")
 
 
-def t_series(order: int = 4) -> MultiSeries:
+def t_series(order: int = 4) -> MultiPoly:
     """The ratio (g(d_v - 1) - g(d_v)) / g(d_u) as a series in the fugacity."""
     du = MultiPoly.variable(T_VARS, "d_u")
     dv = MultiPoly.variable(T_VARS, "d_v")
     num = g_series(dv - 1, T_VARS, order + 1) - g_series(dv, T_VARS, order + 1)
     den = g_series(du, T_VARS, order + 1)
-    return num.shift_down(1).divide(den.shift_down(1))
+    return divide(shift_down(num, 1), shift_down(den, 1), order)
 
 
 def expected_t_coefficients() -> dict[int, MultiPoly]:
@@ -249,12 +157,12 @@ def verify_t_coefficients(max_delta: int = 12) -> dict:
     crude cubic floor 12 a4 >= -431 Delta^3 on the integer degree grid."""
     t = t_series(4)
     expected = expected_t_coefficients()
-    a4_scaled = t.coefficient(4) * 12
+    a4_scaled = coefficient(t, 4) * 12
     checks = {
-        "a0_zero": t.coefficient(0).is_zero,
-        "a1": t.coefficient(1) == expected[1],
-        "a2": t.coefficient(2) == expected[2],
-        "a3": t.coefficient(3) == expected[3],
+        "a0_zero": coefficient(t, 0).is_zero,
+        "a1": coefficient(t, 1) == expected[1],
+        "a2": coefficient(t, 2) == expected[2],
+        "a3": coefficient(t, 3) == expected[3],
         "twelve_a4": a4_scaled == expected[48],
     }
     floor_ok = True
@@ -273,11 +181,11 @@ def verify_t_coefficients(max_delta: int = 12) -> dict:
     return {
         "ok": all(checks.values()),
         "checks": checks,
-        "coefficients": {f"a{k}": str(t.coefficient(k)) for k in range(1, 5)},
+        "coefficients": {f"a{k}": str(coefficient(t, k)) for k in range(1, 5)},
     }
 
 
-def tprime_series(order: int = 4) -> MultiSeries:
+def tprime_series(order: int = 4) -> MultiPoly:
     """g(d_w - d_uw) - g(d_w) as a series in the fugacity."""
     dw = MultiPoly.variable(TPRIME_VARS, "d_w")
     duw = MultiPoly.variable(TPRIME_VARS, "d_uw")
@@ -307,10 +215,10 @@ def verify_tprime_coefficients(max_degree: int = 12) -> dict:
     deriv_expected = one * Fraction(11, 6) + (dw - duw) ** 2 * 8 + (dw - duw) * 6
 
     checks = {
-        "a0_a1_zero": tp.coefficient(0).is_zero and tp.coefficient(1).is_zero,
-        "a2": tp.coefficient(2) == a2,
-        "a3": tp.coefficient(3) == a3,
-        "a4": tp.coefficient(4) == a4,
+        "a0_a1_zero": coefficient(tp, 0).is_zero and coefficient(tp, 1).is_zero,
+        "a2": coefficient(tp, 2) == a2,
+        "a3": coefficient(tp, 3) == a3,
+        "a4": coefficient(tp, 4) == a4,
         "a4_derivative": deriv == deriv_expected,
     }
 
@@ -351,8 +259,8 @@ def verify_g_cubic() -> dict:
     dv = MultiPoly.variable(vars, "d_v")
     s = g_series(dv - 1, vars, 3)
     expected = expected_g_cubic()
-    checks = {f"order{k}": s.coefficient(k) == expected[k] for k in (1, 2, 3)}
-    checks["order0"] = s.coefficient(0).is_zero
+    checks = {f"order{k}": coefficient(s, k) == expected[k] for k in (1, 2, 3)}
+    checks["order0"] = coefficient(s, 0).is_zero
     return {"ok": all(checks.values()), "checks": checks}
 
 

@@ -211,6 +211,8 @@ def test_nonpositive_fugacity_is_a_one_line_usage_error(capsys):
         (("bound", "local_occupancy", "cycle:5", "--lambda", "0"), positive),
         (("bound", "weighted_marginals", "cycle:5", "--lambda", "0"), positive),
         (("bound", "edge_counterexamples", "--lambda", "0"), positive),
+        (("quantities", "path:1", "--lambda=-1/2"), positive),
+        (("quantities", "kab:1,2", "--lambda=-1/3"), positive),
         (("sample", "petersen", "--lambda=-1/2"),
          "error: fugacity must be nonnegative\n"),
     ):

@@ -1,5 +1,7 @@
 """Graph substrate: generators, graph6, neighborhoods, identities."""
 
+import tracemalloc
+
 import pytest
 
 from hardcore_lab.graphs import (
@@ -79,10 +81,24 @@ def test_generator_unions_and_copies():
     assert mixed.n == 5 and mixed.edge_count == 4
 
 
+def _raises_within_one_megabyte(build, *args):
+    # An oversized request is refused before anything of its size is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, (args, peak)
+
+
 def test_generator_errors():
     for bad in ("frob:3", "kn:0", "cycle:2", "kn:99", "", "kn:3 + + kn:2", "0*kn:2"):
         with pytest.raises(ValueError):
             generate(bad)
+    for oversized in ("kab:8000000,1", "kab:1,8000000", "800000*kn:1"):
+        _raises_within_one_megabyte(generate, oversized)
 
 
 def test_graph6_known_strings():
@@ -192,6 +208,10 @@ def test_edge_list_parsing():
         read_edge_list("0 1 2")
     with pytest.raises(ValueError):
         read_edge_list("1 1")
+    for bad in ("0 -1", "0 64"):
+        with pytest.raises(ValueError):
+            read_edge_list(bad)
+    _raises_within_one_megabyte(read_edge_list, "0 1\n2 5000000\n")
 
 
 def test_bits_of_order():
@@ -201,3 +221,10 @@ def test_bits_of_order():
 def test_from_edges_rejects_self_loop():
     with pytest.raises(ValueError):
         from_edges(2, [(0, 0)])
+
+
+def test_from_edges_rejects_out_of_range_vertices():
+    for n, edges in ((2, [(0, 2)]), (2, [(-1, 0)]), (65, [])):
+        with pytest.raises(ValueError):
+            from_edges(n, edges)
+    _raises_within_one_megabyte(from_edges, 3, [(0, 5_000_000)])

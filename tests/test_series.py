@@ -1,5 +1,6 @@
 """Multivariate polynomials, truncated series, and the symbolic reports."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -9,12 +10,18 @@ from hardcore_lab.intervals import log1p_interval, lambert_w_interval
 from hardcore_lab.multipoly import MultiPoly
 from hardcore_lab.sampler import SplitMix64
 from hardcore_lab.series import (
-    MultiSeries,
     b3_closed_form,
+    coefficient,
+    compose_scalar,
+    divide,
     g_series,
     lambert_over_x_coefficients,
+    log1p_coefficients,
+    series_of,
+    shift_down,
     t_series,
     tprime_series,
+    truncate,
     verify_b_coefficients,
     verify_fidentity,
     verify_g_cubic,
@@ -57,40 +64,50 @@ def test_multipoly_graded_lex_str():
 
 
 def test_series_log_coefficients():
-    s = MultiSeries.log1p(("d",), 4)
-    got = [s.coefficient(k).constant_value() for k in range(5)]
-    assert got == [0, 1, F(-1, 2), F(1, 3), F(-1, 4)]
+    assert log1p_coefficients(4) == [0, 1, F(-1, 2), F(1, 3), F(-1, 4)]
+    # exp(log(1 + t)) = 1 + t: every coefficient past the linear one cancels.
+    exp = [F(1)]
+    for n in range(1, 7):
+        exp.append(exp[-1] / n)
+    log = series_of(("d",), log1p_coefficients(6))
+    assert compose_scalar(log, exp, 6) == series_of(("d",), [1, 1])
 
 
 def test_series_geometric_division():
-    one = MultiSeries.constant(("d",), 1, 3)
-    den = MultiSeries(("d",), [1, -1], 3)
-    inv = one.divide(den)
-    assert all(inv.coefficient(k).constant_value() == 1 for k in range(4))
+    one = series_of(("d",), [1])
+    den = series_of(("d",), [1, -1])
+    inv = divide(one, den, 3)
+    assert inv == series_of(("d",), [1, 1, 1, 1])
+    # a symbolic quotient times its divisor gives back the dividend
+    d = MultiPoly.variable(("d",), "d")
+    num = series_of(("d",), [d, 1, d * d, 0, 3])
+    den = series_of(("d",), [2, d, -d, F(1, 3), d + 1])
+    assert truncate(divide(num, den, 4) * den, 4) == num
 
 
 def test_series_division_precondition():
     vars = ("d",)
-    num = MultiSeries.constant(vars, 1, 3)
+    num = series_of(vars, [1])
     d = MultiPoly.variable(vars, "d")
-    bad = MultiSeries(vars, [d, d], 3)
-    with pytest.raises(ValueError):
-        num.divide(bad)
+    for bad in (series_of(vars, [d, d]), series_of(vars, [0, 1])):
+        with pytest.raises(ValueError):
+            divide(num, bad, 3)
 
 
 def test_series_compose_precondition():
-    s = MultiSeries.constant(("d",), 1, 3)
+    s = series_of(("d",), [1])
     with pytest.raises(ValueError):
-        s.compose_scalar([F(1), F(1)])
+        compose_scalar(s, [F(1), F(1)], 3)
 
 
 def test_series_shift_down():
     vars = ("d",)
-    s = MultiSeries(vars, [0, 0, 1, 2], 3)
-    t = s.shift_down(2)
-    assert t.order == 1 and t.coefficient(0).constant_value() == 1
+    s = series_of(vars, [0, 0, 1, 2])
+    t = shift_down(s, 2)
+    assert t == series_of(vars, [1, 2])
+    assert coefficient(t, 0).constant_value() == 1
     with pytest.raises(ValueError):
-        s.shift_down(3)
+        shift_down(s, 3)
 
 
 def test_series_ring_identities():
@@ -103,17 +120,52 @@ def test_series_ring_identities():
             terms[e] = F(rng.randrange(9) - 4)
         return MultiPoly(vars, terms)
     for _ in range(20):
-        s1 = MultiSeries(vars, [rand_poly() for _ in range(5)], 4)
-        s2 = MultiSeries(vars, [rand_poly() for _ in range(5)], 4)
-        s3 = MultiSeries(vars, [rand_poly() for _ in range(5)], 4)
-        assert (s1 + s2) * s3 == s1 * s3 + s2 * s3
-        assert s1 * s2 == s2 * s1
-        assert (s1 - s1).coeffs == MultiSeries.zero(vars, 4).coeffs
+        s1, s2, s3 = (series_of(vars, [rand_poly() for _ in range(5)]) for _ in range(3))
+        assert truncate((s1 + s2) * s3, 4) == truncate(s1 * s3, 4) + truncate(s2 * s3, 4)
+        assert truncate(s1 * s2, 4) == truncate(s2 * s1, 4)
+        assert (s1 - s1).is_zero
+        # the truncated product is the Cauchy product up to t^4, and nothing above
+        product = truncate(s1 * s2, 4)
+        for k in range(9):
+            cauchy = sum((coefficient(s1, i) * coefficient(s2, k - i) for i in range(k + 1)),
+                         MultiPoly(vars))
+            assert coefficient(product, k) == (cauchy if k <= 4 else MultiPoly(vars))
+
+
+# sha256 of "k: <coefficient>" lines, recorded with the MultiSeries class that
+# the module functions replaced; the g_series entries run orders 0 to 8.
+SERIES_PINS = {
+    "g_series d=0": "0e7426ea44f412b5484c9bc7d2f8df9418e520704d5da960f781457a50f4acc5",
+    "g_series d=1": "1f53bbf3233ffe7b85715e4cbf2ed46550abf712fd12d069a6ab3c37df1cbd8e",
+    "g_series d=3": "cd7a4008deec2c3c95665d2804a792e8788ac53309ab4ca3af211819fa603379",
+    "g_series d=d": "0b94bbe4b96af44f60ab17ad1c8d066f5920c73a18e67b7d5a75b4de45c2ae56",
+    "g_series d=d - 1": "1da14b7af1dcc4bd39f549665787fef69157554a55da227c4cda6e4ebb0854e8",
+    "t_series(4)": "7706d14fe1fca1f07102bfbf9a20f7dbb28062d9ce2347de0a2a3de44eb628f6",
+    "tprime_series(4)": "cb4ac35c0e6874193d49ede3e4975318296f3372473e83a067241d6611e6df8e",
+}
+
+
+def _coefficient_lines(s, order):
+    return "".join(f"{k}: {coefficient(s, k)}\n" for k in range(order + 1))
+
+
+def test_series_coefficients_match_their_pins():
+    d = MultiPoly.variable(("d",), "d")
+    texts = {
+        f"g_series d={label}": "".join(
+            _coefficient_lines(g_series(degree, ("d",), order), order) for order in range(9))
+        for label, degree in (("0", 0), ("1", 1), ("3", 3), ("d", d), ("d - 1", d - 1))
+    }
+    texts["t_series(4)"] = _coefficient_lines(t_series(4), 4)
+    texts["tprime_series(4)"] = _coefficient_lines(tprime_series(4), 4)
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == SERIES_PINS
 
 
 def test_series_order_cap():
-    with pytest.raises(ValueError):
-        g_series(1, ("d",), 9)
+    for order in (-1, 9):
+        with pytest.raises(ValueError):
+            g_series(1, ("d",), order)
 
 
 def test_lambert_series_head():
@@ -131,7 +183,7 @@ def test_g_series_numeric_cross_validation():
     for d in (1, 2, 3, 4):
         s = g_series(d, ("d",), 8)
         value = sum(
-            s.coefficient(k).constant_value() * lam ** k for k in range(9)
+            coefficient(s, k).constant_value() * lam ** k for k in range(9)
         )
         log_enc = log1p_interval(lam, tol)
         arg_lo, arg_hi = d * log_enc.lo, d * log_enc.hi
@@ -145,8 +197,8 @@ def test_g_series_numeric_cross_validation():
 
 def test_g_series_at_degree_zero_is_fugacity_weight():
     s = g_series(0, ("d",), 6)
-    expected = MultiSeries.fugacity_weight(("d",), 6)
-    assert s == expected
+    # t/(1+t) = t - t^2 + t^3 - ...
+    assert s == series_of(("d",), [0, 1, -1, 1, -1, 1, -1])
 
 
 def test_t_series_report():
@@ -157,8 +209,8 @@ def test_t_series_report():
 def test_t_series_leading_coefficients():
     t = t_series(2)
     du, dv = _du_dv()
-    assert t.coefficient(1) == MultiPoly.constant(V, 1)
-    assert t.coefficient(2) == du + 1 - 3 * dv
+    assert coefficient(t, 1) == MultiPoly.constant(V, 1)
+    assert coefficient(t, 2) == du + 1 - 3 * dv
 
 
 def test_tprime_series_report():
@@ -170,7 +222,7 @@ def test_tprime_series_report():
 def test_tprime_low_orders():
     tp = tprime_series(3)
     duw = MultiPoly.variable(("d_w", "d_uw"), "d_uw")
-    assert tp.coefficient(2) == duw
+    assert coefficient(tp, 2) == duw
 
 
 def test_g_cubic_report():

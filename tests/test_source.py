@@ -108,6 +108,19 @@ def test_one_integer_product_kernel():
     assert "_mul" not in {n.name for n in ast.walk(hardcore) if isinstance(n, ast.FunctionDef)}
 
 
+def test_only_the_polynomial_types_define_a_product():
+    # Poly and RatFunc, MultiPoly and RationalInterval are the arithmetic
+    # types: a truncated series is a MultiPoly in the fugacity, so no second
+    # polynomial container defines __mul__ again.
+    found = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "__mul__"
+    }
+    assert found == {"polynomials.py", "multipoly.py", "intervals.py"}
+
+
 def _functions(node, prefix=""):
     """(qualified name, node) of every function under node, methods as
     Class.method and nested functions as outer.inner."""
