@@ -7,7 +7,7 @@ failures are reproduced with explicit margins.
 
 from fractions import Fraction
 
-from hardcore_lab import bounds, generate, occupancy_value
+from hardcore_lab import HardCoreProfile, bounds, generate
 from hardcore_lab.corpus import connected_corpus
 
 # Free energy of any graph sits between the clique and the edgeless graph;
@@ -28,7 +28,7 @@ print(f"\nclique floor margin on kn:4: {c.margin} (extremal graph, exact tie)")
 strict = ties = 0
 for g in connected_corpus(5):
     lam = Fraction(3, (g.max_degree + 1) ** 2)
-    e = occupancy_value(g, lam)
+    e = HardCoreProfile(g).expectation_at(lam)
     floor = bounds.degree_floor_value(g, lam)
     assert floor <= e
     if floor == e:

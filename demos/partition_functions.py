@@ -11,9 +11,7 @@ from hardcore_lab import (
     brute_force_polynomial,
     generate,
     independence_polynomial,
-    occupancy_fraction,
     profile,
-    variance_fraction,
     variance_via_marginals,
 )
 
@@ -30,17 +28,17 @@ assert independence_polynomial(g) == brute_force_polynomial(g)
 print("\nrecursion matches the brute-force oracle on the Petersen graph")
 
 # Occupancy fraction E = x Z'/(n Z): the expected fraction of occupied
-# vertices.  Variance fraction V = x dE/dx.
-g = generate("kab:3,3")
-e = occupancy_fraction(g)
-v = variance_fraction(g)
+# vertices.  Variance fraction V = x dE/dx.  Both are read from the graph's
+# HardCoreProfile.
+prof = HardCoreProfile(generate("kab:3,3"))
+e, v = prof.expectation, prof.variance
 print(f"\nK_3,3:  E = ({e.num.to_text()}) / ({e.den.to_text()})")
 print(f"        V = ({v.num.to_text()}) / ({v.den.to_text()})")
 print(f"        E(1) = {e.evaluate(1)},  V(1) = {v.evaluate(1)}")
 
 # Vertex and pair marginals are rational functions too, read from the
-# graph's HardCoreProfile, which computes each part on first read through
-# one engine memo.  On an edge the pair marginal vanishes identically.
+# profile, which computes each part through one engine memo.  On an edge
+# the pair marginal vanishes identically.
 path3 = HardCoreProfile(generate("path:3"))
 p0 = path3.marginals[0]
 p02 = path3.pair_marginal(0, 2)
@@ -52,12 +50,12 @@ assert path3.pair_marginal(0, 1).is_zero
 #   V = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u sum_v p_v)
 # and the engine raises ArithmeticError unless the two paths agree as
 # reduced rational functions.
-g = generate("cycle:6")
-assert variance_via_marginals(g) == variance_fraction(g)
+prof = HardCoreProfile(generate("cycle:6"))
+assert variance_via_marginals(prof) == prof.variance
 print("\npair-marginal variance path agrees with the closed form on cycle:6")
 
-# profile(g) computes Z, E, V and every vertex marginal up front; pair
-# marginals still fill on first read.
+# profile(g) computes Z, E, V and every vertex marginal up front; a pair
+# marginal is computed on request from the same memo.
 prof = profile(generate("path:5"))
 lam = Fraction(1, 3)
 print(f"\npath:5 at fugacity {lam}:")

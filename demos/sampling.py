@@ -7,7 +7,7 @@ bit-identically for a fixed seed.
 
 from fractions import Fraction
 
-from hardcore_lab import estimate, generate, occupancy_value, variance_value
+from hardcore_lab import HardCoreProfile, estimate, generate
 
 cases = [
     ("kab:3,3", Fraction(1)),
@@ -19,10 +19,11 @@ cases = [
 print(f"{'graph':10s} {'lam':>4s} {'nE exact':>10s} {'nE sampled':>12s} "
       f"{'nV exact':>10s} {'nV sampled':>12s}")
 for spec, lam in cases:
-    g = generate(spec)
+    prof = HardCoreProfile(generate(spec))
+    g = prof.graph
     rep = estimate(g, lam, steps=10**6, burn_in=10**4, seed=1000)
-    ne = float(g.n * occupancy_value(g, lam))
-    nv = float(g.n * variance_value(g, lam))
+    ne = float(g.n * prof.expectation_at(lam))
+    nv = float(g.n * prof.variance_at(lam))
     print(f"{spec:10s} {str(lam):>4s} {ne:10.5f} "
           f"{rep.mean_size:9.5f}+-{rep.se_mean:.5f} "
           f"{nv:10.5f} {rep.var_size:9.5f}+-{rep.se_var:.5f}")

@@ -21,14 +21,11 @@ from .hardcore import (
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
-    occupancy_fraction,
-    occupancy_value,
     path_polynomial,
     profile,
     subset_polynomial,
     var_of_polynomial,
     variance_fraction,
-    variance_value,
     variance_via_marginals,
 )
 from .intervals import (
@@ -47,14 +44,9 @@ from .orderings import (
     implication_web_check,
     var_difference_certificate,
 )
-from .polynomials import Poly, RatFunc, poly_gcd, squarefree_part
-from .roots import (
-    isolate_positive_roots,
-    nonneg_on_halfline,
-    nonneg_on_segment,
-    sturm_chain,
-)
-from .sampler import ChainState, EstimateReport, SplitMix64, estimate, glauber_step, new_chain
+from .polynomials import Poly, RatFunc
+from .roots import isolate_positive_roots, nonneg_on_halfline, nonneg_on_segment
+from .sampler import EstimateReport, SplitMix64, estimate
 from .series import g_series
 from .verdict import Verdict
 

@@ -425,6 +425,10 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
     prof = _profile_of(g)
     g = prof.graph
     _require_vertices(g)
+    if weight not in ("clique", "triangle_free"):
+        raise ValueError(f"unknown weight {weight!r}")
+    if weight == "triangle_free" and not g.is_triangle_free():
+        raise ValueError("triangle-free weight requires a triangle-free graph")
     zv = Fraction(prof.z.evaluate(lam))
     marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
     if weight == "clique":
@@ -432,10 +436,6 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
                     for u, p in enumerate(marginals)) / g.n
         return _exact_le("local_occupancy.clique_weighted_marginals", g, lam,
                          Fraction(1), total)
-    if weight != "triangle_free":
-        raise ValueError(f"unknown weight {weight!r}")
-    if not g.is_triangle_free():
-        raise ValueError("triangle-free weight requires a triangle-free graph")
 
     def rhs(tol: Fraction) -> RationalInterval:
         acc = RationalInterval.point(0)

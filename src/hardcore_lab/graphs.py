@@ -19,8 +19,7 @@ class Graph:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -63,29 +62,13 @@ class Graph:
 
     # -- neighborhood structure ----------------------------------------------
 
-    def second_neighborhood_mask(self, u: int) -> int:
-        """Vertices at distance exactly two from u."""
+    def codegrees(self, u: int) -> dict[int, int]:
+        """{w: |N(u) & N(w)|} for each vertex w at distance exactly two from u."""
         reach = 0
         for v in bits_of(self.adj[u]):
             reach |= self.adj[v]
-        return reach & ~self.closed_mask(u)
-
-    def codegree(self, u: int, w: int) -> int:
-        return (self.adj[u] & self.adj[w]).bit_count()
-
-    def neighborhood_data(self, u: int) -> "NeighborhoodData":
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range")
-        open_mask = self.adj[u]
-        second = self.second_neighborhood_mask(u)
-        codegrees = {w: self.codegree(u, w) for w in bits_of(second)}
-        return NeighborhoodData(
-            open_mask=open_mask,
-            closed_mask=open_mask | (1 << u),
-            second_mask=second,
-            second_closed_mask=second | open_mask | (1 << u),
-            codegrees=codegrees,
-        )
+        return {w: (self.adj[u] & self.adj[w]).bit_count()
+                for w in bits_of(reach & ~self.closed_mask(u))}
 
     def is_triangle_free(self) -> bool:
         return all(
@@ -100,10 +83,8 @@ class Graph:
         u itself plus the codegrees over the second neighborhood."""
         if not self.is_triangle_free():
             raise ValueError("identity only applies to triangle-free graphs")
-        nd = self.neighborhood_data(u)
-        lhs = sum(self.degree(v) for v in bits_of(nd.open_mask))
-        rhs = self.degree(u) + sum(nd.codegrees.values())
-        return lhs == rhs
+        lhs = sum(self.degree(v) for v in bits_of(self.adj[u]))
+        return lhs == self.degree(u) + sum(self.codegrees(u).values())
 
     # -- derived graphs -------------------------------------------------------
 
@@ -150,13 +131,10 @@ class Graph:
         return Graph(self.n, self.adj, label)
 
 
-@dataclass(frozen=True)
-class NeighborhoodData:
-    open_mask: int
-    closed_mask: int
-    second_mask: int
-    second_closed_mask: int
-    codegrees: dict[int, int]
+def _check_vertex_count(n: int) -> None:
+    """The one size check, run before anything of size n is built."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
 def bits_of(mask: int):
@@ -168,8 +146,7 @@ def bits_of(mask: int):
 
 
 def from_edges(n: int, edges, label: str | None = None) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    _check_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -199,15 +176,18 @@ G2_EDGES = ((0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5))
 
 
 def complete_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << u) for u in range(n)), f"kn:{n}")
 
 
 def empty_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     return Graph(n, (0,) * n, f"empty:{n}")
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    _check_vertex_count(a + b)
     left = (1 << a) - 1
     right = ((1 << b) - 1) << a
     adj = tuple(right for _ in range(a)) + tuple(left for _ in range(b))
@@ -215,13 +195,13 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)], f"path:{n}")
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)), f"path:{n}")
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle:{n}")
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)), f"cycle:{n}")
 
 
 def pasch_graph() -> Graph:

@@ -165,7 +165,6 @@ class HardCoreProfile:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._memo: dict[int, tuple[int, ...]] = {}
-        self._pairs: dict[tuple[int, int], RatFunc] = {}
 
     def _coeffs(self, mask: int) -> tuple[int, ...]:
         return _zpoly_coeffs(self.graph.adj, mask, self._memo)
@@ -219,16 +218,12 @@ class HardCoreProfile:
 
     def pair_marginal(self, u: int, v: int) -> RatFunc:
         """p_uv = x^2 Z(G - N[u] - N[v]) / Z for distinct vertices,
-        identically zero when uv is an edge; cached per pair."""
+        identically zero when uv is an edge."""
         if u == v:
             raise ValueError("pair marginal needs two distinct vertices")
-        key = (min(u, v), max(u, v))
-        cached = self._pairs.get(key)
-        if cached is None:
-            cached = RatFunc(Poly()) if self.graph.has_edge(*key) else \
-                RatFunc(Poly([0, 0, 1]) * self._pair_residual(*key), self.z)
-            self._pairs[key] = cached
-        return cached
+        if self.graph.has_edge(u, v):
+            return RatFunc(Poly())
+        return RatFunc(Poly([0, 0, 1]) * self._pair_residual(u, v), self.z)
 
     @cached_property
     def neighborhood_table(self) -> tuple[tuple[Poly, Poly, int, int], ...]:
@@ -254,7 +249,8 @@ def _profile_of(g: Graph | HardCoreProfile) -> HardCoreProfile:
 
 def profile(g: Graph) -> HardCoreProfile:
     """The profile of g with Z, E, V and every vertex marginal computed now;
-    the pair marginals and the neighborhood table fill on first read."""
+    the neighborhood table fills on first read, and each pair marginal is
+    computed on request from the same memo."""
     prof = HardCoreProfile(g)
     prof.expectation, prof.variance, prof.marginals
     return prof
@@ -273,24 +269,9 @@ def subset_polynomial(g: Graph, mask: int) -> Poly:
     return Poly(HardCoreProfile(g)._coeffs(mask))
 
 
-def occupancy_fraction(g: Graph) -> RatFunc:
-    """E_G = x Z' / (n Z), read from a fresh profile."""
-    return HardCoreProfile(g).expectation
-
-
 def variance_fraction(g: Graph) -> RatFunc:
     """V_G = x * d/dx E_G, read from a fresh profile."""
     return HardCoreProfile(g).variance
-
-
-def occupancy_value(g: Graph, lam) -> Fraction:
-    """E_G(lam), evaluated exactly on a fresh profile."""
-    return HardCoreProfile(g).expectation_at(lam)
-
-
-def variance_value(g: Graph, lam) -> Fraction:
-    """V_G(lam), evaluated exactly on a fresh profile."""
-    return HardCoreProfile(g).variance_at(lam)
 
 
 def variance_via_marginals(g: Graph | HardCoreProfile) -> RatFunc:

@@ -77,9 +77,6 @@ class RationalInterval:
         other = _lift(other)
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def __rsub__(self, other):
-        return _lift(other) - self
-
     def __mul__(self, other):
         other = _lift(other)
         products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
@@ -93,20 +90,6 @@ class RationalInterval:
             raise ZeroDivisionError("division by an interval containing zero")
         inv = RationalInterval(1 / other.hi, 1 / other.lo)
         return self * inv
-
-    def __rtruediv__(self, other):
-        return _lift(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative interval power")
-        if k == 0:
-            return RationalInterval.point(1)
-        if k % 2 == 0 and self.lo < 0 < self.hi:
-            m = max(-self.lo, self.hi)
-            return RationalInterval(Fraction(0), m ** k)
-        a, b = self.lo ** k, self.hi ** k
-        return RationalInterval(min(a, b), max(a, b))
 
     def to_json(self) -> str:
         from .verdict import format_rational

@@ -24,8 +24,7 @@ splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts
 with the primitive pseudo-remainder sequence (Brown, "On Euclid's algorithm
 and the computation of polynomial greatest common divisors", J. ACM 1971).
-`RatFunc` reduction, `poly_gcd`, `squarefree_part` and the Sturm chains in
-`roots` all run on it.
+`RatFunc` reduction and the Sturm chains in `roots` both run on it.
 """
 
 from __future__ import annotations
@@ -240,15 +239,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    # -- normal forms ------------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lc = Fraction(self.lc)
-        return Poly([Fraction(c) / lc for c in self.coeffs])
-
-
 
 def _int_poly(cs: Coeffs) -> Poly:
     """The Poly of a tuple of ints, without the constructor's type scan."""
@@ -342,24 +332,13 @@ def _int_squarefree(cs: Coeffs) -> Coeffs:
     return _int_exact_div(cs, g)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (zero polynomial if both are zero)."""
-    g = _int_gcd(_content_split(a)[1], _content_split(b)[1])
-    return Poly(g).monic()
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), normalized to primitive integer form."""
-    return Poly(_int_squarefree(_content_split(p)[1]))
-
-
 class RatFunc:
     """Ratio of two polynomials, stored gcd-reduced with a monic denominator.
 
     Reduction splits off the rational contents and divides the primitive
-    integer parts by their integer gcd.  The canonical form makes equality a
-    plain field comparison, which is what the identity checks in the
-    verifier rely on.
+    integer parts by their integer gcd.  A RatFunc is a value: the lab
+    compares E and V for identity and evaluates them, and does no arithmetic
+    on them, so the canonical form makes equality a plain comparison.
     """
 
     __slots__ = ("num", "den")
@@ -392,8 +371,6 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Poly)):
-            return self == RatFunc(other if isinstance(other, Poly) else Poly([other]))
         return NotImplemented
 
     def __hash__(self):
@@ -402,55 +379,9 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
     def evaluate(self, x) -> Fraction:
         dv = self.den.evaluate(x)
         if dv == 0:
             raise ZeroDivisionError(f"evaluation at a pole: {x}")
         return Fraction(self.num.evaluate(x), 1) / dv
 
-
-def _as_ratfunc(value):
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, Poly):
-        return RatFunc(value)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc(Poly([value]))
-    return NotImplemented

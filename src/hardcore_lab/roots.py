@@ -72,15 +72,6 @@ def _int_root_bound(cs: Coeffs) -> Fraction:
     return Fraction(b)
 
 
-# -- public wrappers ---------------------------------------------------------
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of p, in primitive integer form."""
-    if p.is_zero:
-        raise ValueError("no Sturm chain for the zero polynomial")
-    return [Poly(cs) for cs in _int_chain(_content_split(p)[1])]
-
-
 def _isolate(chain: list[Coeffs], seen: dict) -> list[tuple[Fraction, Fraction]]:
     bound = _int_root_bound(chain[0]) if len(chain[0]) > 1 else Fraction(1)
     intervals: list[tuple[Fraction, Fraction]] = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .graphs import Graph
 from .verdict import format_rational
@@ -83,21 +82,6 @@ def _splitmix_block(state: int, m: int) -> list[int]:
     return memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
-@dataclass
-class ChainState:
-    """Occupancy bitmask plus the explicit generator state; the occupied set
-    is independent in the underlying graph at every step."""
-
-    occupied: int
-    size: int
-    steps: int
-    rng: SplitMix64
-
-
-def new_chain(seed: int) -> ChainState:
-    return ChainState(occupied=0, size=0, steps=0, rng=SplitMix64(seed))
-
-
 def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,
                steps: int) -> tuple[int, int, int, int]:
     """The step kernel: run `steps` heat-bath updates from (occupied, size)
@@ -154,14 +138,12 @@ def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int
     return occupied, size, s1, s2
 
 
-@lru_cache(maxsize=16)
 def _coin_threshold(lam: Fraction) -> int:
     """ceil(p_occ * 2**53) for the occupation probability p_occ, the double
     nearest lam/(1+lam), of a vertex with no occupied neighbor.  It is
     computed from the exact ratio of p_occ, so for a draw c,
     (c >> 11) < threshold iff (c >> 11) * 2**-53 < p_occ.  lam = 0 is
-    allowed (the chain empties).  Cached, because `glauber_step` asks for
-    it on every single update."""
+    allowed (the chain empties)."""
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("fugacity must be nonnegative")
@@ -170,15 +152,6 @@ def _coin_threshold(lam: Fraction) -> int:
     p_occ = lam.numerator / (lam.numerator + lam.denominator)
     num, den = p_occ.as_integer_ratio()
     return -(-(num << 53) // den)
-
-
-def glauber_step(state: ChainState, g: Graph, lam) -> ChainState:
-    """One heat-bath update of the chain (see `_heat_bath`) at fugacity lam,
-    so the occupation probability is lam/(1+lam)."""
-    state.occupied, state.size, _, _ = _heat_bath(
-        state.rng, g.adj, g.n, _coin_threshold(lam), state.occupied, state.size, 1)
-    state.steps += 1
-    return state
 
 
 @dataclass

@@ -312,14 +312,13 @@ def _xu_poly(g: Graph, u: int, delta: int) -> Poly:
 
 
 def _yu_poly(g: Graph, u: int) -> Poly:
-    nd = g.neighborhood_data(u)
     c1 = c2 = c3 = Fraction(0)
-    for v in bits_of(nd.open_mask):
+    for v in bits_of(g.adj[u]):
         dv = g.degree(v)
         c1 += 1
         c2 -= dv
         c3 += Fraction(3 * dv * dv - 3 * dv + 2, 2)
-    for w, duw in nd.codegrees.items():
+    for w, duw in g.codegrees(u).items():
         dw = g.degree(w)
         c2 -= duw
         c3 += 3 * dw * duw
@@ -333,7 +332,7 @@ def _yu_rewritten(g: Graph, u: int) -> Poly:
     sum_dv = sum(g.degree(v) for v in bits_of(g.adj[u]))
     c3 = sum(
         Fraction(3 * g.degree(v) ** 2 - 3 * g.degree(v) + 2, 2) for v in bits_of(g.adj[u])
-    ) + 3 * sum(g.degree(w) * duw for w, duw in g.neighborhood_data(u).codegrees.items())
+    ) + 3 * sum(g.degree(w) * duw for w, duw in g.codegrees(u).items())
     return Poly([0, du, du - 2 * sum_dv, c3])
 
 

@@ -1,16 +1,20 @@
 """Bound checks: free energy, occupancy, variance, local occupancy, chain."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from hardcore_lab import bounds, corpus
+from hardcore_lab.cli import main
 from hardcore_lab.graphs import (
     bits_of,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     empty_graph,
+    encode_graph6,
+    from_edges,
     generate,
     pasch_graph,
     path_graph,
@@ -257,6 +261,38 @@ def test_weighted_marginals_tf():
 def test_weighted_marginals_tf_rejects_triangles():
     with pytest.raises(ValueError):
         bounds.check_weighted_marginal_sum(complete_graph(3), 1, "triangle_free")
+
+
+def _grid_with_a_triangle():
+    """The 8x8 grid plus the chord (0, 9), which closes the triangle 0, 1, 9."""
+    edges = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+    edges += [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
+    return from_edges(64, edges + [(0, 9)], "grid:8x8+chord")
+
+
+@pytest.mark.parametrize("weight, message", [
+    ("triangle_free", "triangle-free weight requires a triangle-free graph"),
+    ("nope", "unknown weight 'nope'"),
+], ids=["triangle_free", "unknown"])
+def test_weighted_marginals_refuse_before_any_engine_work(weight, message):
+    # The 64 residuals Z(G - N[u]) of this graph take seconds: a refusal
+    # comes before them, and leaves the profile's memo empty.
+    prof = HardCoreProfile(_grid_with_a_triangle())
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        bounds.check_weighted_marginal_sum(prof, 1, weight)
+    assert time.perf_counter() - start < 0.5
+    assert prof._memo == {}
+
+
+def test_weighted_marginals_tf_command_refuses_a_triangle_at_once(capsys):
+    spec = "g6:" + encode_graph6(_grid_with_a_triangle())
+    start = time.perf_counter()
+    code = main(["bound", "weighted_marginals_tf", spec, "--lambda", "1"])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: triangle-free weight requires a triangle-free graph\n")
 
 
 def test_combined_chain_samples():

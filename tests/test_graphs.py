@@ -11,6 +11,7 @@ from hardcore_lab.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     encode_graph6,
     from_edges,
     generate,
@@ -81,16 +82,28 @@ def test_generator_unions_and_copies():
     assert mixed.n == 5 and mixed.edge_count == 4
 
 
-def _raises_within_one_megabyte(build, *args):
+def _raises_within_one_megabyte(build, *args, match=None):
     # An oversized request is refused before anything of its size is built.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             build(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, (args, peak)
+
+
+@pytest.mark.parametrize("build, args", [
+    (complete_graph, (20000,)),
+    (path_graph, (100000,)),
+    (cycle_graph, (100000,)),
+    (empty_graph, (10**6,)),
+    (complete_bipartite, (100000, 1)),
+], ids=["complete_graph", "path_graph", "cycle_graph", "empty_graph", "complete_bipartite"])
+def test_generators_check_the_cap_before_building(build, args):
+    # The one message of the cap, before anything of that size is built.
+    _raises_within_one_megabyte(build, *args, match=f"vertex count {sum(args)} outside 0..64")
 
 
 def test_generator_errors():
@@ -131,25 +144,24 @@ def test_graph6_malformed():
 
 
 def test_neighborhood_data_path_middle():
+    # The codegrees are keyed by the vertices at distance exactly two.
     g = path_graph(5)
-    nd = g.neighborhood_data(2)
-    assert nd.open_mask.bit_count() == 2
-    assert nd.second_mask.bit_count() == 2
-    assert all(d == 1 for d in nd.codegrees.values())
+    assert g.codegrees(2) == {0: 1, 4: 1}
+    assert g.codegrees(0) == {2: 1}
 
 
 def test_neighborhood_data_complete():
     g = complete_graph(4)
-    assert all(g.neighborhood_data(u).second_mask == 0 for u in range(4))
+    assert all(g.codegrees(u) == {} for u in range(4))
 
 
 def test_neighborhood_data_cycle5():
     g = cycle_graph(5)
     for u in range(5):
-        nd = g.neighborhood_data(u)
-        assert nd.open_mask.bit_count() == 2
-        assert nd.second_mask.bit_count() == 2
-        assert set(nd.codegrees.values()) == {1}
+        assert g.codegrees(u) == {(u + 2) % 5: 1, (u + 3) % 5: 1}
+    # Two common neighbours: the opposite corner of a 4-cycle.
+    assert cycle_graph(4).codegrees(0) == {2: 2}
+    assert complete_bipartite(2, 3).codegrees(0) == {1: 3}
 
 
 def test_triangle_free_detection():

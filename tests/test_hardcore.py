@@ -21,15 +21,12 @@ from hardcore_lab.hardcore import (
     brute_force_polynomial,
     cycle_polynomial,
     independence_polynomial,
-    occupancy_fraction,
-    occupancy_value,
     path_polynomial,
     profile,
     subset_polynomial,
     var_numerator,
     var_of_polynomial,
     variance_fraction,
-    variance_value,
     variance_via_marginals,
 )
 from hardcore_lab.polynomials import Poly, RatFunc
@@ -135,23 +132,26 @@ def test_marginal_examples():
 
 
 def test_occupancy_closed_forms():
-    e = occupancy_fraction(complete_bipartite(3, 3))
+    e = HardCoreProfile(complete_bipartite(3, 3)).expectation
     assert e == RatFunc(X * ONE_PLUS ** 2, 2 * ONE_PLUS ** 3 - 1)
     v = variance_fraction(complete_graph(5))
     assert v == RatFunc(X, Poly([1, 5]) ** 2)
-    e3 = occupancy_fraction(pasch_graph())
+    e3 = HardCoreProfile(pasch_graph()).expectation
     displayed = RatFunc(X * Poly([10, 66, 126, 80, 30, 6]),
                         10 * Poly([1, 10, 33, 42, 20, 6, 1]))
     assert e3 == displayed
 
 
 def test_occupancy_is_mean_marginal():
-    for g in [path_graph(5), cycle_graph(6), generate("kab:2,3")]:
+    # E = (1/n) sum_u p_u, with E from Z' and each p_u from its residual,
+    # as a Poly identity over the product of the marginals' denominators.
+    for g in [path_graph(5), cycle_graph(6), generate("kab:2,3"), petersen_graph()]:
         prof = profile(g)
-        total = RatFunc(Poly())
+        total, den = Poly(), Poly([1])
         for p in prof.marginals:
-            total = total + p
-        assert total * F(1, g.n) == occupancy_fraction(g) == prof.expectation
+            total, den = total * p.den + p.num * den, den * p.den
+        e = prof.expectation
+        assert total * e.den == g.n * e.num * den, g.label
 
 
 def test_variance_via_marginals_examples():
@@ -186,16 +186,21 @@ def test_variance_via_marginals_reads_the_given_profile(monkeypatch):
 
 def test_variance_is_x_times_the_derivative_of_expectation():
     # The closed form V = var_numerator(Z) / (n Z^2) against the definition
-    # V = x dE/dx, differentiated as a rational function.
+    # V = x dE/dx.  With E = N/D the quotient rule gives
+    # V = x (N'D - ND') / D^2, checked as a Poly identity over the common
+    # denominator.
     graphs = list(corpus.connected_corpus(5)) + [path_graph(24), generate("2*petersen + kab:3,3")]
     for g in graphs:
         prof = HardCoreProfile(g)
-        assert prof.variance == RatFunc(X) * prof.expectation.derivative(), g.label
+        n, d = prof.expectation.num, prof.expectation.den
+        v = prof.variance
+        assert v.num * d * d == X * (n.derivative() * d - n * d.derivative()) * v.den, g.label
 
 
 @pytest.mark.parametrize("read", [
-    occupancy_fraction, variance_fraction, profile, variance_via_marginals,
-    lambda g: occupancy_value(g, 1), lambda g: variance_value(g, F(1, 2)),
+    lambda g: HardCoreProfile(g).expectation, variance_fraction, profile, variance_via_marginals,
+    lambda g: HardCoreProfile(g).expectation_at(1),
+    lambda g: HardCoreProfile(g).variance_at(F(1, 2)),
 ], ids=["occupancy_fraction", "variance_fraction", "profile", "variance_via_marginals",
         "occupancy_value", "variance_value"])
 def test_empty_graph_has_no_quantities(read):
@@ -240,7 +245,8 @@ def test_var_numerator_matches_the_derivative_formula():
 def test_var_of_partition_is_scaled_variance_fraction():
     g = cycle_graph(6)
     z = independence_polynomial(g)
-    assert var_of_polynomial(z) == variance_fraction(g) * g.n
+    v = variance_fraction(g)
+    assert var_of_polynomial(z) == RatFunc(v.num * g.n, v.den)
 
 
 def test_pointwise_evaluation_paths_agree():
@@ -248,15 +254,16 @@ def test_pointwise_evaluation_paths_agree():
     for _ in range(20):
         g = corpus.random_graph(2 + rng.randrange(8), rng)
         lam = F(1 + rng.randrange(8), 1 + rng.randrange(8))
-        assert occupancy_value(g, lam) == occupancy_fraction(g).evaluate(lam)
-        assert variance_value(g, lam) == variance_fraction(g).evaluate(lam)
+        prof = HardCoreProfile(g)
+        assert prof.expectation_at(lam) == prof.expectation.evaluate(lam)
+        assert prof.variance_at(lam) == prof.variance.evaluate(lam)
 
 
 def test_union_multiplicativity():
     one = generate("kab:1,2")
     three = generate("kab:1,2 + kab:1,2 + kab:1,2")
     assert independence_polynomial(three) == independence_polynomial(one) ** 3
-    assert occupancy_fraction(three) == occupancy_fraction(one)
+    assert HardCoreProfile(three).expectation == HardCoreProfile(one).expectation
     assert variance_fraction(three) == variance_fraction(one)
 
 
@@ -302,7 +309,7 @@ def test_profile_lazy_pairs():
     assert prof.z == Poly([1, 4, 3])
     assert len(prof.marginals) == 4
     p02 = prof.pair_marginal(0, 2)
-    assert prof.pair_marginal(2, 0) is p02
+    assert prof.pair_marginal(2, 0) == p02 == RatFunc(X * X, Poly([1, 4, 3]))
     assert prof.pair_marginal(0, 1).is_zero
 
 

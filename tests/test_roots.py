@@ -8,12 +8,12 @@ import pytest
 
 from hardcore_lab.polynomials import Poly, _int_exact_div
 from hardcore_lab.roots import (
+    _int_chain,
     _int_root_bound,
     _simplify_witness,
     isolate_positive_roots,
     nonneg_on_halfline,
     nonneg_on_segment,
-    sturm_chain,
 )
 from hardcore_lab.sampler import SplitMix64
 
@@ -94,7 +94,7 @@ def _count_roots(chain, a, b):
 
 def test_sign_change_across_odd_root():
     p = Poly([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
-    chain = sturm_chain(p)
+    chain = [Poly(cs) for cs in _int_chain(p.coeffs)]
     for lo, hi in isolate_positive_roots(p, max_width=F(1, 8)):
         assert _count_roots(chain, lo, hi) == 1
         assert p.evaluate(lo) * p.evaluate(hi) <= 0

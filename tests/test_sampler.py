@@ -14,7 +14,7 @@ import pytest
 
 from hardcore_lab import sampler
 from hardcore_lab.graphs import bits_of, complete_graph, empty_graph, generate
-from hardcore_lab.hardcore import occupancy_value, variance_value
+from hardcore_lab.hardcore import HardCoreProfile
 from hardcore_lab.sampler import (
     _BLOCK,
     _GAMMA,
@@ -24,8 +24,6 @@ from hardcore_lab.sampler import (
     _heat_bath,
     _splitmix_block,
     estimate,
-    glauber_step,
-    new_chain,
 )
 
 
@@ -45,6 +43,11 @@ def _reference_steps(rng, g, lam, occupied, size, k):
         s1 += size
         s2 += size * size
     return occupied, size, s1, s2
+
+
+def _step(rng, g, coin, occupied, size):
+    """One heat-bath update through the kernel; returns (occupied, size)."""
+    return _heat_bath(rng, g.adj, g.n, coin, occupied, size, 1)[:2]
 
 
 def _unmix(z):
@@ -93,50 +96,54 @@ def test_splitmix64_randrange_rejects_an_empty_or_too_wide_range():
 
 def test_negative_fugacity_is_rejected():
     g = complete_graph(3)
-    with pytest.raises(ValueError, match="fugacity must be nonnegative"):
-        glauber_step(new_chain(1), g, F(-1, 2))
-    with pytest.raises(ValueError, match="fugacity must be nonnegative"):
-        estimate(g, F(-1, 2), 10**5, 10**3)
+    for lam in (F(-1, 2), -3):
+        with pytest.raises(ValueError, match="fugacity must be nonnegative"):
+            _coin_threshold(lam)
+        with pytest.raises(ValueError, match="fugacity must be nonnegative"):
+            estimate(g, lam, 10**5, 10**3)
 
 
 def test_glauber_step_support_on_k2():
     g = complete_graph(2)
-    st = new_chain(1)
+    rng, coin = SplitMix64(1), _coin_threshold(1)
+    occupied = size = 0
     for _ in range(50):
-        glauber_step(st, g, 1)
-        assert st.occupied.bit_count() <= 1  # never both endpoints
+        occupied, size = _step(rng, g, coin, occupied, size)
+        assert occupied.bit_count() <= 1  # never both endpoints
 
 
 def test_single_site_stationary_frequency():
     # One vertex at fugacity 1: occupancy probability exactly 1/2.
     g = empty_graph(1)
-    st = new_chain(12)
+    rng, coin = SplitMix64(12), _coin_threshold(1)
+    occupied = size = 0
     hits = 0
     total = 200000
     for _ in range(total):
-        glauber_step(st, g, 1)
-        hits += st.occupied & 1
+        occupied, size = _step(rng, g, coin, occupied, size)
+        hits += occupied & 1
     freq = hits / total
     assert abs(freq - 0.5) < 0.01
 
 
 def test_zero_fugacity_absorbs_at_empty():
     g = complete_graph(3)
-    st = new_chain(5)
-    st.occupied, st.size = 1, 1
+    rng, coin = SplitMix64(5), _coin_threshold(0)
+    occupied, size = 1, 1
     for _ in range(200):
-        glauber_step(st, g, 0)
-    assert st.occupied == 0 and st.size == 0
+        occupied, size = _step(rng, g, coin, occupied, size)
+    assert occupied == 0 and size == 0
 
 
 def test_independence_invariant_along_the_chain():
     g = generate("kab:2,3")
-    st = new_chain(3)
+    rng, coin = SplitMix64(3), _coin_threshold(F(3, 2))
+    occupied = size = 0
     for _ in range(2000):
-        glauber_step(st, g, F(3, 2))
-        for v in bits_of(st.occupied):
-            assert not g.adj[v] & st.occupied
-        assert st.size == st.occupied.bit_count()
+        occupied, size = _step(rng, g, coin, occupied, size)
+        for v in bits_of(occupied):
+            assert not g.adj[v] & occupied
+        assert size == occupied.bit_count()
 
 
 def test_estimate_preconditions():
@@ -175,10 +182,11 @@ def test_agreement_named_cases():
     # acceptance suite
     cases = [("kab:3,3", F(1), 1000), ("kn:5", F(2), 1000)]
     for spec, lam, seed in cases:
-        g = generate(spec)
+        prof = HardCoreProfile(generate(spec))
+        g = prof.graph
         rep = estimate(g, lam, 10**6, 10**4, seed=seed)
-        ne = float(g.n * occupancy_value(g, lam))
-        nv = float(g.n * variance_value(g, lam))
+        ne = float(g.n * prof.expectation_at(lam))
+        nv = float(g.n * prof.variance_at(lam))
         assert abs(rep.mean_size - ne) <= 3 * rep.se_mean, spec
         assert abs(rep.var_size - nv) <= 3 * rep.se_var, spec
 
@@ -190,9 +198,9 @@ def test_high_fugacity_path_agreement():
     g = generate("path:5")
     lam = F(33)
     rep = estimate(g, lam, 10**6, 10**4, seed=1000)
-    nv = float(5 * variance_value(g, lam))
-    assert abs(rep.var_size - nv) <= 3 * rep.se_var
-    assert 5 * variance_value(g, lam) > F(5 * 33, 34 ** 2)
+    v = HardCoreProfile(g).variance_at(lam)
+    assert abs(rep.var_size - float(5 * v)) <= 3 * rep.se_var
+    assert 5 * v > F(5 * 33, 34 ** 2)
 
 
 def test_report_json_fields():
@@ -281,10 +289,11 @@ def test_rng_state_counts_the_draws_consumed(monkeypatch):
         _reference_steps(ref, g, F(2), 0, 0, steps)
         return ref.draws
 
-    st = new_chain(seed)
+    rng, coin = SplitMix64(seed), _coin_threshold(F(2))
+    occupied = size = 0
     for _ in range(5):
-        glauber_step(st, g, F(2))
-    assert st.rng.state == (seed + consumed(5) * _GAMMA) & _MASK
+        occupied, size = _step(rng, g, coin, occupied, size)
+    assert rng.state == (seed + consumed(5) * _GAMMA) & _MASK
 
     made = []
 
@@ -305,13 +314,14 @@ def test_glauber_step_interleaved_with_a_reference_replay():
     for spec, lam, seed in (("kab:2,3", F(3, 2), 3), ("empty:1", F(1), 12),
                             ("kn:4", F(1, 4), 2**64 - 5)):
         g = generate(spec)
-        st = new_chain(seed)
+        rng, coin = SplitMix64(seed), _coin_threshold(lam)
         ref = SplitMix64(seed)
-        occupied = size = 0
+        occupied = size = ref_occupied = ref_size = 0
         for _ in range(3000):
-            glauber_step(st, g, lam)
-            occupied, size, _, _ = _reference_steps(ref, g, lam, occupied, size, 1)
-            assert (st.occupied, st.size, st.rng.state) == (occupied, size, ref.state)
+            occupied, size = _step(rng, g, coin, occupied, size)
+            ref_occupied, ref_size, _, _ = _reference_steps(ref, g, lam, ref_occupied,
+                                                            ref_size, 1)
+            assert (occupied, size, rng.state) == (ref_occupied, ref_size, ref.state)
 
 
 def test_coin_threshold_matches_the_float_comparison():

@@ -108,17 +108,27 @@ def test_one_integer_product_kernel():
     assert "_mul" not in {n.name for n in ast.walk(hardcore) if isinstance(n, ast.FunctionDef)}
 
 
+_ARITHMETIC = {"__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__"}
+
+
 def test_only_the_polynomial_types_define_a_product():
-    # Poly and RatFunc, MultiPoly and RationalInterval are the arithmetic
-    # types: a truncated series is a MultiPoly in the fugacity, so no second
-    # polynomial container defines __mul__ again.
-    found = {
-        path.name
+    # Poly, MultiPoly and RationalInterval are the arithmetic types: a
+    # truncated series is a MultiPoly in the fugacity, so no second
+    # polynomial container defines __mul__ again.  RatFunc is a value type:
+    # E and V are compared for identity and evaluated, never combined, so it
+    # defines no arithmetic dunder, by def or by assignment.
+    members = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        | {t.id for item in node.body if isinstance(item, ast.Assign)
+           for t in item.targets if isinstance(t, ast.Name)}
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.FunctionDef) and node.name == "__mul__"
+        if isinstance(node, ast.ClassDef)
     }
-    assert found == {"polynomials.py", "multipoly.py", "intervals.py"}
+    assert {name for name, names in members.items() if "__mul__" in names} == {
+        "Poly", "MultiPoly", "RationalInterval"}
+    assert members["RatFunc"] & _ARITHMETIC == set()
 
 
 def _functions(node, prefix=""):
