@@ -87,23 +87,12 @@ def _positive_lam(lam) -> Fraction:
 
 
 def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
-              note: str | None = None, witness=None) -> BoundCheck:
-    status = HOLDS if lhs <= rhs else FAILS
-    return BoundCheck(
-        name=name,
-        graph=g.display_name(),
-        lam=Fraction(lam) if lam is not None else None,
-        status=status,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        witness=witness if status == FAILS else None,
-        note=note,
-    )
+              note: str | None = None) -> BoundCheck:
+    return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS if lhs <= rhs else FAILS,
+                      lhs=lhs, rhs=rhs, margin=rhs - lhs, note=note)
 
 
-def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol,
-                 note: str | None = None) -> BoundCheck:
+def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol) -> BoundCheck:
     """Certify lhs <= rhs where either side is an enclosure factory tol -> value."""
     tol = _positive_tol(tol)
     while True:
@@ -112,16 +101,15 @@ def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol,
         lhs_i, rhs_i = _lift(lhs), _lift(rhs)
         if lhs_i.certainly_le(rhs_i):
             return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS,
-                              lhs=lhs, rhs=rhs, margin=rhs_i.lo - lhs_i.hi, note=note)
+                              lhs=lhs, rhs=rhs, margin=rhs_i.lo - lhs_i.hi)
         if rhs_i.certainly_lt(lhs_i):
             return BoundCheck(name, g.display_name(), Fraction(lam), FAILS,
                               lhs=lhs, rhs=rhs, margin=rhs_i.hi - lhs_i.lo,
-                              witness=(lhs_i, rhs_i), note=note)
+                              witness=(lhs_i, rhs_i))
         if tol <= TOL_FLOOR:
             return BoundCheck(name, g.display_name(), Fraction(lam), INCONCLUSIVE,
                               lhs=lhs, rhs=rhs,
-                              margin=RationalInterval(rhs_i.lo - lhs_i.hi, rhs_i.hi - lhs_i.lo),
-                              note=note)
+                              margin=RationalInterval(rhs_i.lo - lhs_i.hi, rhs_i.hi - lhs_i.lo))
         tol /= 10
 
 
@@ -252,7 +240,7 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
     """Triangle-free degree-sequence floor with the Lambert-W weight,
     certified by enclosures: (1/n) sum_u (lam/(1+lam)) W(d_u L)/(d_u L) with
     L = log(1+lam) must not exceed the exact occupancy fraction."""
-    lam = _positive_lam(lam)
+    lam, tol = _positive_lam(lam), _positive_tol(tol)
     prof = _profile_of(g)
     g = prof.graph
     if not g.is_triangle_free():
@@ -342,11 +330,8 @@ def check_p5_threshold() -> list[BoundCheck]:
         HOLDS if v33 > ceiling33 else FAILS, lhs=ceiling33, rhs=v33,
         margin=v33 - ceiling33))
 
-    v1 = prof.variance_at(1)
-    out.append(BoundCheck(
-        "variance.p5_below_ceiling_at_1", g.display_name(), Fraction(1),
-        HOLDS if v1 <= Fraction(1, 4) else FAILS, lhs=v1, rhs=Fraction(1, 4),
-        margin=Fraction(1, 4) - v1))
+    out.append(_exact_le("variance.p5_below_ceiling_at_1", g, 1,
+                         prof.variance_at(1), Fraction(1, 4)))
 
     intervals = isolate_positive_roots(gap, max_width=Fraction(1, 1000))
     last = intervals[-1] if intervals else None
@@ -427,8 +412,11 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
     _require_vertices(g)
     if weight not in ("clique", "triangle_free"):
         raise ValueError(f"unknown weight {weight!r}")
-    if weight == "triangle_free" and not g.is_triangle_free():
-        raise ValueError("triangle-free weight requires a triangle-free graph")
+    if weight == "triangle_free":
+        # The clique weight is exact and ignores tol.
+        tol = _positive_tol(tol)
+        if not g.is_triangle_free():
+            raise ValueError("triangle-free weight requires a triangle-free graph")
     zv = Fraction(prof.z.evaluate(lam))
     marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
     if weight == "clique":
@@ -450,9 +438,8 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
             acc = acc + RationalInterval.point(p) / enc * Fraction(1, g.n)
         return acc
 
-    check = _interval_le("local_occupancy.tf_weighted_marginals", g, lam,
-                         lambda _: Fraction(1), rhs, tol)
-    return check
+    return _interval_le("local_occupancy.tf_weighted_marginals", g, lam,
+                        lambda _: Fraction(1), rhs, tol)
 
 
 # -- combined chain -----------------------------------------------------------
@@ -463,7 +450,7 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
         ((1+lam) log(1+lam)/lam) E <= F <= E log(lam) + h(E) <= E log(e lam / E)
 
     certified with outward-rounded enclosures at the given tolerance."""
-    lam = _positive_lam(lam)
+    lam, tol = _positive_lam(lam), _positive_tol(tol)
     prof = _profile_of(g)
     g, z = prof.graph, prof.z
     e = prof.expectation_at(lam)

@@ -18,7 +18,7 @@ from . import bounds, repro
 from .bounds import DEFAULT_TOL
 from .graphs import Graph, generate, parse_graph6, read_edge_list
 from .hardcore import HardCoreProfile, MemoLimitExceeded, _require_vertices
-from .intervals import free_energy_interval
+from .intervals import _positive_tol, free_energy_interval
 from .orderings import OrderingKind, compare
 from .polynomials import Poly
 from .sampler import estimate
@@ -54,13 +54,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _default_tol() -> Fraction:
-    env = os.environ.get("HARDCORE_LAB_TOL")
-    if env:
-        return Fraction(env)
-    return DEFAULT_TOL
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -88,9 +81,9 @@ def cmd_poly(args) -> int:
 
 def cmd_quantities(args) -> int:
     lam = bounds._positive_lam(args.lam)
+    tol = _positive_tol(args.tol)
     g = resolve_graph(args.graph)
     _require_vertices(g)
-    tol = args.tol if args.tol is not None else _default_tol()
     prof = HardCoreProfile(g)
     z, e, v = prof.z, prof.expectation, prof.variance
     fe = free_energy_interval(z, g.n, lam, tol)
@@ -149,15 +142,14 @@ GRAPHLESS_BOUNDS = {
 
 
 def cmd_bound(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     if args.name in GRAPHLESS_BOUNDS:
-        checks = GRAPHLESS_BOUNDS[args.name](args.lam, tol)
+        checks = GRAPHLESS_BOUNDS[args.name](args.lam, args.tol)
     elif args.name in BOUND_GROUPS:
         if args.graph is None or args.lam is None:
             print("error: this bound needs a graph and --lambda", file=sys.stderr)
             return EXIT_USAGE
         g = resolve_graph(args.graph)
-        checks = BOUND_GROUPS[args.name](g, bounds._positive_lam(args.lam), tol)
+        checks = BOUND_GROUPS[args.name](g, bounds._positive_lam(args.lam), args.tol)
     else:
         known = ", ".join(sorted(BOUND_GROUPS) + sorted(GRAPHLESS_BOUNDS))
         print(f"error: unknown bound {args.name!r} (known: {known})", file=sys.stderr)
@@ -205,7 +197,7 @@ def build_parser() -> _Parser:
                        help="partition function, occupancy and variance data")
     p.add_argument("graph")
     p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    p.add_argument("--tol", type=_rational, default=None)
+    p.add_argument("--tol", type=_rational, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_quantities)
 
     p = sub.add_parser("order", help="decide one of the seven polynomial orderings")
@@ -218,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("name")
     p.add_argument("graph", nargs="?")
     p.add_argument("--lambda", dest="lam", type=_rational, default=None)
-    p.add_argument("--tol", type=_rational, default=None)
+    p.add_argument("--tol", type=_rational, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sample", help="Glauber-dynamics estimate of nE and nV")

@@ -158,9 +158,9 @@ def from_edges(n: int, edges, label: str | None = None) -> Graph:
     return Graph(n, tuple(adj), label)
 
 
-def disjoint_union(g: Graph, h: Graph, label: str | None = None) -> Graph:
+def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph(g.n + h.n, tuple(adj), label)
+    return Graph(g.n + h.n, tuple(adj))
 
 
 # -- named generators ---------------------------------------------------------

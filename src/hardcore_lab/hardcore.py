@@ -285,16 +285,17 @@ def variance_via_marginals(g: Graph | HardCoreProfile) -> RatFunc:
     result equals the closed form exactly.
     """
     prof = _profile_of(g)
-    g = prof.graph
-    variance, z = prof.variance, prof.z
+    g, z = prof.graph, prof.z
     x = Poly([0, 1])
     single_sum = sum(prof.residuals, Poly())
     pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                     if not g.has_edge(u, v)), Poly())
-    # Over the common denominator Z^2, with the pair sum counted both ways.
+    # n V over the common denominator Z^2, with the pair sum counted both
+    # ways, against the profile's reduced V = num / den by cross-multiplying,
+    # so that no second gcd reduction is needed.
     numerator = x * single_sum * z + 2 * x * x * pair_sum * z - x * x * single_sum * single_sum
-    result = RatFunc(numerator * Fraction(1, g.n), z * z)
-    if result != variance:
+    variance = prof.variance
+    if numerator * variance.den != g.n * variance.num * z * z:
         raise ArithmeticError(
             f"{g.display_name()}: marginal and closed-form variance paths disagree")
-    return result
+    return variance

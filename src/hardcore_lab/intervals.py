@@ -370,8 +370,8 @@ def _float_lambert_seed(x: float):
     return w if w >= 0 and math.isfinite(w) else None
 
 
-def _dyadic(value: float, bits: int = 64) -> Fraction:
-    return Fraction(round(value * (1 << bits)), 1 << bits)
+def _dyadic(value: float) -> Fraction:
+    return Fraction(round(value * (1 << 64)), 1 << 64)
 
 
 def _dyadic_between(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:

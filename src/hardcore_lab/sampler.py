@@ -154,6 +154,10 @@ def _coin_threshold(lam: Fraction) -> int:
     return -(-(num << 53) // den)
 
 
+# Batch-means estimates split the measured steps into this many batches.
+BATCHES = 50
+
+
 @dataclass
 class EstimateReport:
     """Point estimates of the expected size and size variance with
@@ -185,10 +189,9 @@ class EstimateReport:
         }
 
 
-def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
-             batches: int = 50) -> EstimateReport:
+def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1) -> EstimateReport:
     """Run the chain and report batch-means estimates of the expected
-    occupied count and its variance."""
+    occupied count and its variance over BATCHES batches."""
     lam = Fraction(lam)
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -196,11 +199,9 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
         raise ValueError("burn_in must be nonnegative")
     if steps < 10 * burn_in:
         raise ValueError("need steps >= 10 * burn_in")
-    if batches < 30:
-        raise ValueError("need at least 30 batches")
-    if steps < batches:
+    if steps < BATCHES:
         raise ValueError("need steps >= batches (at least one step per batch)")
-    batch_len = steps // batches
+    batch_len = steps // BATCHES
 
     rng = SplitMix64(seed)
     coin = _coin_threshold(lam)
@@ -210,7 +211,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
     batch_vars = []
     total1 = 0
     total2 = 0
-    for _ in range(batches):
+    for _ in range(BATCHES):
         occupied, size, s1, s2 = _heat_bath(rng, g.adj, g.n, coin, occupied, size,
                                             batch_len)
         m = s1 / batch_len
@@ -219,7 +220,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
         total1 += s1
         total2 += s2
 
-    measured = batches * batch_len
+    measured = BATCHES * batch_len
     mean = total1 / measured
     var = total2 / measured - mean * mean
     se_mean = _spread(batch_means)
@@ -230,7 +231,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1,
         steps=measured,
         burn_in=burn_in,
         seed=seed,
-        batches=batches,
+        batches=BATCHES,
         mean_size=mean,
         se_mean=se_mean,
         var_size=var,

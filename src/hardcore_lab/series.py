@@ -18,6 +18,8 @@ from .polynomials import Poly
 from .roots import nonneg_on_segment
 
 MAX_SERIES_ORDER = 8
+# The coefficient checks evaluate on every degree pair up to this degree.
+DEGREE_GRID = 12
 
 
 def truncate(s: MultiPoly, order: int) -> MultiPoly:
@@ -152,9 +154,10 @@ def expected_t_coefficients() -> dict[int, MultiPoly]:
     return {1: a1, 2: a2, 3: a3, 12 * 4: twelve_a4}
 
 
-def verify_t_coefficients(max_delta: int = 12) -> dict:
+def verify_t_coefficients() -> dict:
     """Check the displayed low-order coefficients of t symbolically, and the
-    crude cubic floor 12 a4 >= -431 Delta^3 on the integer degree grid."""
+    crude cubic floor 12 a4 >= -431 Delta^3 on the integer degree grid
+    up to DEGREE_GRID."""
     t = t_series(4)
     expected = expected_t_coefficients()
     a4_scaled = coefficient(t, 4) * 12
@@ -167,7 +170,7 @@ def verify_t_coefficients(max_delta: int = 12) -> dict:
     }
     floor_ok = True
     worst = None
-    for delta in range(1, max_delta + 1):
+    for delta in range(1, DEGREE_GRID + 1):
         lo = min(
             a4_scaled.evaluate({"d_u": du, "d_v": dv})
             for du in range(1, delta + 1)
@@ -192,10 +195,11 @@ def tprime_series(order: int = 4) -> MultiPoly:
     return g_series(dw - duw, TPRIME_VARS, order) - g_series(dw, TPRIME_VARS, order)
 
 
-def verify_tprime_coefficients(max_degree: int = 12) -> dict:
+def verify_tprime_coefficients() -> dict:
     """Check the displayed coefficients of the second-neighborhood correction
     term, the monotonicity of its quartic coefficient in the codegree, its
-    floor of 11/8, and the codegree relaxation used downstream."""
+    floor of 11/8, and the codegree relaxation used downstream, on the
+    degree grid up to DEGREE_GRID."""
     tp = tprime_series(4)
     dw = MultiPoly.variable(TPRIME_VARS, "d_w")
     duw = MultiPoly.variable(TPRIME_VARS, "d_uw")
@@ -224,7 +228,7 @@ def verify_tprime_coefficients(max_degree: int = 12) -> dict:
 
     grid_min = min(
         a4.evaluate({"d_w": w, "d_uw": c})
-        for w in range(1, max_degree + 1)
+        for w in range(1, DEGREE_GRID + 1)
         for c in range(1, w + 1)
     )
     checks["a4_floor"] = grid_min >= Fraction(11, 8)
@@ -235,7 +239,7 @@ def verify_tprime_coefficients(max_degree: int = 12) -> dict:
     checks["relaxation_identity"] = relaxed_gap == duw * (duw - 1) * Fraction(3, 2)
     checks["relaxation_grid"] = all(
         relaxed_gap.evaluate({"d_w": w, "d_uw": c}) >= 0
-        for w in range(1, max_degree + 1)
+        for w in range(1, DEGREE_GRID + 1)
         for c in range(1, w + 1)
     )
     return {

@@ -263,11 +263,15 @@ def test_weighted_marginals_tf_rejects_triangles():
         bounds.check_weighted_marginal_sum(complete_graph(3), 1, "triangle_free")
 
 
+def _grid_edges():
+    """The edges of the 8x8 grid, which is triangle-free."""
+    edges = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+    return edges + [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
+
+
 def _grid_with_a_triangle():
     """The 8x8 grid plus the chord (0, 9), which closes the triangle 0, 1, 9."""
-    edges = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
-    edges += [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
-    return from_edges(64, edges + [(0, 9)], "grid:8x8+chord")
+    return from_edges(64, _grid_edges() + [(0, 9)], "grid:8x8+chord")
 
 
 @pytest.mark.parametrize("weight, message", [
@@ -293,6 +297,37 @@ def test_weighted_marginals_tf_command_refuses_a_triangle_at_once(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         1, "", "error: triangle-free weight requires a triangle-free graph\n")
+
+
+_TOLERANT_CHECKS = {
+    "occupancy_tf": lambda prof, tol: bounds.check_occupancy_tf(prof, F(1, 100), tol),
+    "combined": lambda prof, tol: bounds.check_combined_chain(prof, F(1, 100), tol),
+    "weighted_marginals_tf": lambda prof, tol: bounds.check_weighted_marginal_sum(
+        prof, F(1, 100), "triangle_free", tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOLERANT_CHECKS))
+def test_nonpositive_tolerance_is_refused_before_any_engine_work(name):
+    # Z, E and the residuals of the grid take 0.2-3 s; a nonpositive tol is
+    # refused before them.
+    prof = HardCoreProfile(from_edges(64, _grid_edges(), "grid:8x8"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        _TOLERANT_CHECKS[name](prof, 0)
+    assert time.perf_counter() - start < 0.5
+    assert prof._memo == {}
+
+
+@pytest.mark.parametrize("command", [("bound", name) for name in sorted(_TOLERANT_CHECKS)]
+                         + [("quantities",)], ids=lambda command: command[-1])
+def test_nonpositive_tolerance_command_refuses_at_once(command, capsys):
+    spec = "g6:" + encode_graph6(from_edges(64, _grid_edges()))
+    start = time.perf_counter()
+    code = main([*command, spec, "--lambda", "1/100", "--tol", "0"])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: tolerance must be positive\n")
 
 
 def test_combined_chain_samples():

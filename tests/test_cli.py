@@ -151,16 +151,6 @@ def test_repro_out_file_and_determinism(tmp_path, capsys):
     assert [json.loads(l)["id"] for l in lines] == sorted(ids)
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HARDCORE_LAB_TOL", "1/1000")
-    code, out, _ = run(capsys, "quantities", "kn:3", "--lambda", "1")
-    assert code == 0
-    data = json.loads(out)
-    lo, hi = data["free_energy_enclosure"][1:-1].split(",")
-    width = F(hi.strip()) - F(lo.strip())
-    assert width <= F(1, 1000)
-
-
 def test_memo_limit_is_a_one_line_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 4)
     code, out, err = run(capsys, "poly", "path:64")
@@ -220,18 +210,12 @@ def test_nonpositive_fugacity_is_a_one_line_usage_error(capsys):
         assert (code, out, err) == (1, "", err_line), argv
 
 
-def test_nonpositive_tolerance_is_a_one_line_usage_error(capsys, monkeypatch):
+def test_nonpositive_tolerance_is_a_one_line_usage_error(capsys):
     for argv in (
         ("bound", "occupancy_tf", "petersen", "--lambda", "1/100", "--tol", "0"),
         ("bound", "combined", "cycle:5", "--lambda", "1", "--tol", "-1"),
         ("quantities", "cycle:5", "--lambda", "1", "--tol", "0"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: tolerance must be positive\n"
-    monkeypatch.setenv("HARDCORE_LAB_TOL", "0")
-    for argv in (("quantities", "cycle:5", "--lambda", "1"),
-                 ("bound", "occupancy_tf", "cycle:5", "--lambda", "1/100")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: tolerance must be positive\n"

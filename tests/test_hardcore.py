@@ -166,6 +166,17 @@ def test_variance_via_marginals_raises_on_disagreement(monkeypatch):
         variance_via_marginals(generate("path:4"))
 
 
+def test_variance_via_marginals_raises_on_a_perturbed_pair_residual():
+    # The marginal route's own data, not only the closed form, is checked:
+    # one pair residual off by one is caught.
+    prof = HardCoreProfile(generate("cycle:6"))
+    exact = prof._pair_residual
+    assert variance_via_marginals(prof) == prof.variance
+    prof._pair_residual = lambda u, v: exact(u, v) + (1 if (u, v) == (0, 2) else 0)
+    with pytest.raises(ArithmeticError, match="cycle:6"):
+        variance_via_marginals(prof)
+
+
 def test_variance_via_marginals_reads_the_given_profile(monkeypatch):
     prof = HardCoreProfile(generate("petersen + kab:2,3"))
     z, variance = prof.z, prof.variance

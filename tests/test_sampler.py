@@ -150,8 +150,6 @@ def test_estimate_preconditions():
     g = complete_graph(3)
     with pytest.raises(ValueError):
         estimate(g, 1, 10**4, 10**4)
-    with pytest.raises(ValueError):
-        estimate(g, 1, 10**5, 10**3, batches=10)
     with pytest.raises(ValueError, match="burn_in must be nonnegative"):
         estimate(g, 1, -5, -1)
     for steps in (-5, 0, 49):
@@ -305,9 +303,9 @@ def test_rng_state_counts_the_draws_consumed(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(sampler, "SplitMix64", Recorded)
-    rep = estimate(g, F(2), 6030, 201, seed=seed, batches=30)
-    assert rep.steps == 6030 and len(made) == 1
-    assert made[0].state == (seed + consumed(201 + 6030) * _GAMMA) & _MASK
+    rep = estimate(g, F(2), 6050, 201, seed=seed)
+    assert rep.steps == 6050 and rep.batches == 50 and len(made) == 1
+    assert made[0].state == (seed + consumed(201 + 6050) * _GAMMA) & _MASK
 
 
 def test_glauber_step_interleaved_with_a_reference_replay():

@@ -219,3 +219,85 @@ def test_per_graph_quantities_come_from_the_profile():
     assert engine_calls == []
     assert optional_z == []
     assert coercions == {"hardcore.py:_profile_of"}
+
+
+# Defaulted parameters kept without a caller: main(argv) is the tests' entry
+# seam, and the density and size of the two random generators are set by
+# the tests that use them as instruments.
+_UNSET_OPTIONS = {
+    "cli.py:main(argv)",
+    "corpus.py:random_graph(p_numer)", "corpus.py:random_graph(p_denom)",
+    "orderings.py:random_generating_pair(max_degree)",
+    "orderings.py:random_generating_pair(max_coeff)",
+}
+
+
+def _passes(call, name, arg, index) -> bool:
+    """Whether call, to something called name, passes arg by keyword, or by
+    position at index (None for keyword-only)."""
+    func = call.func
+    callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return callee == name and (
+        any(k.arg in (arg, None) for k in call.keywords)
+        or index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_every_option_has_a_caller():
+    # Every defaulted parameter of a library function or method is passed,
+    # by keyword or by position, in some call in the library, the command
+    # line or the demos: a setting no caller sets is a constant.  A method
+    # is matched by name (a class's __init__ by the class name), with self
+    # or cls not counted among the positions.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in MODULES + DEMOS}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset, options = set(), 0
+    for path in MODULES:
+        classes = {node.name for node in ast.walk(trees[path]) if isinstance(node, ast.ClassDef)}
+        for qualified, fn in _functions(trees[path]):
+            cls = qualified.split(".")[-2] if "." in qualified else None
+            bound = cls in classes
+            name = cls if bound and fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            for arg, default in _defaults(fn.args):
+                if default is None:
+                    continue
+                options += 1
+                index = positional.index(arg) - bound if arg in positional else None
+                if not any(_passes(call, name, arg.arg, index) for call in calls):
+                    unset.add(f"{path.name}:{name}({arg.arg})")
+    assert options > 20
+    assert unset == _UNSET_OPTIONS
+
+
+# Public methods kept without a reference in the library or the demos: four
+# test instruments, and the argparse hook that argparse itself calls.
+_UNREFERENCED_METHODS = {
+    "Graph.induced", "Graph.tf_edge_count_identity", "RationalInterval.contains",
+    "SplitMix64.random", "_Parser.error",
+}
+
+
+def test_every_public_method_is_referenced():
+    # A public method of a library class is referenced somewhere in the
+    # library, the command line or the demos outside its own definition: a
+    # method only tests reach is deleted, not kept.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES + DEMOS]
+    used = Counter(name for tree in trees for name in _names_used(tree))
+    methods = [
+        (cls.name, item)
+        for tree in trees[:len(MODULES)]
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+    unreferenced = {
+        f"{cls}.{item.name}"
+        for cls, item in methods
+        if used[item.name] == Counter(_names_used(item))[item.name]
+    }
+    assert len(methods) > 40
+    assert unreferenced == _UNREFERENCED_METHODS
