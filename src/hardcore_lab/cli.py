@@ -116,44 +116,66 @@ def cmd_order(args) -> int:
     return _exit_code([verdict.status])
 
 
-BOUND_GROUPS = {
-    "free_energy": lambda g, lam, tol: bounds.check_free_energy_bounds(g, lam),
-    "occupancy": lambda g, lam, tol: bounds.check_occupancy_bounds(g, lam),
+# Bounds on a graph decided by exact rational arithmetic, and those decided
+# through certified enclosures, the only ones that read --tol.
+EXACT_BOUNDS = {
+    "free_energy": lambda g, lam: bounds.check_free_energy_bounds(g, lam),
+    "occupancy": lambda g, lam: bounds.check_occupancy_bounds(g, lam),
+    "variance": lambda g, lam: bounds.check_variance_bounds(g, lam),
+    "local_occupancy": lambda g, lam: [bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)],
+    "weighted_marginals": lambda g, lam: [
+        bounds.check_weighted_marginal_sum(g, lam, "clique")],
+    "vertex_ceiling": lambda g, lam: [bounds.check_vertex_f_upper_counterexample(g, lam)],
+}
+
+ENCLOSED_BOUNDS = {
     "occupancy_tf": lambda g, lam, tol: [bounds.check_occupancy_tf(g, lam, tol)],
-    "variance": lambda g, lam, tol: bounds.check_variance_bounds(g, lam),
     "combined": lambda g, lam, tol: bounds.check_combined_chain(g, lam, tol),
-    "local_occupancy": lambda g, lam, tol: [
-        bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)],
-    "weighted_marginals": lambda g, lam, tol: [
-        bounds.check_weighted_marginal_sum(g, lam, "clique"),
-    ],
     "weighted_marginals_tf": lambda g, lam, tol: [
         bounds.check_weighted_marginal_sum(g, lam, "triangle_free", tol),
     ],
-    "vertex_ceiling": lambda g, lam, tol: [
-        bounds.check_vertex_f_upper_counterexample(g, lam)],
 }
 
 GRAPHLESS_BOUNDS = {
-    "p5_threshold": lambda lam, tol: bounds.check_p5_threshold(),
-    "edge_counterexamples": lambda lam, tol: bounds.check_edge_occ_counterexamples(
+    "p5_threshold": lambda lam: bounds.check_p5_threshold(),
+    "edge_counterexamples": lambda lam: bounds.check_edge_occ_counterexamples(
         lam if lam is not None else 5),
 }
 
 
+def _unread_bound_argument(args) -> str | None:
+    """The first argument given to `bound` that its check would not read."""
+    if args.graph is not None and args.name in GRAPHLESS_BOUNDS:
+        return "graph"
+    if args.lam is not None and args.name == "p5_threshold":
+        return "--lambda"
+    if args.tol is not None and args.name not in ENCLOSED_BOUNDS:
+        return "--tol"
+    return None
+
+
 def cmd_bound(args) -> int:
-    if args.name in GRAPHLESS_BOUNDS:
-        checks = GRAPHLESS_BOUNDS[args.name](args.lam, args.tol)
-    elif args.name in BOUND_GROUPS:
-        if args.graph is None or args.lam is None:
-            print("error: this bound needs a graph and --lambda", file=sys.stderr)
-            return EXIT_USAGE
-        g = resolve_graph(args.graph)
-        checks = BOUND_GROUPS[args.name](g, bounds._positive_lam(args.lam), args.tol)
-    else:
-        known = ", ".join(sorted(BOUND_GROUPS) + sorted(GRAPHLESS_BOUNDS))
-        print(f"error: unknown bound {args.name!r} (known: {known})", file=sys.stderr)
+    known = sorted(EXACT_BOUNDS.keys() | ENCLOSED_BOUNDS.keys()) + sorted(GRAPHLESS_BOUNDS)
+    if args.name not in known:
+        print(f"error: unknown bound {args.name!r} (known: {', '.join(known)})", file=sys.stderr)
         return EXIT_USAGE
+    unread = _unread_bound_argument(args)
+    if unread is not None:
+        print(f"error: bound {args.name} takes no {unread}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.name in GRAPHLESS_BOUNDS:
+        checks = GRAPHLESS_BOUNDS[args.name](args.lam)
+    elif args.graph is None or args.lam is None:
+        print("error: this bound needs a graph and --lambda", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        g = resolve_graph(args.graph)
+        lam = bounds._positive_lam(args.lam)
+        if args.name in EXACT_BOUNDS:
+            checks = EXACT_BOUNDS[args.name](g, lam)
+        else:
+            tol = DEFAULT_TOL if args.tol is None else args.tol
+            checks = ENCLOSED_BOUNDS[args.name](g, lam, tol)
     for check in checks:
         _emit(check.to_json())
     return _exit_code(c.status for c in checks)
@@ -210,7 +232,7 @@ def build_parser() -> _Parser:
     p.add_argument("name")
     p.add_argument("graph", nargs="?")
     p.add_argument("--lambda", dest="lam", type=_rational, default=None)
-    p.add_argument("--tol", type=_rational, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_rational, default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sample", help="Glauber-dynamics estimate of nE and nV")

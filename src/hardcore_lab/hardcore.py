@@ -26,6 +26,18 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return tuple(comb(k, i) for i in range(k + 1))
 
 
+@lru_cache(maxsize=None)
+def _path_row(k: int) -> tuple[int, ...]:
+    """Coefficients of Z of the k-vertex path: i_j = C(k - j + 1, j)."""
+    return tuple(comb(k - j + 1, j) for j in range((k + 1) // 2 + 1))
+
+
+@lru_cache(maxsize=None)
+def _cycle_row(k: int) -> tuple[int, ...]:
+    """Coefficients of Z of the k-cycle: i_j = k C(k - j, j) / (k - j)."""
+    return tuple(k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1))
+
+
 def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...]:
     """Coefficients of Z of the subgraph induced by mask.
 
@@ -34,10 +46,12 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...
     are multiplied; the k isolated vertices contribute one row (1 + x)^k.
     Inside a component with an edge, the branch vertex u has maximum degree
     in the component, ties going to the lowest index, and
-    Z(C) = Z(C - u) + x * Z(C - N[u]).  Memo entries are those components,
-    keyed by vertex mask; the whole mask is looked up first.  Raises
-    MemoLimitExceeded once the memo would hold more than DEFAULT_MEMO_LIMIT
-    components.
+    Z(C) = Z(C - u) + x * Z(C - N[u]).  A component of maximum degree 2 is
+    a leaf instead: a path when its k vertices span k - 1 edges, otherwise a
+    cycle, whose closed-form row is read without branching.  Memo entries
+    are those components, leaves included, keyed by vertex mask; the whole
+    mask is looked up first.  Raises MemoLimitExceeded once the memo would
+    hold more than DEFAULT_MEMO_LIMIT components.
     """
     cached = memo.get(mask)
     if cached is not None:
@@ -69,12 +83,17 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...
                 d = (adj[v] & comp).bit_count()
                 if d > best_d:
                     best_d, best_v = d, v
-            without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo)
-            with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
-            poly = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
-            for i, c in enumerate(with_u):
-                poly[i + 1] += c
-            poly = tuple(poly)
+            if best_d <= 2:
+                k = comp.bit_count()
+                degrees = sum((adj[v] & comp).bit_count() for v in bits_of(comp))
+                poly = _path_row(k) if degrees < 2 * k else _cycle_row(k)
+            else:
+                without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo)
+                with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
+                poly = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
+                for i, c in enumerate(with_u):
+                    poly[i + 1] += c
+                poly = tuple(poly)
             if len(memo) >= DEFAULT_MEMO_LIMIT:
                 raise MemoLimitExceeded(f"residual cache exceeded {DEFAULT_MEMO_LIMIT} entries")
             memo[comp] = poly
@@ -233,8 +252,11 @@ class HardCoreProfile:
         table: dict[tuple[int, ...], tuple[Poly, Poly, int, int]] = {}
         for u in range(self.graph.n):
             neighbors = list(bits_of(self.graph.adj[u]))
-            for picks in range(1 << len(neighbors)):
-                mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+            masks = [0] * (1 << len(neighbors))
+            for picks in range(1, len(masks)):
+                lowest = (picks & -picks).bit_length() - 1
+                masks[picks] = masks[picks & (picks - 1)] | 1 << neighbors[lowest]
+            for mask in masks:
                 coeffs = self._coeffs(mask)
                 if coeffs not in table:
                     zf = Poly(coeffs)

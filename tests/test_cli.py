@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from hardcore_lab import hardcore, repro
 from hardcore_lab.cli import main
 from hardcore_lab.polynomials import Poly, RatFunc
@@ -69,6 +71,35 @@ def test_bound_vertex_ceiling_reports_failure(capsys):
     code, out, _ = run(capsys, "bound", "vertex_ceiling", "path:4", "--lambda", "1")
     assert code == 2
     assert json.loads(out.splitlines()[0])["status"] == "fails"
+
+
+_EXACT_GROUPS = ("free_energy", "occupancy", "variance", "local_occupancy",
+                 "weighted_marginals", "vertex_ceiling")
+
+
+@pytest.mark.parametrize("argv, unread", [
+    *(((name, "petersen", "--lambda", "1", "--tol", "1/100"), "--tol") for name in _EXACT_GROUPS),
+    (("edge_counterexamples", "--lambda", "5", "--tol", "1/100"), "--tol"),
+    (("p5_threshold", "--tol", "1/100"), "--tol"),
+    (("p5_threshold", "--lambda", "5"), "--lambda"),
+    (("p5_threshold", "petersen"), "graph"),
+    (("edge_counterexamples", "petersen", "--lambda", "5"), "graph"),
+], ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
+def test_bound_refuses_an_argument_it_would_not_read(argv, unread, capsys, monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("engine work before the refusal")
+
+    monkeypatch.setattr(hardcore, "_zpoly_coeffs", no_engine)
+    code, out, err = run(capsys, "bound", *argv)
+    assert (code, out, err) == (1, "", f"error: bound {argv[0]} takes no {unread}\n")
+
+
+@pytest.mark.parametrize("name", ["occupancy_tf", "combined", "weighted_marginals_tf"])
+def test_enclosed_bounds_default_to_the_library_tolerance(name, capsys):
+    argv = ("bound", name, "cycle:8", "--lambda", "1/100")
+    default = run(capsys, *argv)
+    explicit = run(capsys, *argv, "--tol", "1/1000000000")
+    assert default[0] == 0 and default == explicit
 
 
 def test_bound_unknown_name(capsys):
@@ -153,7 +184,7 @@ def test_repro_out_file_and_determinism(tmp_path, capsys):
 
 def test_memo_limit_is_a_one_line_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 4)
-    code, out, err = run(capsys, "poly", "path:64")
+    code, out, err = run(capsys, "poly", "petersen")
     assert code == 1 and out == ""
     assert err == "error: residual cache exceeded 4 entries\n"
 

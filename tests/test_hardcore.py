@@ -1,15 +1,18 @@
 """Hard-core engine: partition functions, marginals, moments."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from hardcore_lab import corpus, hardcore
 from hardcore_lab.graphs import (
+    bits_of,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     empty_graph,
+    from_edges,
     generate,
     pasch_graph,
     path_graph,
@@ -113,12 +116,76 @@ def test_engine_at_64_vertices():
 
 
 def test_memo_limit(monkeypatch):
+    # Paths and cycles are one-entry leaves, so the limit is exercised on
+    # graphs that still branch.
     monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 4)
     with pytest.raises(MemoLimitExceeded):
-        independence_polynomial(cycle_graph(20))
+        independence_polynomial(petersen_graph())
     monkeypatch.setattr(hardcore, "DEFAULT_MEMO_LIMIT", 10)
     with pytest.raises(MemoLimitExceeded):
-        subset_polynomial(path_graph(64), (1 << 64) - 1)
+        subset_polynomial(generate("6*petersen"), (1 << 60) - 1)
+
+
+def test_closed_form_rows_match_the_transfer_recurrences():
+    for k in range(1, 65):
+        assert hardcore._path_row(k) == path_polynomial(k).coeffs, k
+    for k in range(3, 65):
+        assert all(k * comb(k - j, j) % (k - j) == 0 for j in range(k // 2 + 1)), k
+        assert hardcore._cycle_row(k) == cycle_polynomial(k).coeffs, k
+
+
+def test_path_and_cycle_components_take_one_memo_entry():
+    for g, z in ((path_graph(64), path_polynomial(64)), (cycle_graph(64), cycle_polynomial(64))):
+        prof = HardCoreProfile(g)
+        assert prof.z == z
+        assert prof._memo == {(1 << 64) - 1: z.coeffs}
+    prof = HardCoreProfile(generate("petersen + cycle:30"))
+    assert prof.z == brute_force_polynomial(petersen_graph()) * cycle_polynomial(30)
+    cycle = ((1 << 30) - 1) << 10
+    assert {mask: coeffs for mask, coeffs in prof._memo.items() if mask & cycle} == {
+        cycle: cycle_polynomial(30).coeffs}
+
+
+def _degree_two_rich_graph(rng: SplitMix64):
+    """A graph of 10 to 20 vertices made mostly of degree-2 pieces: pendant
+    paths and cycles hung on a Petersen or K4 core, a caterpillar, or a
+    disjoint union of paths, cycles and isolated vertices."""
+    n_max = 10 + rng.randrange(11)
+    kind = rng.randrange(3)
+    if kind == 0:
+        core = petersen_graph() if rng.randrange(2) else complete_graph(4)
+        edges, n = core.edges(), core.n
+    elif kind == 1:
+        spine = 2 + rng.randrange(n_max // 2)
+        edges, n = [(i, i + 1) for i in range(spine - 1)], spine
+        while n < n_max:
+            edges.append((rng.randrange(spine), n))
+            n += 1
+        return from_edges(n, edges)
+    else:
+        edges, n = [], 0
+    while n < n_max:
+        size = 1 + rng.randrange(min(8, n_max - n))
+        cyclic = size >= 3 and rng.randrange(2)
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        if cyclic:
+            edges.append((n, n + size - 1))
+        if kind == 0:
+            edges.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    return from_edges(n, edges)
+
+
+def test_engine_matches_brute_force_on_degree_two_rich_graphs():
+    rng = SplitMix64(1818)
+    leaves = 0
+    for _ in range(24):
+        g = _degree_two_rich_graph(rng)
+        prof = HardCoreProfile(g)
+        assert prof.z == brute_force_polynomial(g), g.adj
+        leaves += sum(max((g.adj[v] & mask).bit_count() for v in bits_of(mask)) <= 2
+                      for mask in prof._memo if mask.bit_count() >= 3)
+    assert leaves >= 24
 
 
 def test_marginal_examples():
@@ -341,3 +408,18 @@ def test_profile_marginals_match_marginal():
                 expected = RatFunc(Poly()) if g.has_edge(u, v) else \
                     RatFunc(X * X * brute_force_polynomial(g.induced(both)), z)
                 assert prof.pair_marginal(u, v) == expected, (u, v)
+
+
+def test_neighborhood_table_matches_the_subset_scan():
+    # Reference: each neighborhood subset mask summed bit by bit, subsets in
+    # picks order, Z_F from the oracle, first (u, mask) kept per Z_F.
+    for g in [petersen_graph(), pasch_graph(), generate("kn:4 + cycle:5 + path:3"),
+              corpus.random_graph(12, SplitMix64(31), 1, 2)]:
+        expected = {}
+        for u in range(g.n):
+            neighbors = list(bits_of(g.adj[u]))
+            for picks in range(1 << len(neighbors)):
+                mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+                zf = brute_force_polynomial(g.induced(mask))
+                expected.setdefault(zf.coeffs, (zf, zf.derivative(), u, mask))
+        assert HardCoreProfile(g).neighborhood_table == tuple(expected.values()), g.adj
