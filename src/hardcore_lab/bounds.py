@@ -251,33 +251,51 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
         degree_counts[d] = degree_counts.get(d, 0) + 1
 
     def lhs(tol: Fraction) -> RationalInterval:
-        per = tol / (2 * len(degree_counts))
-        acc = RationalInterval.point(0)
-        for d, count in degree_counts.items():
-            acc = acc + tf_weight_interval(d, lam, per) * Fraction(count, g.n)
-        return acc
+        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)))
+        # (1/n) sum_d count_d w(d), each endpoint over one common denominator.
+        ends = []
+        for end in (0, 1):
+            num, den = 0, 1
+            for d, count in degree_counts.items():
+                w = weights[d][end]
+                num, den = num * w.denominator + count * w.numerator * den, den * w.denominator
+            ends.append(Fraction(num, den * g.n))
+        return RationalInterval(*ends)
 
     return _interval_le("occupancy.triangle_free_degree_floor", g, lam,
                         lhs, lambda _: e, tol)
 
 
-def tf_weight_interval(d: int, lam: Fraction, tol) -> RationalInterval:
-    """Enclosure of the triangle-free weight (lam/(1+lam)) W(d L)/(d L)."""
-    lam = _positive_lam(lam)
-    tol = Fraction(tol)
+def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fraction, Fraction]]:
+    """Endpoints (lo, hi) of enclosures of the triangle-free weight
+    w(d) = s W(d L) / (d L), with s = lam / (1 + lam) and L = log(1 + lam),
+    for each d in degrees, at lam > 0.  One enclosure of L at tol / 4 serves
+    every d; W is enclosed at d L.lo and at d L.hi, each at tol / 4.  Every
+    factor is positive, so lo = s W(d L.lo).lo / (d L.hi) and
+    hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly."""
     s = lam / (1 + lam)
-    if d == 0:
-        return RationalInterval.point(s)
+    sn, sd = s.numerator, s.denominator
     log_enc = log1p_interval(lam, tol / 4)
-    while log_enc.lo <= 0:
-        tol /= 10
-        log_enc = log1p_interval(lam, tol / 4)
-    arg = log_enc * d
-    w_enc = RationalInterval(
-        lambert_w_interval(arg.lo, tol / 4).lo,
-        lambert_w_interval(arg.hi, tol / 4).hi,
-    )
-    return w_enc / (log_enc * d) * s
+    # L.lo > 0 at every lam > 0 and tol > 0.  log1p_interval halves 1 + lam
+    # k times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
+    # |y| <= 1/5, so each series tail is at most 1/72 of the first term 2|y|.
+    # For k = 0, y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1,
+    # the reduced term's lo is at least log(3/4) - 1/252 and the lo of each
+    # of the k copies of log 2 at least 2/3 - 1/36, so L.lo > 0.34.
+    if log_enc.lo <= 0:
+        raise ArithmeticError(f"enclosure of log(1 + {lam}) reaches {log_enc.lo}")
+    lln, lld = log_enc.lo.numerator, log_enc.lo.denominator
+    lhn, lhd = log_enc.hi.numerator, log_enc.hi.denominator
+    out = {}
+    for d in degrees:
+        if d == 0:
+            out[d] = (s, s)
+            continue
+        w_lo = lambert_w_interval(Fraction(d * lln, lld), tol / 4).lo
+        w_hi = lambert_w_interval(Fraction(d * lhn, lhd), tol / 4).hi
+        out[d] = (Fraction(sn * w_lo.numerator * lhd, sd * w_lo.denominator * d * lhn),
+                  Fraction(sn * w_hi.numerator * lld, sd * w_hi.denominator * d * lln))
+    return out
 
 
 # -- variance -----------------------------------------------------------------
@@ -425,18 +443,17 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
         return _exact_le("local_occupancy.clique_weighted_marginals", g, lam,
                          Fraction(1), total)
 
+    degrees = g.degrees()
+
     def rhs(tol: Fraction) -> RationalInterval:
-        acc = RationalInterval.point(0)
-        per = tol / (2 * g.n)
-        cache: dict[int, RationalInterval] = {}
-        for u, p in enumerate(marginals):
-            d = g.degree(u)
-            enc = cache.get(d)
-            if enc is None:
-                enc = tf_weight_interval(d, lam, per)
-                cache[d] = enc
-            acc = acc + RationalInterval.point(p) / enc * Fraction(1, g.n)
-        return acc
+        # (1/n) sum_u p_u / w(d_u): lo divides by w(d).hi and hi by w(d).lo.
+        weights = _tf_weights(set(degrees), lam, tol / (2 * g.n))
+        # w(d).lo is 0 when W(d L.lo) lies below the tolerance, and the
+        # upper endpoint is then unbounded.
+        if any(lo == 0 for lo, _ in weights.values()):
+            raise ZeroDivisionError("division by an interval containing zero")
+        return RationalInterval(sum(p / weights[d][1] for p, d in zip(marginals, degrees)) / g.n,
+                                sum(p / weights[d][0] for p, d in zip(marginals, degrees)) / g.n)
 
     return _interval_le("local_occupancy.tf_weighted_marginals", g, lam,
                         lambda _: Fraction(1), rhs, tol)
@@ -457,15 +474,20 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
     if not 0 < e < 1:
         raise ValueError("chain requires 0 < E < 1")
 
+    # Three comparisons read the free energy and two each the other
+    # ceilings: each is enclosed once per tolerance within this call.
+    @_once_per_tol
     def free_energy(tol):
         return free_energy_interval(z, g.n, lam, tol)
 
     def lower(tol):
         return log1p_interval(lam, tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
 
+    @_once_per_tol
     def entropy_form(tol):
         return log_interval(lam, tol / 2) * e + entropy_interval(e, tol / 2)
 
+    @_once_per_tol
     def final_form(tol):
         # E log(e lam / E) = E (1 + log lam - log E)
         inner = 1 + (log_interval(lam, tol / 2) - log_interval(e, tol / 2))
@@ -477,6 +499,19 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
         _interval_le("combined.relaxed_ceiling", g, lam, entropy_form, final_form, tol),
         _interval_le("combined.free_energy_vs_relaxed", g, lam, free_energy, final_form, tol),
     ]
+
+
+def _once_per_tol(make):
+    """The enclosure factory make, evaluated once per distinct tolerance;
+    the memo lives as long as the returned factory."""
+    made: dict[Fraction, RationalInterval] = {}
+
+    def cached(tol: Fraction) -> RationalInterval:
+        if tol not in made:
+            made[tol] = make(tol)
+        return made[tol]
+
+    return cached
 
 
 # -- edge-based occupancy counterexamples --------------------------------------

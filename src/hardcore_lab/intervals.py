@@ -13,9 +13,9 @@ signs of w e^w - x are certified just below and just above the refined
 point, at most 2^-20 tol apart.  Since w e^w - x is increasing on w >= 0,
 those two signs decide every later sign test outside that tight bracket,
 and only bisection steps inside it evaluate the exponential, by an integer
-comparison.  The
-bisection iterates, and so the enclosure, are the ones a bisection that
-certified every sign would produce.
+comparison.  From the start bracket on, the bisection runs on integer pairs
+(num, den), and its iterates, and so the enclosure, are the ones a
+bisection that certified every sign would produce.
 """
 
 from __future__ import annotations
@@ -294,8 +294,10 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     without one.  Before the bisection, rational Newton steps refine the
     float seed to a point c, and the signs f(c - 2^-b) < 0 < f(c + 2^-b) are
     certified, with 2^(1-b) <= 2^-20 tol: a tight bracket narrower than tol.
-    Only bisection steps inside it evaluate the exponential.  The iterates
-    are integer pairs (num, den), never normalised.  W(x) is irrational for
+    Only bisection steps inside it evaluate the exponential.  The brackets
+    and the iterates are integer pairs (num, den), never normalised: the
+    start bracket, its top point, the padded seed bracket and every
+    bisection step.  W(x) is irrational for
     rational x > 0, so no test point is a root and every sign is a fact: the
     iterates and the returned endpoints are those of a bisection from the
     same start bracket that certifies every sign, and the tight bracket
@@ -303,21 +305,25 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     """
     x = Fraction(x)
     tol = _positive_tol(tol)
-    if x < 0:
+    xn, xd = x.numerator, x.denominator
+    if xn < 0:
         raise ValueError("the nonnegative Lambert W branch needs x >= 0")
-    if x > sys.float_info.max:
+    if xn > int(sys.float_info.max) * xd:
         raise ValueError(f"lambert_w_interval supports 0 <= x <= {sys.float_info.max!r}, "
                          "the largest double (its float seed)")
-    if x == 0:
+    if xn == 0:
         return RationalInterval.point(0)
-    xn, xd = x.numerator, x.denominator
-    lo, hi = Fraction(0), max(Fraction(1), x)
+    # The start bracket [0, max(1, x)].
+    ln, ld = 0, 1
+    hn, hd = (xn, xd) if xn > xd else (1, 1)
     # 2^-b <= 2^-21 tol: the tight bracket's half-width, and the precision
     # every sign test starts from.
     b = max(0, tol.denominator.bit_length() - tol.numerator.bit_length() + 1) + 21
-    # f(bn / bd) < 0 < f(an / ad), tightened by every certified sign.
-    top = min(hi, Fraction(max(1, (-(-xn // xd)).bit_length())))
-    bn, bd, an, ad = 0, 1, top.numerator, top.denominator
+    # f(bn / bd) < 0 < f(an / ad), tightened by every certified sign; an / ad
+    # starts at min(max(1, x), max(1, bitlen(ceil x))).
+    top = max(1, (-(-xn // xd)).bit_length())
+    bn, bd = 0, 1
+    an, ad = (hn, hd) if hn <= top * hd else (top, 1)
 
     def sign(wn: int, wd: int) -> int:
         nonlocal bn, bd, an, ad
@@ -337,14 +343,19 @@ def lambert_w_interval(x, tol) -> RationalInterval:
         center = _lambert_newton(seed, xn, xd, q)
         sign(center - (1 << 8), 1 << q)
         sign(center + (1 << 8), 1 << q)
-        pad = max(Fraction(abs(seed)).limit_denominator(10**6) / 10**7, Fraction(1, 10**9))
-        cand_lo = max(lo, _dyadic(seed) - pad)
-        cand_hi = min(hi, _dyadic(seed) + pad)
-        if (sign(cand_lo.numerator, cand_lo.denominator) < 0
-                and sign(cand_hi.numerator, cand_hi.denominator) > 0):
-            lo, hi = cand_lo, cand_hi
+        # The padded seed bracket: the seed rounded to 64 fractional bits,
+        # -+ pad = max(seed' / 10^7, 10^-9) for seed' its best rational
+        # with denominator <= 10^6, cut to the start bracket.  Over the
+        # common denominator 2^64 pd: c -+ p.
+        near = Fraction(abs(seed)).limit_denominator(10**6)
+        pn, pd = ((near.numerator, near.denominator * 10**7)
+                  if 100 * near.numerator >= near.denominator else (1, 10**9))
+        c, p, cd = round(seed * (1 << 64)) * pd, pn << 64, pd << 64
+        cln, cld = (c - p, cd) if c >= p else (0, 1)
+        chn, chd = (c + p, cd) if (c + p) * hd < hn * cd else (hn, hd)
+        if sign(cln, cld) < 0 and sign(chn, chd) > 0:
+            ln, ld, hn, hd = cln, cld, chn, chd
 
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     tn, td = tol.numerator, tol.denominator
     while (hn * ld - ln * hd) * td > tn * ld * hd:
         mn, md = _dyadic_between(ln, ld, hn, hd)
@@ -368,10 +379,6 @@ def _float_lambert_seed(x: float):
         if abs(step) < 1e-14 * max(1.0, abs(w)):
             break
     return w if w >= 0 and math.isfinite(w) else None
-
-
-def _dyadic(value: float) -> Fraction:
-    return Fraction(round(value * (1 << 64)), 1 << 64)
 
 
 def _dyadic_between(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:

@@ -1,6 +1,8 @@
 """Bound checks: free energy, occupancy, variance, local occupancy, chain."""
 
+import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +23,9 @@ from hardcore_lab.graphs import (
     petersen_graph,
 )
 from hardcore_lab.hardcore import HardCoreProfile, independence_polynomial, subset_polynomial
+from hardcore_lab.intervals import RationalInterval, lambert_w_interval, log1p_interval
 from hardcore_lab.polynomials import Poly
+from hardcore_lab.sampler import SplitMix64
 from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 
@@ -347,6 +351,156 @@ def test_combined_chain_edgeless_is_inconclusive_by_design():
     assert first.status == INCONCLUSIVE
 
 
+# -- triangle-free weight: the interval compositions as references -----------
+#
+# The weight and both triangle-free checks were first written as chained
+# RationalInterval arithmetic, one log(1 + lam) enclosure per degree.  The
+# library now encloses log(1 + lam) once per round and writes each endpoint
+# directly; every endpoint must be the same rational.
+
+def _reference_tf_weight(d, lam, tol):
+    s = lam / (1 + lam)
+    if d == 0:
+        return RationalInterval.point(s)
+    log_enc = log1p_interval(lam, tol / 4)
+    arg = log_enc * d
+    w_enc = RationalInterval(
+        lambert_w_interval(arg.lo, tol / 4).lo,
+        lambert_w_interval(arg.hi, tol / 4).hi,
+    )
+    return w_enc / (log_enc * d) * s
+
+
+def _reference_occupancy_tf(g, lam):
+    e = HardCoreProfile(g).expectation_at(lam)
+    counts = Counter(g.degrees())
+
+    def lhs(tol):
+        acc = RationalInterval.point(0)
+        for d, count in counts.items():
+            acc = acc + _reference_tf_weight(d, lam, tol / (2 * len(counts))) * F(count, g.n)
+        return acc
+
+    return bounds._interval_le("occupancy.triangle_free_degree_floor", g, lam,
+                               lhs, lambda _: e, bounds.DEFAULT_TOL)
+
+
+def _reference_tf_weighted_marginals(g, lam):
+    prof = HardCoreProfile(g)
+    zv = F(prof.z.evaluate(lam))
+    marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
+
+    def rhs(tol):
+        acc = RationalInterval.point(0)
+        for u, p in enumerate(marginals):
+            enc = _reference_tf_weight(g.degree(u), lam, tol / (2 * g.n))
+            acc = acc + RationalInterval.point(p) / enc * F(1, g.n)
+        return acc
+
+    return bounds._interval_le("local_occupancy.tf_weighted_marginals", g, lam,
+                               lambda _: F(1), rhs, bounds.DEFAULT_TOL)
+
+
+def _same_check(check, ref):
+    assert (check.status, check.lhs, check.rhs, check.margin, check.witness) == (
+        ref.status, ref.lhs, ref.rhs, ref.margin, ref.witness)
+    assert check.to_json() == ref.to_json()
+
+
+def test_tf_weights_match_the_interval_composition():
+    rng = random.Random(1983)
+    cases = 0
+    for _ in range(60):
+        lam = F(rng.randrange(1, 10**4), rng.randrange(1, 10**4)) * F(10) ** rng.randrange(-8, 4)
+        tol = F(rng.randrange(1, 10), 10 ** rng.randrange(3, 31))
+        degrees = sorted(set(rng.sample(range(13), 4)) | {0})
+        # One call for several degrees shares one log enclosure; each
+        # degree alone must give the same endpoints.
+        together = bounds._tf_weights(degrees, lam, tol)
+        for d in degrees:
+            ref = _reference_tf_weight(d, lam, tol)
+            assert together[d] == bounds._tf_weights([d], lam, tol)[d] == (ref.lo, ref.hi), (
+                d, lam, tol)
+            cases += 1
+    assert cases >= 250
+
+
+def _criterion_05_stream():
+    named = [cycle_graph(5), complete_bipartite(3, 3), petersen_graph()]
+    rng = SplitMix64(50505)
+    randoms = []
+    while len(randoms) < 100:
+        g = corpus.random_triangle_free_graph(4 + rng.randrange(9), rng)
+        if g.max_degree >= 1:
+            randoms.append(g)
+    return named + randoms
+
+
+def test_occupancy_tf_matches_the_interval_composition():
+    for g in _criterion_05_stream():
+        lam = F(1, 100 * g.max_degree ** 4)
+        _same_check(bounds.check_occupancy_tf(g, lam), _reference_occupancy_tf(g, lam))
+    for spec in ("empty:3", "path:3 + empty:1", "kab:2,3"):
+        g = generate(spec)
+        for lam in (F(1, 100), F(1), F(4)):
+            _same_check(bounds.check_occupancy_tf(g, lam), _reference_occupancy_tf(g, lam))
+
+
+def test_tf_weighted_marginals_match_the_interval_composition():
+    for spec in ("cycle:5", "kab:3,3", "petersen", "path:3 + empty:1"):
+        g = generate(spec)
+        for lam in (F(1, 100 * g.max_degree ** 4), F(1, 100), F(1), F(4)):
+            check = bounds.check_weighted_marginal_sum(g, lam, "triangle_free")
+            _same_check(check, _reference_tf_weighted_marginals(g, lam))
+
+
+def _count_calls(monkeypatch, name):
+    """Patch bounds.name with a wrapper; return the list of the tolerances
+    it is called with."""
+    seen = []
+    original = getattr(bounds, name)
+
+    def counted(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return seen
+
+
+def test_occupancy_tf_encloses_the_log_once_per_round(monkeypatch):
+    logs = _count_calls(monkeypatch, "log1p_interval")
+    lamberts = _count_calls(monkeypatch, "lambert_w_interval")
+    for spec, positive_degrees, rounds in (("petersen", 1, 6), ("path:5", 2, 6),
+                                           ("path:3 + empty:1", 2, 6)):
+        logs.clear()
+        lamberts.clear()
+        assert bounds.check_occupancy_tf(generate(spec), F(1, 10**4)).status == HOLDS
+        # Each round refines the tolerance tenfold, so the rounds are the
+        # distinct tolerances: one log enclosure at each, and two Lambert
+        # enclosures per positive degree.
+        assert len(logs) == len(set(logs)) == len(set(lamberts)) == rounds, spec
+        assert len(lamberts) == 2 * positive_degrees * rounds, spec
+
+
+def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch):
+    free_energies = _count_calls(monkeypatch, "free_energy_interval")
+    checks = bounds.check_combined_chain(empty_graph(2), F(1), tol=F(1, 10**28))
+    # Two comparisons refine to the floor; the free energy, which three of
+    # them read, is enclosed once at each tolerance any of them reaches.
+    assert [c.status for c in checks].count(INCONCLUSIVE) == 2
+    assert sorted(free_energies, reverse=True) == [F(1, 10**28), F(1, 10**29), bounds.TOL_FLOOR]
+
+
+def test_tf_weights_refuse_a_nonpositive_log_enclosure(monkeypatch):
+    # log1p_interval's lower endpoint is positive at every lam > 0 (see
+    # test_log1p_lower_endpoint_is_positive); were it not, the weight
+    # raises rather than divide by it or retry.
+    monkeypatch.setattr(bounds, "log1p_interval", lambda lam, tol: RationalInterval(0, 1))
+    with pytest.raises(ArithmeticError, match="reaches 0"):
+        bounds.check_occupancy_tf(petersen_graph(), F(1, 100))
+
+
 def test_edge_counterexamples():
     checks = bounds.check_edge_occ_counterexamples(5)
     assert len(checks) == 6
@@ -374,7 +528,6 @@ def test_nonpositive_fugacity_raises():
         lambda lam: bounds.check_occupancy_bounds(g, lam),
         lambda lam: bounds.degree_floor_value(g, lam),
         lambda lam: bounds.check_occupancy_tf(g, lam),
-        lambda lam: bounds.tf_weight_interval(2, lam, F(1, 10**6)),
         lambda lam: bounds.check_variance_bounds(g, lam),
         lambda lam: bounds.cycle_growth_ratio(5, lam),
         lambda lam: bounds.check_cycle_growth(5, (1, lam)),

@@ -17,7 +17,6 @@ from hardcore_lab import bounds, intervals
 from hardcore_lab.graphs import generate
 from hardcore_lab.intervals import (
     RationalInterval,
-    _dyadic,
     _dyadic_between,
     _float_lambert_seed,
     entropy_interval,
@@ -106,6 +105,19 @@ def test_log_two_against_independent_series():
     oracle = RationalInterval(total, total + tail)
     enc = log_interval(2, F(1, 10**15))
     assert enc.intersects(oracle)
+
+
+def test_log1p_lower_endpoint_is_positive():
+    # The triangle-free weight divides by the lower endpoint of log(1 + lam)
+    # without refining it: it is positive at every lam > 0 and tol > 0, by
+    # the atanh tail bound.
+    rng = random.Random(20000)
+    for _ in range(300):
+        lam = F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) * F(10) ** rng.randrange(-300, 301)
+        tol = F(rng.randrange(1, 10), 10) * F(10) ** rng.randrange(-40, 9)
+        enc = log1p_interval(lam, tol)
+        assert enc.lo > 0, (lam, tol)
+        assert enc.lo / enc.hi > F(1, 2), (lam, tol)
 
 
 def test_log1p_inverse_relationship():
@@ -273,6 +285,10 @@ def _certified_sign(w, x, tol):
         tol /= 16
 
 
+def _dyadic(value: float) -> F:
+    return F(round(value * (1 << 64)), 1 << 64)
+
+
 def _reference_dyadic_between(lo, hi):
     center = (lo + hi) / 2
     bits = 4
@@ -327,7 +343,7 @@ def _lambert_cases():
         cases.append((1 + F(rng.randrange(49 * 10**5 + 1), 10**5), _random_tol(rng)))
     cases += [(F(1), F(1, 10**30)), (F(50), F(1, 10**30)), (F(1, 10**200), F(1, 10**30))]
     cases += [(F(1, 10**400), F(1, 10**6)), (F(1, 10**400), F(1, 10**30))]
-    # The endpoints tf_weight_interval passes: d log(1+lam) enclosed at tol / 4.
+    # The endpoints bounds._tf_weights passes: d log(1+lam) enclosed at tol / 4.
     for d in range(1, 8):
         for lam in (F(1, 100 * d**4), F(1, 100), F(1), F(4)):
             tol = _random_tol(rng)
