@@ -10,6 +10,7 @@ rounding can never masquerade as a verdict.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,7 +33,7 @@ from .intervals import (
     log1p_interval,
     log_interval,
 )
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly, RatFunc, _int_horner
 from .roots import isolate_positive_roots
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, format_rational
 
@@ -230,10 +231,19 @@ def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
 
 
 def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
-    """(1/n) sum_u lam / (1 + (d_u + 1) lam)."""
+    """(1/n) sum_u lam / (1 + (d_u + 1) lam).  At lam = p/q each term is
+    p / (q + (d + 1) p), so the sum is one Fraction over n P, P the product
+    of the distinct denominators, with c_d vertices of degree d adding
+    c_d p P / (q + (d + 1) p)."""
     lam = _positive_lam(lam)
     _require_vertices(g)
-    return sum(clique_occupancy_value(d, lam) for d in g.degrees()) / g.n
+    p, q = lam.numerator, lam.denominator
+    counts = Counter(g.degrees())
+    product = 1
+    for d in counts:
+        product *= q + (d + 1) * p
+    total = sum(c * p * (product // (q + (d + 1) * p)) for d, c in counts.items())
+    return Fraction(total, g.n * product)
 
 
 def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> BoundCheck:
@@ -270,8 +280,9 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fracti
     """Endpoints (lo, hi) of enclosures of the triangle-free weight
     w(d) = s W(d L) / (d L), with s = lam / (1 + lam) and L = log(1 + lam),
     for each d in degrees, at lam > 0.  One enclosure of L at tol / 4 serves
-    every d; W is enclosed at d L.lo and at d L.hi, each at tol / 4.  Every
-    factor is positive, so lo = s W(d L.lo).lo / (d L.hi) and
+    every d; W is enclosed at d L.lo and at d L.hi, each at tol / 4, and a W
+    enclosure whose lower end is 0 takes the lower bound x / (1 + x) there.
+    Every factor is positive, so lo = s W(d L.lo).lo / (d L.hi) > 0 and
     hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly."""
     s = lam / (1 + lam)
     sn, sd = s.numerator, s.denominator
@@ -292,6 +303,10 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fracti
             out[d] = (s, s)
             continue
         w_lo = lambert_w_interval(Fraction(d * lln, lld), tol / 4).lo
+        if not w_lo:
+            # W(d L.lo) lies below the enclosure's resolution.  W(x) <= log(1 + x)
+            # at x >= 0, as (1 + x) log(1 + x) >= x, so W(x) = x e^-W(x) >= x / (1 + x).
+            w_lo = Fraction(d * lln, lld + d * lln)
         w_hi = lambert_w_interval(Fraction(d * lhn, lhd), tol / 4).hi
         out[d] = (Fraction(sn * w_lo.numerator * lhd, sd * w_lo.denominator * d * lhn),
                   Fraction(sn * w_hi.numerator * lld, sd * w_hi.denominator * d * lln))
@@ -400,17 +415,24 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
     g = prof.graph
     if g.max_degree > MAX_DEGREE_BUDGET:
         raise ValueError("neighborhood subset enumeration budget exceeded")
-    s = lam / (1 + lam)
+    # The value for F is (bn cd q^D + cn bd p H') / (bd cd H) at lam = p/q,
+    # with beta s = bn / bd, gamma = cn / cd, H = q^D Z_F(lam) and
+    # H' = q^(D-1) Z_F'(lam): values compare as numerator over H, by
+    # cross-multiplying, and only the worst becomes a Fraction.
+    p, q = lam.numerator, lam.denominator
+    bs = beta * lam / (1 + lam)
+    bn, bd, cn, cd = bs.numerator, bs.denominator, gamma.numerator, gamma.denominator
     worst = None
     for zf, dzf, u, mask in prof.neighborhood_table:
-        zfv = Fraction(zf.evaluate(lam))
-        value = beta * s / zfv + gamma * lam * dzf.evaluate(lam) / zfv
-        if worst is None or value < worst[0]:
-            worst = (value, u, mask)
+        num = bn * cd * q ** zf.degree + cn * bd * p * _int_horner(dzf.coeffs, p, q)
+        h = _int_horner(zf.coeffs, p, q)
+        if worst is None or num * worst[1] < worst[0] * h:
+            worst = (num, h, u, mask)
     if worst is None:
         return BoundCheck("local_occupancy.certificate", g.display_name(), lam, HOLDS,
                           lhs=1, rhs=1, margin=0)
-    value, u, mask = worst
+    num, h, u, mask = worst
+    value = Fraction(num, bd * cd * h)
     status = HOLDS if value >= 1 else FAILS
     return BoundCheck(
         "local_occupancy.certificate", g.display_name(), lam, status,
@@ -448,10 +470,6 @@ def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "
     def rhs(tol: Fraction) -> RationalInterval:
         # (1/n) sum_u p_u / w(d_u): lo divides by w(d).hi and hi by w(d).lo.
         weights = _tf_weights(set(degrees), lam, tol / (2 * g.n))
-        # w(d).lo is 0 when W(d L.lo) lies below the tolerance, and the
-        # upper endpoint is then unbounded.
-        if any(lo == 0 for lo, _ in weights.values()):
-            raise ZeroDivisionError("division by an interval containing zero")
         return RationalInterval(sum(p / weights[d][1] for p, d in zip(marginals, degrees)) / g.n,
                                 sum(p / weights[d][0] for p, d in zip(marginals, degrees)) / g.n)
 

@@ -8,6 +8,7 @@ safe to share between concurrent tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MAX_VERTICES = 64
 
@@ -58,6 +59,12 @@ class Graph:
         return self.adj[u] | (1 << u)
 
     def display_name(self) -> str:
+        return self._name
+
+    @cached_property
+    def _name(self) -> str:
+        """The label, or the graph6 code, encoded once per instance: the
+        cache sits in the instance dict, outside the compared fields."""
         return self.label if self.label else f"graph6:{encode_graph6(self)}"
 
     # -- neighborhood structure ----------------------------------------------

@@ -12,7 +12,15 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import Poly, RatFunc, _int_mul
+from .polynomials import (
+    Poly,
+    RatFunc,
+    _derivative,
+    _int_horner,
+    _int_mul,
+    _int_poly,
+    _unpack,
+)
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -177,9 +185,11 @@ def var_of_polynomial(p: Poly) -> RatFunc:
 # -- the per-graph profile ---------------------------------------------------
 
 class HardCoreProfile:
-    """The exact data of one graph, each part computed on first read through
-    the one engine memo the profile owns: Z, E, V, the vertex and pair
-    marginals, and the neighborhood table of the local-occupancy checks."""
+    """The exact data of one graph, each part computed on first read: Z, E,
+    V and the vertex and pair marginals through the one engine memo the
+    profile owns, and the neighborhood table of the local-occupancy checks by
+    its own packed subset recursion.  E and V at a rational point are one
+    Fraction each, built from integer Horner values."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -209,18 +219,25 @@ class HardCoreProfile:
         return RatFunc(var_numerator(self.z) * Fraction(1, self.graph.n), self.z * self.z)
 
     def expectation_at(self, lam) -> Fraction:
-        """E(lam) by direct exact evaluation (no rational-function reduction)."""
+        """E(lam) = p H' / (n H) at lam = p/q, where H = q^D Z(lam) and
+        H' = q^(D-1) Z'(lam) are integer Horner values and D = deg Z."""
         _require_vertices(self.graph)
-        lam, z = Fraction(lam), self.z
-        return lam * z.derivative().evaluate(lam) / (self.graph.n * Fraction(z.evaluate(lam)))
+        lam, cs = Fraction(lam), self.z.coeffs
+        p, q = lam.numerator, lam.denominator
+        return Fraction(p * _int_horner(_derivative(cs), p, q),
+                        self.graph.n * _int_horner(cs, p, q))
 
     def variance_at(self, lam) -> Fraction:
-        """V(lam) = var_numerator(Z)(lam) / (n Z(lam)^2), by direct exact
-        evaluation."""
+        """V(lam) = N(lam) / (n Z(lam)^2) with N = var_numerator(Z), of
+        degree at most 2D - 1: at lam = p/q, the integer Horner value
+        q^(deg N) N(lam) times q^(2D - deg N), over n H^2 with H = q^D Z(lam)."""
         _require_vertices(self.graph)
-        lam, z = Fraction(lam), self.z
-        zv = z.evaluate(lam)
-        return var_numerator(z).evaluate(lam) / (self.graph.n * zv * zv)
+        lam, cs = Fraction(lam), self.z.coeffs
+        p, q = lam.numerator, lam.denominator
+        num = var_numerator(self.z).coeffs
+        h = _int_horner(cs, p, q)
+        return Fraction(_int_horner(num, p, q) * q ** (2 * len(cs) - len(num) - 1),
+                        self.graph.n * h * h)
 
     @cached_property
     def residuals(self) -> tuple[Poly, ...]:
@@ -248,19 +265,33 @@ class HardCoreProfile:
     def neighborhood_table(self) -> tuple[tuple[Poly, Poly, int, int], ...]:
         """(Z_F, Z_F', u, mask) once per distinct Z_F over the subgraphs
         F = G[mask] induced by subsets of each N(u), at its first (u, mask):
-        u ascending, and subset bit i picking the i-th lowest neighbor."""
-        table: dict[tuple[int, ...], tuple[Poly, Poly, int, int]] = {}
+        u ascending, and subset bit i picking the i-th lowest neighbor.
+
+        The table does not go through the engine memo.  Per vertex, each
+        subset's Z_F comes from two smaller subsets by branching on its
+        highest picked neighbor v: Z(F) = Z(F - v) + x Z(F - N[v]).  Each Z_F
+        is held as its value at x = 2^k, k = max degree + 2: a coefficient
+        of Z_F on d <= k - 2 vertices is at most C(d, j) < 2^(k-1), so one
+        step is a shift and an add, equal values are equal polynomials, and
+        only the distinct entries are unpacked."""
+        adj = self.graph.adj
+        k = self.graph.max_degree + 2
+        table: dict[int, tuple[Poly, Poly, int, int]] = {}
         for u in range(self.graph.n):
-            neighbors = list(bits_of(self.graph.adj[u]))
-            masks = [0] * (1 << len(neighbors))
-            for picks in range(1, len(masks)):
-                lowest = (picks & -picks).bit_length() - 1
-                masks[picks] = masks[picks & (picks - 1)] | 1 << neighbors[lowest]
-            for mask in masks:
-                coeffs = self._coeffs(mask)
-                if coeffs not in table:
-                    zf = Poly(coeffs)
-                    table[coeffs] = (zf, zf.derivative(), u, mask)
+            neighbors = list(bits_of(adj[u]))
+            bit = {v: 1 << i for i, v in enumerate(neighbors)}
+            values = [1]
+            for v in neighbors:
+                # The picks bits of v's neighbors among the lower neighbors.
+                below = 0
+                for w in bits_of(adj[v] & adj[u] & ((1 << v) - 1)):
+                    below |= bit[w]
+                values += [z + (values[rest & ~below] << k) for rest, z in enumerate(values)]
+            for picks, value in enumerate(values):
+                if value not in table:
+                    zf = _int_poly(_unpack(value, k, len(neighbors) + 1))
+                    mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+                    table[value] = (zf, _int_poly(_derivative(zf.coeffs)), u, mask)
         return tuple(table.values())
 
 

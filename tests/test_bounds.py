@@ -1,5 +1,6 @@
 """Bound checks: free energy, occupancy, variance, local occupancy, chain."""
 
+import json
 import random
 import time
 from collections import Counter
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab import bounds, corpus
+from hardcore_lab import bounds, corpus, graphs
 from hardcore_lab.cli import main
 from hardcore_lab.graphs import (
     bits_of,
@@ -22,7 +23,12 @@ from hardcore_lab.graphs import (
     path_graph,
     petersen_graph,
 )
-from hardcore_lab.hardcore import HardCoreProfile, independence_polynomial, subset_polynomial
+from hardcore_lab.hardcore import (
+    HardCoreProfile,
+    independence_polynomial,
+    subset_polynomial,
+    var_numerator,
+)
 from hardcore_lab.intervals import RationalInterval, lambert_w_interval, log1p_interval
 from hardcore_lab.polynomials import Poly
 from hardcore_lab.sampler import SplitMix64
@@ -260,6 +266,29 @@ def test_weighted_marginals_sample():
 def test_weighted_marginals_tf():
     c = bounds.check_weighted_marginal_sum(petersen_graph(), F(1, 100), "triangle_free")
     assert c.status == HOLDS
+
+
+def test_weighted_marginals_tf_refines_past_a_zero_weight_end():
+    # At lam = 10^-12 the first round's W(d L.lo) lies below the resolution of
+    # its enclosure, whose lower end is then 0.  The weight's lower end falls
+    # back to x / (1 + x) <= W(x), so every round is a finite enclosure: the
+    # check refines to the floor, where the sum is still within 10^-20 of 1.
+    lam = F(1, 10**12)
+    coarse = bounds._tf_weights({3}, lam, F(1, 10**9) / 20)[3]
+    tight = bounds._tf_weights({3}, lam, F(1, 10**40))[3]
+    assert lambert_w_interval(3 * log1p_interval(lam, F(1, 10**9) / 80).lo,
+                              F(1, 10**9) / 80).lo == 0
+    assert 0 < coarse[0] <= tight[0] <= tight[1] <= coarse[1]
+    c = bounds.check_weighted_marginal_sum(petersen_graph(), lam, "triangle_free")
+    assert c.status == INCONCLUSIVE
+    assert F(-31, 10**22) < c.margin.lo < F(-29, 10**22) and c.margin.hi > 0
+
+
+def test_weighted_marginals_tf_command_at_a_small_fugacity(capsys):
+    code = main(["bound", "weighted_marginals_tf", "petersen", "--lambda", "1/1000000000000"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert json.loads(captured.out)["status"] == INCONCLUSIVE
 
 
 def test_weighted_marginals_tf_rejects_triangles():
@@ -575,3 +604,33 @@ def test_boundcheck_json_schema():
     out = c.to_json()
     assert set(out) >= {"bound", "graph", "lambda", "status", "lhs", "rhs", "margin"}
     assert out["lambda"] == "1/2"
+
+
+def test_exact_evaluations_match_the_fraction_references():
+    # E, V and the degree floor are each one Fraction built from integers:
+    # they equal the Fraction expressions they replaced.
+    specs = ("path:1", "kn:1", "empty:3")
+    for g in corpus.connected_corpus(6) + tuple(generate(spec) for spec in specs):
+        prof = HardCoreProfile(g)
+        z, n = prof.z, g.n
+        for lam in (F(1, 3), F(1), F(7, 2), F(100), F(1, 10**12)):
+            zv = z.evaluate(lam)
+            assert prof.expectation_at(lam) == \
+                lam * z.derivative().evaluate(lam) / (n * z.evaluate(lam)), (g.label, lam)
+            assert prof.variance_at(lam) == var_numerator(z).evaluate(lam) / (n * zv * zv)
+            assert bounds.degree_floor_value(g, lam) == \
+                sum(bounds.clique_occupancy_value(d, lam) for d in g.degrees()) / n
+
+
+def test_one_graph6_encode_per_graph(monkeypatch):
+    # An unlabeled graph's display name is encoded once, however many checks
+    # and comparisons report it.
+    encode = graphs.encode_graph6
+    calls = []
+    monkeypatch.setattr(graphs, "encode_graph6", lambda g: calls.append(g) or encode(g))
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    assert g.label is None
+    bounds.check_occupancy_bounds(g, F(1, 2))
+    bounds.check_variance_bounds(g, F(1, 2))
+    bounds.check_local_occupancy(g, 3, 1, F(1, 2))
+    assert calls == [g]

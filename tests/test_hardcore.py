@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from hardcore_lab import corpus, hardcore
+from hardcore_lab.bounds import MAX_DEGREE_BUDGET
 from hardcore_lab.graphs import (
     bits_of,
     complete_bipartite,
@@ -410,16 +411,48 @@ def test_profile_marginals_match_marginal():
                 assert prof.pair_marginal(u, v) == expected, (u, v)
 
 
+def _subset_scan(g, z_of):
+    """The neighborhood table by its definition: each neighborhood subset
+    mask summed bit by bit, subsets in picks order, Z_F = z_of(mask), first
+    (u, mask) kept per Z_F."""
+    expected = {}
+    for u in range(g.n):
+        neighbors = list(bits_of(g.adj[u]))
+        for picks in range(1 << len(neighbors)):
+            mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
+            zf = z_of(mask)
+            expected.setdefault(zf.coeffs, (zf, zf.derivative(), u, mask))
+    return tuple(expected.values())
+
+
 def test_neighborhood_table_matches_the_subset_scan():
-    # Reference: each neighborhood subset mask summed bit by bit, subsets in
-    # picks order, Z_F from the oracle, first (u, mask) kept per Z_F.
+    # Reference Z_F from the oracle on the induced subgraph.
     for g in [petersen_graph(), pasch_graph(), generate("kn:4 + cycle:5 + path:3"),
               corpus.random_graph(12, SplitMix64(31), 1, 2)]:
-        expected = {}
-        for u in range(g.n):
-            neighbors = list(bits_of(g.adj[u]))
-            for picks in range(1 << len(neighbors)):
-                mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
-                zf = brute_force_polynomial(g.induced(mask))
-                expected.setdefault(zf.coeffs, (zf, zf.derivative(), u, mask))
-        assert HardCoreProfile(g).neighborhood_table == tuple(expected.values()), g.adj
+        expected = _subset_scan(g, lambda mask: brute_force_polynomial(g.induced(mask)))
+        assert HardCoreProfile(g).neighborhood_table == expected, g.adj
+    # Dense seeded graphs, maximum degree up to 12 and neighborhoods with
+    # edges, where the oracle is too slow: reference Z_F from one engine call
+    # per subset, on a second profile's memo.
+    degrees = []
+    for seed, (p_numer, p_denom) in [(7, (2, 3)), (8, (3, 4)), (9, (5, 6))]:
+        g = corpus.random_graph(13, SplitMix64(seed), p_numer, p_denom)
+        engine = HardCoreProfile(g)
+        expected = _subset_scan(g, lambda mask: Poly(engine._coeffs(mask)))
+        assert HardCoreProfile(g).neighborhood_table == expected, g.adj
+        assert not g.is_triangle_free()
+        degrees.append(g.max_degree)
+    assert max(degrees) == 12
+
+
+def test_neighborhood_table_at_the_degree_budget():
+    # The centre of kab:1,20 has MAX_DEGREE_BUDGET independent neighbors:
+    # its first subset of each size j gives the row (1 + x)^j, and the
+    # leaves add nothing new.  The largest coefficient, C(20, 10), stays
+    # below 2^21, the bound on a packed digit at k = 22.
+    g = generate("kab:1,20")
+    assert g.max_degree == MAX_DEGREE_BUDGET == 20
+    assert comb(20, 10) < 2 ** 21
+    assert HardCoreProfile(g).neighborhood_table == tuple(
+        (ONE_PLUS ** j, (ONE_PLUS ** j).derivative(), 0, sum(1 << v for v in range(1, j + 1)))
+        for j in range(21))
