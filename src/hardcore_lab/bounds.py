@@ -339,21 +339,16 @@ def check_variance_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     return out
 
 
-def p5_variance_gap_numerator() -> Poly:
-    """Numerator of V_{P5} - lam/(1+lam)^2 over the manifestly positive
-    denominator n Z^2 (1+lam)^2."""
-    z = HardCoreProfile(path_graph(5)).z
-    one_plus = Poly([1, 1])
-    return var_numerator(z) * one_plus * one_plus - 5 * Poly([0, 1]) * z * z
-
-
 def check_p5_threshold() -> list[BoundCheck]:
     """The five-vertex path has variance fraction above the edgeless ceiling
     from 33 on: strict inequality at 33 exactly, the last sign change pinned
     inside (32, 33], and failure at 1."""
     g = path_graph(5)
     prof = HardCoreProfile(g)
-    gap = p5_variance_gap_numerator()
+    # The numerator of V - lam/(1+lam)^2 over the manifestly positive
+    # denominator n Z^2 (1+lam)^2.
+    z, one_plus = prof.z, Poly([1, 1])
+    gap = prof.variance_numerator * one_plus * one_plus - g.n * Poly([0, 1]) * z * z
     out = []
 
     v33 = prof.variance_at(33)
@@ -413,6 +408,7 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
     lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
     prof = _profile_of(g)
     g = prof.graph
+    _require_vertices(g)
     if g.max_degree > MAX_DEGREE_BUDGET:
         raise ValueError("neighborhood subset enumeration budget exceeded")
     # The value for F is (bn cd q^D + cn bd p H') / (bd cd H) at lam = p/q,
@@ -428,9 +424,6 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
         h = _int_horner(zf.coeffs, p, q)
         if worst is None or num * worst[1] < worst[0] * h:
             worst = (num, h, u, mask)
-    if worst is None:
-        return BoundCheck("local_occupancy.certificate", g.display_name(), lam, HOLDS,
-                          lhs=1, rhs=1, margin=0)
     num, h, u, mask = worst
     value = Fraction(num, bd * cd * h)
     status = HOLDS if value >= 1 else FAILS

@@ -213,10 +213,15 @@ class HardCoreProfile:
         return RatFunc(Poly([0, Fraction(1, self.graph.n)]) * self.z.derivative(), self.z)
 
     @cached_property
+    def variance_numerator(self) -> Poly:
+        """N = var_numerator(Z), so that V = N / (n Z^2)."""
+        return var_numerator(self.z)
+
+    @cached_property
     def variance(self) -> RatFunc:
-        """V = x dE/dx, in closed form var_numerator(Z) / (n Z^2)."""
+        """V = x dE/dx, in closed form N / (n Z^2)."""
         _require_vertices(self.graph)
-        return RatFunc(var_numerator(self.z) * Fraction(1, self.graph.n), self.z * self.z)
+        return RatFunc(self.variance_numerator * Fraction(1, self.graph.n), self.z * self.z)
 
     def expectation_at(self, lam) -> Fraction:
         """E(lam) = p H' / (n H) at lam = p/q, where H = q^D Z(lam) and
@@ -228,13 +233,13 @@ class HardCoreProfile:
                         self.graph.n * _int_horner(cs, p, q))
 
     def variance_at(self, lam) -> Fraction:
-        """V(lam) = N(lam) / (n Z(lam)^2) with N = var_numerator(Z), of
+        """V(lam) = N(lam) / (n Z(lam)^2) with N the variance numerator, of
         degree at most 2D - 1: at lam = p/q, the integer Horner value
         q^(deg N) N(lam) times q^(2D - deg N), over n H^2 with H = q^D Z(lam)."""
         _require_vertices(self.graph)
         lam, cs = Fraction(lam), self.z.coeffs
         p, q = lam.numerator, lam.denominator
-        num = var_numerator(self.z).coeffs
+        num = self.variance_numerator.coeffs
         h = _int_horner(cs, p, q)
         return Fraction(_int_horner(num, p, q) * q ** (2 * len(cs) - len(num) - 1),
                         self.graph.n * h * h)

@@ -46,10 +46,6 @@ class RationalInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
@@ -81,15 +77,6 @@ class RationalInterval:
         other = _lift(other)
         products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
         return RationalInterval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _lift(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("division by an interval containing zero")
-        inv = RationalInterval(1 / other.hi, 1 / other.lo)
-        return self * inv
 
     def to_json(self) -> str:
         from .verdict import format_rational

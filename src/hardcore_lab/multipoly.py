@@ -65,12 +65,6 @@ class MultiPoly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -94,16 +88,11 @@ class MultiPoly:
             out[e] = out.get(e, Fraction(0)) + c
         return MultiPoly(self.vars, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -130,31 +119,26 @@ class MultiPoly:
             k >>= 1
         return result
 
-    # -- substitution and calculus ---------------------------------------------
+    # -- evaluation and calculus ---------------------------------------------
 
-    def substitute(self, assignments: dict) -> "MultiPoly":
-        """Plug exact values in for some variables; the result keeps the full
-        variable tuple (with zero exponents for the substituted ones)."""
+    def evaluate(self, assignments: dict) -> Fraction:
+        """The exact value at the assigned point.  Every variable that some
+        term uses must be assigned; one that no term uses may stay unset.  An
+        undeclared name, or an unset variable that a term uses, raises
+        ValueError."""
         for name in assignments:
             if name not in self.vars:
                 raise ValueError(f"undeclared variable {name!r}")
-        idx = {name: self.vars.index(name) for name in assignments}
-        out: dict[tuple[int, ...], Fraction] = {}
+        values = [Fraction(assignments[v]) if v in assignments else None for v in self.vars]
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
-            c = coeff
-            e = list(exps)
-            for name, value in assignments.items():
-                i = idx[name]
-                c *= Fraction(value) ** e[i]
-                e[i] = 0
-            e = tuple(e)
-            new = out.get(e, Fraction(0)) + c
-            out[e] = new
-        return MultiPoly(self.vars, out)
-
-    def evaluate(self, assignments: dict) -> Fraction:
-        """Substitute every variable and return the resulting constant."""
-        return self.substitute(assignments).constant_value()
+            for name, value, e in zip(self.vars, values, exps):
+                if e:
+                    if value is None:
+                        raise ValueError(f"variable {name!r} is unset")
+                    coeff *= value ** e
+            total += coeff
+        return total
 
     def partial_derivative(self, name: str) -> "MultiPoly":
         if name not in self.vars:
@@ -170,9 +154,6 @@ class MultiPoly:
         return MultiPoly(self.vars, out)
 
     # -- formatting --------------------------------------------------------------
-
-    def __repr__(self):
-        return f"MultiPoly({self.vars!r}, '{self}')"
 
     def __str__(self):
         """Canonical rendering in graded lexicographic monomial order."""

@@ -147,21 +147,12 @@ class Poly:
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly('{self.to_text()}')"
 
     def to_text(self) -> str:
         from .verdict import format_rational
@@ -188,8 +179,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] = out[i] + c
         return _int_poly(tuple(out)) if self._int and other._int else Poly(out)
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         return self + (-other) if isinstance(other, (Poly, int, Fraction)) else NotImplemented
@@ -343,9 +332,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=Poly([1])):
-        num = num if isinstance(num, Poly) else Poly([num])
-        den = den if isinstance(den, Poly) else Poly([den])
+    def __init__(self, num: Poly, den: Poly = Poly([1])):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -374,10 +361,7 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
+        return hash((self.num.coeffs, self.den.coeffs))
 
     def evaluate(self, x) -> Fraction:
         dv = self.den.evaluate(x)

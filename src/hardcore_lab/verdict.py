@@ -57,8 +57,6 @@ def _jsonify(value):
         return format_rational(value)
     if isinstance(value, tuple):
         return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
     if hasattr(value, "to_json"):
         return value.to_json()
     return str(value)

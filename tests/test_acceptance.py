@@ -247,7 +247,7 @@ def test_criterion_11_combined_chain():
     z = independence_polynomial(empty_graph(3))
     lower = log1p_interval(lam, tol) * ((1 + lam) / lam) * F(1, 2)
     fe = free_energy_interval(z, 3, lam, tol)
-    assert lower.width <= F(1, 10**15) and fe.width <= F(1, 10**15)
+    assert lower.hi - lower.lo <= F(1, 10**15) and fe.hi - fe.lo <= F(1, 10**15)
     assert lower.intersects(fe)
     _pass(11, "expectation / free-energy chain", start, 300)
 

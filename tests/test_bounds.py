@@ -385,7 +385,15 @@ def test_combined_chain_edgeless_is_inconclusive_by_design():
 # The weight and both triangle-free checks were first written as chained
 # RationalInterval arithmetic, one log(1 + lam) enclosure per degree.  The
 # library now encloses log(1 + lam) once per round and writes each endpoint
-# directly; every endpoint must be the same rational.
+# directly; every endpoint must be the same rational.  The library's
+# intervals no longer divide, so the compositions divide here.
+
+def _quotient(a, b):
+    """a / b: a times [1/b.hi, 1/b.lo], refused when b contains zero."""
+    if b.lo <= 0 <= b.hi:
+        raise ZeroDivisionError("division by an interval containing zero")
+    return a * RationalInterval(1 / b.hi, 1 / b.lo)
+
 
 def _reference_tf_weight(d, lam, tol):
     s = lam / (1 + lam)
@@ -397,7 +405,7 @@ def _reference_tf_weight(d, lam, tol):
         lambert_w_interval(arg.lo, tol / 4).lo,
         lambert_w_interval(arg.hi, tol / 4).hi,
     )
-    return w_enc / (log_enc * d) * s
+    return _quotient(w_enc, log_enc * d) * s
 
 
 def _reference_occupancy_tf(g, lam):
@@ -423,7 +431,7 @@ def _reference_tf_weighted_marginals(g, lam):
         acc = RationalInterval.point(0)
         for u, p in enumerate(marginals):
             enc = _reference_tf_weight(g.degree(u), lam, tol / (2 * g.n))
-            acc = acc + RationalInterval.point(p) / enc * F(1, g.n)
+            acc = acc + _quotient(RationalInterval.point(p), enc) * F(1, g.n)
         return acc
 
     return bounds._interval_le("local_occupancy.tf_weighted_marginals", g, lam,

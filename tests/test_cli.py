@@ -94,6 +94,19 @@ def test_bound_refuses_an_argument_it_would_not_read(argv, unread, capsys, monke
     assert (code, out, err) == (1, "", f"error: bound {argv[0]} takes no {unread}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("occupancy", "petersen"),
+    ("occupancy", "--lambda", "1"),
+], ids="-".join)
+def test_bound_on_a_graph_needs_the_graph_and_the_fugacity(argv, capsys, monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("engine work before the refusal")
+
+    monkeypatch.setattr(hardcore, "_zpoly_coeffs", no_engine)
+    code, out, err = run(capsys, "bound", *argv)
+    assert (code, out, err) == (1, "", "error: this bound needs a graph and --lambda\n")
+
+
 @pytest.mark.parametrize("name", ["occupancy_tf", "combined", "weighted_marginals_tf"])
 def test_enclosed_bounds_default_to_the_library_tolerance(name, capsys):
     argv = ("bound", name, "cycle:8", "--lambda", "1/100")
@@ -262,6 +275,7 @@ def test_graph_without_vertices_is_a_one_line_usage_error(capsys):
         ("bound", "combined", "path:0", "--lambda", "1"),
         ("bound", "occupancy_tf", "path:0", "--lambda", "1"),
         ("bound", "weighted_marginals", "path:0", "--lambda", "1"),
+        ("bound", "local_occupancy", "path:0", "--lambda", "1"),
         ("quantities", "path:0", "--lambda", "1"),
         ("sample", "path:0", "--lambda", "1"),
     ):

@@ -45,10 +45,14 @@ def test_multipoly_substitution():
     du, dv = _du_dv()
     p = 18 * du * du * dv + 96 * du * dv * dv
     assert p.evaluate({"d_u": 3, "d_v": 1}) == 450
-    partial = p.substitute({"d_u": 2})
-    assert partial == 72 * dv + 192 * dv * dv
-    with pytest.raises(ValueError):
-        p.substitute({"d_z": 1})
+    assert p.evaluate({"d_u": F(1, 2), "d_v": -2}) == 18 * F(1, 4) * -2 + 96 * F(1, 2) * 4
+    # A variable that no term uses may stay unset.
+    assert (72 * dv + 192 * dv * dv).evaluate({"d_v": 2}) == 912
+    assert MultiPoly.constant(V, 7).evaluate({}) == 7
+    with pytest.raises(ValueError, match="undeclared variable 'd_z'"):
+        p.evaluate({"d_u": 3, "d_v": 1, "d_z": 1})
+    with pytest.raises(ValueError, match="variable 'd_v' is unset"):
+        p.evaluate({"d_u": 2})
 
 
 def test_multipoly_partial_derivative():
