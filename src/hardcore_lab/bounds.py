@@ -10,12 +10,14 @@ rounding can never masquerade as a verdict.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import lcm, log10
 
-from .graphs import Graph, bits_of, cycle_graph, generate, path_graph
+from .graphs import Graph, bits_of, generate, path_graph
 from .hardcore import (
     HardCoreProfile,
     _profile_of,
@@ -133,6 +135,23 @@ def clique_occupancy_value(d: int, lam: Fraction) -> Fraction:
 
 # -- free energy -----------------------------------------------------------
 
+def _cleared(*powers: tuple[Fraction, int]) -> Fraction:
+    """The product of base ** exp over powers, one side of a comparison
+    cleared of logarithms.  A report prints it in full, so it is refused
+    before any power is taken when its numerator or denominator would pass
+    Python's integer-to-string digit limit; the estimate, the sum of
+    exp log10(part) over the factors, ignores cancellation between them."""
+    limit = sys.get_int_max_str_digits()
+    for digits in (sum(exp * log10(base.numerator) for base, exp in powers),
+                   sum(exp * log10(base.denominator) for base, exp in powers)):
+        if limit and digits >= limit:
+            raise ValueError(f"a cleared side would have more than {limit} digits")
+    out = Fraction(1)
+    for base, exp in powers:
+        out *= base ** exp
+    return out
+
+
 def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
@@ -145,43 +164,39 @@ def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck
     out = []
 
     # (1/n) log(1 + n lam) <= (1/n) log Z  <=>  1 + n lam <= Z
-    out.append(_exact_le("free_energy.complete_floor", g, lam, 1 + n * lam, zv))
+    out.append(_exact_le("free_energy.complete_floor", g, lam, 1 + n * lam, _cleared((zv, 1))))
     # (1/n) log Z <= log(1 + lam)  <=>  Z <= (1 + lam)^n
-    out.append(_exact_le("free_energy.edgeless_ceiling", g, lam, zv, (1 + lam) ** n))
+    out.append(_exact_le("free_energy.edgeless_ceiling", g, lam, zv, _cleared((1 + lam, n))))
 
     delta = g.max_degree
     if delta >= 1:
         # (1/(d+1)) log(1+(d+1)lam) <= (1/n) log Z, valid for max degree d.
         out.append(_exact_le(
             "free_energy.clique_floor", g, lam,
-            (1 + (delta + 1) * lam) ** n, zv ** (delta + 1)))
-        degs = g.degrees()
-        if all(d == delta for d in degs):
+            _cleared((1 + (delta + 1) * lam, n)), _cleared((zv, delta + 1))))
+        if all(d == delta for d in g.degrees()):
             # (1/n) log Z <= (1/2d) log(2(1+lam)^d - 1), regular graphs only.
             out.append(_exact_le(
                 "free_energy.biregular_ceiling", g, lam,
-                zv ** (2 * delta), (2 * (1 + lam) ** delta - 1) ** n))
+                _cleared((zv, 2 * delta)), _cleared((2 * (1 + lam) ** delta - 1, n))))
 
     # Degree-sequence floor: prod_u Z_{K_{d_u+1}}^{1/(d_u+1)} <= Z, cleared by
     # the lcm of the exponent denominators.
-    m = lcm(*(d + 1 for d in g.degrees())) if n else 1
-    floor_prod = Fraction(1)
-    for u in range(n):
-        floor_prod *= (1 + (g.degree(u) + 1) * lam) ** (m // (g.degree(u) + 1))
-    out.append(_exact_le("free_energy.degree_floor", g, lam, floor_prod, zv ** m))
+    m = lcm(*(d + 1 for d in g.degrees()))
+    floor_prod = _cleared(*((1 + (d + 1) * lam, m // (d + 1)) for d in g.degrees()))
+    out.append(_exact_le("free_energy.degree_floor", g, lam, floor_prod, _cleared((zv, m))))
 
     # Degree-sequence ceiling: edge-based product of biclique terms, with the
     # separate edgeless-vertex factor as displayed.
     edges = g.edges()
-    if edges or any(d == 0 for d in g.degrees()):
-        me = lcm(*(g.degree(u) * g.degree(v) for u, v in edges)) if edges else 1
-        ceil_prod = Fraction(1)
-        for u, v in edges:
-            du, dv = g.degree(u), g.degree(v)
-            ceil_prod *= bipartite_partition_value(du, dv, lam) ** (me // (du * dv))
-        isolated = sum(1 for d in g.degrees() if d == 0)
-        ceil_prod *= ((1 + lam) ** isolated) ** me
-        out.append(_exact_le("free_energy.degree_ceiling", g, lam, zv ** me, ceil_prod))
+    isolated = sum(1 for d in g.degrees() if d == 0)
+    if edges or isolated:
+        me = lcm(*(g.degree(u) * g.degree(v) for u, v in edges))
+        ceil_prod = _cleared(
+            *((bipartite_partition_value(g.degree(u), g.degree(v), lam),
+               me // (g.degree(u) * g.degree(v))) for u, v in edges),
+            (1 + lam, isolated * me))
+        out.append(_exact_le("free_energy.degree_ceiling", g, lam, _cleared((zv, me)), ceil_prod))
     return out
 
 
@@ -196,11 +211,8 @@ def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> Boun
         raise ValueError("vertex-based ceiling needs minimum degree one")
     zv = Fraction(prof.z.evaluate(lam))
     m = lcm(*(2 * d for d in g.degrees()))
-    rhs = Fraction(1)
-    for u in range(g.n):
-        d = g.degree(u)
-        rhs *= (2 * (1 + lam) ** d - 1) ** (m // (2 * d))
-    return _exact_le("free_energy.vertex_biregular_ceiling", g, lam, zv ** m, rhs)
+    rhs = _cleared(*((2 * (1 + lam) ** d - 1, m // (2 * d)) for d in g.degrees()))
+    return _exact_le("free_energy.vertex_biregular_ceiling", g, lam, _cleared((zv, m)), rhs)
 
 
 # -- occupancy ---------------------------------------------------------------
@@ -388,10 +400,8 @@ def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:
     lams = [_positive_lam(l) for l in lams]
     ratios = [cycle_growth_ratio(n, l) for l in lams]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-    g = cycle_graph(n) if n <= 64 else None
-    name = g.display_name() if g else f"cycle:{n}"
     return BoundCheck(
-        "variance.cycle_ratio_growth", name, lams[-1],
+        "variance.cycle_ratio_growth", f"cycle:{n}", lams[-1],
         HOLDS if increasing else FAILS,
         lhs=tuple(ratios), rhs=None,
         note="exact ratios along the fugacity ladder " + ",".join(map(format_rational, lams)))
@@ -404,7 +414,12 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
     for every u and every induced subgraph F of G[N(u)],
     beta (lam/(1+lam)) / Z_F + gamma lam Z_F' / Z_F >= 1.  The left side
     depends on F only through Z_F, so the strict minimum over the profile's
-    neighborhood table (first (u, F) per Z_F) is the one over every (u, F)."""
+    neighborhood table (first (u, F) per Z_F) is the one over every (u, F).
+
+    Every caller in the lab passes beta = 1 + 1/lam and gamma = 1.  There
+    beta lam/(1+lam) = 1 and the inequality clears to
+    sum_{k>=2} (k-1) i_k(F) lam^k >= 0, so the minimum is 1, reached at
+    F empty, and the margin is exactly 0."""
     lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
     prof = _profile_of(g)
     g = prof.graph
@@ -434,30 +449,35 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
         note=f"beta={format_rational(beta)} gamma={format_rational(gamma)}")
 
 
-def check_weighted_marginal_sum(g: Graph | HardCoreProfile, lam, weight: str = "clique",
-                                tol=DEFAULT_TOL) -> BoundCheck:
-    """Average marginal weighted by the reciprocal occupancy weight is at
-    least one: exactly for the clique weight, by enclosure for the
-    triangle-free Lambert-W weight, with the marginals from the profile."""
+def _marginals_at(prof: HardCoreProfile, lam: Fraction) -> list[Fraction]:
+    """Every vertex marginal lam Z(G - N[u]) / Z at lam, from the profile."""
+    zv = Fraction(prof.z.evaluate(lam))
+    return [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
+
+
+def check_clique_weighted_marginals(g: Graph | HardCoreProfile, lam) -> BoundCheck:
+    """Average marginal weighted by the reciprocal clique occupancy weight
+    lam / (1 + (d_u + 1) lam) is at least one, decided exactly."""
     lam = _positive_lam(lam)
     prof = _profile_of(g)
     g = prof.graph
     _require_vertices(g)
-    if weight not in ("clique", "triangle_free"):
-        raise ValueError(f"unknown weight {weight!r}")
-    if weight == "triangle_free":
-        # The clique weight is exact and ignores tol.
-        tol = _positive_tol(tol)
-        if not g.is_triangle_free():
-            raise ValueError("triangle-free weight requires a triangle-free graph")
-    zv = Fraction(prof.z.evaluate(lam))
-    marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
-    if weight == "clique":
-        total = sum(p / clique_occupancy_value(g.degree(u), lam)
-                    for u, p in enumerate(marginals)) / g.n
-        return _exact_le("local_occupancy.clique_weighted_marginals", g, lam,
-                         Fraction(1), total)
+    total = sum(p / clique_occupancy_value(g.degree(u), lam)
+                for u, p in enumerate(_marginals_at(prof, lam))) / g.n
+    return _exact_le("local_occupancy.clique_weighted_marginals", g, lam, Fraction(1), total)
 
+
+def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> BoundCheck:
+    """Average marginal weighted by the reciprocal triangle-free Lambert-W
+    weight is at least one, certified by enclosures."""
+    lam = _positive_lam(lam)
+    prof = _profile_of(g)
+    g = prof.graph
+    _require_vertices(g)
+    tol = _positive_tol(tol)
+    if not g.is_triangle_free():
+        raise ValueError("triangle-free weight requires a triangle-free graph")
+    marginals = _marginals_at(prof, lam)
     degrees = g.degrees()
 
     def rhs(tol: Fraction) -> RationalInterval:
@@ -487,18 +507,18 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
 
     # Three comparisons read the free energy and two each the other
     # ceilings: each is enclosed once per tolerance within this call.
-    @_once_per_tol
+    @cache
     def free_energy(tol):
         return free_energy_interval(z, g.n, lam, tol)
 
     def lower(tol):
         return log1p_interval(lam, tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
 
-    @_once_per_tol
+    @cache
     def entropy_form(tol):
         return log_interval(lam, tol / 2) * e + entropy_interval(e, tol / 2)
 
-    @_once_per_tol
+    @cache
     def final_form(tol):
         # E log(e lam / E) = E (1 + log lam - log E)
         inner = 1 + (log_interval(lam, tol / 2) - log_interval(e, tol / 2))
@@ -510,19 +530,6 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
         _interval_le("combined.relaxed_ceiling", g, lam, entropy_form, final_form, tol),
         _interval_le("combined.free_energy_vs_relaxed", g, lam, free_energy, final_form, tol),
     ]
-
-
-def _once_per_tol(make):
-    """The enclosure factory make, evaluated once per distinct tolerance;
-    the memo lives as long as the returned factory."""
-    made: dict[Fraction, RationalInterval] = {}
-
-    def cached(tol: Fraction) -> RationalInterval:
-        if tol not in made:
-            made[tol] = make(tol)
-        return made[tol]
-
-    return cached
 
 
 # -- edge-based occupancy counterexamples --------------------------------------

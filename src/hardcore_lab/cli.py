@@ -60,7 +60,7 @@ def _emit(obj) -> None:
 
 def _exit_code(statuses) -> int:
     statuses = set(statuses)
-    if FAILS in statuses or "failed" in statuses:
+    if FAILS in statuses or repro.FAILED in statuses:
         return EXIT_FAILS
     if INCONCLUSIVE in statuses:
         return EXIT_INCONCLUSIVE
@@ -116,68 +116,52 @@ def cmd_order(args) -> int:
     return _exit_code([verdict.status])
 
 
-# Bounds on a graph decided by exact rational arithmetic, and those decided
-# through certified enclosures, the only ones that read --tol.
-EXACT_BOUNDS = {
-    "free_energy": lambda g, lam: bounds.check_free_energy_bounds(g, lam),
-    "occupancy": lambda g, lam: bounds.check_occupancy_bounds(g, lam),
-    "variance": lambda g, lam: bounds.check_variance_bounds(g, lam),
-    "local_occupancy": lambda g, lam: [bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam)],
-    "weighted_marginals": lambda g, lam: [
-        bounds.check_weighted_marginal_sum(g, lam, "clique")],
-    "vertex_ceiling": lambda g, lam: [bounds.check_vertex_f_upper_counterexample(g, lam)],
+# Each bound's check and the arguments it reads, passed in this order: a
+# graph, --lambda and --tol.  An unset --tol is DEFAULT_TOL; an unset
+# --lambda, read without a graph only by edge_counterexamples, is left to
+# the check's own default.
+BOUNDS = {
+    "combined": (bounds.check_combined_chain, ("graph", "--lambda", "--tol")),
+    "edge_counterexamples": (bounds.check_edge_occ_counterexamples, ("--lambda",)),
+    "free_energy": (bounds.check_free_energy_bounds, ("graph", "--lambda")),
+    "local_occupancy": (lambda g, lam: bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam),
+                        ("graph", "--lambda")),
+    "occupancy": (bounds.check_occupancy_bounds, ("graph", "--lambda")),
+    "occupancy_tf": (lambda g, lam, tol: bounds.check_occupancy_tf(g, lam, tol),
+                     ("graph", "--lambda", "--tol")),
+    "p5_threshold": (bounds.check_p5_threshold, ()),
+    "variance": (bounds.check_variance_bounds, ("graph", "--lambda")),
+    "vertex_ceiling": (bounds.check_vertex_f_upper_counterexample, ("graph", "--lambda")),
+    "weighted_marginals": (bounds.check_clique_weighted_marginals, ("graph", "--lambda")),
+    "weighted_marginals_tf": (lambda g, lam, tol: bounds.check_tf_weighted_marginals(g, lam, tol),
+                              ("graph", "--lambda", "--tol")),
 }
-
-ENCLOSED_BOUNDS = {
-    "occupancy_tf": lambda g, lam, tol: [bounds.check_occupancy_tf(g, lam, tol)],
-    "combined": lambda g, lam, tol: bounds.check_combined_chain(g, lam, tol),
-    "weighted_marginals_tf": lambda g, lam, tol: [
-        bounds.check_weighted_marginal_sum(g, lam, "triangle_free", tol),
-    ],
-}
-
-GRAPHLESS_BOUNDS = {
-    "p5_threshold": lambda lam: bounds.check_p5_threshold(),
-    "edge_counterexamples": lambda lam: bounds.check_edge_occ_counterexamples(
-        lam if lam is not None else 5),
-}
-
-
-def _unread_bound_argument(args) -> str | None:
-    """The first argument given to `bound` that its check would not read."""
-    if args.graph is not None and args.name in GRAPHLESS_BOUNDS:
-        return "graph"
-    if args.lam is not None and args.name == "p5_threshold":
-        return "--lambda"
-    if args.tol is not None and args.name not in ENCLOSED_BOUNDS:
-        return "--tol"
-    return None
 
 
 def cmd_bound(args) -> int:
-    known = sorted(EXACT_BOUNDS.keys() | ENCLOSED_BOUNDS.keys()) + sorted(GRAPHLESS_BOUNDS)
-    if args.name not in known:
-        print(f"error: unknown bound {args.name!r} (known: {', '.join(known)})", file=sys.stderr)
+    if args.name not in BOUNDS:
+        print(f"error: unknown bound {args.name!r} (known: {', '.join(sorted(BOUNDS))})",
+              file=sys.stderr)
         return EXIT_USAGE
-    unread = _unread_bound_argument(args)
-    if unread is not None:
-        print(f"error: bound {args.name} takes no {unread}", file=sys.stderr)
+    check, reads = BOUNDS[args.name]
+    given = {"graph": args.graph, "--lambda": args.lam, "--tol": args.tol}
+    unread = [arg for arg, value in given.items() if value is not None and arg not in reads]
+    if unread:
+        print(f"error: bound {args.name} takes no {unread[0]}", file=sys.stderr)
         return EXIT_USAGE
-    if args.name in GRAPHLESS_BOUNDS:
-        checks = GRAPHLESS_BOUNDS[args.name](args.lam)
-    elif args.graph is None or args.lam is None:
+    if "graph" in reads and (args.graph is None or args.lam is None):
         print("error: this bound needs a graph and --lambda", file=sys.stderr)
         return EXIT_USAGE
-    else:
-        g = resolve_graph(args.graph)
-        lam = bounds._positive_lam(args.lam)
-        if args.name in EXACT_BOUNDS:
-            checks = EXACT_BOUNDS[args.name](g, lam)
-        else:
-            tol = DEFAULT_TOL if args.tol is None else args.tol
-            checks = ENCLOSED_BOUNDS[args.name](g, lam, tol)
-    for check in checks:
-        _emit(check.to_json())
+    if args.graph is not None:
+        given["graph"] = resolve_graph(args.graph)
+    if args.lam is not None:
+        given["--lambda"] = bounds._positive_lam(args.lam)
+    given["--tol"] = DEFAULT_TOL if args.tol is None else args.tol
+    checks = check(*(given[arg] for arg in reads if given[arg] is not None))
+    if isinstance(checks, bounds.BoundCheck):
+        checks = [checks]
+    for c in checks:
+        _emit(c.to_json())
     return _exit_code(c.status for c in checks)
 
 
@@ -190,7 +174,7 @@ def cmd_sample(args) -> int:
 
 def cmd_repro(args) -> int:
     try:
-        items = repro.run(args.ids or None)
+        items = repro.run(None if args.ids == ["all"] else args.ids)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .polynomials import Poly
 
@@ -115,15 +116,9 @@ def _atanh_series(y: Fraction, tol: Fraction) -> RationalInterval:
         k += 1
 
 
-_LOG2_CACHE: dict[Fraction, RationalInterval] = {}
-
-
+@cache
 def _log2_enclosure(tol: Fraction) -> RationalInterval:
-    cached = _LOG2_CACHE.get(tol)
-    if cached is None:
-        cached = _atanh_series(Fraction(1, 3), tol)
-        _LOG2_CACHE[tol] = cached
-    return cached
+    return _atanh_series(Fraction(1, 3), tol)
 
 
 def log_interval(v, tol) -> RationalInterval:

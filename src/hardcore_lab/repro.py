@@ -346,10 +346,10 @@ def item_local_occupancy_weighted() -> ReproItem:
     for g in [complete_graph(4), path_graph(5), cycle_graph(6), generate("kab:2,3")]:
         prof = HardCoreProfile(g)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            checks.append(bounds.check_weighted_marginal_sum(prof, lam, "clique"))
+            checks.append(bounds.check_clique_weighted_marginals(prof, lam))
     for g, lam in [(petersen_graph(), Fraction(1, 100)),
                    (cycle_graph(5), Fraction(1, 100))]:
-        checks.append(bounds.check_weighted_marginal_sum(g, lam, "triangle_free"))
+        checks.append(bounds.check_tf_weighted_marginals(g, lam))
     note = ("the clique weight is the occupancy fraction of the clique, "
             "lam/(1+(d+1)lam); the source text conflates it with the clique "
             "partition function in one place, and every downstream use needs "
@@ -550,7 +550,7 @@ def run(ids: list[str] | None = None) -> list[ReproItem]:
 
     An item that raises is reported as failed with payload
     {"error": "<Type>: <message>"}; the rest of the run goes on."""
-    if not ids or ids == ["all"]:
+    if not ids:
         ids = sorted(REGISTRY)
     else:
         unknown = [i for i in ids if i not in REGISTRY]

@@ -19,7 +19,7 @@ criteria call the library check those items call, on a larger corpus:
     08 oracle equivalence     brute_force_polynomial, cycle_polynomial,
                               the pinned all_graphs(8) digest
     09 local occupancy        bounds.check_local_occupancy,
-                              bounds.check_weighted_marginal_sum (clique),
+                              bounds.check_clique_weighted_marginals,
                               on one HardCoreProfile per graph
     10 implication web        orderings.implication_web_check
     11 combined chain         bounds.check_combined_chain, the edgeless enclosures
@@ -211,7 +211,7 @@ def test_criterion_09_local_occupancy_corpus():
             check = bounds.check_local_occupancy(prof, 1 + 1 / lam, 1, lam)
             assert check.holds, check.to_json()
             # clique-weighted marginal averages are at least one
-            check = bounds.check_weighted_marginal_sum(prof, lam, "clique")
+            check = bounds.check_clique_weighted_marginals(prof, lam)
             assert check.holds, check.to_json()
     _pass(9, "local occupancy corpus", start, 600)
 

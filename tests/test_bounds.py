@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab import bounds, corpus, graphs
+from hardcore_lab import bounds, cli, corpus, graphs
 from hardcore_lab.cli import main
 from hardcore_lab.graphs import (
     bits_of,
@@ -251,7 +251,7 @@ def test_triangle_free_neighborhoods_are_edgeless():
 
 
 def test_weighted_marginals_clique_equality():
-    c = bounds.check_weighted_marginal_sum(complete_graph(4), F(1, 2), "clique")
+    c = bounds.check_clique_weighted_marginals(complete_graph(4), F(1, 2))
     assert c.holds and c.margin == 0
 
 
@@ -259,12 +259,12 @@ def test_weighted_marginals_sample():
     for spec in ("path:4", "cycle:6", "kab:2,3", "pasch"):
         g = generate(spec)
         for lam in (F(1, 2), F(1), F(2)):
-            c = bounds.check_weighted_marginal_sum(g, lam, "clique")
+            c = bounds.check_clique_weighted_marginals(g, lam)
             assert c.holds, (spec, lam)
 
 
 def test_weighted_marginals_tf():
-    c = bounds.check_weighted_marginal_sum(petersen_graph(), F(1, 100), "triangle_free")
+    c = bounds.check_tf_weighted_marginals(petersen_graph(), F(1, 100))
     assert c.status == HOLDS
 
 
@@ -279,7 +279,7 @@ def test_weighted_marginals_tf_refines_past_a_zero_weight_end():
     assert lambert_w_interval(3 * log1p_interval(lam, F(1, 10**9) / 80).lo,
                               F(1, 10**9) / 80).lo == 0
     assert 0 < coarse[0] <= tight[0] <= tight[1] <= coarse[1]
-    c = bounds.check_weighted_marginal_sum(petersen_graph(), lam, "triangle_free")
+    c = bounds.check_tf_weighted_marginals(petersen_graph(), lam)
     assert c.status == INCONCLUSIVE
     assert F(-31, 10**22) < c.margin.lo < F(-29, 10**22) and c.margin.hi > 0
 
@@ -293,7 +293,7 @@ def test_weighted_marginals_tf_command_at_a_small_fugacity(capsys):
 
 def test_weighted_marginals_tf_rejects_triangles():
     with pytest.raises(ValueError):
-        bounds.check_weighted_marginal_sum(complete_graph(3), 1, "triangle_free")
+        bounds.check_tf_weighted_marginals(complete_graph(3), 1)
 
 
 def _grid_edges():
@@ -307,17 +307,13 @@ def _grid_with_a_triangle():
     return from_edges(64, _grid_edges() + [(0, 9)], "grid:8x8+chord")
 
 
-@pytest.mark.parametrize("weight, message", [
-    ("triangle_free", "triangle-free weight requires a triangle-free graph"),
-    ("nope", "unknown weight 'nope'"),
-], ids=["triangle_free", "unknown"])
-def test_weighted_marginals_refuse_before_any_engine_work(weight, message):
-    # The 64 residuals Z(G - N[u]) of this graph take seconds: a refusal
+def test_tf_weighted_marginals_refuse_a_triangle_before_any_engine_work():
+    # The 64 residuals Z(G - N[u]) of this graph take seconds: the refusal
     # comes before them, and leaves the profile's memo empty.
     prof = HardCoreProfile(_grid_with_a_triangle())
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=message):
-        bounds.check_weighted_marginal_sum(prof, 1, weight)
+    with pytest.raises(ValueError, match="triangle-free weight requires a triangle-free graph"):
+        bounds.check_tf_weighted_marginals(prof, 1)
     assert time.perf_counter() - start < 0.5
     assert prof._memo == {}
 
@@ -332,27 +328,23 @@ def test_weighted_marginals_tf_command_refuses_a_triangle_at_once(capsys):
         1, "", "error: triangle-free weight requires a triangle-free graph\n")
 
 
-_TOLERANT_CHECKS = {
-    "occupancy_tf": lambda prof, tol: bounds.check_occupancy_tf(prof, F(1, 100), tol),
-    "combined": lambda prof, tol: bounds.check_combined_chain(prof, F(1, 100), tol),
-    "weighted_marginals_tf": lambda prof, tol: bounds.check_weighted_marginal_sum(
-        prof, F(1, 100), "triangle_free", tol),
-}
+# The bounds whose checks read a tolerance.
+_TOLERANT_BOUNDS = sorted(name for name, (_, reads) in cli.BOUNDS.items() if "--tol" in reads)
 
 
-@pytest.mark.parametrize("name", sorted(_TOLERANT_CHECKS))
+@pytest.mark.parametrize("name", _TOLERANT_BOUNDS)
 def test_nonpositive_tolerance_is_refused_before_any_engine_work(name):
     # Z, E and the residuals of the grid take 0.2-3 s; a nonpositive tol is
     # refused before them.
     prof = HardCoreProfile(from_edges(64, _grid_edges(), "grid:8x8"))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        _TOLERANT_CHECKS[name](prof, 0)
+        cli.BOUNDS[name][0](prof, F(1, 100), 0)
     assert time.perf_counter() - start < 0.5
     assert prof._memo == {}
 
 
-@pytest.mark.parametrize("command", [("bound", name) for name in sorted(_TOLERANT_CHECKS)]
+@pytest.mark.parametrize("command", [("bound", name) for name in _TOLERANT_BOUNDS]
                          + [("quantities",)], ids=lambda command: command[-1])
 def test_nonpositive_tolerance_command_refuses_at_once(command, capsys):
     spec = "g6:" + encode_graph6(from_edges(64, _grid_edges()))
@@ -487,7 +479,7 @@ def test_tf_weighted_marginals_match_the_interval_composition():
     for spec in ("cycle:5", "kab:3,3", "petersen", "path:3 + empty:1"):
         g = generate(spec)
         for lam in (F(1, 100 * g.max_degree ** 4), F(1, 100), F(1), F(4)):
-            check = bounds.check_weighted_marginal_sum(g, lam, "triangle_free")
+            check = bounds.check_tf_weighted_marginals(g, lam)
             _same_check(check, _reference_tf_weighted_marginals(g, lam))
 
 
@@ -569,8 +561,8 @@ def test_nonpositive_fugacity_raises():
         lambda lam: bounds.cycle_growth_ratio(5, lam),
         lambda lam: bounds.check_cycle_growth(5, (1, lam)),
         lambda lam: bounds.check_local_occupancy(g, 1, 1, lam),
-        lambda lam: bounds.check_weighted_marginal_sum(g, lam, "clique"),
-        lambda lam: bounds.check_weighted_marginal_sum(g, lam, "triangle_free"),
+        lambda lam: bounds.check_clique_weighted_marginals(g, lam),
+        lambda lam: bounds.check_tf_weighted_marginals(g, lam),
         lambda lam: bounds.check_combined_chain(g, lam),
         lambda lam: bounds.edge_occupancy_sum(g, lam),
         lambda lam: bounds.check_edge_occ_counterexamples(lam),
@@ -596,8 +588,8 @@ def test_checks_accept_a_profile_for_the_graph():
         bounds.check_variance_bounds,
         bounds.check_combined_chain,
         lambda g, lam: bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam),
-        lambda g, lam: bounds.check_weighted_marginal_sum(g, lam, "clique"),
-        lambda g, lam: bounds.check_weighted_marginal_sum(g, lam, "triangle_free"),
+        lambda g, lam: bounds.check_clique_weighted_marginals(g, lam),
+        lambda g, lam: bounds.check_tf_weighted_marginals(g, lam),
     ]
     for spec in ("cycle:5", "petersen", "kab:2,3"):
         g = generate(spec)

@@ -1,11 +1,13 @@
 """Command-line surface: JSON output, exit codes, graph-spec resolution."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab import hardcore, repro
+from hardcore_lab import cli, hardcore, repro
+from hardcore_lab.bounds import DEFAULT_TOL
 from hardcore_lab.cli import main
 from hardcore_lab.polynomials import Poly, RatFunc
 
@@ -73,18 +75,20 @@ def test_bound_vertex_ceiling_reports_failure(capsys):
     assert json.loads(out.splitlines()[0])["status"] == "fails"
 
 
-_EXACT_GROUPS = ("free_energy", "occupancy", "variance", "local_occupancy",
-                 "weighted_marginals", "vertex_ceiling")
+def _unread_cases():
+    """(argv, unread) for every bound and every argument it does not read:
+    argv gives the bound each argument it reads, and the unread one.  The
+    bounds without a graph run at lambda = 5, edge_counterexamples' default."""
+    for name, (_, reads) in sorted(cli.BOUNDS.items()):
+        lam = "1" if "graph" in reads else "5"
+        samples = {"graph": ["petersen"], "--lambda": ["--lambda", lam], "--tol": ["--tol", "1/100"]}
+        for unread in [arg for arg in samples if arg not in reads]:
+            yield (name, *(word for arg, words in samples.items()
+                           if arg in reads or arg == unread for word in words)), unread
 
 
-@pytest.mark.parametrize("argv, unread", [
-    *(((name, "petersen", "--lambda", "1", "--tol", "1/100"), "--tol") for name in _EXACT_GROUPS),
-    (("edge_counterexamples", "--lambda", "5", "--tol", "1/100"), "--tol"),
-    (("p5_threshold", "--tol", "1/100"), "--tol"),
-    (("p5_threshold", "--lambda", "5"), "--lambda"),
-    (("p5_threshold", "petersen"), "graph"),
-    (("edge_counterexamples", "petersen", "--lambda", "5"), "graph"),
-], ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
+@pytest.mark.parametrize("argv, unread", list(_unread_cases()),
+                         ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
 def test_bound_refuses_an_argument_it_would_not_read(argv, unread, capsys, monkeypatch):
     def no_engine(*args):
         raise AssertionError("engine work before the refusal")
@@ -107,12 +111,37 @@ def test_bound_on_a_graph_needs_the_graph_and_the_fugacity(argv, capsys, monkeyp
     assert (code, out, err) == (1, "", "error: this bound needs a graph and --lambda\n")
 
 
-@pytest.mark.parametrize("name", ["occupancy_tf", "combined", "weighted_marginals_tf"])
+@pytest.mark.parametrize("name", sorted(name for name, (_, reads) in cli.BOUNDS.items()
+                                         if "--tol" in reads))
 def test_enclosed_bounds_default_to_the_library_tolerance(name, capsys):
     argv = ("bound", name, "cycle:8", "--lambda", "1/100")
     default = run(capsys, *argv)
-    explicit = run(capsys, *argv, "--tol", "1/1000000000")
+    explicit = run(capsys, *argv, "--tol", str(DEFAULT_TOL))
     assert default[0] == 0 and default == explicit
+
+
+_DENSE = "g6:Si_aqobx]b`OBHOMyOIDcG^B?jQOpObf?"  # G(20, 0.4), degrees 3 to 12
+
+
+@pytest.mark.parametrize("argv", [
+    ("free_energy", "kab:32,32"),
+    ("free_energy", _DENSE),
+    ("vertex_ceiling", _DENSE),
+], ids=["free_energy-kab:32,32", "free_energy-dense", "vertex_ceiling-dense"])
+def test_bound_refuses_a_cleared_side_too_long_to_print(argv, capsys):
+    # Z(1)^1024 on kab:32,32, and Z(1) to the lcm 360360 of the degrees
+    # plus one on the dense graph, have more digits than a report prints:
+    # the refusal comes before any power is taken.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", *argv, "--lambda", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "error: a cleared side would have more than 4300 digits\n")
+
+
+def test_bound_free_energy_prints_a_long_side_in_full(capsys):
+    code, out, err = run(capsys, "bound", "free_energy", "kab:16,16", "--lambda", "1")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
 
 
 def test_bound_unknown_name(capsys):

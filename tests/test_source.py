@@ -2,6 +2,7 @@
 
 import ast
 from collections import Counter
+from itertools import pairwise
 from pathlib import Path
 
 import hardcore_lab
@@ -327,3 +328,28 @@ def test_every_public_method_is_referenced():
     }
     assert len(methods) > 40
     assert unreferenced == _UNREFERENCED_METHODS
+
+
+def _is_string_constant(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_string_constant, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_no_parameter_picks_a_route_by_string():
+    # A library function does not compare one of its own parameters with a
+    # string constant, or a collection of them, to pick a route: two
+    # algorithms behind one mode string are two functions, and a caller that
+    # knows another module's vocabulary reads that module's constant.
+    found = []
+    for path in MODULES:
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            params = {arg.arg for arg, _ in _defaults(fn.args)}
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                for pair in pairwise([node.left, *node.comparators])
+                if any(isinstance(side, ast.Name) and side.id in params for side in pair)
+                and any(_is_string_constant(side) for side in pair)
+            ]
+    assert found == []
