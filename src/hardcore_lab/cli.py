@@ -84,6 +84,7 @@ def cmd_quantities(args) -> int:
     tol = _positive_tol(args.tol)
     g = resolve_graph(args.graph)
     _require_vertices(g)
+    bounds._refuse_long_variance(g, lam)
     prof = HardCoreProfile(g)
     z, e, v = prof.z, prof.expectation, prof.variance
     fe = free_energy_interval(z, g.n, lam, tol)

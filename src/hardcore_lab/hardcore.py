@@ -3,24 +3,26 @@ occupancy and variance fractions.  A graph's HardCoreProfile owns its engine
 memo and computes Z, E = x Z'/(n Z) and V = x dE/dx from it, once each; every
 other entrance to the engine reads a fresh profile.  V has two routes,
 cross-checked exactly: the closed-form numerator over n Z^2 (var_numerator)
-and the vertex and pair marginals (variance_via_marginals)."""
+and the vertex and pair marginals (variance_via_marginals).
+
+The engine holds each polynomial as one non-negative int, its value at
+x = 2^64 (Kronecker substitution; Schoenhage 1982, Harvey 2009).  Every memo
+value and every product of a mask's components is Z of an induced subgraph
+on at most MAX_VERTICES = 64 vertices, whose coefficients are at most
+C(64, 32) < 2^61, so no base-2^64 digit ever carries: a branch is one shift
+and add and a component product one big-integer multiply.  Values are
+unpacked only in HardCoreProfile._coeffs."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import (
-    Poly,
-    RatFunc,
-    _derivative,
-    _int_horner,
-    _int_mul,
-    _int_poly,
-    _unpack,
-)
+from .polynomials import Poly, RatFunc, _derivative, _int_horner, _int_poly, _pack, _unpack
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -29,42 +31,59 @@ class MemoLimitExceeded(RuntimeError):
     """The residual-subgraph cache outgrew its configured bound."""
 
 
-@lru_cache(maxsize=None)
-def _binomial_row(k: int) -> tuple[int, ...]:
-    return tuple(comb(k, i) for i in range(k + 1))
+_DIGIT_BITS = 64  # the engine packs at x = 2^64, past C(64, 32) < 2^61
+if array("Q").itemsize * 8 != _DIGIT_BITS:
+    raise ImportError("the engine unpacks 64-bit digits through array('Q')")
+
+
+def _digits(value: int) -> tuple[int, ...]:
+    """The coefficients of the polynomial packed as value at 2^64, read as
+    the little-endian 64-bit words of its bytes."""
+    words = array("Q", value.to_bytes((value.bit_length() + 63) >> 6 << 3, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return tuple(words)
 
 
 @lru_cache(maxsize=None)
-def _path_row(k: int) -> tuple[int, ...]:
-    """Coefficients of Z of the k-vertex path: i_j = C(k - j + 1, j)."""
-    return tuple(comb(k - j + 1, j) for j in range((k + 1) // 2 + 1))
+def _binomial_row(k: int) -> int:
+    """(1 + x)^k packed at 2^64."""
+    return ((1 << _DIGIT_BITS) + 1) ** k
 
 
 @lru_cache(maxsize=None)
-def _cycle_row(k: int) -> tuple[int, ...]:
-    """Coefficients of Z of the k-cycle: i_j = k C(k - j, j) / (k - j)."""
-    return tuple(k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1))
+def _path_row(k: int) -> int:
+    """Z of the k-vertex path packed at 2^64: i_j = C(k - j + 1, j)."""
+    return _pack([comb(k - j + 1, j) for j in range((k + 1) // 2 + 1)], _DIGIT_BITS)
 
 
-def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...]:
-    """Coefficients of Z of the subgraph induced by mask.
+@lru_cache(maxsize=None)
+def _cycle_row(k: int) -> int:
+    """Z of the k-cycle packed at 2^64: i_j = k C(k - j, j) / (k - j)."""
+    return _pack([k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)], _DIGIT_BITS)
+
+
+def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
+    """Z of the subgraph induced by mask, packed at 2^64.
 
     Z factors over connected components, so the mask is split into its
-    components by a BFS over the adjacency bitmasks and their polynomials
-    are multiplied; the k isolated vertices contribute one row (1 + x)^k.
-    Inside a component with an edge, the branch vertex u has maximum degree
-    in the component, ties going to the lowest index, and
-    Z(C) = Z(C - u) + x * Z(C - N[u]).  A component of maximum degree 2 is
-    a leaf instead: a path when its k vertices span k - 1 edges, otherwise a
-    cycle, whose closed-form row is read without branching.  Memo entries
-    are those components, leaves included, keyed by vertex mask; the whole
-    mask is looked up first.  Raises MemoLimitExceeded once the memo would
-    hold more than DEFAULT_MEMO_LIMIT components.
+    components by a BFS over the adjacency bitmasks and their values are
+    multiplied, one big-integer product each; the k isolated vertices
+    contribute one row (1 + x)^k.  Inside a component with an edge, the
+    branch vertex u has maximum degree in the component, ties going to the
+    lowest index, and Z(C) = Z(C - u) + x * Z(C - N[u]), one shift and add.
+    A component of maximum degree 2 is a leaf instead: a path when its k
+    vertices span k - 1 edges, otherwise a cycle, whose closed-form row is
+    read without branching.  Every value and every partial product is Z of an
+    induced subgraph, so no digit ever carries.  Memo entries are those
+    components, leaves included, keyed by vertex mask; the whole mask is
+    looked up first.  Raises MemoLimitExceeded once the memo would hold more
+    than DEFAULT_MEMO_LIMIT components.
     """
     cached = memo.get(mask)
     if cached is not None:
         return cached
-    out = None
+    out = 1
     isolated = 0
     rest = mask
     while rest:
@@ -80,36 +99,32 @@ def _zpoly_coeffs(adj: tuple[int, ...], mask: int, memo: dict) -> tuple[int, ...
         if comp == low:
             isolated += 1
             continue
-        poly = memo.get(comp)
-        if poly is None:
-            best_v, best_d = -1, -1
+        z = memo.get(comp)
+        if z is None:
+            best_v, best_d, degrees = -1, -1, 0
             m = comp
             while m:
                 bit = m & -m
                 m ^= bit
                 v = bit.bit_length() - 1
                 d = (adj[v] & comp).bit_count()
+                degrees += d
                 if d > best_d:
                     best_d, best_v = d, v
             if best_d <= 2:
                 k = comp.bit_count()
-                degrees = sum((adj[v] & comp).bit_count() for v in bits_of(comp))
-                poly = _path_row(k) if degrees < 2 * k else _cycle_row(k)
+                z = _path_row(k) if degrees < 2 * k else _cycle_row(k)
             else:
-                without = _zpoly_coeffs(adj, comp & ~(1 << best_v), memo)
-                with_u = _zpoly_coeffs(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
-                poly = list(without) + [0] * max(0, len(with_u) + 1 - len(without))
-                for i, c in enumerate(with_u):
-                    poly[i + 1] += c
-                poly = tuple(poly)
+                z = (_z_packed(adj, comp & ~(1 << best_v), memo)
+                     + (_z_packed(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
+                        << _DIGIT_BITS))
             if len(memo) >= DEFAULT_MEMO_LIMIT:
                 raise MemoLimitExceeded(f"residual cache exceeded {DEFAULT_MEMO_LIMIT} entries")
-            memo[comp] = poly
-        out = poly if out is None else _int_mul(out, poly)
+            memo[comp] = z
+        out *= z
     if isolated:
-        row = _binomial_row(isolated)
-        out = row if out is None else _int_mul(out, row)
-    return (1,) if out is None else out
+        out *= _binomial_row(isolated)
+    return out
 
 
 def brute_force_polynomial(g: Graph) -> Poly:
@@ -193,14 +208,16 @@ class HardCoreProfile:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._memo: dict[int, tuple[int, ...]] = {}
+        self._memo: dict[int, int] = {}
 
     def _coeffs(self, mask: int) -> tuple[int, ...]:
-        return _zpoly_coeffs(self.graph.adj, mask, self._memo)
+        """The coefficients of Z of the subgraph induced by mask: the one
+        place where a packed engine value is unpacked."""
+        return _digits(_z_packed(self.graph.adj, mask, self._memo))
 
     def _outside(self, mask: int) -> Poly:
         """Z of the graph with the vertices of mask removed."""
-        return Poly(self._coeffs(((1 << self.graph.n) - 1) & ~mask))
+        return _int_poly(self._coeffs(((1 << self.graph.n) - 1) & ~mask))
 
     @cached_property
     def z(self) -> Poly:
@@ -324,7 +341,7 @@ def independence_polynomial(g: Graph) -> Poly:
 def subset_polynomial(g: Graph, mask: int) -> Poly:
     """Partition function of the subgraph induced by a vertex mask, read from
     a fresh profile."""
-    return Poly(HardCoreProfile(g)._coeffs(mask))
+    return _int_poly(HardCoreProfile(g)._coeffs(mask))
 
 
 def variance_fraction(g: Graph) -> RatFunc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,11 +12,17 @@ INCONCLUSIVE = "inconclusive"
 
 
 def format_rational(x) -> str:
-    """Render an exact value the way the CLI expects it ("p/q", or "p" if integral)."""
+    """Render an exact value the way the CLI expects it ("p/q", or "p" if
+    integral).  A part past Python's integer-to-string digit limit raises a
+    one-line ValueError that says so."""
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise ValueError(f"a value to print has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def test_bound_refuses_an_argument_it_would_not_read(argv, unread, capsys, monke
     def no_engine(*args):
         raise AssertionError("engine work before the refusal")
 
-    monkeypatch.setattr(hardcore, "_zpoly_coeffs", no_engine)
+    monkeypatch.setattr(hardcore, "_z_packed", no_engine)
     code, out, err = run(capsys, "bound", *argv)
     assert (code, out, err) == (1, "", f"error: bound {argv[0]} takes no {unread}\n")
 
@@ -106,7 +106,7 @@ def test_bound_on_a_graph_needs_the_graph_and_the_fugacity(argv, capsys, monkeyp
     def no_engine(*args):
         raise AssertionError("engine work before the refusal")
 
-    monkeypatch.setattr(hardcore, "_zpoly_coeffs", no_engine)
+    monkeypatch.setattr(hardcore, "_z_packed", no_engine)
     code, out, err = run(capsys, "bound", *argv)
     assert (code, out, err) == (1, "", "error: this bound needs a graph and --lambda\n")
 
@@ -136,6 +136,35 @@ def test_bound_refuses_a_cleared_side_too_long_to_print(argv, capsys):
     code, out, err = run(capsys, "bound", *argv, "--lambda", "1")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", "error: a cleared side would have more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "variance", "kab:32,32", "--lambda", str(10 ** 70)),
+    ("quantities", "kab:32,32", "--lambda", str(10 ** 100)),
+], ids=["bound-variance", "quantities"])
+def test_a_variance_too_long_to_print_is_refused_before_the_engine(argv, capsys, monkeypatch):
+    # At these fugacities V = N / (n Z^2) has more digits than a report
+    # prints; Z(lam) of kab:32,32 alone has about 32 log10(lam) of them.
+    def no_engine(*args):
+        raise AssertionError("engine work before the refusal")
+
+    monkeypatch.setattr(hardcore, "_z_packed", no_engine)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        1, "", "error: the variance at lambda would have more than 4300 digits\n")
+
+
+def test_bound_occupancy_prints_where_the_variance_is_refused(capsys):
+    code, out, err = run(capsys, "bound", "occupancy", "kab:32,32", "--lambda", str(10 ** 70))
+    assert (code, err) == (0, "") and out
+
+
+def test_quantities_refuses_a_free_energy_enclosure_too_long_to_print(capsys):
+    # The enclosure of log Z(lam) / n carries several times the digits of
+    # Z(lam); past the limit the report is one error line, not Python's own
+    # conversion message.
+    code, out, err = run(capsys, "quantities", "kab:32,32", "--lambda", str(10 ** 30))
+    assert (code, out, err) == (1, "", "error: a value to print has more than 4300 digits\n")
 
 
 def test_bound_free_energy_prints_a_long_side_in_full(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hardcore_lab import corpus, hardcore
 from hardcore_lab.bounds import MAX_DEGREE_BUDGET
 from hardcore_lab.graphs import (
+    MAX_VERTICES,
     bits_of,
     complete_bipartite,
     complete_graph,
@@ -116,6 +117,15 @@ def test_engine_at_64_vertices():
     assert independence_polynomial(generate("6*petersen")) == z_petersen ** 6
 
 
+def test_packed_digits_do_not_carry_at_the_cap():
+    # Every engine value is Z of an induced subgraph on at most MAX_VERTICES
+    # vertices, packed at 2^64: its largest possible coefficient,
+    # C(MAX_VERTICES, MAX_VERTICES // 2), must fit one digit.
+    assert comb(MAX_VERTICES, MAX_VERTICES // 2) < 2 ** hardcore._DIGIT_BITS == 2 ** 64
+    assert independence_polynomial(empty_graph(MAX_VERTICES)) == ONE_PLUS ** 64
+    assert independence_polynomial(generate("kab:32,32")) == 2 * ONE_PLUS ** 32 - Poly([1])
+
+
 def test_memo_limit(monkeypatch):
     # Paths and cycles are one-entry leaves, so the limit is exercised on
     # graphs that still branch.
@@ -129,22 +139,23 @@ def test_memo_limit(monkeypatch):
 
 def test_closed_form_rows_match_the_transfer_recurrences():
     for k in range(1, 65):
-        assert hardcore._path_row(k) == path_polynomial(k).coeffs, k
+        assert hardcore._digits(hardcore._path_row(k)) == path_polynomial(k).coeffs, k
     for k in range(3, 65):
         assert all(k * comb(k - j, j) % (k - j) == 0 for j in range(k // 2 + 1)), k
-        assert hardcore._cycle_row(k) == cycle_polynomial(k).coeffs, k
+        assert hardcore._digits(hardcore._cycle_row(k)) == cycle_polynomial(k).coeffs, k
 
 
 def test_path_and_cycle_components_take_one_memo_entry():
     for g, z in ((path_graph(64), path_polynomial(64)), (cycle_graph(64), cycle_polynomial(64))):
         prof = HardCoreProfile(g)
         assert prof.z == z
-        assert prof._memo == {(1 << 64) - 1: z.coeffs}
+        assert {mask: hardcore._digits(value) for mask, value in prof._memo.items()} == {
+            (1 << 64) - 1: z.coeffs}
     prof = HardCoreProfile(generate("petersen + cycle:30"))
     assert prof.z == brute_force_polynomial(petersen_graph()) * cycle_polynomial(30)
     cycle = ((1 << 30) - 1) << 10
-    assert {mask: coeffs for mask, coeffs in prof._memo.items() if mask & cycle} == {
-        cycle: cycle_polynomial(30).coeffs}
+    assert {mask: hardcore._digits(value) for mask, value in prof._memo.items()
+            if mask & cycle} == {cycle: cycle_polynomial(30).coeffs}
 
 
 def _degree_two_rich_graph(rng: SplitMix64):
@@ -409,6 +420,45 @@ def test_profile_marginals_match_marginal():
                 expected = RatFunc(Poly()) if g.has_edge(u, v) else \
                     RatFunc(X * X * brute_force_polynomial(g.induced(both)), z)
                 assert prof.pair_marginal(u, v) == expected, (u, v)
+
+
+def _assert_residuals_match_the_oracle(g):
+    # Every residual Z(G - N[u]) and pair residual Z(G - N[u] - N[v]), the
+    # latter for adjacent pairs too, against the oracle on the subgraph.
+    prof = HardCoreProfile(g)
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        rest = full & ~g.closed_mask(u)
+        assert prof.residuals[u] == brute_force_polynomial(g.induced(rest)), (g.adj, u)
+        for v in range(u + 1, g.n):
+            both = rest & ~g.closed_mask(v)
+            assert prof._outside(full & ~both) == brute_force_polynomial(g.induced(both)), \
+                (g.adj, u, v)
+
+
+def test_residuals_match_the_oracle_on_every_small_graph():
+    for n in range(7):
+        for g in corpus.all_graphs(n):
+            _assert_residuals_match_the_oracle(g)
+
+
+def test_residuals_match_the_oracle_on_seeded_graphs():
+    rng = SplitMix64(2323)
+    for n in range(7, 15):
+        for p_denom in (2, 4, 8):
+            _assert_residuals_match_the_oracle(corpus.random_graph(n, rng, 1, p_denom))
+
+
+def test_pair_residuals_count_ordered_pairs_of_an_independent_set():
+    # x^2 Z(G - N[u] - N[v]) counts the independent sets holding both of the
+    # non-adjacent u and v, so its sum over ordered pairs is the sum of
+    # j (j - 1) i_j x^j = 2 C(j, 2) i_j x^j.
+    g = corpus.random_graph(30, SplitMix64(3030), 1, 8)
+    prof = HardCoreProfile(g)
+    pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(g.n)
+                    if u != v and not g.has_edge(u, v)), Poly())
+    assert X * X * pair_sum == Poly([2 * comb(j, 2) * c for j, c in enumerate(prof.z.coeffs)])
+    assert prof.z.degree >= 8
 
 
 def _subset_scan(g, z_of):
