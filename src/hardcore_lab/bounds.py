@@ -10,7 +10,6 @@ rounding can never masquerade as a verdict.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .intervals import (
 )
 from .polynomials import Poly, RatFunc, _int_horner
 from .roots import isolate_positive_roots
-from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, format_rational
+from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, _refuse_digits, format_rational
 
 DEFAULT_TOL = Fraction(1, 10**9)
 TOL_FLOOR = Fraction(1, 10**30)
@@ -135,20 +134,13 @@ def clique_occupancy_value(d: int, lam: Fraction) -> Fraction:
 
 # -- free energy -----------------------------------------------------------
 
-def _refuse_digits(digits: float, what: str) -> None:
-    """Refuse a value that a report prints in full once an estimate of its
-    decimal digits reaches Python's integer-to-string digit limit."""
-    limit = sys.get_int_max_str_digits()
-    if limit and digits >= limit:
-        raise ValueError(f"{what} would have more than {limit} digits")
-
-
 def _cleared(*powers: tuple[Fraction, int]) -> Fraction:
     """The product of base ** exp over powers, one side of a comparison
-    cleared of logarithms.  A report prints it in full, so it is refused
-    before any power is taken when its numerator or denominator would pass
-    Python's integer-to-string digit limit; the estimate, the sum of
-    exp log10(part) over the factors, ignores cancellation between them."""
+    cleared of logarithms, which a report prints in full.  A side whose
+    numerator or denominator would pass Python's integer-to-string digit
+    limit is refused before any power is taken, as the powers alone can
+    cost tens of seconds on a dense 20-vertex graph; the estimate, the sum
+    of exp log10(part) over the factors, ignores cancellation between them."""
     for digits in (sum(exp * log10(base.numerator) for base, exp in powers),
                    sum(exp * log10(base.denominator) for base, exp in powers)):
         _refuse_digits(digits, "a cleared side")
@@ -333,43 +325,11 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fracti
 
 # -- variance -----------------------------------------------------------------
 
-def _clique_cover(g: Graph) -> list[int]:
-    """The clique sizes of a greedy cover of g's vertices: each clique grows
-    from its lowest uncovered vertex by the lowest common neighbors."""
-    sizes, rest = [], (1 << g.n) - 1
-    while rest:
-        clique = rest & -rest
-        grow = g.adj[clique.bit_length() - 1] & rest
-        while grow:
-            bit = grow & -grow
-            clique |= bit
-            grow &= g.adj[bit.bit_length() - 1]
-        rest &= ~clique
-        sizes.append(clique.bit_count())
-    return sizes
-
-
-def _refuse_long_variance(g: Graph, lam: Fraction) -> None:
-    """Refuse, before any engine work, a variance report too long to print.
-
-    An independent set meets each clique of a cover at most once, so
-    Z(lam) <= prod (1 + |C| lam) over the cliques C of _clique_cover, and at
-    lam = p/q, H = q^deg(Z) Z(lam) <= prod (q + |C| p).  V(lam) < n has a
-    denominator dividing n H^2; each report value lam / (1 + s lam)^2, s <= n,
-    has one dividing (q + n p)^2, and so does a margin between the two.
-    The estimate can pass the true length, never fall short of it."""
-    p, q = lam.numerator, lam.denominator
-    log_h = sum(log10(q + size * p) for size in _clique_cover(g))
-    _refuse_digits(2 * log10(g.n) + 2 * log_h + 2 * log10(q + g.n * p),
-                   "the variance at lambda")
-
-
 def check_variance_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     lam = _positive_lam(lam)
     prof = _profile_of(g)
     g = prof.graph
     _require_vertices(g)
-    _refuse_long_variance(g, lam)
     v = prof.variance_at(lam)
     n = g.n
     floor_note = None if lam < Fraction(1, 2 * n - 1) else \

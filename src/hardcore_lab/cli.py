@@ -54,8 +54,14 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _report(objs) -> str:
+    """A report's text, one JSON line per object, serialized whole before any
+    of it is written: a value too long to print refuses all of it."""
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+def _emit(*objs) -> None:
+    sys.stdout.write(_report(objs))
 
 
 def _exit_code(statuses) -> int:
@@ -84,11 +90,11 @@ def cmd_quantities(args) -> int:
     tol = _positive_tol(args.tol)
     g = resolve_graph(args.graph)
     _require_vertices(g)
-    bounds._refuse_long_variance(g, lam)
     prof = HardCoreProfile(g)
     z, e, v = prof.z, prof.expectation, prof.variance
-    fe = free_energy_interval(z, g.n, lam, tol)
-    _emit({
+    # The exact fields are formatted first: a Z(lam) too long to print is
+    # refused before the enclosure of its logarithm is computed.
+    out = {
         "graph": g.display_name(),
         "lambda": format_rational(lam),
         "partition": z.to_text(),
@@ -97,8 +103,9 @@ def cmd_quantities(args) -> int:
         "occupancy_at_lambda": format_rational(prof.expectation_at(lam)),
         "variance": {"num": v.num.to_text(), "den": v.den.to_text()},
         "variance_at_lambda": format_rational(prof.variance_at(lam)),
-        "free_energy_enclosure": fe.to_json(),
-    })
+    }
+    out["free_energy_enclosure"] = free_energy_interval(z, g.n, lam, tol).to_json()
+    _emit(out)
     return EXIT_OK
 
 
@@ -161,8 +168,7 @@ def cmd_bound(args) -> int:
     checks = check(*(given[arg] for arg in reads if given[arg] is not None))
     if isinstance(checks, bounds.BoundCheck):
         checks = [checks]
-    for c in checks:
-        _emit(c.to_json())
+    _emit(*(c.to_json() for c in checks))
     return _exit_code(c.status for c in checks)
 
 
@@ -179,8 +185,7 @@ def cmd_repro(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    lines = [json.dumps(item.to_json(), sort_keys=True) for item in items]
-    text = "\n".join(lines) + "\n"
+    text = _report(item.to_json() for item in items)
     if args.out:
         tmp = args.out + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:

@@ -11,10 +11,19 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
+def _refuse_digits(digits: float, what: str) -> None:
+    """Refuse, before building it, a value whose estimated decimal digits
+    reach Python's integer-to-string limit, past which no report prints."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits >= limit:
+        raise ValueError(f"{what} would have more than {limit} digits")
+
+
 def format_rational(x) -> str:
     """Render an exact value the way the CLI expects it ("p/q", or "p" if
-    integral).  A part past Python's integer-to-string digit limit raises a
-    one-line ValueError that says so."""
+    integral).  Every rational a report prints passes here, so this is the
+    one check of Python's integer-to-string digit limit on printing: a part
+    past it raises a one-line ValueError that says so."""
     f = Fraction(x)
     try:
         if f.denominator == 1:

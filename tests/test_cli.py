@@ -141,17 +141,36 @@ def test_bound_refuses_a_cleared_side_too_long_to_print(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ("bound", "variance", "kab:32,32", "--lambda", str(10 ** 70)),
     ("quantities", "kab:32,32", "--lambda", str(10 ** 100)),
-], ids=["bound-variance", "quantities"])
-def test_a_variance_too_long_to_print_is_refused_before_the_engine(argv, capsys, monkeypatch):
-    # At these fugacities V = N / (n Z^2) has more digits than a report
-    # prints; Z(lam) of kab:32,32 alone has about 32 log10(lam) of them.
-    def no_engine(*args):
-        raise AssertionError("engine work before the refusal")
-
-    monkeypatch.setattr(hardcore, "_z_packed", no_engine)
+    ("bound", "occupancy", "kn:64", "--lambda", str(10 ** 70)),
+], ids=["bound-variance", "quantities", "bound-occupancy"])
+def test_a_report_too_long_to_print_is_refused_whole(argv, capsys):
+    # At these fugacities V = N / (n Z^2) of kab:32,32 has more digits than
+    # a report prints (Z(lam) alone has about 32 log10(lam)).  The first
+    # three checks of the occupancy report on kn:64 would print, but not the
+    # biregular ceiling, built from (1 + lam)^62, so none of them is written.
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (
-        1, "", "error: the variance at lambda would have more than 4300 digits\n")
+    assert (code, out, err) == (1, "", "error: a value to print has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("5*kab:1,3", 10 ** 200), ("petersen", 10 ** 400), ("kab:32,32", 10 ** 65),
+], ids=["5*kab:1,3", "petersen", "kab:32,32"])
+def test_bound_variance_prints_a_report_whose_values_fit(spec, lam, capsys):
+    # Every value of these reports fits under the print limit, however close
+    # a bound on Z(lam) would come to it: only a value that does not fit is
+    # refused.
+    code, out, err = run(capsys, "bound", "variance", spec, "--lambda", str(lam))
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
+
+
+def test_quantities_refuses_an_unprintable_partition_value_before_its_enclosure(capsys):
+    # Z(lam) of cycle:64 at the largest power of ten the parser reads has
+    # over 10^5 digits: the report is refused on it before log_interval
+    # runs on it, which would take over a minute.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quantities", "cycle:64", "--lambda", str(10 ** 4299))
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (1, "", "error: a value to print has more than 4300 digits\n")
 
 
 def test_bound_occupancy_prints_where_the_variance_is_refused(capsys):

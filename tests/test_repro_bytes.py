@@ -1,0 +1,89 @@
+"""The bytes `hardcore-lab repro` prints for each item stay as they are.
+
+A change that makes the lab faster or smaller moves no verdict, witness or
+margin, so the JSON line of every deterministic item is pinned by its
+sha256.  `sampler.cross_validation` is left out: it runs twenty Glauber
+chains of 10^6 steps and prints float estimates.  The pins hold on this
+platform, x86-64 Linux with CPython 3.11: the Lambert-W seed of the
+triangle-free enclosures comes from libm floats, so another platform may
+print other enclosure endpoints and need its own pins.
+"""
+
+import hashlib
+import json
+
+from hardcore_lab import repro
+
+UNPINNED = {"sampler.cross_validation"}
+
+PINNED = {
+    "combined.chain_samples":
+        "043ecef7db70b3bb7969bce286edcb9e7ac04da04fbfd960f251f26b61c701bf",
+    "counterexamples.edge_occupancy":
+        "6497ce49a1b901010572263641b1fc2e5d1d64aa8586e56f84c9f98f8d4d519b",
+    "counterexamples.six_vertex_search":
+        "b257459b96420bbec48200f281fa9fb4596fca708127f20f1236c4187ee6c280",
+    "counterexamples.vertex_free_energy":
+        "946f83095d0bad764b9d93e7ab82ddc2f3aea2585495286d22e914a300b114ee",
+    "engine.oracle_equivalence":
+        "ce964a63a6a53622efb1ae27317f88e0929f1f8b58a1a3ad1d9438a4abf57da3",
+    "engine.union_multiplicativity":
+        "2a6342f91efca65b727fa589caea9a8713e23c314fc6cb5e268de22a0db0c7ae",
+    "free_energy.named_bounds":
+        "55690de5ed64ebfe0b53b8ac2a2dec8c4185aae520ed356053cac8628c88e1e5",
+    "free_energy.small_corpus":
+        "8267299d821e0850fda8602d6089d747ec8321f0b2428b6a123430bcbbd68c3d",
+    "lemmas.fv_and_var_hold":
+        "98a2fed23bb40e407108baa0b0bf6889156b65a5a5df9a3cae8199b84af1d17c",
+    "lemmas.fv_without_var":
+        "b2a8ebcc504d0244e3d92d21f2b147519f681171b98a669f8a6a839278c2d54e",
+    "lemmas.var_without_coef":
+        "5598c5b21801f831e888ba78e7ce1535e6254ee632bf8fd740ec15757aa97fb2",
+    "lemmas.var_without_fv":
+        "3d97c2d4c14bbdba66e1996c0b6a0be3ac8a547ea10ec164e056e625d34325c2",
+    "local_occupancy.certificate_corpus":
+        "145a4491d0ea51a7a9523968458748dbff5cbf4e81603b268e4f72ed9d61eb4a",
+    "local_occupancy.weighted_marginals":
+        "d74e8fcb82d16812c303c35eeba565957076a8dcc669482a3d62c2dbaaaa7240",
+    "occupancy.degree_floor_corpus":
+        "c67cd584bd1f8e6caa938a2049a4286c4880ba5f3ce90b8b827322e916b754ff",
+    "occupancy.named_bounds":
+        "056739e406c1c3b6dce4df449db560d81d1927e2af88ec6f0a40eed852ae99ee",
+    "occupancy.triangle_free_floor":
+        "7bf1b8249b46f3dfce999623e214dd5261c9528ed20f676fb49deefaa4650dc7",
+    "orderings.implication_web":
+        "50a4f0d49b96b0c38dbdf8575279c9b5b201b5f027fb94ee9665e265ecf83d2c",
+    "series.averaged_expansion":
+        "9d445091f01751d68361da01a23aad9d963e93796e0b7eaf53cf5374e7649ab9",
+    "series.clique_weight_identity":
+        "19bce3d132d21f8bba0d0a8f87d211c0249e27a883778e16151361a891d4bae5",
+    "series.correction_coefficients":
+        "6b3b969bd5f989b4ca907c5000b037676620b6cada3e77669c83fb272536fc55",
+    "series.cubic_truncation":
+        "3c5e70d3dc7809edfd830e050ce32ce4eb5f842456f5c46d61aa4cbeb9fb8cc6",
+    "series.ratio_coefficients":
+        "deb1c428dc99495dfbf5bb93024a43a2b0dfd899e771c4ccf194e99b8c9242fb",
+    "variance.conjectured_floor_sweep":
+        "f781b01e55d2822964037d288250149f0fe4605470437bcf2aba2558f5f8d098",
+    "variance.cycle_growth":
+        "d7c02512802518f46f8508be5f2db8f85809ca7fc0976c585891c287779c308e",
+    "variance.p5_threshold":
+        "ecc67499a3d1f3420eb6ff0ab66cd4bd762caff6463b60da078c439c0bf2b35d",
+    "variance.pair_marginal_identity":
+        "4a3a2de2192244c3eb2391413921bd3e295ae91e3553c662358b43f0aff9559f",
+    "variance.window_corpus":
+        "f7a3539a67d0b4167d2beaaf43e690aee141611c82bfc6726598eb4bbac60ab9",
+}
+
+
+def test_pinned_ids_are_the_registry_less_the_float_items():
+    # A new repro item adds its own pin.
+    assert set(PINNED) == set(repro.REGISTRY) - UNPINNED
+
+
+def test_repro_lines_match_their_pins():
+    got = {
+        item.id: hashlib.sha256(json.dumps(item.to_json(), sort_keys=True).encode()).hexdigest()
+        for item in repro.run(sorted(PINNED))
+    }
+    assert got == PINNED

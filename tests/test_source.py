@@ -353,3 +353,15 @@ def test_no_parameter_picks_a_route_by_string():
                 and any(_is_string_constant(side) for side in pair)
             ]
     assert found == []
+
+
+def test_only_the_verdict_module_reads_the_print_limit():
+    # One module decides what is too long to print: only verdict.py reads
+    # Python's integer-to-string digit limit, and a module that would spend
+    # its time on a value too long to print asks verdict._refuse_digits.
+    readers = {
+        path.name
+        for path in MODULES
+        if "get_int_max_str_digits" in _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"verdict.py"}
