@@ -22,7 +22,6 @@ from .hardcore import (
     _profile_of,
     _require_vertices,
     cycle_polynomial,
-    var_numerator,
 )
 from .intervals import (
     RationalInterval,
@@ -34,7 +33,7 @@ from .intervals import (
     log1p_interval,
     log_interval,
 )
-from .polynomials import Poly, RatFunc, _int_horner
+from .polynomials import Poly, RatFunc, _int_horner, var_numerator
 from .roots import isolate_positive_roots
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, _refuse_digits, format_rational
 
@@ -266,9 +265,7 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
     if not g.is_triangle_free():
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = prof.expectation_at(lam)
-    degree_counts: dict[int, int] = {}
-    for d in g.degrees():
-        degree_counts[d] = degree_counts.get(d, 0) + 1
+    degree_counts = Counter(g.degrees())
 
     def lhs(tol: Fraction) -> RationalInterval:
         weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)))
@@ -388,9 +385,7 @@ def cycle_growth_ratio(n: int, lam) -> Fraction:
     """V_{C_n}(lam) / (lam/(1+lam)^2), exactly."""
     lam = _positive_lam(lam)
     z = cycle_polynomial(n)
-    zv = z.evaluate(lam)
-    v = var_numerator(z).evaluate(lam) / (n * zv * zv)
-    return v * (1 + lam) ** 2 / lam
+    return var_numerator(z).evaluate(lam) * (1 + lam) ** 2 / (n * z.evaluate(lam) ** 2 * lam)
 
 
 def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:

@@ -2,8 +2,9 @@
 occupancy and variance fractions.  A graph's HardCoreProfile owns its engine
 memo and computes Z, E = x Z'/(n Z) and V = x dE/dx from it, once each; every
 other entrance to the engine reads a fresh profile.  V has two routes,
-cross-checked exactly: the closed-form numerator over n Z^2 (var_numerator)
-and the vertex and pair marginals (variance_via_marginals).
+cross-checked exactly: the closed-form numerator over n Z^2, read from the
+one kernel polynomials.var_numerator, and the vertex and pair marginals
+(variance_via_marginals).
 
 The engine holds each polynomial as one non-negative int, its value at
 x = 2^64 (Kronecker substitution; Schoenhage 1982, Harvey 2009).  Every memo
@@ -22,7 +23,8 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import Poly, RatFunc, _derivative, _int_horner, _int_poly, _pack, _unpack
+from .polynomials import (Poly, RatFunc, _derivative, _int_horner, _int_poly, _pack, _unpack,
+                          var_numerator)
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -175,16 +177,6 @@ def _require_vertices(g: Graph) -> None:
     """A quantity averaged over the vertices needs at least one."""
     if g.n == 0:
         raise ValueError("graph has no vertices")
-
-
-def var_numerator(p: Poly) -> Poly:
-    """(x^2 p'' + x p') p - x^2 p'^2, the numerator of V_p over p^2.
-
-    With theta = x d/dx, x^2 p'' + x p' is theta^2 p and x p' is theta p,
-    whose coefficients are k^2 a_k and k a_k: two products in all."""
-    theta = Poly([k * c for k, c in enumerate(p.coeffs)])
-    theta2 = Poly([k * k * c for k, c in enumerate(p.coeffs)])
-    return theta2 * p - theta * theta
 
 
 def var_of_polynomial(p: Poly) -> RatFunc:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cache
 
 from .polynomials import Poly
+from .verdict import format_rational
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,6 @@ class RationalInterval:
         return RationalInterval(min(products), max(products))
 
     def to_json(self) -> str:
-        from .verdict import format_rational
-
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 

@@ -1,13 +1,14 @@
 """Decision procedures for the seven comparison orderings between generating
 polynomials with nonnegative coefficients and constant term one, plus the
-implication-web harness."""
+implication-web harness.  The VAR certificate reads both variance numerators
+from the one kernel in `polynomials` and is one packed product."""
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
 
-from .polynomials import Poly, _content_split, _int_poly, _pack, _unpack
+from .polynomials import Poly, _content_split, _int_poly, _int_var_numerator, _pack, _unpack
 from .roots import nonneg_on_halfline
 from .verdict import FAILS, HOLDS, Verdict
 
@@ -107,29 +108,17 @@ def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
 def var_difference_certificate(p: Poly, q: Poly) -> Poly:
     """The exact polynomial p^2 q^2 (V_p - V_q) = N_p q^2 - N_q p^2, with N_p
     = var_numerator(p); nonnegative on the half-line iff p dominates q in the
-    variance ordering.  One Kronecker substitution: p, theta p and theta^2 p
-    for both are packed at 2^k, and the certificate is unpacked once.  N_p
-    has coefficients sum_{i+j=m} (i-j)^2 a_i a_j / 2, so its l1 norm is at
-    most S2 S0 - S1^2 with S_r = sum_j j^r |a_j|, and every coefficient of
-    the certificate is at most |N_p|_1 |q|_1^2 + |N_q|_1 |p|_1^2 in size.
-    Contents are split off first: cert(c P, d Q) = (c d)^2 cert(P, Q).
-    """
+    variance ordering.  Contents are split off first, cert(c P, d Q) =
+    (c d)^2 cert(P, Q); each coefficient is at most |N_p|_1 |q|_1^2 +
+    |N_q|_1 |p|_1^2 in size, so one value at 2^k past that gives it."""
     c, a = _content_split(p)
     d, b = _content_split(q)
-    if not a or not b:
-        return Poly()
-    series = []
-    for cs in (a, b):
-        t1 = [j * x for j, x in enumerate(cs)]
-        t2 = [j * x for j, x in enumerate(t1)]
-        s0, s1, s2 = (sum(map(abs, t)) for t in (cs, t1, t2))
-        series.append((cs, t1, t2, s0, s2 * s0 - s1 * s1))
-    (a, a1, a2, a_l1, na_l1), (b, b1, b2, b_l1, nb_l1) = series
-    k = (na_l1 * b_l1 * b_l1 + nb_l1 * a_l1 * a_l1).bit_length() + 1
-    pa, ta, t2a, pb, tb, t2b = (_pack(cs, k) for cs in (a, a1, a2, b, b1, b2))
-    value = (t2a * pa - ta * ta) * pb * pb - (t2b * pb - tb * tb) * pa * pa
-    cs = _unpack(value, k, 2 * (len(a) + len(b)) - 3)
-    scale = (c * d) ** 2
+    na, nb = _int_var_numerator(a), _int_var_numerator(b)
+    a_l1, b_l1 = sum(map(abs, a)), sum(map(abs, b))
+    k = (sum(map(abs, na)) * b_l1 * b_l1 + sum(map(abs, nb)) * a_l1 * a_l1).bit_length() + 1
+    pa, pb = _pack(a, k), _pack(b, k)
+    cs = _unpack(_pack(na, k) * pb * pb - _pack(nb, k) * pa * pa, k, 2 * (len(a) + len(b)) - 4)
+    scale = 1 if c == d == 1 else (c * d) ** 2
     return _int_poly(cs) if scale == 1 else Poly([x * scale for x in cs])
 
 

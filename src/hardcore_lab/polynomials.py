@@ -19,6 +19,9 @@ a*b is at most |a|_1 max|b_j|, so k is their two bit lengths plus one.  The
 cutoff is measured on engine and orderings shapes: schoolbook is 1.4-1.7x
 faster at 2 coefficients a side, they tie at 5, Kronecker leads 1.1-2x at 6-8.
 
+The one variance numerator kernel, `var_numerator`, is here too: the
+profile's V, `var_of_polynomial` and the VAR certificate all read it.
+
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .verdict import format_rational
 
 Coeffs = tuple[int, ...]
 
@@ -91,6 +96,18 @@ def _int_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
 
 
+def _int_var_numerator(cs: Coeffs) -> Coeffs:
+    """The 2 len(cs) - 2 coefficients of N = (theta^2 p) p - (theta p)^2,
+    theta = x d/dx, for integer cs: N_m = sum_{i+j=m} (i-j)^2 a_i a_j / 2, so
+    |N|_1 <= S2 S0 - S1^2, S_r = sum_j j^r |a_j|, and N is one value at 2^k."""
+    t1 = [j * c for j, c in enumerate(cs)]
+    t2 = [j * c for j, c in enumerate(t1)]
+    s1 = sum(map(abs, t1))
+    k = (sum(map(abs, t2)) * sum(map(abs, cs)) - s1 * s1).bit_length() + 1
+    t = _pack(t1, k)
+    return _unpack(_pack(t2, k) * _pack(cs, k) - t * t, k, 2 * len(cs) - 2)
+
+
 def _int_horner(cs: Coeffs, num: int, den: int) -> int:
     """den^deg * p(num/den) for integer coefficients cs, in integers only."""
     acc = 0
@@ -125,8 +142,7 @@ class Poly:
 
         Individual coefficients may be rationals written "p/q".
         """
-        parts = [p.strip() for p in text.split(",")]
-        return cls([Fraction(p) for p in parts if p])
+        return cls([Fraction(p) for p in text.split(",")])
 
     # -- basic queries ----------------------------------------------------
 
@@ -155,8 +171,6 @@ class Poly:
         return NotImplemented
 
     def to_text(self) -> str:
-        from .verdict import format_rational
-
         if not self.coeffs:
             return "0"
         return ",".join(format_rational(c) for c in self.coeffs)
@@ -250,6 +264,14 @@ def _content_split(p: Poly) -> tuple[Fraction, Coeffs]:
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
     return Fraction(g, den), coeffs
+
+
+def var_numerator(p: Poly) -> Poly:
+    """(x^2 p'' + x p') p - x^2 p'^2, the numerator of V_p over p^2, on the
+    primitive integer part: N(c P) = c^2 N(P)."""
+    c, cs = _content_split(p)
+    ns = _int_var_numerator(cs)
+    return _int_poly(ns) if c == 1 else Poly([x * c * c for x in ns])
 
 
 def _int_primitive(cs) -> Coeffs:

@@ -11,6 +11,8 @@ gcd or division of its own.
 Each isolation or decision call keeps one dict of the chain's sign
 variations at each point, shared by `_isolate` and `_refine`: a bisection
 step evaluates the chain at its midpoint alone.
+
+The segment decision maps [a, b] onto the half-line by one integer Horner pass.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .polynomials import (
     _content_split,
     _derivative,
     _int_horner,
+    _int_mul,
     _int_primitive,
     _int_squarefree,
     _pseudo_rem,
@@ -183,12 +186,12 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     if r[0] < 0:
         return fail_at(_witness_near_zero(cs))
 
-    bound = _int_root_bound(r)
-    probe = Fraction(1, 4)
-    while probe <= 2 * bound:
-        if _int_horner(cs, probe.numerator, probe.denominator) < 0:
-            return fail_at(_simplify_witness(cs, probe))
-        probe *= 4
+    limit = 2 * _int_root_bound(r).numerator
+    num, den = 1, 4
+    while num <= limit * den:
+        if _int_horner(cs, num, den) < 0:
+            return fail_at(_simplify_witness(cs, Fraction(num, den)))
+        num, den = 4 * num // den, 1  # the probes are 1/4, 1, 4, 16, ...
 
     chain = _int_chain(r)
     seen: dict = {}
@@ -216,8 +219,10 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
 def nonneg_on_segment(p: Poly, a, b) -> Verdict:
     """Decide exactly whether p >= 0 on the closed segment [a, b].
 
-    Reduces to the half-line decision through the substitution
-    x = a + (b - a) t / (1 + t), which maps t in [0, oo) onto [a, b).
+    x = (A + B t) / (L (1 + t)), with a = A/L and b = B/L, maps t in [0, oo)
+    onto [a, b).  Over the primitive coefficients c_i of p, the half-line
+    polynomial sum_i c_i (A + B t)^i (L (1 + t))^(n-i) is a positive multiple
+    of (1 + t)^n p(x), built by one homogeneous Horner pass through `_int_mul`.
     """
     a, b = Fraction(a), Fraction(b)
     if b < a:
@@ -226,15 +231,14 @@ def nonneg_on_segment(p: Poly, a, b) -> Verdict:
         return Verdict(FAILS, witness=b, margin=p.evaluate(b))
     if p.is_zero or a == b:
         return Verdict(HOLDS)
-    n = p.degree
-    one_plus_t = Poly([1, 1])
-    inner = Poly([a, b])  # a(1+t) + (b-a)t
-    seg = Poly()
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        seg = seg + (inner ** i) * (one_plus_t ** (n - i)) * c
-    v = nonneg_on_halfline(seg)
+    den = a.denominator * b.denominator
+    inner = (a.numerator * b.denominator, b.numerator * a.denominator)
+    cs = _content_split(p)[1]
+    seg, power = (cs[-1],), (1,)
+    for c in reversed(cs[:-1]):
+        power = _int_mul(power, (den, den))
+        seg = tuple(x + c * y for x, y in zip(_int_mul(seg, inner), power))
+    v = nonneg_on_halfline(Poly(seg))
     if v.fails:
         t = v.witness
         x = a + (b - a) * t / (1 + t)

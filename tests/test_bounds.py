@@ -27,10 +27,9 @@ from hardcore_lab.hardcore import (
     HardCoreProfile,
     independence_polynomial,
     subset_polynomial,
-    var_numerator,
 )
 from hardcore_lab.intervals import RationalInterval, lambert_w_interval, log1p_interval
-from hardcore_lab.polynomials import Poly
+from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
 from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
 

@@ -55,6 +55,14 @@ def test_order_unknown_kind_is_usage_error(capsys):
     assert code == 1 and "unknown ordering kind" in err
 
 
+@pytest.mark.parametrize("argv", [("COEF", "1,,2", "1,0,1"), ("COEF", ",1,2", "1,0,1"),
+                                  ("VAR", "1,1", "1,2,")])
+def test_order_refuses_an_empty_coefficient_field(argv, capsys):
+    # "1,,2" once read as 1 + 2x and failed COEF at witness 2.
+    code, out, err = run(capsys, "order", *argv)
+    assert (code, out, err) == (1, "", "error: Invalid literal for Fraction: ''\n")
+
+
 def test_bound_groups(capsys):
     code, out, _ = run(capsys, "bound", "occupancy", "kab:1,3", "--lambda", "3/16")
     assert code == 0

@@ -29,7 +29,6 @@ from hardcore_lab.hardcore import (
     path_polynomial,
     profile,
     subset_polynomial,
-    var_numerator,
     var_of_polynomial,
     variance_fraction,
     variance_via_marginals,
@@ -313,23 +312,6 @@ def test_var_of_polynomial():
         var_of_polynomial(Poly([2, 1]))
     with pytest.raises(ValueError):
         var_of_polynomial(Poly([1, -1]))
-
-
-def test_var_numerator_matches_the_derivative_formula():
-    # theta^2 p * p - (theta p)^2 against the definition it replaces
-    def by_derivatives(p):
-        d1 = p.derivative()
-        d2 = d1.derivative()
-        return (X * X * d2 + X * d1) * p - X * X * d1 * d1
-
-    rng = SplitMix64(177)
-    for degree in range(13):
-        for _ in range(8):
-            p = Poly([rng.randrange(41) - 20 for _ in range(degree + 1)])
-            assert var_numerator(p) == by_derivatives(p)
-    assert var_numerator(Poly([])) == Poly([])
-    p = Poly([1, F(1, 3), F(-5, 2)])
-    assert var_numerator(p) == by_derivatives(p)
 
 
 def test_var_of_partition_is_scaled_variance_fraction():

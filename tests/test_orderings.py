@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab.hardcore import var_numerator, var_of_polynomial
+from hardcore_lab.hardcore import var_of_polynomial
 from hardcore_lab.orderings import (
     IMPLICATIONS,
     OrderingKind,
@@ -15,7 +15,7 @@ from hardcore_lab.orderings import (
     random_generating_pair,
     var_difference_certificate,
 )
-from hardcore_lab.polynomials import Poly
+from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
 
 P_CUBE = Poly([1, 3, 1]) ** 3                       # 1+9x+30x^2+45x^3+30x^4+9x^5+x^6
@@ -226,3 +226,24 @@ def test_certificate_matches_the_product_route():
         want = var_numerator(p) * q * q - var_numerator(q) * p * p
         assert cert == want, (p, q)
         assert [type(c) for c in cert.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_certificate_pins_on_the_web_pairs():
+    # sha256 of the certificates' coefficients on the 4,096 generating pairs
+    # of seed 20260809 and on 512 rational pairs, recorded from the
+    # certificate built out of its own theta series before it read the shared
+    # numerator kernel.
+    def digest(pairs):
+        h = hashlib.sha256()
+        for p, q in pairs:
+            h.update(repr(var_difference_certificate(p, q).coeffs).encode())
+        return h.hexdigest()
+
+    rng = SplitMix64(20260809)
+    web = [random_generating_pair(rng) for _ in range(4096)]
+    rng = SplitMix64(99)
+    rational = [tuple(Poly([F(rng.randrange(61) - 30, 1 + rng.randrange(12))
+                            for _ in range(1 + rng.randrange(8))]) for _ in range(2))
+                for _ in range(512)]
+    assert digest(web) == "fbfe0d860c9ea526a19fdebd1cb0a19f50f50147e04f0cc6acdc6d8fd00b1888"
+    assert digest(rational) == "0cb723abe6d9b44dca27dcf4b271fa0517977d132d8a48b1d390b02a216e2fa8"

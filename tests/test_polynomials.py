@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from hardcore_lab.polynomials import (
     _KRONECKER_CUTOFF,
     Poly,
@@ -11,8 +13,11 @@ from hardcore_lab.polynomials import (
     _int_gcd,
     _int_mul,
     _int_squarefree,
+    var_numerator,
 )
 from hardcore_lab.sampler import SplitMix64
+
+X = Poly([0, 1])
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -44,6 +49,12 @@ def test_text_round_trip():
     assert p.to_text() == "1,9,30,44,24"
     q = Poly.from_text("1/2, -3, 5/7")
     assert q.coeffs == (F(1, 2), -3, F(5, 7))
+
+
+@pytest.mark.parametrize("text", ["1,,2", ",1,2", "1,2,", "1, ,2", "", ","])
+def test_text_with_an_empty_field_is_refused(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Poly.from_text(text)
 
 
 def test_evaluation_is_a_homomorphism():
@@ -239,3 +250,55 @@ def test_integer_polys_stay_integer():
         got = p * q
         want = Poly(_schoolbook(p.coeffs, q.coeffs)) if p and q else Poly()
         assert got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_var_numerator_matches_the_derivative_formula():
+    # theta^2 p * p - (theta p)^2 against the definition it replaces
+    def by_derivatives(p):
+        d1 = p.derivative()
+        d2 = d1.derivative()
+        return (X * X * d2 + X * d1) * p - X * X * d1 * d1
+
+    rng = SplitMix64(177)
+    for degree in range(13):
+        for _ in range(8):
+            p = Poly([rng.randrange(41) - 20 for _ in range(degree + 1)])
+            assert var_numerator(p) == by_derivatives(p)
+    assert var_numerator(Poly([])) == Poly([])
+    p = Poly([1, F(1, 3), F(-5, 2)])
+    assert var_numerator(p) == by_derivatives(p)
+
+
+def _var_by_products(p: Poly) -> Poly:
+    """(theta^2 p) p - (theta p)^2 as two Poly products."""
+    theta = Poly([k * c for k, c in enumerate(p.coeffs)])
+    theta2 = Poly([k * k * c for k, c in enumerate(p.coeffs)])
+    return theta2 * p - theta * theta
+
+
+def test_var_numerator_matches_the_two_product_formula():
+    # The binomial a + b x^m has N = m^2 a b x^m: its one coefficient is the
+    # l1 bound S2 S0 - S1^2 the kernel's width is taken from, so a width one
+    # bit short fails on it.
+    rng, rational = random.Random(4242), SplitMix64(4243)
+    top = 1 << 200
+    polys = [Poly(), Poly([7]), Poly([-top]), Poly([F(-3, 5)])]
+    for m in range(1, 9):
+        polys.append(Poly([0] * m + [-top]))
+        for a, b in ((1, 1), (top - 1, top), (-top, top - 3), (top, -top), (top, top)):
+            polys.append(Poly([a] + [0] * (m - 1) + [b]))
+    for degree in range(16):
+        for bits in (3, 40, 200):
+            bound = 1 << bits
+            polys += [Poly([bound] * (degree + 1)),
+                      Poly([bound if i % 2 else -bound for i in range(degree + 1)])]
+            for _ in range(4):
+                cs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+                for _ in range(rng.randrange(3)):  # zeros inside and at both ends
+                    cs[rng.randrange(len(cs))] = 0
+                polys.append(Poly(cs))
+        polys += [_random_rational_poly(rational, degree) for _ in range(8)]
+    for p in polys:
+        got, want = var_numerator(p), _var_by_products(p)
+        assert got == want, p
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]

@@ -16,6 +16,7 @@ from hardcore_lab.roots import (
     nonneg_on_segment,
 )
 from hardcore_lab.sampler import SplitMix64
+from hardcore_lab.verdict import FAILS, HOLDS, Verdict
 
 
 def test_perfect_square_holds():
@@ -132,6 +133,85 @@ def test_segment_decision():
     v = nonneg_on_segment(p, F(-1, 2), F(1))
     assert v.fails and p.evaluate(v.witness) < 0
     assert nonneg_on_segment(Poly([1]), 0, 0).holds
+
+
+def _segment_by_fractions(p: Poly, a, b) -> Verdict:
+    """The segment decision with the substitution built as Fraction Poly
+    powers: (1 + t)^n p(a + (b - a) t / (1 + t)) = sum_i c_i (a + b t)^i
+    (1 + t)^(n-i), decided on the half-line."""
+    a, b = F(a), F(b)
+    if b < a:
+        raise ValueError("empty segment")
+    if p.evaluate(b) < 0:
+        return Verdict(FAILS, witness=b, margin=p.evaluate(b))
+    if p.is_zero or a == b:
+        return Verdict(HOLDS)
+    seg = Poly()
+    for i, c in enumerate(p.coeffs):
+        seg = seg + Poly([a, b]) ** i * Poly([1, 1]) ** (p.degree - i) * c
+    v = nonneg_on_halfline(seg)
+    if v.fails:
+        x = a + (b - a) * v.witness / (1 + v.witness)
+        return Verdict(FAILS, witness=x, margin=p.evaluate(x))
+    return v
+
+
+def _segment_cases():
+    rng = SplitMix64(2026)
+    y = Poly([0, 1])
+    series = (Poly([1]) - y) * (Poly([1]) + y + y**2 + y**3 + 2 * y**4 + 2 * y**5) - 1
+    cases = [(series, F(-1, 2), F(1, 2)), (series, F(-1, 2), F(1)),
+             (Poly([0, 0, 0, 0, 1, 0, -2]), F(-1, 2), F(1, 2)), (Poly([1]), 0, 0),
+             (Poly(), F(-1), F(2)), (Poly([-1]), F(1, 3), F(1, 3)), (Poly([0, 1]), 0, 0)]
+
+    def point():
+        return F(rng.randrange(49) - 24, 1 + rng.randrange(8))
+
+    for i in range(1300):
+        degree = rng.randrange(8)
+        if i % 3 == 2:  # rational coefficients
+            p = Poly([F(rng.randrange(41) - 20, 1 + rng.randrange(9)) for _ in range(degree + 1)])
+        else:
+            p = Poly([rng.randrange(41) - 20 for _ in range(degree + 1)])
+        if i % 4 == 1:  # a square plus a small shift: holds on many segments
+            p = p * p + rng.randrange(5) - 2
+        a, b = sorted((point(), point()))
+        if i % 10 == 0:
+            b = a
+        cases.append((p, a, b))
+    return cases
+
+
+def test_segment_decision_matches_the_fraction_substitution():
+    # The integer Horner pass against the Fraction Poly substitution: status,
+    # witness and margin are all equal.
+    seen = {"holds": 0, "fails": 0, "endpoint": 0, "point": 0, "rational": 0}
+    for p, a, b in _segment_cases():
+        got, want = nonneg_on_segment(p, a, b), _segment_by_fractions(p, a, b)
+        assert got == want, (p, a, b)
+        seen[got.status] += 1
+        seen["endpoint"] += got.fails and got.witness == b
+        seen["point"] += a == b
+        seen["rational"] += not p._int
+    assert min(seen.values()) > 100, seen
+    with pytest.raises(ValueError, match="empty segment"):
+        nonneg_on_segment(Poly([1, 1]), 1, F(1, 2))
+
+
+def test_segment_decision_builds_no_fraction_poly(monkeypatch):
+    made = []
+    init = Poly.__init__
+
+    def record(self, coeffs=()):
+        init(self, coeffs)
+        made.append(self)
+
+    monkeypatch.setattr(Poly, "__init__", record)
+    p = Poly([F(1, 3), F(-5, 2), 0, 7, F(-2, 9)])
+    made.clear()
+    for a, b in ((F(-2), F(3, 4)), (F(1, 7), F(5, 3)), (F(-1, 2), F(1, 2))):
+        nonneg_on_segment(p, a, b)
+    assert [q for q in made if not q._int] == []
 
 
 def test_witness_prefers_small_denominators():
