@@ -12,7 +12,15 @@ value and every product of a mask's components is Z of an induced subgraph
 on at most MAX_VERTICES = 64 vertices, whose coefficients are at most
 C(64, 32) < 2^61, so no base-2^64 digit ever carries: a branch is one shift
 and add and a component product one big-integer multiply.  Values are
-unpacked only in HardCoreProfile._coeffs."""
+unpacked only in HardCoreProfile._coeffs.
+
+One BFS pass per component finds it, sums its degrees and picks its branch
+vertex.  Paths, cycles and trees are leaves: a path or cycle reads a
+closed-form row, and a tree takes one leaf-to-root product whose partial
+products are Z of induced forests, so they do not carry either.  A tree
+leaf is one memo entry where branching on it stored its whole recursion, so
+the memo holds a subset of the entries an engine with only path and cycle
+leaves would hold, under the same branch rule."""
 
 from __future__ import annotations
 
@@ -65,22 +73,50 @@ def _cycle_row(k: int) -> int:
     return _pack([k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)], _DIGIT_BITS)
 
 
+def _tree_row(adj: tuple[int, ...], comp: int) -> int:
+    """Z of the tree induced by comp, packed at 2^64, by one leaf-to-root
+    pass: rooted at its lowest vertex, each vertex v gets O_v, the Z of its
+    subtree with v empty, and T_v, the Z of its whole subtree, from its
+    children c as O_v = prod T_c and T_v = O_v + x * prod O_c."""
+    root = (comp & -comp).bit_length() - 1
+    order, children = [root], {}
+    seen = 1 << root
+    for v in order:  # a BFS, so each vertex comes after its parent
+        below = adj[v] & comp & ~seen
+        seen |= below
+        children[v] = below
+        order += bits_of(below)
+    empty, whole = {}, {}
+    for v in reversed(order):
+        out = occupied = 1
+        for c in bits_of(children[v]):
+            out *= whole[c]
+            occupied *= empty[c]
+        empty[v] = out
+        whole[v] = out + (occupied << _DIGIT_BITS)
+    return whole[root]
+
+
 def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
     """Z of the subgraph induced by mask, packed at 2^64.
 
     Z factors over connected components, so the mask is split into its
     components by a BFS over the adjacency bitmasks and their values are
     multiplied, one big-integer product each; the k isolated vertices
-    contribute one row (1 + x)^k.  Inside a component with an edge, the
-    branch vertex u has maximum degree in the component, ties going to the
-    lowest index, and Z(C) = Z(C - u) + x * Z(C - N[u]), one shift and add.
-    A component of maximum degree 2 is a leaf instead: a path when its k
-    vertices span k - 1 edges, otherwise a cycle, whose closed-form row is
-    read without branching.  Every value and every partial product is Z of an
-    induced subgraph, so no digit ever carries.  Memo entries are those
+    contribute one row (1 + x)^k.  The same pass sums each component's
+    degrees and picks its branch vertex u: maximum degree in the component,
+    ties going explicitly to the lowest index, since the BFS does not visit
+    in index order.  A component of k vertices is a leaf when it spans
+    k - 1 edges or has maximum degree 2: a path or a cycle reads its
+    closed-form row, and any other tree is solved by one leaf-to-root product
+    (_tree_row).  Otherwise Z(C) = Z(C - u) + x * Z(C - N[u]), one shift and
+    add.  Every value and every partial product, a tree's included, is Z of
+    an induced subgraph, so no digit ever carries.  Memo entries are those
     components, leaves included, keyed by vertex mask; the whole mask is
-    looked up first.  Raises MemoLimitExceeded once the memo would hold more
-    than DEFAULT_MEMO_LIMIT components.
+    looked up first.  A tree leaf stores one entry where branching stored its
+    whole recursion, so the memo's keys are a subset of those of a branching
+    engine that stops only at paths and cycles.  Raises MemoLimitExceeded
+    once the memo would hold more than DEFAULT_MEMO_LIMIT components.
     """
     cached = memo.get(mask)
     if cached is not None:
@@ -89,33 +125,33 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
     isolated = 0
     rest = mask
     while rest:
-        low = rest & -rest
-        comp = frontier = low
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            grow = adj[bit.bit_length() - 1] & rest & ~comp
-            comp |= grow
-            frontier |= grow
+        comp = frontier = rest & -rest
+        best_v, best_d, degrees = -1, -1, 0
+        while frontier:  # one BFS layer per pass
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                near = adj[v] & rest  # v's neighbors, all in its component
+                d = near.bit_count()
+                degrees += d
+                if d >= best_d and (d > best_d or v < best_v):
+                    best_d, best_v = d, v
+                grown |= near
+            frontier = grown & ~comp
+            comp |= grown
         rest ^= comp
-        if comp == low:
+        if not degrees:
             isolated += 1
             continue
         z = memo.get(comp)
         if z is None:
-            best_v, best_d, degrees = -1, -1, 0
-            m = comp
-            while m:
-                bit = m & -m
-                m ^= bit
-                v = bit.bit_length() - 1
-                d = (adj[v] & comp).bit_count()
-                degrees += d
-                if d > best_d:
-                    best_d, best_v = d, v
+            k = comp.bit_count()
             if best_d <= 2:
-                k = comp.bit_count()
                 z = _path_row(k) if degrees < 2 * k else _cycle_row(k)
+            elif degrees < 2 * k:
+                z = _tree_row(adj, comp)
             else:
                 z = (_z_packed(adj, comp & ~(1 << best_v), memo)
                      + (_z_packed(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
@@ -260,7 +296,12 @@ class HardCoreProfile:
 
     @cached_property
     def marginals(self) -> tuple[RatFunc, ...]:
-        return tuple(RatFunc(Poly([0, 1]) * rest, self.z) for rest in self.residuals)
+        """p_u = x Z(G - N[u]) / Z, each distinct residual reduced once."""
+        reduced: dict[tuple[int, ...], RatFunc] = {}
+        for rest in self.residuals:
+            if rest.coeffs not in reduced:
+                reduced[rest.coeffs] = RatFunc(Poly([0, 1]) * rest, self.z)
+        return tuple(reduced[rest.coeffs] for rest in self.residuals)
 
     def _pair_residual(self, u: int, v: int) -> Poly:
         """Z(G - N[u] - N[v]) for non-adjacent u and v."""

@@ -24,10 +24,23 @@ profile's V, `var_of_polynomial` and the VAR certificate all read it.
 
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
-gcds, exact quotients and squarefree parts are computed on the integer parts
-with the primitive pseudo-remainder sequence (Brown, "On Euclid's algorithm
-and the computation of polynomial greatest common divisors", J. ACM 1971).
-`RatFunc` reduction and the Sturm chains in `roots` both run on it.
+gcds, exact quotients and squarefree parts are computed on the integer parts.
+`RatFunc` reduction and the Sturm chains in `roots` both run on
+`_int_cofactors`, which returns the gcd h with the quotients f/h and g/h.
+It first tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb.
+Comput. 1989; Geddes, Czapor and Labahn, "Algorithms for Computer Algebra",
+1992, sec. 7.7) at x = 2^k with 2^k >= 2 min(|f|_inf, |g|_inf) + 2, on the
+same packing as the products: gamma = gcd(f(2^k), g(2^k)) in integers.  A
+nonconstant common factor G has its roots inside Cauchy's bound
+1 + min(|f|_inf, |g|_inf), so |G(2^k)| > 2^(k-1), and G(2^k) divides gamma:
+gamma < 2^(k-1) certifies gcd 1.  Otherwise gamma's balanced base-2^k digits
+give a candidate, whose primitive part is the gcd exactly when it divides
+both f and g (the same bound shows that a divisor found this way misses no
+factor), and the divisions give the quotients.  A failed try doubles k;
+after three the primitive pseudo-remainder sequence decides (`_int_gcd`;
+Brown, "On Euclid's algorithm and the computation of polynomial greatest
+common divisors", J. ACM 1971).  The gcd is primitive with a positive lead,
+so both routes return the same one.
 """
 
 from __future__ import annotations
@@ -300,7 +313,9 @@ def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
 
 
 def _int_gcd(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Primitive gcd with a positive leading coefficient (() if both are zero)."""
+    """Primitive gcd with a positive leading coefficient (() if both are
+    zero), by the primitive pseudo-remainder sequence: the fallback of
+    _int_cofactors, and the reference its heuristic is tested against."""
     f = _int_primitive(f)
     g = _int_primitive(g)
     while g:
@@ -309,6 +324,33 @@ def _int_gcd(f: Coeffs, g: Coeffs) -> Coeffs:
     if f and f[-1] < 0:
         f = tuple(-c for c in f)
     return f
+
+
+_HEURISTIC_TRIES = 3  # evaluation points 2^k, 2^(2k), 2^(4k) before the PRS
+
+
+def _int_cofactors(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
+    """(h, f / h, g / h) for primitive f and g: h is their primitive gcd
+    with a positive leading coefficient, from GCDHEU at x = 2^k or, when a
+    side is zero or the heuristic's tries run out, from _int_gcd."""
+    if f and g:
+        k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+        for _ in range(_HEURISTIC_TRIES):
+            gamma = gcd(_pack(f, k), _pack(g, k))
+            if gamma < 1 << (k - 1):
+                return (1,), f, g
+            digits = list(_unpack(gamma, k, gamma.bit_length() // k + 2))
+            while not digits[-1]:
+                digits.pop()
+            h = _int_primitive(digits if digits[-1] > 0 else [-c for c in digits])
+            try:
+                return h, _int_exact_div(f, h), _int_exact_div(g, h)
+            except ArithmeticError:
+                k *= 2
+    h = _int_gcd(f, g)
+    if len(h) == 1:
+        return h, f, g
+    return h, _int_exact_div(f, h) if f else (), _int_exact_div(g, h) if g else ()
 
 
 def _int_exact_div(f: Coeffs, g: Coeffs) -> Coeffs:
@@ -337,10 +379,7 @@ def _derivative(cs: Coeffs) -> Coeffs:
 def _int_squarefree(cs: Coeffs) -> Coeffs:
     """cs / gcd(cs, cs') for primitive cs; the quotient is primitive (Gauss's
     lemma) and keeps the sign of the leading coefficient."""
-    g = _int_gcd(cs, _derivative(cs))
-    if len(g) <= 1:
-        return cs
-    return _int_exact_div(cs, g)
+    return _int_cofactors(cs, _int_primitive(_derivative(cs)))[1]
 
 
 class RatFunc:
@@ -362,10 +401,7 @@ class RatFunc:
         else:
             num_c, num_i = _content_split(num)
             den_c, den_i = _content_split(den)
-            g = _int_gcd(num_i, den_i)
-            if len(g) > 1:
-                num_i = _int_exact_div(num_i, g)
-                den_i = _int_exact_div(den_i, g)
+            _, num_i, den_i = _int_cofactors(num_i, den_i)
             lc = den_i[-1]
             scale = num_c / (den_c * lc)
             num = Poly([c * scale for c in num_i])

@@ -150,6 +150,12 @@ def test_path_and_cycle_components_take_one_memo_entry():
         assert prof.z == z
         assert {mask: hardcore._digits(value) for mask, value in prof._memo.items()} == {
             (1 << 64) - 1: z.coeffs}
+    # A tree of maximum degree 3 or more is one leaf too: the star K(1, 63).
+    prof = HardCoreProfile(generate("kab:1,63"))
+    z = ONE_PLUS ** 63 + X
+    assert prof.z == z
+    assert {mask: hardcore._digits(value) for mask, value in prof._memo.items()} == {
+        (1 << 64) - 1: z.coeffs}
     prof = HardCoreProfile(generate("petersen + cycle:30"))
     assert prof.z == brute_force_polynomial(petersen_graph()) * cycle_polynomial(30)
     cycle = ((1 << 30) - 1) << 10
@@ -197,6 +203,112 @@ def test_engine_matches_brute_force_on_degree_two_rich_graphs():
         leaves += sum(max((g.adj[v] & mask).bit_count() for v in bits_of(mask)) <= 2
                       for mask in prof._memo if mask.bit_count() >= 3)
     assert leaves >= 24
+
+
+def _random_tree_edges(rng: SplitMix64, first: int, size: int) -> list[tuple[int, int]]:
+    """A random tree on vertices first, ..., first + size - 1: each vertex
+    after the first hangs on one of the three lowest or on any earlier one,
+    so most trees have a vertex of degree 3 or more."""
+    return [(first + (rng.randrange(min(i, 3)) if rng.randrange(2) else rng.randrange(i)),
+             first + i) for i in range(1, size)]
+
+
+def _tree_rich_graph(rng: SplitMix64):
+    """A graph of 10 to 20 vertices made mostly of trees: trees hung by one
+    edge each on a Petersen or K4 core, or a forest with isolated vertices."""
+    n_max = 10 + rng.randrange(11)
+    if rng.randrange(2):
+        core = petersen_graph() if rng.randrange(2) else complete_graph(4)
+        edges, n, hung = core.edges(), core.n, True
+    else:
+        edges, n, hung = [], 0, False
+    while n < n_max:
+        size = 1 + rng.randrange(min(9, n_max - n))
+        edges += _random_tree_edges(rng, n, size)
+        if hung:
+            edges.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    return from_edges(n, edges)
+
+
+def _is_tree_leaf(g, mask: int) -> bool:
+    """The memo entry for mask, a connected component, is a tree with a
+    vertex of degree 3 or more: a component the engine no longer branches on."""
+    degrees = [(g.adj[v] & mask).bit_count() for v in bits_of(mask)]
+    return max(degrees) >= 3 and sum(degrees) == 2 * (mask.bit_count() - 1)
+
+
+def test_engine_matches_brute_force_on_tree_rich_graphs():
+    rng = SplitMix64(2626)
+    tree_leaves = 0
+    for _ in range(24):
+        g = _tree_rich_graph(rng)
+        prof = HardCoreProfile(g)
+        assert prof.z == brute_force_polynomial(g), g.adj
+        tree_leaves += sum(_is_tree_leaf(g, mask) for mask in prof._memo)
+    assert tree_leaves >= 24
+
+
+def _branching_z_packed(adj, mask, memo):
+    """The engine without tree leaves, kept as a reference: components come
+    from a plain BFS, and each new one gets a separate degree scan in index
+    order, whose first vertex of maximum degree is the branch vertex.  Only
+    paths and cycles are leaves."""
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    out, isolated, rest = 1, 0, mask
+    while rest:
+        low = rest & -rest
+        comp = frontier = low
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grow = adj[bit.bit_length() - 1] & rest & ~comp
+            comp |= grow
+            frontier |= grow
+        rest ^= comp
+        if comp == low:
+            isolated += 1
+            continue
+        z = memo.get(comp)
+        if z is None:
+            best_v, best_d, degrees = -1, -1, 0
+            for v in bits_of(comp):
+                d = (adj[v] & comp).bit_count()
+                degrees += d
+                if d > best_d:
+                    best_d, best_v = d, v
+            k = comp.bit_count()
+            if best_d <= 2:
+                z = hardcore._path_row(k) if degrees < 2 * k else hardcore._cycle_row(k)
+            else:
+                z = (_branching_z_packed(adj, comp & ~(1 << best_v), memo)
+                     + (_branching_z_packed(adj, comp & ~(adj[best_v] | 1 << best_v), memo) << 64))
+            memo[comp] = z
+        out *= z
+    return out * hardcore._binomial_row(isolated)
+
+
+def test_one_pass_engine_matches_the_branching_reference():
+    # Same values, and memo keys a subset of the reference's: the one pass
+    # picks the same branch vertex (maximum degree, lowest index), and a tree
+    # leaf stores one entry where the reference stores its whole recursion.
+    rng = SplitMix64(4040)
+    graphs = [corpus.random_graph(20 + rng.randrange(21), rng, 1, 4 + i % 8) for i in range(24)]
+    graphs += [_tree_rich_graph(rng) for _ in range(8)] + [generate("kab:1,39 + petersen")]
+    fewer = 0
+    for g in graphs:
+        prof = HardCoreProfile(g)
+        prof.residuals
+        memo: dict[int, int] = {}
+        full = (1 << g.n) - 1
+        for mask in [full] + [full & ~g.closed_mask(u) for u in range(g.n)]:
+            assert hardcore._z_packed(g.adj, mask, prof._memo) == _branching_z_packed(
+                g.adj, mask, memo), (g.adj, mask)
+        assert prof._memo.keys() <= memo.keys(), g.adj
+        fewer += len(prof._memo) < len(memo)
+    assert fewer >= 16
 
 
 def test_marginal_examples():

@@ -2,17 +2,24 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+from hardcore_lab import corpus, orderings, polynomials
+from hardcore_lab.graphs import generate
+from hardcore_lab.hardcore import HardCoreProfile
 from hardcore_lab.polynomials import (
     _KRONECKER_CUTOFF,
     Poly,
     RatFunc,
     _content_split,
+    _int_cofactors,
     _int_gcd,
     _int_mul,
+    _int_primitive,
     _int_squarefree,
+    _pack,
     var_numerator,
 )
 from hardcore_lab.sampler import SplitMix64
@@ -81,6 +88,85 @@ def test_gcd_is_monic_and_idempotent():
     assert _int_gcd(g, g) == g
     assert _int_gcd((-2, -2), (3, 3)) == (1, 1)
     assert _int_gcd((), ()) == ()
+
+
+def _planted_pair(rng, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """f = x^i c a and g = x^j c b for random c, a and b with coefficients
+    below 2^bits in size, each side's sign flipped at random."""
+    def poly(degree):
+        cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(degree)]
+        return Poly(cs + [rng.choice((-1, 1)) * rng.randint(1, 1 << bits)])
+    common = poly(rng.randrange(5))
+    f = X ** rng.randrange(3) * common * poly(rng.randrange(7)) * rng.choice((-1, 1))
+    g = X ** rng.randrange(3) * common * poly(rng.randrange(7)) * rng.choice((-1, 1))
+    return f.coeffs, g.coeffs
+
+
+def _gcd_cases(monkeypatch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Seeded integer pairs for the gcd kernel: planted common factors and
+    powers of x, constants and a zero side, coefficients near C(64, 32), the
+    engine's marginal and variance pairs, and the (p, p') pairs of the
+    orderings' Sturm chains."""
+    rng = random.Random(2626)
+    cases = [_planted_pair(rng, bits) for bits in (1, 3, 8, 30) for _ in range(40)]
+    cases += [((5,), (1, 2, 1)), ((-3,), (-6,)), ((), (2, -4, 2)), ((0, 0, -3), ()),
+              ((), (7,)), ((0, 0, 1), (0, 1)), ((0, 2), (0, 0, -4)), ((-1, -1), (1, 1))]
+    top = comb(64, 32)
+    for _ in range(20):
+        f = Poly([top - rng.randrange(1 << 20) for _ in range(2 + rng.randrange(8))])
+        g = Poly([top - rng.randrange(1 << 20) for _ in range(2 + rng.randrange(8))])
+        cases += [(f.coeffs, g.coeffs), ((f * (X + 1)).coeffs, (g * (X + 1) ** 2).coeffs)]
+    graph_rng = SplitMix64(2627)
+    graphs = [generate(name) for name in ("petersen + empty:1", "path:24", "cycle:24",
+                                          "2*petersen + kab:3,3", "kab:2,5 + path:3")]
+    graphs += [corpus.random_graph(18, graph_rng, 1, 5) for _ in range(3)]
+    for g in graphs:
+        prof = HardCoreProfile(g)
+        z = prof.z
+        cases += [((0,) + rest, z.coeffs) for rest in {r.coeffs for r in prof.residuals}]
+        cases.append((prof.variance_numerator.coeffs, (z * z).coeffs))
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_int_cofactors",
+                  lambda f, g, kernel=_int_cofactors: seen.append((f, g)) or kernel(f, g))
+        pair_rng = SplitMix64(2628)
+        for _ in range(480):
+            orderings.implication_web_check(*orderings.random_generating_pair(pair_rng))
+    assert len(seen) >= 80
+    cases += seen
+    for _ in range(40):
+        p = _planted_pair(rng, 4)[0]
+        p = (Poly(p) * Poly(p[-2:])).coeffs  # a repeated factor
+        cases.append((p, Poly(p).derivative().coeffs))
+    return cases
+
+
+def test_gcd_heuristic_matches_the_prs_route(monkeypatch):
+    cases = [(_int_primitive(f), _int_primitive(g)) for f, g in _gcd_cases(monkeypatch) if f or g]
+    heuristic = [_int_cofactors(f, g) for f, g in cases]
+    assert [h for h, _, _ in heuristic] == [_int_gcd(f, g) for f, g in cases]
+    assert sum(len(h) > 1 for h, _, _ in heuristic) >= 150
+    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 0)
+    assert [_int_cofactors(f, g) for f, g in cases] == heuristic
+
+
+def test_heuristic_gcd_retries_and_falls_back(monkeypatch):
+    # p = 35 + 12x - 24x^2 + 28x^3 and p'/12 = 1 - 4x + 7x^2 are coprime, but
+    # at the first point, 2^4, their values share 13 >= 2^3: the candidate
+    # x - 3 divides neither, and the second point, 2^8, certifies gcd 1.
+    f, g = (35, 12, -24, 28), (1, -4, 7)
+    assert (2 * 7 + 1).bit_length() == 4 and _pack(g, 4) % 13 == _pack(f, 4) % 13 == 0
+    prs = []
+    monkeypatch.setattr(polynomials, "_int_gcd",
+                        lambda f, g, kernel=_int_gcd: prs.append((f, g)) or kernel(f, g))
+    assert _int_cofactors(f, g) == ((1,), f, g) and prs == []
+    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 1)
+    assert _int_cofactors(f, g) == ((1,), f, g) and prs == [(f, g)]
+    # A nontrivial gcd through the fallback, with the cofactors it divides out.
+    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 0)
+    h = (Poly([-3, 1]) * Poly([1, 0, 2])).coeffs
+    assert _int_cofactors((Poly(h) * Poly(f)).coeffs, (Poly(h) * Poly(g)).coeffs) == (h, f, g)
+    assert len(prs) == 2
 
 
 def test_squarefree_part():
