@@ -11,16 +11,19 @@ x = 2^64 (Kronecker substitution; Schoenhage 1982, Harvey 2009).  Every memo
 value and every product of a mask's components is Z of an induced subgraph
 on at most MAX_VERTICES = 64 vertices, whose coefficients are at most
 C(64, 32) < 2^61, so no base-2^64 digit ever carries: a branch is one shift
-and add and a component product one big-integer multiply.  Values are
-unpacked only in HardCoreProfile._coeffs.
+and add and a component product one big-integer multiply.  The engine's
+one entrance is HardCoreProfile._packed; variance_via_marginals adds its
+packed pair residuals in chunks small enough not to carry, and unpacks each
+chunk's sum once.
 
 One BFS pass per component finds it, sums its degrees and picks its branch
-vertex.  Paths, cycles and trees are leaves: a path or cycle reads a
-closed-form row, and a tree takes one leaf-to-root product whose partial
-products are Z of induced forests, so they do not carry either.  A tree
-leaf is one memo entry where branching on it stored its whole recursion, so
-the memo holds a subset of the entries an engine with only path and cycle
-leaves would hold, under the same branch rule."""
+vertex.  Every component with at most as many edges as vertices is a leaf:
+a path or cycle reads a closed-form row, and any other (a tree, or one
+cycle with trees hung on it) takes one peel-and-close pass whose partial
+products count independent sets of induced subgraphs, so they do not carry
+either.  Such a leaf is one memo entry where branching on it stored its
+whole recursion, so the memo holds a subset of the entries an engine with
+only path and cycle leaves would hold, under the same branch rule."""
 
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from math import comb
 
 from .graphs import Graph, bits_of
@@ -73,28 +77,63 @@ def _cycle_row(k: int) -> int:
     return _pack([k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)], _DIGIT_BITS)
 
 
-def _tree_row(adj: tuple[int, ...], comp: int) -> int:
-    """Z of the tree induced by comp, packed at 2^64, by one leaf-to-root
-    pass: rooted at its lowest vertex, each vertex v gets O_v, the Z of its
-    subtree with v empty, and T_v, the Z of its whole subtree, from its
-    children c as O_v = prod T_c and T_v = O_v + x * prod O_c."""
-    root = (comp & -comp).bit_length() - 1
-    order, children = [root], {}
-    seen = 1 << root
-    for v in order:  # a BFS, so each vertex comes after its parent
-        below = adj[v] & comp & ~seen
-        seen |= below
-        children[v] = below
-        order += bits_of(below)
-    empty, whole = {}, {}
-    for v in reversed(order):
-        out = occupied = 1
-        for c in bits_of(children[v]):
-            out *= whole[c]
-            occupied *= empty[c]
-        empty[v] = out
-        whole[v] = out + (occupied << _DIGIT_BITS)
-    return whole[root]
+def _path_product(empty: list[int], occupied: list[int], path) -> int:
+    """Z of the path through the given vertices, each vertex v weighted
+    empty[v] when empty and x * occupied[v] when occupied, packed at 2^64: the
+    two-state recurrence (e, f) <- ((e + f) * empty[v], e * x * occupied[v])
+    over the sets whose last vertex is empty (e) or occupied (f)."""
+    e, f = 1, 0
+    for v in path:
+        e, f = (e + f) * empty[v], (e * occupied[v]) << _DIGIT_BITS
+    return e + f
+
+
+def _sparse_row(adj: tuple[int, ...], comp: int) -> int:
+    """Z of the component induced by comp, which spans at most as many edges
+    as vertices (a tree, or one cycle with trees hung on it), packed at 2^64.
+
+    Each vertex v holds O_v and I_v, the Z of the trees peeled into it given
+    v empty and given v occupied (x * I_v is then the weight of v occupied);
+    both start at 1.  Degree-1 vertices are peeled one at a time into their one
+    remaining neighbour p: O_p *= O_v + x * I_v and I_p *= O_v.  A tree ends
+    at one vertex, whose O + x * I is Z.  Otherwise a single cycle c_0 ...
+    c_(k-1) is left, in walk order from its lowest vertex, and is closed by
+    the state of c_0: Z = O_0 * P(c_1 ... c_(k-1)) + x * I_0 * O_1 * O_(k-1) *
+    P(c_2 ... c_(k-2)), with P the weighted path product (_path_product).
+    Every partial product counts the independent sets of an induced subgraph
+    of the component with some vertices fixed empty or occupied, so its
+    digits stay below those of Z(C), which are below 2^61: none carries."""
+    n = len(adj)
+    degree, empty, occupied = [0] * n, [1] * n, [1] * n
+    peel = []
+    for v in bits_of(comp):
+        degree[v] = (adj[v] & comp).bit_count()
+        if degree[v] == 1:
+            peel.append(v)
+    alive = comp
+    while peel:
+        v = peel.pop()
+        if not degree[v]:  # the last vertex of a tree
+            break
+        alive ^= 1 << v
+        p = (adj[v] & alive).bit_length() - 1
+        empty[p], occupied[p] = (empty[p] * (empty[v] + (occupied[v] << _DIGIT_BITS)),
+                                 occupied[p] * empty[v])
+        degree[p] -= 1
+        if degree[p] == 1:
+            peel.append(p)
+    v = (alive & -alive).bit_length() - 1
+    if alive == 1 << v:
+        return empty[v] + (occupied[v] << _DIGIT_BITS)
+    cycle, seen = [v], 1 << v
+    while near := adj[v] & alive & ~seen:
+        v = (near & -near).bit_length() - 1
+        seen |= 1 << v
+        cycle.append(v)
+    first, second, last = cycle[0], cycle[1], cycle[-1]
+    return (empty[first] * _path_product(empty, occupied, cycle[1:])
+            + ((occupied[first] * empty[second] * empty[last]
+                * _path_product(empty, occupied, cycle[2:-1])) << _DIGIT_BITS))
 
 
 def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
@@ -106,17 +145,18 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
     contribute one row (1 + x)^k.  The same pass sums each component's
     degrees and picks its branch vertex u: maximum degree in the component,
     ties going explicitly to the lowest index, since the BFS does not visit
-    in index order.  A component of k vertices is a leaf when it spans
-    k - 1 edges or has maximum degree 2: a path or a cycle reads its
-    closed-form row, and any other tree is solved by one leaf-to-root product
-    (_tree_row).  Otherwise Z(C) = Z(C - u) + x * Z(C - N[u]), one shift and
-    add.  Every value and every partial product, a tree's included, is Z of
-    an induced subgraph, so no digit ever carries.  Memo entries are those
-    components, leaves included, keyed by vertex mask; the whole mask is
-    looked up first.  A tree leaf stores one entry where branching stored its
-    whole recursion, so the memo's keys are a subset of those of a branching
-    engine that stops only at paths and cycles.  Raises MemoLimitExceeded
-    once the memo would hold more than DEFAULT_MEMO_LIMIT components.
+    in index order.  A component of k vertices is a leaf when it spans at
+    most k edges or has maximum degree 2: a path or a cycle reads its
+    closed-form row, and any other such component is solved by one
+    peel-and-close pass (_sparse_row).  Otherwise Z(C) = Z(C - u) +
+    x * Z(C - N[u]), one shift and add.  Every value and every partial
+    product, a leaf's included, counts independent sets of an induced
+    subgraph, so no digit ever carries.  Memo entries are those components,
+    leaves included, keyed by vertex mask; the whole mask is looked up first.
+    A leaf stores one entry where branching stored its whole recursion, so
+    the memo's keys are a subset of those of a branching engine that stops
+    only at paths and cycles.  Raises MemoLimitExceeded once the memo would
+    hold more than DEFAULT_MEMO_LIMIT components.
     """
     cached = memo.get(mask)
     if cached is not None:
@@ -150,8 +190,8 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
             k = comp.bit_count()
             if best_d <= 2:
                 z = _path_row(k) if degrees < 2 * k else _cycle_row(k)
-            elif degrees < 2 * k:
-                z = _tree_row(adj, comp)
+            elif degrees <= 2 * k:
+                z = _sparse_row(adj, comp)
             else:
                 z = (_z_packed(adj, comp & ~(1 << best_v), memo)
                      + (_z_packed(adj, comp & ~(adj[best_v] | 1 << best_v), memo)
@@ -238,10 +278,16 @@ class HardCoreProfile:
         self.graph = graph
         self._memo: dict[int, int] = {}
 
+    def _packed(self, mask: int) -> int:
+        """Z of the subgraph induced by mask, packed at 2^64: the one entrance
+        to the engine.  Raises ValueError on a mask outside [0, 2^n)."""
+        if not 0 <= mask < 1 << self.graph.n:
+            raise ValueError(f"vertex mask {mask} outside [0, 2^{self.graph.n})")
+        return _z_packed(self.graph.adj, mask, self._memo)
+
     def _coeffs(self, mask: int) -> tuple[int, ...]:
-        """The coefficients of Z of the subgraph induced by mask: the one
-        place where a packed engine value is unpacked."""
-        return _digits(_z_packed(self.graph.adj, mask, self._memo))
+        """The coefficients of Z of the subgraph induced by mask."""
+        return _digits(self._packed(mask))
 
     def _outside(self, mask: int) -> Poly:
         """Z of the graph with the vertices of mask removed."""
@@ -303,18 +349,23 @@ class HardCoreProfile:
                 reduced[rest.coeffs] = RatFunc(Poly([0, 1]) * rest, self.z)
         return tuple(reduced[rest.coeffs] for rest in self.residuals)
 
-    def _pair_residual(self, u: int, v: int) -> Poly:
-        """Z(G - N[u] - N[v]) for non-adjacent u and v."""
-        return self._outside(self.graph.closed_mask(u) | self.graph.closed_mask(v))
+    def _pair_residual(self, u: int, v: int) -> int:
+        """Z(G - N[u] - N[v]) for non-adjacent u and v, packed at 2^64."""
+        g = self.graph
+        return self._packed(((1 << g.n) - 1) & ~(g.closed_mask(u) | g.closed_mask(v)))
 
     def pair_marginal(self, u: int, v: int) -> RatFunc:
         """p_uv = x^2 Z(G - N[u] - N[v]) / Z for distinct vertices,
-        identically zero when uv is an edge."""
+        identically zero when uv is an edge.  Raises ValueError on a vertex
+        outside range(n)."""
+        n = self.graph.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair marginal of ({u}, {v}) names a vertex outside 0..{n - 1}")
         if u == v:
             raise ValueError("pair marginal needs two distinct vertices")
         if self.graph.has_edge(u, v):
             return RatFunc(Poly())
-        return RatFunc(Poly([0, 0, 1]) * self._pair_residual(u, v), self.z)
+        return RatFunc(Poly([0, 0, 1]) * _int_poly(_digits(self._pair_residual(u, v))), self.z)
 
     @cached_property
     def neighborhood_table(self) -> tuple[tuple[Poly, Poly, int, int], ...]:
@@ -388,16 +439,25 @@ def variance_via_marginals(g: Graph | HardCoreProfile) -> RatFunc:
         V_G = (1/n) sum_u (p_u + sum_{v != u} p_uv - p_u * sum_v p_v)
 
     Z, V and the residuals are read from the given profile, or from a fresh
-    one for a graph, so they share its memo.  Raises ValueError on a graph
-    with no vertices, and ArithmeticError, naming the graph, unless the
-    result equals the closed form exactly.
+    one for a graph, so they share its memo.  Each pair residual is its own
+    engine call, so this route stays independent of the closed form.  The
+    pair residuals are added as packed values: each is Z on at most n - 2
+    vertices, with coefficients at most C(n - 2, (n - 2) // 2), so a chunk of
+    (2^64 - 1) // C(n - 2, (n - 2) // 2) of them sums without a carry and is
+    unpacked once.  Raises ValueError on a graph with no vertices, and
+    ArithmeticError, naming the graph, unless the result equals the closed
+    form exactly.
     """
     prof = _profile_of(g)
     g, z = prof.graph, prof.z
     x = Poly([0, 1])
     single_sum = sum(prof.residuals, Poly())
-    pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                    if not g.has_edge(u, v)), Poly())
+    pairs = [prof._pair_residual(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if not g.has_edge(u, v)]
+    most = max(g.n - 2, 0)  # vertices of a pair residual
+    chunk = ((1 << _DIGIT_BITS) - 1) // comb(most, most // 2)
+    sums = [_digits(sum(pairs[i:i + chunk])) for i in range(0, len(pairs), chunk)]
+    pair_sum = _int_poly(tuple(map(sum, zip_longest(*sums, fillvalue=0))))
     # n V over the common denominator Z^2, with the pair sum counted both
     # ways, against the profile's reduced V = num / den by cross-multiplying,
     # so that no second gcd reduction is needed.

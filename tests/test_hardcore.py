@@ -249,6 +249,61 @@ def test_engine_matches_brute_force_on_tree_rich_graphs():
     assert tree_leaves >= 24
 
 
+def _unicyclic_rich_graph(rng: SplitMix64):
+    """A graph of 8 to 20 vertices made mostly of unicyclic pieces: a cycle
+    of length 3 to 12 and one to five more vertices, each hanging on a random
+    earlier vertex of the piece, so trees grow on the cycle.  The pieces
+    stand alone or hang by one edge each on a Petersen or K4 core."""
+    if rng.randrange(2):
+        core = petersen_graph() if rng.randrange(2) else complete_graph(4)
+        edges, n, hung = core.edges(), core.n, True
+    else:
+        edges, n, hung = [], 0, False
+    n_max = n + 8 + rng.randrange(13 - n)
+    while n_max - n >= 4:
+        k = 3 + rng.randrange(min(10, n_max - n - 3))
+        size = k + 1 + rng.randrange(min(5, n_max - n - k))
+        edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        edges += [(n + rng.randrange(i), n + i) for i in range(k, size)]
+        if hung:
+            edges.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    return from_edges(n, edges)
+
+
+def _is_unicyclic_leaf(g, mask: int) -> bool:
+    """The memo entry for mask, a connected component, has as many edges as
+    vertices and a vertex of degree 3 or more: one cycle with trees on it."""
+    degrees = [(g.adj[v] & mask).bit_count() for v in bits_of(mask)]
+    return max(degrees) >= 3 and sum(degrees) == 2 * mask.bit_count()
+
+
+def test_engine_matches_brute_force_on_unicyclic_rich_graphs():
+    rng = SplitMix64(2828)
+    unicyclic_leaves = 0
+    for _ in range(24):
+        g = _unicyclic_rich_graph(rng)
+        prof = HardCoreProfile(g)
+        assert prof.z == brute_force_polynomial(g), g.adj
+        unicyclic_leaves += sum(_is_unicyclic_leaf(g, mask) for mask in prof._memo)
+    assert unicyclic_leaves >= 24
+
+
+def test_unicyclic_components_take_one_memo_entry():
+    # A triangle with a pendant on each vertex and a path of two on one of
+    # them: the peeled rest is a 3-cycle, the shortest close.
+    g = from_edges(8, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (5, 6), (6, 7)])
+    prof = HardCoreProfile(g)
+    assert prof.z == brute_force_polynomial(g)
+    assert list(prof._memo) == [(1 << 8) - 1]
+    # The 64-vertex sun: cycle:32 with one pendant on each cycle vertex.
+    sun = from_edges(64, [(i, (i + 1) % 32) for i in range(32)] + [(i, 32 + i) for i in range(32)])
+    prof = HardCoreProfile(sun)
+    full = (1 << 64) - 1
+    assert prof.z.coeffs == hardcore._digits(_branching_z_packed(sun.adj, full, {}))
+    assert list(prof._memo) == [full]
+
+
 def _branching_z_packed(adj, mask, memo):
     """The engine without tree leaves, kept as a reference: components come
     from a plain BFS, and each new one gets a separate degree scan in index
@@ -293,10 +348,12 @@ def _branching_z_packed(adj, mask, memo):
 def test_one_pass_engine_matches_the_branching_reference():
     # Same values, and memo keys a subset of the reference's: the one pass
     # picks the same branch vertex (maximum degree, lowest index), and a tree
-    # leaf stores one entry where the reference stores its whole recursion.
+    # or unicyclic leaf stores one entry where the reference stores its whole
+    # recursion.
     rng = SplitMix64(4040)
     graphs = [corpus.random_graph(20 + rng.randrange(21), rng, 1, 4 + i % 8) for i in range(24)]
     graphs += [_tree_rich_graph(rng) for _ in range(8)] + [generate("kab:1,39 + petersen")]
+    graphs += [_unicyclic_rich_graph(rng) for _ in range(8)]
     fewer = 0
     for g in graphs:
         prof = HardCoreProfile(g)
@@ -319,6 +376,21 @@ def test_marginal_examples():
     assert path3.pair_marginal(0, 1).is_zero
     with pytest.raises(ValueError):
         path3.pair_marginal(1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: HardCoreProfile(g).pair_marginal(-2, 3),
+    lambda g: HardCoreProfile(g).pair_marginal(0, 11),
+    lambda g: HardCoreProfile(g).pair_marginal(0, -1),
+    lambda g: subset_polynomial(g, 1 << 12),
+    lambda g: subset_polynomial(g, -1),
+], ids=["negative_vertex", "vertex_past_n", "negative_second_vertex", "mask_past_2n",
+        "negative_mask"])
+def test_engine_entrances_refuse_vertices_and_masks_outside_the_graph(call):
+    # Unchecked, a negative vertex indexes adj from its end and reads another
+    # vertex's neighbours, so the range is checked before any lookup.
+    with pytest.raises(ValueError, match=r"outside (0\.\.9|\[0, 2\^10\))"):
+        call(petersen_graph())
 
 
 def test_occupancy_closed_forms():
@@ -365,6 +437,17 @@ def test_variance_via_marginals_raises_on_a_perturbed_pair_residual():
     prof._pair_residual = lambda u, v: exact(u, v) + (1 if (u, v) == (0, 2) else 0)
     with pytest.raises(ArithmeticError, match="cycle:6"):
         variance_via_marginals(prof)
+
+
+def test_variance_via_marginals_sums_pair_residuals_in_carry_free_chunks():
+    # Every pair residual of these graphs has a coefficient C(62, 31) or
+    # close to it, so 2^64 / C(62, 31) < 40 of them fill a digit: their
+    # exact sum carries unless it is unpacked in chunks.
+    for spec, pairs in (("empty:64", 2016), ("kab:1,63", 1953), ("kab:2,62", 1892)):
+        g = generate(spec)
+        assert comb(64, 2) - g.edge_count == pairs
+        assert variance_via_marginals(g) == HardCoreProfile(g).variance, spec
+    assert pairs * comb(62, 31) >= 2 ** 64 > 39 * comb(62, 31)
 
 
 def test_variance_via_marginals_reads_the_given_profile(monkeypatch):
@@ -549,7 +632,8 @@ def test_pair_residuals_count_ordered_pairs_of_an_independent_set():
     # j (j - 1) i_j x^j = 2 C(j, 2) i_j x^j.
     g = corpus.random_graph(30, SplitMix64(3030), 1, 8)
     prof = HardCoreProfile(g)
-    pair_sum = sum((prof._pair_residual(u, v) for u in range(g.n) for v in range(g.n)
+    pair_sum = sum((Poly(hardcore._digits(prof._pair_residual(u, v)))
+                    for u in range(g.n) for v in range(g.n)
                     if u != v and not g.has_edge(u, v)), Poly())
     assert X * X * pair_sum == Poly([2 * comb(j, 2) * c for j, c in enumerate(prof.z.coeffs)])
     assert prof.z.degree >= 8

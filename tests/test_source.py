@@ -164,7 +164,7 @@ def _functions(node, prefix=""):
 
 def test_only_the_profile_owns_an_engine_memo():
     # A graph's engine memo belongs to its HardCoreProfile: only the
-    # recursion itself and HardCoreProfile._coeffs call _z_packed, so
+    # recursion itself and HardCoreProfile._packed call _z_packed, so
     # every entrance to the engine (independence_polynomial and
     # subset_polynomial included) reads a profile.  No module calls
     # subset_polynomial either: it builds a fresh profile, so each such call
@@ -177,7 +177,7 @@ def test_only_the_profile_owns_an_engine_memo():
         if any(isinstance(node, ast.Call) and engine & set(_names_used(node.func))
                for node in ast.walk(fn))
     }
-    assert callers == {"hardcore.py:_z_packed", "hardcore.py:HardCoreProfile._coeffs"}
+    assert callers == {"hardcore.py:_z_packed", "hardcore.py:HardCoreProfile._packed"}
 
 
 def test_only_the_engine_check_runs_the_oracle():
