@@ -35,8 +35,14 @@ class Graph:
 
     # -- elementary queries -------------------------------------------------
 
+    def _vertex(self, u: int) -> int:
+        """u, checked to name a vertex before it indexes adj."""
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} outside 0..{self.n - 1}")
+        return u
+
     def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
+        return self.adj[self._vertex(u)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj)
@@ -53,10 +59,10 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in bits_of(self.adj[u]) if v > u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def closed_mask(self, u: int) -> int:
-        return self.adj[u] | (1 << u)
+        return self.adj[self._vertex(u)] | (1 << u)
 
     def display_name(self) -> str:
         return self._name

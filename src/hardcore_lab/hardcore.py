@@ -17,13 +17,14 @@ packed pair residuals in chunks small enough not to carry, and unpacks each
 chunk's sum once.
 
 One BFS pass per component finds it, sums its degrees and picks its branch
-vertex.  Every component with at most as many edges as vertices is a leaf:
-a path or cycle reads a closed-form row, and any other (a tree, or one
-cycle with trees hung on it) takes one peel-and-close pass whose partial
-products count independent sets of induced subgraphs, so they do not carry
-either.  Such a leaf is one memo entry where branching on it stored its
-whole recursion, so the memo holds a subset of the entries an engine with
-only path and cycle leaves would hold, under the same branch rule."""
+vertex; an isolated vertex multiplies the product by 1 + x in place.  Every
+other component with at most as many edges as vertices is a leaf, read from
+the two-state path product: a path or cycle with unit weights, cached by
+length, and any other (a tree, or one cycle with trees hung on it) by one
+peel-and-close pass.  Every partial product counts independent sets of an
+induced subgraph, so none carries.  A leaf is one memo entry where branching
+stored its whole recursion, so the memo's keys are a subset of those of an
+engine with only path and cycle leaves, under the same branch rule."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from itertools import zip_longest
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import (Poly, RatFunc, _derivative, _int_horner, _int_poly, _pack, _unpack,
+from .polynomials import (Poly, RatFunc, _derivative, _int_horner, _int_poly, _unpack,
                           var_numerator)
 
 DEFAULT_MEMO_LIMIT = 1 << 22
@@ -59,24 +60,6 @@ def _digits(value: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-@lru_cache(maxsize=None)
-def _binomial_row(k: int) -> int:
-    """(1 + x)^k packed at 2^64."""
-    return ((1 << _DIGIT_BITS) + 1) ** k
-
-
-@lru_cache(maxsize=None)
-def _path_row(k: int) -> int:
-    """Z of the k-vertex path packed at 2^64: i_j = C(k - j + 1, j)."""
-    return _pack([comb(k - j + 1, j) for j in range((k + 1) // 2 + 1)], _DIGIT_BITS)
-
-
-@lru_cache(maxsize=None)
-def _cycle_row(k: int) -> int:
-    """Z of the k-cycle packed at 2^64: i_j = k C(k - j, j) / (k - j)."""
-    return _pack([k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)], _DIGIT_BITS)
-
-
 def _path_product(empty: list[int], occupied: list[int], path) -> int:
     """Z of the path through the given vertices, each vertex v weighted
     empty[v] when empty and x * occupied[v] when occupied, packed at 2^64: the
@@ -86,6 +69,19 @@ def _path_product(empty: list[int], occupied: list[int], path) -> int:
     for v in path:
         e, f = (e + f) * empty[v], (e * occupied[v]) << _DIGIT_BITS
     return e + f
+
+
+@lru_cache(maxsize=None)
+def _path_row(k: int) -> int:
+    """Z of the k-vertex path packed at 2^64: the unit-weight path product."""
+    return _path_product([1], [1], [0] * k)
+
+
+@lru_cache(maxsize=None)
+def _cycle_row(k: int) -> int:
+    """Z of the k-cycle packed at 2^64: Z(P_(k-1)) + x * Z(P_(k-3)), closed
+    on the state of one vertex as in _sparse_row, with every weight 1."""
+    return _path_row(k - 1) + (_path_row(k - 3) << _DIGIT_BITS)
 
 
 def _sparse_row(adj: tuple[int, ...], comp: int) -> int:
@@ -141,28 +137,27 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
 
     Z factors over connected components, so the mask is split into its
     components by a BFS over the adjacency bitmasks and their values are
-    multiplied, one big-integer product each; the k isolated vertices
-    contribute one row (1 + x)^k.  The same pass sums each component's
-    degrees and picks its branch vertex u: maximum degree in the component,
-    ties going explicitly to the lowest index, since the BFS does not visit
-    in index order.  A component of k vertices is a leaf when it spans at
-    most k edges or has maximum degree 2: a path or a cycle reads its
-    closed-form row, and any other such component is solved by one
-    peel-and-close pass (_sparse_row).  Otherwise Z(C) = Z(C - u) +
-    x * Z(C - N[u]), one shift and add.  Every value and every partial
-    product, a leaf's included, counts independent sets of an induced
-    subgraph, so no digit ever carries.  Memo entries are those components,
-    leaves included, keyed by vertex mask; the whole mask is looked up first.
-    A leaf stores one entry where branching stored its whole recursion, so
-    the memo's keys are a subset of those of a branching engine that stops
-    only at paths and cycles.  Raises MemoLimitExceeded once the memo would
-    hold more than DEFAULT_MEMO_LIMIT components.
+    multiplied, one big-integer product each; an isolated vertex multiplies
+    by 1 + x in place.  The same pass sums each component's degrees and
+    picks its branch vertex u: maximum degree in the component, ties going
+    explicitly to the lowest index, since the BFS does not visit in index
+    order.  A component of k vertices is a leaf when it spans at most k
+    edges or has maximum degree 2: a path or a cycle reads its cached
+    unit-weight row, and any other such component is solved by one
+    peel-and-close pass (_sparse_row), all from the path product.
+    Otherwise Z(C) = Z(C - u) + x * Z(C - N[u]), one shift and add.  Every
+    value and every partial product, a leaf's included, counts independent
+    sets of an induced subgraph, so no digit ever carries.  Memo entries are
+    those components, leaves included, keyed by vertex mask; the whole mask
+    is looked up first.  A leaf stores one entry where branching stored its
+    whole recursion, so the memo's keys are a subset of those of a branching
+    engine that stops only at paths and cycles.  Raises MemoLimitExceeded
+    once the memo would hold more than DEFAULT_MEMO_LIMIT components.
     """
     cached = memo.get(mask)
     if cached is not None:
         return cached
     out = 1
-    isolated = 0
     rest = mask
     while rest:
         comp = frontier = rest & -rest
@@ -182,8 +177,8 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
             frontier = grown & ~comp
             comp |= grown
         rest ^= comp
-        if not degrees:
-            isolated += 1
+        if not degrees:  # an isolated vertex multiplies by 1 + x
+            out += out << _DIGIT_BITS
             continue
         z = memo.get(comp)
         if z is None:
@@ -200,8 +195,6 @@ def _z_packed(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
                 raise MemoLimitExceeded(f"residual cache exceeded {DEFAULT_MEMO_LIMIT} entries")
             memo[comp] = z
         out *= z
-    if isolated:
-        out *= _binomial_row(isolated)
     return out
 
 
@@ -358,9 +351,6 @@ class HardCoreProfile:
         """p_uv = x^2 Z(G - N[u] - N[v]) / Z for distinct vertices,
         identically zero when uv is an edge.  Raises ValueError on a vertex
         outside range(n)."""
-        n = self.graph.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"pair marginal of ({u}, {v}) names a vertex outside 0..{n - 1}")
         if u == v:
             raise ValueError("pair marginal needs two distinct vertices")
         if self.graph.has_edge(u, v):

@@ -132,8 +132,10 @@ def log_interval(v, tol) -> RationalInterval:
         raise ValueError("log of a nonpositive value")
     if v == 1:
         return RationalInterval.point(0)
-    k = 0
-    m = v
+    # 2^(e-1) < v < 2^(e+1): a jump to the loops' side of [3/4, 3/2], not past it
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    k = e - 2 if e > 2 else min(e + 2, 0)
+    m = v / Fraction(2) ** k
     while m > Fraction(3, 2):
         m /= 2
         k += 1

@@ -84,12 +84,12 @@ def _splitmix_block(state: int, m: int) -> list[int]:
 
 def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,
                steps: int) -> tuple[int, int, int, int]:
-    """The step kernel: run `steps` heat-bath updates from (occupied, size)
-    and return (occupied, size, s1, s2), where s1 and s2 sum the size and
-    its square after each update.  Each update picks a uniform vertex
-    (`SplitMix64.randrange`); if some neighbor is occupied the vertex
-    becomes unoccupied, otherwise it is occupied iff the next draw c has
-    (c >> 11) < coin, with coin from `_coin_threshold`.
+    """The step kernel: run `steps` heat-bath updates from an independent set
+    (occupied, size) and return (occupied, size, s1, s2), where s1 and s2 sum
+    the size and its square after each update.  Each update picks a uniform
+    vertex (`SplitMix64.randrange`); with an occupied neighbor it is empty and
+    stays so, otherwise it is occupied iff the next draw c has (c >> 11) <
+    coin, with coin from `_coin_threshold`, so the set stays independent.
 
     Draws come from `_splitmix_block` in blocks of min(_BLOCK, 2*steps + 1),
     so one update never pays for a large block.  An update that runs off
@@ -113,11 +113,7 @@ def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int
                     continue
                 v = r % n
                 bit = 1 << v
-                if adj[v] & occupied:
-                    if occupied & bit:
-                        occupied ^= bit
-                        size -= 1
-                else:
+                if not adj[v] & occupied:
                     c = draws[pos]
                     pos += 1
                     if c < cut:

@@ -32,6 +32,21 @@ def test_triangle():
     assert g.degrees() == (2, 2, 2) and g.edge_count == 3
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.has_edge(-2, 3),
+    lambda g: g.has_edge(0, 70),
+    lambda g: g.degree(-1),
+    lambda g: g.closed_mask(-1),
+    lambda g: g.closed_mask(10),
+], ids=["has_edge_negative", "has_edge_past_n", "degree_negative", "closed_mask_negative",
+        "closed_mask_past_n"])
+def test_vertex_queries_refuse_vertices_outside_the_graph(call):
+    # Unchecked, a negative vertex reads adj from its end and a large one
+    # shifts past every bit or runs off adj.
+    with pytest.raises(ValueError, match=r"outside 0\.\.9"):
+        call(petersen_graph())
+
+
 def test_adjacency_validation():
     with pytest.raises(ValueError):
         Graph(2, (1, 0))  # self-loop on vertex 0

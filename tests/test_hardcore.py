@@ -140,7 +140,6 @@ def test_closed_form_rows_match_the_transfer_recurrences():
     for k in range(1, 65):
         assert hardcore._digits(hardcore._path_row(k)) == path_polynomial(k).coeffs, k
     for k in range(3, 65):
-        assert all(k * comb(k - j, j) % (k - j) == 0 for j in range(k // 2 + 1)), k
         assert hardcore._digits(hardcore._cycle_row(k)) == cycle_polynomial(k).coeffs, k
 
 
@@ -342,7 +341,7 @@ def _branching_z_packed(adj, mask, memo):
                      + (_branching_z_packed(adj, comp & ~(adj[best_v] | 1 << best_v), memo) << 64))
             memo[comp] = z
         out *= z
-    return out * hardcore._binomial_row(isolated)
+    return out * ((1 << 64) + 1) ** isolated
 
 
 def test_one_pass_engine_matches_the_branching_reference():

@@ -120,6 +120,41 @@ def test_log_argument_reduction():
         assert enc.hi - enc.lo <= F(1, 10**18)
 
 
+def _halving_reduction(v):
+    """log_interval's argument reduction as it was: one halving or doubling
+    per step."""
+    k, m = 0, v
+    while m > F(3, 2):
+        m /= 2
+        k += 1
+    while m < F(3, 4):
+        m *= 2
+        k -= 1
+    return m, k
+
+
+def test_log_argument_jump_ends_where_the_halving_loops_did(monkeypatch):
+    # Each series returns its argument as a point and log 2 returns 1, so the
+    # enclosure is the point y + k with y = (m - 1) / (m + 1) the body's
+    # argument: equal to the halving loops' m and k, no endpoint moves.
+    seen = []
+    monkeypatch.setattr(intervals, "_atanh_series",
+                        lambda y, tol: seen.append(y) or RationalInterval.point(y))
+    monkeypatch.setattr(intervals, "_log2_enclosure", lambda tol: RationalInterval.point(1))
+    rng = random.Random(9151)
+    values = [F(3, 2) * F(2) ** j for j in range(-70, 71)]
+    values += [F(3, 4) * F(2) ** j for j in range(-70, 71)]
+    values += [F(2) ** j for j in range(-70, 71) if j]
+    values += [F(rng.randrange(1, 10 ** rng.randrange(1, 40)),
+                 rng.randrange(1, 10 ** rng.randrange(1, 40))) for _ in range(400)]
+    values += [F(10**9001 + 7, 3), F(3, 10**9001 + 7)]
+    for v in values:
+        m, k = _halving_reduction(v)
+        seen.clear()
+        assert log_interval(v, F(1, 10**6)) == RationalInterval.point((m - 1) / (m + 1) + k), v
+        assert seen == [(m - 1) / (m + 1)], v
+
+
 def test_exp_enclosure():
     for w in (F(0), F(1), F(-1), F(5, 2), F(1, 1000)):
         enc = exp_interval(w, F(1, 10**15))

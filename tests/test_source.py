@@ -180,6 +180,17 @@ def test_only_the_profile_owns_an_engine_memo():
     assert callers == {"hardcore.py:_z_packed", "hardcore.py:HardCoreProfile._packed"}
 
 
+def test_engine_rows_come_from_the_path_product():
+    # Every engine leaf reads the two-state path product, so hardcore.py has
+    # no binomial-coefficient row: comb is called only for the chunk bound
+    # of variance_via_marginals' packed pair sum.
+    tree = ast.parse((Path(hardcore_lab.__file__).parent / "hardcore.py").read_text())
+    callers = {name for name, fn in _functions(tree)
+               if any(isinstance(node, ast.Call) and "comb" in _names_used(node.func)
+                      for node in ast.walk(fn))}
+    assert callers == {"variance_via_marginals"}
+
+
 def test_only_the_engine_check_runs_the_oracle():
     # brute_force_polynomial is the deliberately naive oracle the recursion
     # is checked against, so no production path runs it: besides its
