@@ -87,6 +87,15 @@ def _positive_lam(lam) -> Fraction:
     return lam
 
 
+def _inputs(g: Graph | HardCoreProfile, lam) -> tuple[HardCoreProfile, Graph, Fraction]:
+    """The one input contract of a per-graph check: lam > 0, then a graph or
+    profile with at least one vertex.  Returns (profile, its graph, lam)."""
+    lam = _positive_lam(lam)
+    prof = _profile_of(g)
+    _require_vertices(prof.graph)
+    return prof, prof.graph, lam
+
+
 def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
               note: str | None = None) -> BoundCheck:
     return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS if lhs <= rhs else FAILS,
@@ -152,10 +161,7 @@ def _cleared(*powers: tuple[Fraction, int]) -> Fraction:
 def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
-    _require_vertices(g)
+    prof, g, lam = _inputs(g, lam)
     zv = Fraction(prof.z.evaluate(lam))
     n = g.n
     out = []
@@ -201,10 +207,8 @@ def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> Boun
     """The vertex-based biclique ceiling (1/n) sum_u F_{K_{d_u, d_u}}: a
     natural guess that fails; the comparison is decided exactly and the
     verdict simply reports which way it went."""
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
-    if g.n == 0 or min(g.degrees()) < 1:
+    prof, g, lam = _inputs(g, lam)
+    if min(g.degrees()) < 1:
         raise ValueError("vertex-based ceiling needs minimum degree one")
     zv = Fraction(prof.z.evaluate(lam))
     m = lcm(*(2 * d for d in g.degrees()))
@@ -215,9 +219,7 @@ def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> Boun
 # -- occupancy ---------------------------------------------------------------
 
 def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
+    prof, g, lam = _inputs(g, lam)
     e = prof.expectation_at(lam)
     n = g.n
     out = [
@@ -244,8 +246,7 @@ def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
     p / (q + (d + 1) p), so the sum is one Fraction over n P, P the product
     of the distinct denominators, with c_d vertices of degree d adding
     c_d p P / (q + (d + 1) p)."""
-    lam = _positive_lam(lam)
-    _require_vertices(g)
+    _, g, lam = _inputs(g, lam)
     p, q = lam.numerator, lam.denominator
     counts = Counter(g.degrees())
     product = 1
@@ -259,9 +260,8 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
     """Triangle-free degree-sequence floor with the Lambert-W weight,
     certified by enclosures: (1/n) sum_u (lam/(1+lam)) W(d_u L)/(d_u L) with
     L = log(1+lam) must not exceed the exact occupancy fraction."""
-    lam, tol = _positive_lam(lam), _positive_tol(tol)
-    prof = _profile_of(g)
-    g = prof.graph
+    prof, g, lam = _inputs(g, lam)
+    tol = _positive_tol(tol)
     if not g.is_triangle_free():
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = prof.expectation_at(lam)
@@ -323,10 +323,7 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fracti
 # -- variance -----------------------------------------------------------------
 
 def check_variance_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
-    _require_vertices(g)
+    prof, g, lam = _inputs(g, lam)
     v = prof.variance_at(lam)
     n = g.n
     floor_note = None if lam < Fraction(1, 2 * n - 1) else \
@@ -414,10 +411,8 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
     beta lam/(1+lam) = 1 and the inequality clears to
     sum_{k>=2} (k-1) i_k(F) lam^k >= 0, so the minimum is 1, reached at
     F empty, and the margin is exactly 0."""
-    lam, beta, gamma = _positive_lam(lam), Fraction(beta), Fraction(gamma)
-    prof = _profile_of(g)
-    g = prof.graph
-    _require_vertices(g)
+    prof, g, lam = _inputs(g, lam)
+    beta, gamma = Fraction(beta), Fraction(gamma)
     if g.max_degree > MAX_DEGREE_BUDGET:
         raise ValueError("neighborhood subset enumeration budget exceeded")
     # The value for F is (bn cd q^D + cn bd p H') / (bd cd H) at lam = p/q,
@@ -452,10 +447,7 @@ def _marginals_at(prof: HardCoreProfile, lam: Fraction) -> list[Fraction]:
 def check_clique_weighted_marginals(g: Graph | HardCoreProfile, lam) -> BoundCheck:
     """Average marginal weighted by the reciprocal clique occupancy weight
     lam / (1 + (d_u + 1) lam) is at least one, decided exactly."""
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
-    _require_vertices(g)
+    prof, g, lam = _inputs(g, lam)
     total = sum(p / clique_occupancy_value(g.degree(u), lam)
                 for u, p in enumerate(_marginals_at(prof, lam))) / g.n
     return _exact_le("local_occupancy.clique_weighted_marginals", g, lam, Fraction(1), total)
@@ -464,10 +456,7 @@ def check_clique_weighted_marginals(g: Graph | HardCoreProfile, lam) -> BoundChe
 def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> BoundCheck:
     """Average marginal weighted by the reciprocal triangle-free Lambert-W
     weight is at least one, certified by enclosures."""
-    lam = _positive_lam(lam)
-    prof = _profile_of(g)
-    g = prof.graph
-    _require_vertices(g)
+    prof, g, lam = _inputs(g, lam)
     tol = _positive_tol(tol)
     if not g.is_triangle_free():
         raise ValueError("triangle-free weight requires a triangle-free graph")
@@ -492,9 +481,8 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
         ((1+lam) log(1+lam)/lam) E <= F <= E log(lam) + h(E) <= E log(e lam / E)
 
     certified with outward-rounded enclosures at the given tolerance."""
-    lam, tol = _positive_lam(lam), _positive_tol(tol)
-    prof = _profile_of(g)
-    g, z = prof.graph, prof.z
+    prof, g, lam = _inputs(g, lam)
+    tol = _positive_tol(tol)
     e = prof.expectation_at(lam)
     if not 0 < e < 1:
         raise ValueError("chain requires 0 < E < 1")
@@ -503,7 +491,7 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
     # ceilings: each is enclosed once per tolerance within this call.
     @cache
     def free_energy(tol):
-        return free_energy_interval(z, g.n, lam, tol)
+        return free_energy_interval(prof.z, g.n, lam, tol)
 
     def lower(tol):
         return log1p_interval(lam, tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
@@ -530,8 +518,7 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
 
 def edge_occupancy_sum(g: Graph, lam) -> Fraction:
     """(1/n) sum over edges of ((d_u+d_v)/(d_u d_v)) E_{K_{d_u, d_v}}(lam)."""
-    lam = _positive_lam(lam)
-    _require_vertices(g)
+    _, g, lam = _inputs(g, lam)
     total = Fraction(0)
     for u, v in g.edges():
         du, dv = g.degree(u), g.degree(v)

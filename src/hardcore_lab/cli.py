@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import bounds, repro
 from .bounds import DEFAULT_TOL
 from .graphs import Graph, generate, parse_graph6, read_edge_list
-from .hardcore import HardCoreProfile, MemoLimitExceeded, _require_vertices
+from .hardcore import HardCoreProfile, MemoLimitExceeded
 from .intervals import _positive_tol, free_energy_interval
 from .orderings import OrderingKind, compare
 from .polynomials import Poly
@@ -88,9 +88,7 @@ def cmd_poly(args) -> int:
 def cmd_quantities(args) -> int:
     lam = bounds._positive_lam(args.lam)
     tol = _positive_tol(args.tol)
-    g = resolve_graph(args.graph)
-    _require_vertices(g)
-    prof = HardCoreProfile(g)
+    prof, g, lam = bounds._inputs(resolve_graph(args.graph), lam)
     z, e, v = prof.z, prof.expectation, prof.variance
     # The exact fields are formatted first: a Z(lam) too long to print is
     # refused before the enclosure of its logarithm is computed.

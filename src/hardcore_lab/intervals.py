@@ -155,8 +155,6 @@ def log1p_interval(x, tol) -> RationalInterval:
     tol = _positive_tol(tol)
     if x <= -1:
         raise ValueError("log1p requires x > -1")
-    if x == 0:
-        return RationalInterval.point(0)
     return log_interval(1 + x, tol)
 
 

@@ -153,9 +153,15 @@ class Poly:
     def from_text(cls, text: str) -> "Poly":
         """Parse the comma-separated coefficient format, e.g. "1,9,30,44,24".
 
-        Individual coefficients may be rationals written "p/q".
+        Coefficients may be rationals "p/q"; a field that is not one raises ValueError.
         """
-        return cls([Fraction(p) for p in text.split(",")])
+        coeffs = []
+        for field in text.split(","):
+            try:
+                coeffs.append(Fraction(field))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {field!r}") from None
+        return cls(coeffs)
 
     # -- basic queries ----------------------------------------------------
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
+from .hardcore import _require_vertices
 from .verdict import format_rational
 
 _MASK = (1 << 64) - 1
@@ -189,8 +190,7 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1) -> 
     """Run the chain and report batch-means estimates of the expected
     occupied count and its variance over BATCHES batches."""
     lam = Fraction(lam)
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
+    _require_vertices(g)
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if steps < 10 * burn_in:

@@ -548,28 +548,44 @@ def test_edge_sum_formula_matches_brute_force_on_pasch():
     assert total == 12 * single / 10
 
 
+# Every entry of bounds that takes a graph: each states its inputs through
+# bounds._inputs.
+_GRAPH_CALLS = [
+    bounds.check_free_energy_bounds,
+    bounds.check_vertex_f_upper_counterexample,
+    bounds.check_occupancy_bounds,
+    bounds.degree_floor_value,
+    bounds.check_occupancy_tf,
+    bounds.check_variance_bounds,
+    lambda g, lam: bounds.check_local_occupancy(g, 1, 1, lam),
+    bounds.check_clique_weighted_marginals,
+    bounds.check_tf_weighted_marginals,
+    bounds.check_combined_chain,
+    bounds.edge_occupancy_sum,
+]
+
+
 def test_nonpositive_fugacity_raises():
     g = cycle_graph(5)
-    calls = [
-        lambda lam: bounds.check_free_energy_bounds(g, lam),
-        lambda lam: bounds.check_vertex_f_upper_counterexample(g, lam),
-        lambda lam: bounds.check_occupancy_bounds(g, lam),
-        lambda lam: bounds.degree_floor_value(g, lam),
-        lambda lam: bounds.check_occupancy_tf(g, lam),
-        lambda lam: bounds.check_variance_bounds(g, lam),
+    calls = [lambda lam, call=call: call(g, lam) for call in _GRAPH_CALLS] + [
         lambda lam: bounds.cycle_growth_ratio(5, lam),
         lambda lam: bounds.check_cycle_growth(5, (1, lam)),
-        lambda lam: bounds.check_local_occupancy(g, 1, 1, lam),
-        lambda lam: bounds.check_clique_weighted_marginals(g, lam),
-        lambda lam: bounds.check_tf_weighted_marginals(g, lam),
-        lambda lam: bounds.check_combined_chain(g, lam),
-        lambda lam: bounds.edge_occupancy_sum(g, lam),
         lambda lam: bounds.check_edge_occ_counterexamples(lam),
     ]
     for call in calls:
         for lam in (0, F(-1, 2)):
             with pytest.raises(ValueError, match="fugacity must be positive"):
                 call(lam)
+
+
+def test_graph_without_vertices_raises():
+    # One refusal for every entry that averages over the vertices, the
+    # vertex-based ceiling included, for a graph and for its profile alike.
+    g = path_graph(0)
+    for call in _GRAPH_CALLS:
+        for arg in (g, HardCoreProfile(g)):
+            with pytest.raises(ValueError, match="^graph has no vertices$"):
+                call(arg, 1)
 
 
 def _reports(checks) -> list[dict]:

@@ -361,6 +361,8 @@ def test_graph_without_vertices_is_a_one_line_usage_error(capsys):
         ("bound", "occupancy_tf", "path:0", "--lambda", "1"),
         ("bound", "weighted_marginals", "path:0", "--lambda", "1"),
         ("bound", "local_occupancy", "path:0", "--lambda", "1"),
+        ("bound", "vertex_ceiling", "path:0", "--lambda", "1"),
+        ("bound", "weighted_marginals_tf", "path:0", "--lambda", "1"),
         ("quantities", "path:0", "--lambda", "1"),
         ("sample", "path:0", "--lambda", "1"),
     ):

@@ -64,6 +64,12 @@ def test_text_with_an_empty_field_is_refused(text):
         Poly.from_text(text)
 
 
+@pytest.mark.parametrize("text, field", [("1,1/0", "'1/0'"), ("1,-1/0", "'-1/0'")])
+def test_text_with_a_zero_denominator_names_the_field(text, field):
+    with pytest.raises(ValueError, match=f"^zero denominator in coefficient {field}$"):
+        Poly.from_text(text)
+
+
 def test_evaluation_is_a_homomorphism():
     rng = SplitMix64(7)
     for _ in range(200):

@@ -251,6 +251,28 @@ def test_per_graph_quantities_come_from_the_profile():
     assert coercions == {"hardcore.py:_profile_of"}
 
 
+def test_every_per_graph_check_opens_with_the_input_contract():
+    # bounds._inputs states once what a per-graph check accepts (lam > 0,
+    # then a graph or profile with a vertex): it alone calls _profile_of in
+    # bounds.py, and every public function there whose first parameter is a
+    # graph or its profile opens with a call to it, after its docstring.
+    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
+    coercers = {name for name, fn in _functions(tree)
+                if any(isinstance(node, ast.Call) and "_profile_of" in _names_used(node.func)
+                       for node in ast.walk(fn))}
+    checks = [fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and fn.args.args and fn.args.args[0].annotation is not None
+              and ast.unparse(fn.args.args[0].annotation) == "Graph | HardCoreProfile"]
+    openers = [fn.body[ast.get_docstring(fn) is not None] for fn in checks]
+    unchecked = [fn.name for fn, first in zip(checks, openers)
+                 if not (isinstance(first, ast.Assign) and isinstance(first.value, ast.Call)
+                         and "_inputs" in _names_used(first.value.func))]
+    assert coercers == {"_inputs"}
+    assert len(checks) == 9
+    assert unchecked == []
+
+
 # Defaulted parameters kept without a caller: main(argv) is the tests' entry
 # seam, and the density and size of the two random generators are set by
 # the tests that use them as instruments.
