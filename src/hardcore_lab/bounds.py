@@ -486,6 +486,10 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
     e = prof.expectation_at(lam)
     if not 0 < e < 1:
         raise ValueError("chain requires 0 < E < 1")
+    # Each of the four comparisons prints a side built from E: an E past the
+    # print limit is refused before the enclosures, which take seconds there.
+    for part in (e.numerator, e.denominator):
+        _refuse_digits(log10(part), "the occupancy fraction")
 
     # Three comparisons read the free energy and two each the other
     # ceilings: each is enclosed once per tolerance within this call.

@@ -133,14 +133,12 @@ BOUNDS = {
     "local_occupancy": (lambda g, lam: bounds.check_local_occupancy(g, 1 + 1 / lam, 1, lam),
                         ("graph", "--lambda")),
     "occupancy": (bounds.check_occupancy_bounds, ("graph", "--lambda")),
-    "occupancy_tf": (lambda g, lam, tol: bounds.check_occupancy_tf(g, lam, tol),
-                     ("graph", "--lambda", "--tol")),
+    "occupancy_tf": (bounds.check_occupancy_tf, ("graph", "--lambda", "--tol")),
     "p5_threshold": (bounds.check_p5_threshold, ()),
     "variance": (bounds.check_variance_bounds, ("graph", "--lambda")),
     "vertex_ceiling": (bounds.check_vertex_f_upper_counterexample, ("graph", "--lambda")),
     "weighted_marginals": (bounds.check_clique_weighted_marginals, ("graph", "--lambda")),
-    "weighted_marginals_tf": (lambda g, lam, tol: bounds.check_tf_weighted_marginals(g, lam, tol),
-                              ("graph", "--lambda", "--tol")),
+    "weighted_marginals_tf": (bounds.check_tf_weighted_marginals, ("graph", "--lambda", "--tol")),
 }
 
 

@@ -316,20 +316,9 @@ def find_six_vertex_counterexamples(
     return found
 
 
-G1_SIGNATURE = {
-    "z": (1, 6, 8, 4, 1),
-    "edge_types": {(2, 3): 3, (1, 4): 1, (2, 4): 3},
+# The (Z coefficients, edge degree-pair counts) signature that pins each
+# six-vertex counterexample, by its generate() name.
+SIGNATURES = {
+    "g1": ((1, 6, 8, 4, 1), {(2, 3): 3, (1, 4): 1, (2, 4): 3}),
+    "g2": ((1, 6, 9, 4, 1), {(1, 3): 2, (2, 3): 4}),
 }
-
-G2_SIGNATURE = {
-    "z": (1, 6, 9, 4, 1),
-    "edge_types": {(1, 3): 2, (2, 3): 4},
-}
-
-
-def search_g1() -> list[Graph]:
-    return find_six_vertex_counterexamples(G1_SIGNATURE["z"], G1_SIGNATURE["edge_types"])
-
-
-def search_g2() -> list[Graph]:
-    return find_six_vertex_counterexamples(G2_SIGNATURE["z"], G2_SIGNATURE["edge_types"])

@@ -59,12 +59,12 @@ def _status_from_checks(checks: list[bounds.BoundCheck]) -> str:
     return VERIFIED
 
 
-def _item_from_checks(item_id: str, checks: list[bounds.BoundCheck],
-                      note: str | None = None) -> ReproItem:
+def _item_from_checks(checks: list[bounds.BoundCheck],
+                      note: str | None = None) -> tuple[str, dict]:
     payload = {"checks": [c.to_json() for c in checks]}
     if note:
         payload["note"] = note
-    return ReproItem(item_id, _status_from_checks(checks), payload)
+    return _status_from_checks(checks), payload
 
 
 def _verdict_ok(flag: bool) -> str:
@@ -82,7 +82,7 @@ def _lemma_pairs() -> dict[str, tuple[Poly, Poly]]:
     }
 
 
-def item_lemmas_fv_and_var_hold() -> ReproItem:
+def item_lemmas_fv_and_var_hold() -> tuple[str, dict]:
     p, q = _lemma_pairs()["first"]
     fv = orderings.compare("FV", p, q)
     var = orderings.compare("VAR", p, q)
@@ -90,43 +90,38 @@ def item_lemmas_fv_and_var_hold() -> ReproItem:
     factored = 3 * Poly([0, 0, 0, 1]) * Poly([1, 2]) ** 4 * Poly([1, 3, 1]) ** 4 \
         * Poly([3, 32, 118, 176, 86])
     ok = fv.holds and var.holds and cert == factored
-    return ReproItem(
-        "lemmas.fv_and_var_hold", _verdict_ok(ok),
-        {
-            "p": p.to_text(), "q": q.to_text(),
-            "fv": fv.to_json(), "var": var.to_json(),
-            "certificate": cert.to_text(),
-            "certificate_factored_check": cert == factored,
-        })
+    return _verdict_ok(ok), {
+        "p": p.to_text(), "q": q.to_text(),
+        "fv": fv.to_json(), "var": var.to_json(),
+        "certificate": cert.to_text(),
+        "certificate_factored_check": cert == factored,
+    }
 
 
-def item_lemmas_var_without_fv() -> ReproItem:
+def item_lemmas_var_without_fv() -> tuple[str, dict]:
     p, q = _lemma_pairs()["second"]
     fv = orderings.compare("FV", p, q)
     var = orderings.compare("VAR", p, q)
     cert = orderings.var_difference_certificate(p, q)
     ok = fv.fails and fv.witness == 4 and var.holds \
         and cert.degree == 21 and cert.lc == 513
-    return ReproItem(
-        "lemmas.var_without_fv", _verdict_ok(ok),
-        {
-            "p": p.to_text(), "q": q.to_text(),
-            "fv": fv.to_json(), "var": var.to_json(),
-            "certificate": cert.to_text(),
-        })
+    return _verdict_ok(ok), {
+        "p": p.to_text(), "q": q.to_text(),
+        "fv": fv.to_json(), "var": var.to_json(),
+        "certificate": cert.to_text(),
+    }
 
 
-def item_lemmas_var_without_coef() -> ReproItem:
+def item_lemmas_var_without_coef() -> tuple[str, dict]:
     p, q = _lemma_pairs()["third"]
     coef = orderings.compare("COEF", p, q)
     var = orderings.compare("VAR", p, q)
     ok = coef.fails and coef.witness == 5 and var.holds
-    return ReproItem(
-        "lemmas.var_without_coef", _verdict_ok(ok),
-        {"p": p.to_text(), "q": q.to_text(), "coef": coef.to_json(), "var": var.to_json()})
+    return _verdict_ok(ok), {"p": p.to_text(), "q": q.to_text(),
+                             "coef": coef.to_json(), "var": var.to_json()}
 
 
-def item_lemmas_fv_without_var() -> ReproItem:
+def item_lemmas_fv_without_var() -> tuple[str, dict]:
     pairs = [
         (Poly([1, 4, 2, 2]), Poly([1, 2, 1, 1])),
         (Poly([1, 10, 210, 21, 21, 21]), Poly([1, 10, 10, 1, 1, 1])),
@@ -150,81 +145,69 @@ def item_lemmas_fv_without_var() -> ReproItem:
             "fv": fv.to_json(), "var": var.to_json(),
             "V_q_at_1": format_rational(got_q), "V_p_at_1": format_rational(got_p),
         })
-    return ReproItem("lemmas.fv_without_var", _verdict_ok(ok), {"pairs": rows})
+    return _verdict_ok(ok), {"pairs": rows}
 
 
-def item_counterexamples_edge_occupancy() -> ReproItem:
-    return _item_from_checks(
-        "counterexamples.edge_occupancy", bounds.check_edge_occ_counterexamples(5))
+def item_counterexamples_edge_occupancy() -> tuple[str, dict]:
+    return _item_from_checks(bounds.check_edge_occ_counterexamples(5))
 
 
-def item_counterexamples_vertex_free_energy() -> ReproItem:
+def item_counterexamples_vertex_free_energy() -> tuple[str, dict]:
     violated = bounds.check_vertex_f_upper_counterexample(path_graph(4), 1)
     small = bounds.check_vertex_f_upper_counterexample(path_graph(4), Fraction(1, 100))
     regular = bounds.check_vertex_f_upper_counterexample(cycle_graph(4), 1)
     ok = violated.status == FAILS and small.status == FAILS and regular.holds
-    return ReproItem(
-        "counterexamples.vertex_free_energy", _verdict_ok(ok),
-        {
-            "checks": [violated.to_json(), small.to_json(), regular.to_json()],
-            "note": "the four-vertex path violates the vertex-based ceiling at "
-                    "every positive fugacity (the cleared gap is the fourth "
-                    "power of the fugacity), so the small-fugacity probe fails "
-                    "too; the regular case collapses to the biregular ceiling",
-        })
+    return _verdict_ok(ok), {
+        "checks": [violated.to_json(), small.to_json(), regular.to_json()],
+        "note": "the four-vertex path violates the vertex-based ceiling at "
+                "every positive fugacity (the cleared gap is the fourth "
+                "power of the fugacity), so the small-fugacity probe fails "
+                "too; the regular case collapses to the biregular ceiling",
+    }
 
 
-def item_counterexamples_six_vertex_search() -> ReproItem:
-    g1_found = corpus.search_g1()
-    g2_found = corpus.search_g2()
-    ok = (
-        len(g1_found) == 1
-        and len(g2_found) == 1
-        and corpus.are_isomorphic(g1_found[0], generate("g1"))
-        and corpus.are_isomorphic(g2_found[0], generate("g2"))
-    )
-    return ReproItem(
-        "counterexamples.six_vertex_search", _verdict_ok(ok),
-        {
-            "g1_candidates": [g.edges() for g in g1_found],
-            "g2_candidates": [g.edges() for g in g2_found],
-            "pinned_g1": generate("g1").edges(),
-            "pinned_g2": generate("g2").edges(),
-        })
+def item_counterexamples_six_vertex_search() -> tuple[str, dict]:
+    found = {name: corpus.find_six_vertex_counterexamples(*signature)
+             for name, signature in corpus.SIGNATURES.items()}
+    ok = all(len(graphs) == 1 and corpus.are_isomorphic(graphs[0], generate(name))
+             for name, graphs in found.items())
+    payload = {f"{name}_candidates": [g.edges() for g in graphs]
+               for name, graphs in found.items()}
+    payload.update({f"pinned_{name}": generate(name).edges() for name in found})
+    return _verdict_ok(ok), payload
 
 
 _NAMED_SAMPLE = ("path:3", "kn:4", "kab:2,2", "cycle:5", "kab:1,3", "pasch", "petersen")
 _CORPUS_MAX_N = 6
 
 
-def item_free_energy_named() -> ReproItem:
+def item_free_energy_named() -> tuple[str, dict]:
     checks = []
     for spec in _NAMED_SAMPLE:
         prof = HardCoreProfile(generate(spec))
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
             checks.extend(bounds.check_free_energy_bounds(prof, lam))
-    return _item_from_checks("free_energy.named_bounds", checks)
+    return _item_from_checks(checks)
 
 
-def item_free_energy_corpus() -> ReproItem:
+def item_free_energy_corpus() -> tuple[str, dict]:
     checks = []
     for g in corpus.connected_corpus(_CORPUS_MAX_N):
         checks.extend(bounds.check_free_energy_bounds(g, Fraction(1)))
-    summary = _summarize(checks)
-    return ReproItem("free_energy.small_corpus", _status_from_checks(checks), summary)
+    return _status_from_checks(checks), _summarize(checks)
 
 
-def item_occupancy_named() -> ReproItem:
+def item_occupancy_named() -> tuple[str, dict]:
     checks = []
     for spec in _NAMED_SAMPLE:
         g = generate(spec)
         delta = g.max_degree
         lam = Fraction(3, (delta + 1) ** 2)
         checks.extend(bounds.check_occupancy_bounds(g, lam))
-    return _item_from_checks("occupancy.named_bounds", checks)
+    return _item_from_checks(checks)
 
 
-def item_occupancy_degree_floor_corpus() -> ReproItem:
+def item_occupancy_degree_floor_corpus() -> tuple[str, dict]:
     graphs = corpus.connected_corpus(_CORPUS_MAX_N)
     ok = True
     equality_mismatch = 0
@@ -235,18 +218,15 @@ def item_occupancy_degree_floor_corpus() -> ReproItem:
         ok = ok and check.holds
         if (check.margin == 0) != g.is_disjoint_union_of_cliques():
             equality_mismatch += 1
-    payload = {
+    return _verdict_ok(ok and equality_mismatch == 0), {
         "graphs": len(graphs),
         "equality_classification_mismatches": equality_mismatch,
         "note": "fugacity 3/(max_degree+1)^2 for each graph; equality expected "
                 "exactly on disjoint unions of cliques",
     }
-    return ReproItem(
-        "occupancy.degree_floor_corpus",
-        _verdict_ok(ok and equality_mismatch == 0), payload)
 
 
-def item_occupancy_triangle_free_floor() -> ReproItem:
+def item_occupancy_triangle_free_floor() -> tuple[str, dict]:
     cases = [
         (cycle_graph(5), Fraction(1, 100)),
         (complete_bipartite(3, 3), Fraction(1, 100)),
@@ -254,10 +234,10 @@ def item_occupancy_triangle_free_floor() -> ReproItem:
         (pasch_graph(), Fraction(1, 100)),
     ]
     checks = [bounds.check_occupancy_tf(g, lam) for g, lam in cases]
-    return _item_from_checks("occupancy.triangle_free_floor", checks)
+    return _item_from_checks(checks)
 
 
-def item_variance_window_corpus() -> ReproItem:
+def item_variance_window_corpus() -> tuple[str, dict]:
     ok = True
     counted = 0
     graphs = corpus.connected_corpus(_CORPUS_MAX_N)
@@ -269,15 +249,14 @@ def item_variance_window_corpus() -> ReproItem:
                     continue
                 counted += 1
                 ok = ok and c.holds
-    payload = {
+    return _verdict_ok(ok), {
         "graphs": len(graphs),
         "comparisons": counted,
         "note": "floor at fugacity 1/(2n), ceiling at 1/n",
     }
-    return ReproItem("variance.window_corpus", _verdict_ok(ok), payload)
 
 
-def item_variance_conjectured_floor() -> ReproItem:
+def item_variance_conjectured_floor() -> tuple[str, dict]:
     ok = True
     for g in corpus.connected_corpus(5):
         prof = HardCoreProfile(g)
@@ -285,27 +264,25 @@ def item_variance_conjectured_floor() -> ReproItem:
             c = [c for c in bounds.check_variance_bounds(prof, lam)
                  if c.name == "variance.clique_floor_conjecture"][0]
             ok = ok and c.holds
-    return ReproItem(
-        "variance.conjectured_floor_sweep", _verdict_ok(ok),
-        {"note": "exploratory sweep of the range-unrestricted clique floor; "
-                 "not an acceptance gate", "corpus_max_n": 5})
+    return _verdict_ok(ok), {"note": "exploratory sweep of the range-unrestricted "
+                                     "clique floor; not an acceptance gate",
+                             "corpus_max_n": 5}
 
 
-def item_variance_p5_threshold() -> ReproItem:
-    return _item_from_checks("variance.p5_threshold", bounds.check_p5_threshold())
+def item_variance_p5_threshold() -> tuple[str, dict]:
+    return _item_from_checks(bounds.check_p5_threshold())
 
 
-def item_variance_cycle_growth() -> ReproItem:
+def item_variance_cycle_growth() -> tuple[str, dict]:
     check = bounds.check_cycle_growth(500, (100, 1000, 10000))
     small = bounds.cycle_growth_ratio(4, 1)
-    payload = {
+    return _status_from_checks([check]), {
         "checks": [check.to_json()],
         "smoke_ratio_cycle4_at_1": format_rational(small),
     }
-    return ReproItem("variance.cycle_growth", _status_from_checks([check]), payload)
 
 
-def item_variance_marginal_identity() -> ReproItem:
+def item_variance_marginal_identity() -> tuple[str, dict]:
     sample = [empty_graph(2), complete_graph(3), path_graph(5), cycle_graph(6),
               generate("kab:2,3"), petersen_graph()]
     failing = []
@@ -321,10 +298,10 @@ def item_variance_marginal_identity() -> ReproItem:
                        "as reduced rational functions"}
     if failing:
         payload["failing"] = failing
-    return ReproItem("variance.pair_marginal_identity", _verdict_ok(not failing), payload)
+    return _verdict_ok(not failing), payload
 
 
-def item_local_occupancy_corpus() -> ReproItem:
+def item_local_occupancy_corpus() -> tuple[str, dict]:
     ok = True
     counted = 0
     graphs = corpus.connected_corpus(5)
@@ -334,14 +311,12 @@ def item_local_occupancy_corpus() -> ReproItem:
             c = bounds.check_local_occupancy(prof, 1 + 1 / lam, 1, lam)
             counted += 1
             ok = ok and c.holds
-    return ReproItem(
-        "local_occupancy.certificate_corpus", _verdict_ok(ok),
-        {"graphs": len(graphs), "cases": counted,
-         "note": "beta = 1 + 1/fugacity, gamma = 1, every induced "
-                 "neighborhood subgraph enumerated"})
+    return _verdict_ok(ok), {"graphs": len(graphs), "cases": counted,
+                             "note": "beta = 1 + 1/fugacity, gamma = 1, every induced "
+                                     "neighborhood subgraph enumerated"}
 
 
-def item_local_occupancy_weighted() -> ReproItem:
+def item_local_occupancy_weighted() -> tuple[str, dict]:
     checks = []
     for g in [complete_graph(4), path_graph(5), cycle_graph(6), generate("kab:2,3")]:
         prof = HardCoreProfile(g)
@@ -354,10 +329,10 @@ def item_local_occupancy_weighted() -> ReproItem:
             "lam/(1+(d+1)lam); the source text conflates it with the clique "
             "partition function in one place, and every downstream use needs "
             "the occupancy form used here")
-    return _item_from_checks("local_occupancy.weighted_marginals", checks, note=note)
+    return _item_from_checks(checks, note=note)
 
 
-def item_combined_chain() -> ReproItem:
+def item_combined_chain() -> tuple[str, dict]:
     checks = []
     for g in [path_graph(4), complete_graph(5), cycle_graph(5)]:
         prof = HardCoreProfile(g)
@@ -383,33 +358,31 @@ def item_combined_chain() -> ReproItem:
     status = _status_from_checks(checks)
     if not exhibit["overlap"] or gap_width > Fraction(1, 10**15):
         status = FAILED
-    payload = {"checks": [c.to_json() for c in checks], "edgeless_equality": exhibit}
-    return ReproItem("combined.chain_samples", status, payload)
+    return status, {"checks": [c.to_json() for c in checks], "edgeless_equality": exhibit}
 
 
-def item_series_ratio() -> ReproItem:
+def item_series_ratio() -> tuple[str, dict]:
     rep = series.verify_t_coefficients()
-    return ReproItem("series.ratio_coefficients", _verdict_ok(rep["ok"]), rep)
+    return _verdict_ok(rep["ok"]), rep
 
 
-def item_series_correction() -> ReproItem:
+def item_series_correction() -> tuple[str, dict]:
     rep = series.verify_tprime_coefficients()
-    rep = dict(rep)
     rep["a4_grid_min"] = format_rational(rep["a4_grid_min"])
-    return ReproItem("series.correction_coefficients", _verdict_ok(rep["ok"]), rep)
+    return _verdict_ok(rep["ok"]), rep
 
 
-def item_series_cubic() -> ReproItem:
+def item_series_cubic() -> tuple[str, dict]:
     rep = series.verify_g_cubic()
-    return ReproItem("series.cubic_truncation", _verdict_ok(rep["ok"]), rep)
+    return _verdict_ok(rep["ok"]), rep
 
 
-def item_series_clique_identity() -> ReproItem:
+def item_series_clique_identity() -> tuple[str, dict]:
     rep = series.verify_fidentity()
-    return ReproItem("series.clique_weight_identity", _verdict_ok(rep["ok"]), rep)
+    return _verdict_ok(rep["ok"]), rep
 
 
-def item_series_averaged_expansion() -> ReproItem:
+def item_series_averaged_expansion() -> tuple[str, dict]:
     rows = []
     ok = True
     for g in [cycle_graph(5), petersen_graph(), generate("kab:1,2"),
@@ -425,11 +398,10 @@ def item_series_averaged_expansion() -> ReproItem:
             "constant of the term definitions; one displayed aggregate writes "
             "36 instead, an apparent constant drift that does not reach the "
             "cubic coefficients extracted here")
-    return ReproItem("series.averaged_expansion", _verdict_ok(ok),
-                     {"graphs": rows, "note": note})
+    return _verdict_ok(ok), {"graphs": rows, "note": note}
 
 
-def item_orderings_web() -> ReproItem:
+def item_orderings_web() -> tuple[str, dict]:
     rng = SplitMix64(20260809)
     violations = 0
     trials = 2000
@@ -437,12 +409,11 @@ def item_orderings_web() -> ReproItem:
         p, q = orderings.random_generating_pair(rng)
         rep = orderings.implication_web_check(p, q)
         violations += len(rep["violations"])
-    return ReproItem(
-        "orderings.implication_web", _verdict_ok(violations == 0),
-        {"trials": trials, "violations": violations, "seed": 20260809})
+    return _verdict_ok(violations == 0), {"trials": trials, "violations": violations,
+                                          "seed": 20260809}
 
 
-def item_engine_oracle() -> ReproItem:
+def item_engine_oracle() -> tuple[str, dict]:
     mismatches = 0
     graphs = corpus.connected_corpus(_CORPUS_MAX_N)
     for g in graphs:
@@ -460,26 +431,24 @@ def item_engine_oracle() -> ReproItem:
         cycle_polynomial(n) == independence_polynomial(cycle_graph(n))
         for n in range(3, 21)
     )
-    return ReproItem(
-        "engine.oracle_equivalence", _verdict_ok(mismatches == 0 and cycles_ok),
-        {"corpus_graphs": len(graphs),
-         "random_graphs": random_checked, "mismatches": mismatches,
-         "cycle_recurrence_ok": cycles_ok})
+    return _verdict_ok(mismatches == 0 and cycles_ok), {
+        "corpus_graphs": len(graphs),
+        "random_graphs": random_checked, "mismatches": mismatches,
+        "cycle_recurrence_ok": cycles_ok,
+    }
 
 
-def item_engine_multiplicativity() -> ReproItem:
+def item_engine_multiplicativity() -> tuple[str, dict]:
     ok = True
     for spec in ("kab:1,2", "kn:3", "path:4"):
         one = HardCoreProfile(generate(spec))
         three = HardCoreProfile(generate(" + ".join([spec] * 3)))
         ok = ok and three.z == one.z ** 3 and three.expectation == one.expectation
-    return ReproItem(
-        "engine.union_multiplicativity", _verdict_ok(ok),
-        {"note": "partition functions multiply over disjoint unions; "
-                 "occupancy fractions of k-fold copies match one copy"})
+    return _verdict_ok(ok), {"note": "partition functions multiply over disjoint unions; "
+                                     "occupancy fractions of k-fold copies match one copy"}
 
 
-def item_sampler_cross_validation() -> ReproItem:
+def item_sampler_cross_validation() -> tuple[str, dict]:
     rows = []
     ok = True
     for spec, lam, seed in CROSS_VALIDATION_CASES:
@@ -497,8 +466,7 @@ def item_sampler_cross_validation() -> ReproItem:
             "z_mean": repr(ze), "var_size": repr(rep.var_size),
             "exact_var": repr(nv), "z_var": repr(zv),
         })
-    return ReproItem("sampler.cross_validation", _verdict_ok(ok),
-                     {"cases": rows, "steps": 10**6})
+    return _verdict_ok(ok), {"cases": rows, "steps": 10**6}
 
 
 def _summarize(checks: list[bounds.BoundCheck]) -> dict:
@@ -561,11 +529,12 @@ def run(ids: list[str] | None = None) -> list[ReproItem]:
 
 
 def _run_item(item_id: str) -> ReproItem:
-    """One item; an exception it raises becomes its own failed record, so
-    the other items still run.  The traceback goes to stderr, outside the
-    report."""
+    """One item's record, the only place a ReproItem is built.  An exception
+    the item raises becomes its own failed record, so the other items still
+    run.  The traceback goes to stderr, outside the report."""
     try:
-        return REGISTRY[item_id]()
+        status, payload = REGISTRY[item_id]()
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
-        return ReproItem(item_id, FAILED, {"error": f"{type(exc).__name__}: {exc}"})
+        status, payload = FAILED, {"error": f"{type(exc).__name__}: {exc}"}
+    return ReproItem(item_id, status, payload)

@@ -181,6 +181,17 @@ def test_quantities_refuses_an_unprintable_partition_value_before_its_enclosure(
     assert (code, out, err) == (1, "", "error: a value to print has more than 4300 digits\n")
 
 
+def test_bound_combined_refuses_an_unprintable_occupancy_before_its_enclosures(capsys):
+    # E(lam) of cycle:64 at 10^1000 has about 32,000 digits, and every side
+    # of the chain is built from it: the report is refused on E before the
+    # enclosures run, which would take about 20 s.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "combined", "cycle:64", "--lambda", str(10 ** 1000))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: the occupancy fraction would have more than 4300 digits\n"
+
+
 def test_bound_occupancy_prints_where_the_variance_is_refused(capsys):
     code, out, err = run(capsys, "bound", "occupancy", "kab:32,32", "--lambda", str(10 ** 70))
     assert (code, err) == (0, "") and out

@@ -46,7 +46,7 @@ def test_enumeration_state_lives_in_one_cache():
     assert caches == ["all_graphs"]
     containers = [name for name, obj in vars(corpus).items()
                   if isinstance(obj, (dict, list, set)) and not name.startswith("__")]
-    assert containers == ["G1_SIGNATURE", "G2_SIGNATURE"]
+    assert containers == ["SIGNATURES"]
 
 
 def test_enumeration_counts():
@@ -140,13 +140,11 @@ def test_random_triangle_free_generator():
 def test_six_vertex_search_oracle_regression():
     # Each signature pins a unique isomorphism class, matching the frozen
     # edge lists.
-    found1 = corpus.search_g1()
-    assert len(found1) == 1
-    assert corpus.are_isomorphic(found1[0], generate("g1"))
-
-    found2 = corpus.search_g2()
-    assert len(found2) == 1
-    assert corpus.are_isomorphic(found2[0], generate("g2"))
+    assert list(corpus.SIGNATURES) == ["g1", "g2"]
+    for name, signature in corpus.SIGNATURES.items():
+        found = corpus.find_six_vertex_counterexamples(*signature)
+        assert len(found) == 1, name
+        assert corpus.are_isomorphic(found[0], generate(name)), name
 
 
 def _labelled_scan():

@@ -6,6 +6,7 @@ from itertools import pairwise
 from pathlib import Path
 
 import hardcore_lab
+from hardcore_lab import cli, repro
 
 MODULES = sorted(Path(hardcore_lab.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(hardcore_lab.__file__).parents[2] / "demos").glob("*.py"))
@@ -300,11 +301,14 @@ def test_every_option_has_a_caller():
     # by keyword or by position, in some call in the library, the command
     # line or the demos: a setting no caller sets is a constant.  A method
     # is matched by name (a class's __init__ by the class name), with self
-    # or cls not counted among the positions.
+    # or cls not counted among the positions.  cmd_bound calls each check of
+    # cli.BOUNDS with one positional argument per option its entry reads.
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in MODULES + DEMOS}
     calls = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
+    calls += [ast.Call(ast.Name(check.__name__), [ast.Constant(None)] * len(reads), [])
+              for check, reads in cli.BOUNDS.values()]
     unset, options = set(), 0
     for path in MODULES:
         classes = {node.name for node in ast.walk(trees[path]) if isinstance(node, ast.ClassDef)}
@@ -398,3 +402,22 @@ def test_only_the_verdict_module_reads_the_print_limit():
         if "get_int_max_str_digits" in _names_used(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert readers == {"verdict.py"}
+
+
+def test_each_repro_id_is_stated_once():
+    # A repro item's id is its REGISTRY key and nowhere else in repro.py:
+    # the item returns (status, payload), and _run_item alone builds the
+    # ReproItem record, for a result and for a caught exception alike.
+    path = Path(hardcore_lab.__file__).parent / "repro.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    strings = Counter(node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    builders = [name for name, fn in _functions(tree)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and "ReproItem" in _names_used(node.func)]
+    module_calls = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and "ReproItem" in _names_used(node.func)]
+    registry = repro.REGISTRY
+    assert len(registry) > 20
+    assert {item_id: strings[item_id] for item_id in registry if strings[item_id] != 1} == {}
+    assert builders == ["_run_item"] and len(module_calls) == 1
