@@ -33,6 +33,7 @@ from .intervals import (
     entropy_interval,
     exp_interval,
     free_energy_interval,
+    lambert_w_bisection,
     lambert_w_interval,
     log1p_interval,
     log_interval,

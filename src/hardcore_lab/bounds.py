@@ -29,7 +29,7 @@ from .intervals import (
     _positive_tol,
     entropy_interval,
     free_energy_interval,
-    lambert_w_interval,
+    lambert_w_bisection,
     log1p_interval,
     log_interval,
 )
@@ -266,9 +266,10 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = prof.expectation_at(lam)
     degree_counts = Counter(g.degrees())
+    bisections = {}
 
     def lhs(tol: Fraction) -> RationalInterval:
-        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)))
+        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)), bisections)
         # (1/n) sum_d count_d w(d), each endpoint over one common denominator.
         ends = []
         for end in (0, 1):
@@ -283,14 +284,27 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
                         lhs, lambda _: e, tol)
 
 
-def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fraction, Fraction]]:
+def _tf_weights(degrees, lam: Fraction, tol: Fraction,
+                bisections: dict) -> dict[int, tuple[Fraction, Fraction]]:
     """Endpoints (lo, hi) of enclosures of the triangle-free weight
     w(d) = s W(d L) / (d L), with s = lam / (1 + lam) and L = log(1 + lam),
     for each d in degrees, at lam > 0.  One enclosure of L at tol / 4 serves
     every d; W is enclosed at d L.lo and at d L.hi, each at tol / 4, and a W
     enclosure whose lower end is 0 takes the lower bound x / (1 + x) there.
     Every factor is positive, so lo = s W(d L.lo).lo / (d L.hi) > 0 and
-    hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly."""
+    hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly.
+
+    bisections maps each argument of W to its ``lambert_w_bisection``; the
+    caller keeps it across its refinement rounds, where the enclosure of L,
+    and so the argument, often stays the same, and each round resumes the
+    bisection instead of starting it again.  The enclosures are the same."""
+
+    def lambert(x: Fraction) -> RationalInterval:
+        enclose = bisections.get(x)
+        if enclose is None:
+            enclose = bisections[x] = lambert_w_bisection(x)
+        return enclose(tol / 4)
+
     s = lam / (1 + lam)
     sn, sd = s.numerator, s.denominator
     log_enc = log1p_interval(lam, tol / 4)
@@ -309,12 +323,12 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction) -> dict[int, tuple[Fracti
         if d == 0:
             out[d] = (s, s)
             continue
-        w_lo = lambert_w_interval(Fraction(d * lln, lld), tol / 4).lo
+        w_lo = lambert(Fraction(d * lln, lld)).lo
         if not w_lo:
             # W(d L.lo) lies below the enclosure's resolution.  W(x) <= log(1 + x)
             # at x >= 0, as (1 + x) log(1 + x) >= x, so W(x) = x e^-W(x) >= x / (1 + x).
             w_lo = Fraction(d * lln, lld + d * lln)
-        w_hi = lambert_w_interval(Fraction(d * lhn, lhd), tol / 4).hi
+        w_hi = lambert(Fraction(d * lhn, lhd)).hi
         out[d] = (Fraction(sn * w_lo.numerator * lhd, sd * w_lo.denominator * d * lhn),
                   Fraction(sn * w_hi.numerator * lld, sd * w_hi.denominator * d * lln))
     return out
@@ -462,10 +476,11 @@ def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL
         raise ValueError("triangle-free weight requires a triangle-free graph")
     marginals = _marginals_at(prof, lam)
     degrees = g.degrees()
+    bisections = {}
 
     def rhs(tol: Fraction) -> RationalInterval:
         # (1/n) sum_u p_u / w(d_u): lo divides by w(d).hi and hi by w(d).lo.
-        weights = _tf_weights(set(degrees), lam, tol / (2 * g.n))
+        weights = _tf_weights(set(degrees), lam, tol / (2 * g.n), bisections)
         return RationalInterval(sum(p / weights[d][1] for p, d in zip(marginals, degrees)) / g.n,
                                 sum(p / weights[d][0] for p, d in zip(marginals, degrees)) / g.n)
 

@@ -15,7 +15,11 @@ those two signs decide every later sign test outside that tight bracket,
 and only bisection steps inside it evaluate the exponential, by an integer
 comparison.  From the start bracket on, the bisection runs on integer pairs
 (num, den), and its iterates, and so the enclosure, are the ones a
-bisection that certified every sign would produce.
+bisection that certified every sign would produce.  The iterates do not
+depend on tol, so ``lambert_w_bisection(x)`` keeps one bisection for x
+across calls: a smaller tol resumes it from the bracket reached, a larger
+one reads a recorded bracket, and ``lambert_w_interval`` is one call into a
+fresh bisection.
 """
 
 from __future__ import annotations
@@ -261,8 +265,19 @@ def _lambert_newton(seed: float, xn: int, xd: int, q: int) -> int:
 
 def lambert_w_interval(x, tol) -> RationalInterval:
     """Enclosure of the nonnegative branch of the Lambert W function at a
-    rational x in [0, sys.float_info.max], with width <= tol; a larger x
-    raises ValueError, since the float seed needs float(x).
+    rational x in [0, sys.float_info.max], with width <= tol: one call into
+    a fresh ``lambert_w_bisection(x)``."""
+    return lambert_w_bisection(x)(tol)
+
+
+def lambert_w_bisection(x):
+    """The bisection for W(x), the nonnegative branch of the Lambert W
+    function, at a rational x in [0, sys.float_info.max]: returns
+    enclose(tol), the first bracket of one bisection sequence whose width is
+    <= tol.  A larger x raises ValueError, since the float seed needs
+    float(x).  A call with a smaller tol continues from the bracket already
+    reached; a call with a larger tol returns the first recorded bracket
+    narrow enough.
 
     Bisection on f(w) = w e^w - x from the bracket [0, max(1, x)], or from
     the narrower bracket seed -+ pad around a float Newton root once both of
@@ -272,39 +287,42 @@ def lambert_w_interval(x, tol) -> RationalInterval:
     needs an exponential (``_we_sign``).  The lowest point known positive
     starts at max(1, bitlen(ceil x)), where e^w >= 2^w > x, so the bisection
     from [0, x] that a seedless x above about 2.56e305 runs halves down to it
-    without one.  Before the bisection, rational Newton steps refine the
-    float seed to a point c, and the signs f(c - 2^-b) < 0 < f(c + 2^-b) are
-    certified, with 2^(1-b) <= 2^-20 tol: a tight bracket narrower than tol.
-    Only bisection steps inside it evaluate the exponential.  The brackets
+    without one.  Rational Newton steps refine the float seed to a point c,
+    and the signs f(c - 2^-b) < 0 < f(c + 2^-b) are certified, with
+    2^(1-b) <= 2^-20 tol: a tight bracket narrower than tol.  Only bisection
+    steps inside it evaluate the exponential.  The first call that bisects
+    sets it up; a later call with a smaller tol sets it up again only when
+    the b its tol would take exceeds the current b by more than 16, which
+    keeps 2^(1-b) <= 2^-4 tol.  The brackets
     and the iterates are integer pairs (num, den), never normalised: the
     start bracket, its top point, the padded seed bracket and every
-    bisection step.  W(x) is irrational for
-    rational x > 0, so no test point is a root and every sign is a fact: the
-    iterates and the returned endpoints are those of a bisection from the
-    same start bracket that certifies every sign, and the tight bracket
-    changes only the cost.
+    bisection step.  W(x) is irrational for rational x > 0, so no test point
+    is a root and every sign is a fact: the iterates, which do not depend on
+    tol, and the returned endpoints are those of a bisection from the same
+    start bracket that certifies every sign, and the tight bracket and the
+    earlier calls change only the cost.
     """
     x = Fraction(x)
-    tol = _positive_tol(tol)
     xn, xd = x.numerator, x.denominator
     if xn < 0:
         raise ValueError("the nonnegative Lambert W branch needs x >= 0")
     if xn > int(sys.float_info.max) * xd:
-        raise ValueError(f"lambert_w_interval supports 0 <= x <= {sys.float_info.max!r}, "
+        raise ValueError(f"Lambert W enclosures support 0 <= x <= {sys.float_info.max!r}, "
                          "the largest double (its float seed)")
-    if xn == 0:
-        return RationalInterval.point(0)
-    # The start bracket [0, max(1, x)].
-    ln, ld = 0, 1
-    hn, hd = (xn, xd) if xn > xd else (1, 1)
-    # 2^-b <= 2^-21 tol: the tight bracket's half-width, and the precision
-    # every sign test starts from.
-    b = max(0, tol.denominator.bit_length() - tol.numerator.bit_length() + 1) + 21
+    seed = _float_lambert_seed(float(x))
+    # The start bracket [0, max(1, x)], once its top is known.
+    top_n, top_d = (xn, xd) if xn > xd else (1, 1)
     # f(bn / bd) < 0 < f(an / ad), tightened by every certified sign; an / ad
     # starts at min(max(1, x), max(1, bitlen(ceil x))).
     top = max(1, (-(-xn // xd)).bit_length())
     bn, bd = 0, 1
-    an, ad = (hn, hd) if hn <= top * hd else (top, 1)
+    an, ad = (top_n, top_d) if top_n <= top * top_d else (top, 1)
+    # The bisection's brackets (ln, ld, hn, hd) so far, the start bracket
+    # first; W(0) = 0 is the point bracket.
+    brackets = [] if xn else [(0, 1, 0, 1)]
+    # 2^-b: the tight bracket's half-width, and the precision every sign
+    # test starts from; 0 before the first call.
+    b = 0
 
     def sign(wn: int, wd: int) -> int:
         nonlocal bn, bd, an, ad
@@ -318,33 +336,56 @@ def lambert_w_interval(x, tol) -> RationalInterval:
         an, ad = wn, wd
         return 1
 
-    seed = _float_lambert_seed(float(x))
-    if seed is not None:
-        q = b + 8
-        center = _lambert_newton(seed, xn, xd, q)
-        sign(center - (1 << 8), 1 << q)
-        sign(center + (1 << 8), 1 << q)
-        # The padded seed bracket: the seed rounded to 64 fractional bits,
-        # -+ pad = max(seed' / 10^7, 10^-9) for seed' its best rational
-        # with denominator <= 10^6, cut to the start bracket.  Over the
-        # common denominator 2^64 pd: c -+ p.
-        near = Fraction(abs(seed)).limit_denominator(10**6)
-        pn, pd = ((near.numerator, near.denominator * 10**7)
-                  if 100 * near.numerator >= near.denominator else (1, 10**9))
-        c, p, cd = round(seed * (1 << 64)) * pd, pn << 64, pd << 64
-        cln, cld = (c - p, cd) if c >= p else (0, 1)
-        chn, chd = (c + p, cd) if (c + p) * hd < hn * cd else (hn, hd)
-        if sign(cln, cld) < 0 and sign(chn, chd) > 0:
-            ln, ld, hn, hd = cln, cld, chn, chd
+    def enclose(tol) -> RationalInterval:
+        nonlocal b
+        tol = _positive_tol(tol)
+        tn, td = tol.numerator, tol.denominator
 
-    tn, td = tol.numerator, tol.denominator
-    while (hn * ld - ln * hd) * td > tn * ld * hd:
-        mn, md = _dyadic_between(ln, ld, hn, hd)
-        if sign(mn, md) < 0:
-            ln, ld = mn, md
-        else:
-            hn, hd = mn, md
-    return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
+        def narrow(ln, ld, hn, hd):
+            return (hn * ld - ln * hd) * td <= tn * ld * hd
+
+        if brackets and narrow(*brackets[-1]):
+            ln, ld, hn, hd = next(br for br in brackets if narrow(*br))
+            return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
+        # 2^-need <= 2^-21 tol, and need <= b + 16 keeps 2^-b <= 2^-5 tol.
+        need = max(0, td.bit_length() - tn.bit_length() + 1) + 21
+        if need > b + 16:
+            b = need
+            if seed is not None:
+                q = b + 8
+                center = _lambert_newton(seed, xn, xd, q)
+                sign(center - (1 << 8), 1 << q)
+                sign(center + (1 << 8), 1 << q)
+        if not brackets:
+            ln, ld, hn, hd = 0, 1, top_n, top_d
+            if seed is not None:
+                # The padded seed bracket: the seed rounded to 64 fractional
+                # bits, -+ pad = max(seed' / 10^7, 10^-9) for seed' its best
+                # rational with denominator <= 10^6, cut to the start
+                # bracket.  Below 0.0099, seed' < 1/100 (it is within
+                # 1/(2 10^6) of the seed), so the pad is 10^-9.  Over the
+                # common denominator 2^64 pd: c -+ p.
+                near = (Fraction(abs(seed)).limit_denominator(10**6) if abs(seed) >= 0.0099
+                        else Fraction(0))
+                pn, pd = ((near.numerator, near.denominator * 10**7)
+                          if 100 * near.numerator >= near.denominator else (1, 10**9))
+                c, p, cd = round(seed * (1 << 64)) * pd, pn << 64, pd << 64
+                cln, cld = (c - p, cd) if c >= p else (0, 1)
+                chn, chd = (c + p, cd) if (c + p) * hd < hn * cd else (hn, hd)
+                if sign(cln, cld) < 0 and sign(chn, chd) > 0:
+                    ln, ld, hn, hd = cln, cld, chn, chd
+            brackets.append((ln, ld, hn, hd))
+        ln, ld, hn, hd = brackets[-1]
+        while not narrow(ln, ld, hn, hd):
+            mn, md = _dyadic_between(ln, ld, hn, hd)
+            if sign(mn, md) < 0:
+                ln, ld = mn, md
+            else:
+                hn, hd = mn, md
+            brackets.append((ln, ld, hn, hd))
+        return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
+
+    return enclose
 
 
 def _float_lambert_seed(x: float):

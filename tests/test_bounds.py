@@ -273,8 +273,8 @@ def test_weighted_marginals_tf_refines_past_a_zero_weight_end():
     # back to x / (1 + x) <= W(x), so every round is a finite enclosure: the
     # check refines to the floor, where the sum is still within 10^-20 of 1.
     lam = F(1, 10**12)
-    coarse = bounds._tf_weights({3}, lam, F(1, 10**9) / 20)[3]
-    tight = bounds._tf_weights({3}, lam, F(1, 10**40))[3]
+    coarse = bounds._tf_weights({3}, lam, F(1, 10**9) / 20, {})[3]
+    tight = bounds._tf_weights({3}, lam, F(1, 10**40), {})[3]
     assert lambert_w_interval(3 * log1p_interval(lam, F(1, 10**9) / 80).lo,
                               F(1, 10**9) / 80).lo == 0
     assert 0 < coarse[0] <= tight[0] <= tight[1] <= coarse[1]
@@ -444,10 +444,10 @@ def test_tf_weights_match_the_interval_composition():
         degrees = sorted(set(rng.sample(range(13), 4)) | {0})
         # One call for several degrees shares one log enclosure; each
         # degree alone must give the same endpoints.
-        together = bounds._tf_weights(degrees, lam, tol)
+        together = bounds._tf_weights(degrees, lam, tol, {})
         for d in degrees:
             ref = _reference_tf_weight(d, lam, tol)
-            assert together[d] == bounds._tf_weights([d], lam, tol)[d] == (ref.lo, ref.hi), (
+            assert together[d] == bounds._tf_weights([d], lam, tol, {})[d] == (ref.lo, ref.hi), (
                 d, lam, tol)
             cases += 1
     assert cases >= 250
@@ -496,19 +496,59 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
+def _count_bisections(monkeypatch):
+    """Patch bounds.lambert_w_bisection with a wrapper; return the list of
+    the arguments it starts a bisection at and the list of the (argument,
+    tolerance) pairs their enclosures are asked for."""
+    arguments, enclosures = [], []
+    original = bounds.lambert_w_bisection
+
+    def counted(x):
+        arguments.append(x)
+        enclose = original(x)
+
+        def counted_enclose(tol):
+            enclosures.append((x, tol))
+            return enclose(tol)
+
+        return counted_enclose
+
+    monkeypatch.setattr(bounds, "lambert_w_bisection", counted)
+    return arguments, enclosures
+
+
 def test_occupancy_tf_encloses_the_log_once_per_round(monkeypatch):
     logs = _count_calls(monkeypatch, "log1p_interval")
-    lamberts = _count_calls(monkeypatch, "lambert_w_interval")
+    arguments, enclosures = _count_bisections(monkeypatch)
     for spec, positive_degrees, rounds in (("petersen", 1, 6), ("path:5", 2, 6),
                                            ("path:3 + empty:1", 2, 6)):
         logs.clear()
-        lamberts.clear()
+        arguments.clear()
+        enclosures.clear()
         assert bounds.check_occupancy_tf(generate(spec), F(1, 10**4)).status == HOLDS
         # Each round refines the tolerance tenfold, so the rounds are the
         # distinct tolerances: one log enclosure at each, and two Lambert
-        # enclosures per positive degree.
-        assert len(logs) == len(set(logs)) == len(set(lamberts)) == rounds, spec
-        assert len(lamberts) == 2 * positive_degrees * rounds, spec
+        # enclosures per positive degree.  A bisection starts once per
+        # distinct argument, and a repeated argument resumes it.
+        assert len(logs) == len(set(logs)) == len({tol for _, tol in enclosures}) == rounds, spec
+        assert len(enclosures) == 2 * positive_degrees * rounds, spec
+        assert len(arguments) == len(set(arguments)) == len({x for x, _ in enclosures}), spec
+        assert len(arguments) < len(enclosures), spec
+
+
+def test_triangle_free_checks_start_their_bisections_on_every_call(monkeypatch):
+    # The bisections live for one check: a second call on the same input
+    # starts as many as the first and returns the same check, so nothing
+    # carries over from one call to the next.
+    arguments, _ = _count_bisections(monkeypatch)
+    g, lam = petersen_graph(), F(1, 100 * 3**4)
+    for check in (bounds.check_occupancy_tf, bounds.check_tf_weighted_marginals):
+        runs = []
+        for _ in range(2):
+            arguments.clear()
+            runs.append((check(g, lam), len(arguments)))
+        assert runs[0] == runs[1], check.__name__
+        assert runs[0][0].status == HOLDS and runs[0][1] > 0, check.__name__
 
 
 def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch):

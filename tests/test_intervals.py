@@ -22,6 +22,7 @@ from hardcore_lab.intervals import (
     entropy_interval,
     exp_interval,
     free_energy_interval,
+    lambert_w_bisection,
     lambert_w_interval,
     log1p_interval,
     log_interval,
@@ -380,6 +381,36 @@ def test_lambert_matches_the_certify_every_sign_bisection():
         enc = lambert_w_interval(x, tol)
         assert enc == _reference_lambert_w(x, tol), (x, tol)
         assert enc.hi - enc.lo <= tol
+
+
+# x = w e^w, rounded, for w in [0.0098, 0.0101]: float seeds on both sides
+# of 0.0099, below which the pad skips limit_denominator, and of 1/100, where
+# the pad turns from 10^-9 into seed' / 10^7.
+_PAD_BOUNDARY = [F(n, 10**12) for n in (
+    9896512137, 9998486555, 9998496754, 9998506954, 10049496675, 10099991596, 10100501671,
+    10100909731, 10202526889)]
+
+
+def test_resumed_bisection_matches_a_fresh_one():
+    # One bisection per x walks the tolerance down from 10^-6 to 10^-30,
+    # each call resuming the last, then back up between those rungs, each
+    # call reading a recorded bracket: every rung gives what a fresh
+    # bisection gives.  The certify-every-sign reference costs milliseconds
+    # a call, so it runs at every rung for one case in 50, the pad boundary
+    # and the seedless x.
+    seeds = [_float_lambert_seed(float(x)) for x in _PAD_BOUNDARY]
+    assert min(seeds) < 0.0099 <= max(seeds) and min(seeds) < 0.01 < max(seeds)
+    cases = list(dict.fromkeys([x for x, _ in _lambert_cases()] + [F(0), F(1, 10**400), F(50)]))
+    ladder = [F(1, 10**k) for k in range(6, 31, 2)] + [F(1, 10**k) for k in range(29, 6, -2)]
+    for i, x in enumerate(cases + _PAD_BOUNDARY):
+        enclose = lambert_w_bisection(x)
+        referenced = i % 50 == 0 or i >= len(cases) or _float_lambert_seed(float(x)) is None
+        for tol in ladder:
+            enc = enclose(tol)
+            assert enc == lambert_w_interval(x, tol), (x, tol)
+            if referenced:
+                assert enc == _reference_lambert_w(x, tol), (x, tol)
+            assert enc.hi - enc.lo <= tol
 
 
 @pytest.mark.parametrize("wrong", [

@@ -274,6 +274,62 @@ def test_every_per_graph_check_opens_with_the_input_contract():
     assert unchecked == []
 
 
+def _own_nodes(fn):
+    """The nodes of fn's body outside the functions and lambdas nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _tested_operands(node):
+    """The operands node tests or compares, as a condition does."""
+    if isinstance(node, ast.Compare):
+        return [node.left, *node.comparators]
+    if isinstance(node, ast.BoolOp):
+        return node.values
+    if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+        return [node.test]
+    if isinstance(node, ast.UnaryOp):
+        return [node.operand]
+    return []
+
+
+def test_bounds_reach_lambert_w_through_per_call_bisections():
+    # The triangle-free checks resume one Lambert W bisection per argument
+    # across their refinement rounds.  In bounds.py only _tf_weights starts
+    # a bisection, from a dict that each check makes afresh in its own body
+    # and passes down: _tf_weights has no default for it and never tests
+    # it, so no path falls back to a dict that outlives the call.
+    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
+    functions = dict(_functions(tree))
+
+    def calls(name):
+        return [(qualified, node) for qualified, fn in functions.items()
+                for node in _own_nodes(fn)
+                if isinstance(node, ast.Call) and name in _names_used(node.func)]
+
+    assert "lambert_w_interval" not in set(_names_used(tree))
+    assert [qualified for qualified, _ in calls("lambert_w_bisection")] == ["_tf_weights.lambert"]
+    weights = functions["_tf_weights"]
+    param = weights.args.args[-1]
+    assert param.arg == "bisections"
+    assert dict((a.arg, d) for a, d in _defaults(weights.args))["bisections"] is None
+    assert [node.lineno for node in ast.walk(weights) for side in _tested_operands(node)
+            if isinstance(side, ast.Name) and side.id == param.arg] == []
+    fresh = {}
+    for qualified, call in calls("_tf_weights"):
+        check = qualified.split(".")[0]
+        made = {target.id for node in _own_nodes(functions[check]) if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Dict) and not node.value.keys
+                for target in node.targets if isinstance(target, ast.Name)}
+        passed = call.args[-1]
+        fresh[qualified] = isinstance(passed, ast.Name) and passed.id in made
+    assert fresh == {"check_occupancy_tf.lhs": True, "check_tf_weighted_marginals.rhs": True}
+
+
 # Defaulted parameters kept without a caller: main(argv) is the tests' entry
 # seam, and the density and size of the two random generators are set by
 # the tests that use them as instruments.
