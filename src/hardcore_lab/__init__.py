@@ -37,6 +37,7 @@ from .intervals import (
     lambert_w_interval,
     log1p_interval,
     log_interval,
+    log_series,
 )
 from .multipoly import MultiPoly
 from .orderings import (

@@ -32,6 +32,7 @@ from .intervals import (
     lambert_w_bisection,
     log1p_interval,
     log_interval,
+    log_series,
 )
 from .polynomials import Poly, RatFunc, _int_horner, var_numerator
 from .roots import isolate_positive_roots
@@ -266,50 +267,61 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = prof.expectation_at(lam)
     degree_counts = Counter(g.degrees())
+    log = log_series(1 + lam)
     bisections = {}
 
     def lhs(tol: Fraction) -> RationalInterval:
-        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)), bisections)
-        # (1/n) sum_d count_d w(d), each endpoint over one common denominator.
-        ends = []
-        for end in (0, 1):
-            num, den = 0, 1
-            for d, count in degree_counts.items():
-                w = weights[d][end]
-                num, den = num * w.denominator + count * w.numerator * den, den * w.denominator
-            ends.append(Fraction(num, den * g.n))
-        return RationalInterval(*ends)
+        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)), log, bisections)
+        # (1/n) sum_d count_d w(d) at each endpoint.
+        return RationalInterval(*(
+            _pair_mean(((count * weights[d][end][0], weights[d][end][1])
+                        for d, count in degree_counts.items()), g.n)
+            for end in (0, 1)))
 
     return _interval_le("occupancy.triangle_free_degree_floor", g, lam,
                         lhs, lambda _: e, tol)
 
 
-def _tf_weights(degrees, lam: Fraction, tol: Fraction,
-                bisections: dict) -> dict[int, tuple[Fraction, Fraction]]:
+def _pair_mean(pairs, n: int) -> Fraction:
+    """(1/n) sum num / den over the integer pairs (num, den), den > 0, as one
+    Fraction over the product of the denominators."""
+    num, den = 0, 1
+    for pn, pd in pairs:
+        num, den = num * pd + pn * den, den * pd
+    return Fraction(num, den * n)
+
+
+def _tf_weights(degrees, lam: Fraction, tol: Fraction, log,
+                bisections: dict) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
     """Endpoints (lo, hi) of enclosures of the triangle-free weight
     w(d) = s W(d L) / (d L), with s = lam / (1 + lam) and L = log(1 + lam),
-    for each d in degrees, at lam > 0.  One enclosure of L at tol / 4 serves
-    every d; W is enclosed at d L.lo and at d L.hi, each at tol / 4, and a W
-    enclosure whose lower end is 0 takes the lower bound x / (1 + x) there.
-    Every factor is positive, so lo = s W(d L.lo).lo / (d L.hi) > 0 and
+    for each d in degrees, at lam > 0, each endpoint an integer pair
+    (num, den), den > 0, not normalised.  One enclosure of L at tol / 4, from
+    log, the caller's ``log_series(1 + lam)``, serves every d; W is enclosed
+    at d L.lo and at d L.hi, each at tol / 4, and a W enclosure whose lower
+    end is 0 takes the lower bound x / (1 + x) there.  Every factor is
+    positive, so lo = s W(d L.lo).lo / (d L.hi) > 0 and
     hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly.
 
-    bisections maps each argument of W to its ``lambert_w_bisection``; the
-    caller keeps it across its refinement rounds, where the enclosure of L,
-    and so the argument, often stays the same, and each round resumes the
-    bisection instead of starting it again.  The enclosures are the same."""
+    bisections maps each argument of W, as the integer pair
+    (d L.num, L.den), to its ``lambert_w_bisection``.  The caller keeps it
+    and log across its refinement rounds: the series sums on from the terms
+    the last round reached, the enclosure of L, and so the argument, often
+    stays the same, and each round resumes the bisection instead of starting
+    it again.  The enclosures are the same as from a fresh start."""
+    quarter = tol / 4
 
-    def lambert(x: Fraction) -> RationalInterval:
-        enclose = bisections.get(x)
+    def lambert(xn: int, xd: int) -> tuple[int, int, int, int]:
+        enclose = bisections.get((xn, xd))
         if enclose is None:
-            enclose = bisections[x] = lambert_w_bisection(x)
-        return enclose(tol / 4)
+            enclose = bisections[xn, xd] = lambert_w_bisection(Fraction(xn, xd))
+        return enclose(quarter)
 
     s = lam / (1 + lam)
     sn, sd = s.numerator, s.denominator
-    log_enc = log1p_interval(lam, tol / 4)
-    # L.lo > 0 at every lam > 0 and tol > 0.  log1p_interval halves 1 + lam
-    # k times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
+    log_enc = log(quarter)
+    # L.lo > 0 at every lam > 0 and tol > 0.  log_series halves 1 + lam k
+    # times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
     # |y| <= 1/5, so each series tail is at most 1/72 of the first term 2|y|.
     # For k = 0, y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1,
     # the reduced term's lo is at least log(3/4) - 1/252 and the lo of each
@@ -321,16 +333,15 @@ def _tf_weights(degrees, lam: Fraction, tol: Fraction,
     out = {}
     for d in degrees:
         if d == 0:
-            out[d] = (s, s)
+            out[d] = ((sn, sd), (sn, sd))
             continue
-        w_lo = lambert(Fraction(d * lln, lld)).lo
-        if not w_lo:
+        ln, ld, _, _ = lambert(d * lln, lld)
+        if not ln:
             # W(d L.lo) lies below the enclosure's resolution.  W(x) <= log(1 + x)
             # at x >= 0, as (1 + x) log(1 + x) >= x, so W(x) = x e^-W(x) >= x / (1 + x).
-            w_lo = Fraction(d * lln, lld + d * lln)
-        w_hi = lambert(Fraction(d * lhn, lhd)).hi
-        out[d] = (Fraction(sn * w_lo.numerator * lhd, sd * w_lo.denominator * d * lhn),
-                  Fraction(sn * w_hi.numerator * lld, sd * w_hi.denominator * d * lln))
+            ln, ld = d * lln, lld + d * lln
+        _, _, hn, hd = lambert(d * lhn, lhd)
+        out[d] = ((sn * ln * lhd, sd * ld * d * lhn), (sn * hn * lld, sd * hd * d * lln))
     return out
 
 
@@ -474,15 +485,20 @@ def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL
     tol = _positive_tol(tol)
     if not g.is_triangle_free():
         raise ValueError("triangle-free weight requires a triangle-free graph")
-    marginals = _marginals_at(prof, lam)
-    degrees = g.degrees()
+    # The marginals of the vertices of each degree, summed once.
+    mass = {}
+    for p, d in zip(_marginals_at(prof, lam), g.degrees()):
+        mass[d] = mass.get(d, 0) + p
+    log = log_series(1 + lam)
     bisections = {}
 
     def rhs(tol: Fraction) -> RationalInterval:
-        # (1/n) sum_u p_u / w(d_u): lo divides by w(d).hi and hi by w(d).lo.
-        weights = _tf_weights(set(degrees), lam, tol / (2 * g.n), bisections)
-        return RationalInterval(sum(p / weights[d][1] for p, d in zip(marginals, degrees)) / g.n,
-                                sum(p / weights[d][0] for p, d in zip(marginals, degrees)) / g.n)
+        # (1/n) sum_d mass_d / w(d): lo divides by w(d).hi and hi by w(d).lo.
+        weights = _tf_weights(mass, lam, tol / (2 * g.n), log, bisections)
+        return RationalInterval(*(
+            _pair_mean(((m.numerator * weights[d][end][1], m.denominator * weights[d][end][0])
+                        for d, m in mass.items()), g.n)
+            for end in (1, 0)))
 
     return _interval_le("local_occupancy.tf_weighted_marginals", g, lam,
                         lambda _: Fraction(1), rhs, tol)

@@ -19,7 +19,15 @@ bisection that certified every sign would produce.  The iterates do not
 depend on tol, so ``lambert_w_bisection(x)`` keeps one bisection for x
 across calls: a smaller tol resumes it from the bracket reached, a larger
 one reads a recorded bracket, and ``lambert_w_interval`` is one call into a
-fresh bisection.
+fresh bisection, the one place where a bracket becomes an interval.
+
+The logarithm resumes the same way.  ``log_series(v)`` records the partial
+sums of its atanh series and their tail bounds once: a smaller tol sums on
+from the last term, a larger one reads a recorded term, and
+``log_interval`` and ``log1p_interval`` are one call into a fresh series.
+A caller that refines one comparison round by round, as the triangle-free
+bound checks do, keeps one series and one bisection per argument across its
+rounds and pays only for the terms and steps each round adds.
 """
 
 from __future__ import annotations
@@ -101,41 +109,42 @@ def _lift(value) -> RationalInterval:
     return RationalInterval.point(value)
 
 
-def _atanh_series(y: Fraction, tol: Fraction) -> RationalInterval:
-    """Enclosure of 2*atanh(y) = log((1+y)/(1-y)) for |y| < 1."""
-    if y == 0:
-        return RationalInterval.point(0)
-    y2 = y * y
-    term = y
-    total = Fraction(0)
-    k = 0
-    while True:
-        total += 2 * term / (2 * k + 1)
-        # Tail after the k-th term, summed geometrically.
-        tail = 2 * abs(term) * abs(y2) / ((2 * k + 3) * (1 - y2))
-        if tail <= tol / 2:
-            return RationalInterval(total - tail, total + tail)
-        term *= y2
-        k += 1
-
-
 @cache
 def _log2_enclosure(tol: Fraction) -> RationalInterval:
-    return _atanh_series(Fraction(1, 3), tol)
+    return _atanh_sums(Fraction(1, 3))(tol)
 
 
 def log_interval(v, tol) -> RationalInterval:
-    """Enclosure of log(v) for rational v > 0 with width <= tol.
+    """Enclosure of log(v) for rational v > 0 with width <= tol: one call
+    into a fresh ``log_series(v)``."""
+    return log_series(v)(tol)
 
-    Reduces the argument by powers of two into [3/4, 3/2] and evaluates the
-    atanh series with an explicit geometric remainder bound.
+
+def log1p_interval(x, tol) -> RationalInterval:
+    """Enclosure of log(1 + x) for rational x > -1, width <= tol."""
+    x = Fraction(x)
+    tol = _positive_tol(tol)
+    if x <= -1:
+        raise ValueError("log1p requires x > -1")
+    return log_series(1 + x)(tol)
+
+
+def log_series(v):
+    """The series for log(v) at a rational v > 0: returns enclose(tol), an
+    enclosure of log(v) with width <= tol.
+
+    The argument is reduced by powers of two into [3/4, 3/2], v = m 2^k, and
+    log(m) = 2 atanh(y), y = (m - 1) / (m + 1), is summed with an explicit
+    geometric remainder bound; k copies of log 2 are added for k != 0.  The
+    partial sums and their tail bounds do not depend on tol, so the series
+    records them once: a call with a smaller tol extends the record term by
+    term, and a call with a larger tol reads the first recorded term whose
+    tail is narrow enough.  The enclosures do not depend on the calls made
+    before: each is the one a fresh series gives at its tol.
     """
     v = Fraction(v)
-    tol = _positive_tol(tol)
     if v <= 0:
         raise ValueError("log of a nonpositive value")
-    if v == 1:
-        return RationalInterval.point(0)
     # 2^(e-1) < v < 2^(e+1): a jump to the loops' side of [3/4, 3/2], not past it
     e = v.numerator.bit_length() - v.denominator.bit_length()
     k = e - 2 if e > 2 else min(e + 2, 0)
@@ -146,20 +155,46 @@ def log_interval(v, tol) -> RationalInterval:
     while m < Fraction(3, 4):
         m *= 2
         k -= 1
-    body = _atanh_series((m - 1) / (m + 1), tol / 2)
-    if k == 0:
-        return body
-    log2 = _log2_enclosure(tol / (4 * abs(k)))
-    return body + log2 * k
+    body = _atanh_sums((m - 1) / (m + 1))
+
+    def enclose(tol) -> RationalInterval:
+        tol = _positive_tol(tol)
+        if k == 0:
+            return body(tol / 2)
+        return body(tol / 2) + _log2_enclosure(tol / (4 * abs(k))) * k
+
+    return enclose
 
 
-def log1p_interval(x, tol) -> RationalInterval:
-    """Enclosure of log(1 + x) for rational x > -1, width <= tol."""
-    x = Fraction(x)
-    tol = _positive_tol(tol)
-    if x <= -1:
-        raise ValueError("log1p requires x > -1")
-    return log_interval(1 + x, tol)
+def _atanh_sums(y: Fraction):
+    """The series 2 atanh(y) = log((1+y)/(1-y)) at a rational |y| < 1:
+    returns enclose(tol), the enclosure after the first term whose tail
+    bound is <= tol / 2.  Each term's enclosure is recorded once, so a
+    smaller tol sums on from the last term and a larger one reads a recorded
+    term, with the enclosure a fresh series gives at that tol."""
+    # (tail numerator, tail denominator, enclosure) after each term so far.
+    record = []
+    y2 = y * y
+    term, total = y, Fraction(0)
+
+    def enclose(tol) -> RationalInterval:
+        nonlocal term, total
+        tn, td = tol.numerator, tol.denominator
+        for n, d, enc in record:
+            if 2 * n * td <= tn * d:
+                return enc
+        while True:
+            j = len(record)
+            total += 2 * term / (2 * j + 1)
+            # Tail after the j-th term, summed geometrically.
+            tail = 2 * abs(term) * y2 / ((2 * j + 3) * (1 - y2))
+            record.append((tail.numerator, tail.denominator,
+                           RationalInterval(total - tail, total + tail)))
+            term *= y2
+            if 2 * tail.numerator * td <= tn * tail.denominator:
+                return record[-1][2]
+
+    return enclose
 
 
 def exp_interval(w, tol) -> RationalInterval:
@@ -266,16 +301,18 @@ def _lambert_newton(seed: float, xn: int, xd: int, q: int) -> int:
 def lambert_w_interval(x, tol) -> RationalInterval:
     """Enclosure of the nonnegative branch of the Lambert W function at a
     rational x in [0, sys.float_info.max], with width <= tol: one call into
-    a fresh ``lambert_w_bisection(x)``."""
-    return lambert_w_bisection(x)(tol)
+    a fresh ``lambert_w_bisection(x)``, its bracket as an interval."""
+    ln, ld, hn, hd = lambert_w_bisection(x)(tol)
+    return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def lambert_w_bisection(x):
     """The bisection for W(x), the nonnegative branch of the Lambert W
     function, at a rational x in [0, sys.float_info.max]: returns
     enclose(tol), the first bracket of one bisection sequence whose width is
-    <= tol.  A larger x raises ValueError, since the float seed needs
-    float(x).  A call with a smaller tol continues from the bracket already
+    <= tol, as the integers (ln, ld, hn, hd) of [ln / ld, hn / hd], ld and
+    hd > 0, not normalised.  A larger x raises ValueError, since the float
+    seed needs float(x).  A call with a smaller tol continues from the bracket already
     reached; a call with a larger tol returns the first recorded bracket
     narrow enough.
 
@@ -336,7 +373,7 @@ def lambert_w_bisection(x):
         an, ad = wn, wd
         return 1
 
-    def enclose(tol) -> RationalInterval:
+    def enclose(tol) -> tuple[int, int, int, int]:
         nonlocal b
         tol = _positive_tol(tol)
         tn, td = tol.numerator, tol.denominator
@@ -345,8 +382,7 @@ def lambert_w_bisection(x):
             return (hn * ld - ln * hd) * td <= tn * ld * hd
 
         if brackets and narrow(*brackets[-1]):
-            ln, ld, hn, hd = next(br for br in brackets if narrow(*br))
-            return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
+            return next(br for br in brackets if narrow(*br))
         # 2^-need <= 2^-21 tol, and need <= b + 16 keeps 2^-b <= 2^-5 tol.
         need = max(0, td.bit_length() - tn.bit_length() + 1) + 21
         if need > b + 16:
@@ -383,7 +419,7 @@ def lambert_w_bisection(x):
             else:
                 hn, hd = mn, md
             brackets.append((ln, ld, hn, hd))
-        return RationalInterval(Fraction(ln, ld), Fraction(hn, hd))
+        return brackets[-1]
 
     return enclose
 

@@ -28,7 +28,12 @@ from hardcore_lab.hardcore import (
     independence_polynomial,
     subset_polynomial,
 )
-from hardcore_lab.intervals import RationalInterval, lambert_w_interval, log1p_interval
+from hardcore_lab.intervals import (
+    RationalInterval,
+    lambert_w_interval,
+    log1p_interval,
+    log_series,
+)
 from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
 from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
@@ -273,8 +278,8 @@ def test_weighted_marginals_tf_refines_past_a_zero_weight_end():
     # back to x / (1 + x) <= W(x), so every round is a finite enclosure: the
     # check refines to the floor, where the sum is still within 10^-20 of 1.
     lam = F(1, 10**12)
-    coarse = bounds._tf_weights({3}, lam, F(1, 10**9) / 20, {})[3]
-    tight = bounds._tf_weights({3}, lam, F(1, 10**40), {})[3]
+    coarse = _fractions(bounds._tf_weights({3}, lam, F(1, 10**9) / 20, log_series(1 + lam), {})[3])
+    tight = _fractions(bounds._tf_weights({3}, lam, F(1, 10**40), log_series(1 + lam), {})[3])
     assert lambert_w_interval(3 * log1p_interval(lam, F(1, 10**9) / 80).lo,
                               F(1, 10**9) / 80).lo == 0
     assert 0 < coarse[0] <= tight[0] <= tight[1] <= coarse[1]
@@ -386,6 +391,11 @@ def _quotient(a, b):
     return a * RationalInterval(1 / b.hi, 1 / b.lo)
 
 
+def _fractions(weight):
+    """A weight's endpoints, integer pairs (num, den), as Fractions."""
+    return tuple(F(*end) for end in weight)
+
+
 def _reference_tf_weight(d, lam, tol):
     s = lam / (1 + lam)
     if d == 0:
@@ -444,11 +454,11 @@ def test_tf_weights_match_the_interval_composition():
         degrees = sorted(set(rng.sample(range(13), 4)) | {0})
         # One call for several degrees shares one log enclosure; each
         # degree alone must give the same endpoints.
-        together = bounds._tf_weights(degrees, lam, tol, {})
+        together = bounds._tf_weights(degrees, lam, tol, log_series(1 + lam), {})
         for d in degrees:
             ref = _reference_tf_weight(d, lam, tol)
-            assert together[d] == bounds._tf_weights([d], lam, tol, {})[d] == (ref.lo, ref.hi), (
-                d, lam, tol)
+            alone = bounds._tf_weights([d], lam, tol, log_series(1 + lam), {})[d]
+            assert _fractions(together[d]) == _fractions(alone) == (ref.lo, ref.hi), (d, lam, tol)
             cases += 1
     assert cases >= 250
 
@@ -475,11 +485,18 @@ def test_occupancy_tf_matches_the_interval_composition():
 
 
 def test_tf_weighted_marginals_match_the_interval_composition():
+    # The check sums the marginals of each degree once and resumes one log
+    # series across its rounds; the reference sums vertex by vertex through
+    # one-shot enclosures.
     for spec in ("cycle:5", "kab:3,3", "petersen", "path:3 + empty:1"):
         g = generate(spec)
         for lam in (F(1, 100 * g.max_degree ** 4), F(1, 100), F(1), F(4)):
             check = bounds.check_tf_weighted_marginals(g, lam)
             _same_check(check, _reference_tf_weighted_marginals(g, lam))
+    for g in _criterion_05_stream()[3:23]:
+        lam = F(1, 100 * g.max_degree ** 4)
+        _same_check(bounds.check_tf_weighted_marginals(g, lam),
+                    _reference_tf_weighted_marginals(g, lam))
 
 
 def _count_calls(monkeypatch, name):
@@ -496,12 +513,13 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-def _count_bisections(monkeypatch):
-    """Patch bounds.lambert_w_bisection with a wrapper; return the list of
-    the arguments it starts a bisection at and the list of the (argument,
-    tolerance) pairs their enclosures are asked for."""
+def _count_resumed(monkeypatch, name):
+    """Patch bounds.name, a factory x -> enclose(tol) such as
+    lambert_w_bisection or log_series, with a wrapper; return the list of
+    the arguments it is called at and the list of the (argument, tolerance)
+    pairs their enclosures are asked for."""
     arguments, enclosures = [], []
-    original = bounds.lambert_w_bisection
+    original = getattr(bounds, name)
 
     def counted(x):
         arguments.append(x)
@@ -513,24 +531,28 @@ def _count_bisections(monkeypatch):
 
         return counted_enclose
 
-    monkeypatch.setattr(bounds, "lambert_w_bisection", counted)
+    monkeypatch.setattr(bounds, name, counted)
     return arguments, enclosures
 
 
 def test_occupancy_tf_encloses_the_log_once_per_round(monkeypatch):
-    logs = _count_calls(monkeypatch, "log1p_interval")
-    arguments, enclosures = _count_bisections(monkeypatch)
+    series, logs = _count_resumed(monkeypatch, "log_series")
+    arguments, enclosures = _count_resumed(monkeypatch, "lambert_w_bisection")
     for spec, positive_degrees, rounds in (("petersen", 1, 6), ("path:5", 2, 6),
                                            ("path:3 + empty:1", 2, 6)):
+        series.clear()
         logs.clear()
         arguments.clear()
         enclosures.clear()
         assert bounds.check_occupancy_tf(generate(spec), F(1, 10**4)).status == HOLDS
         # Each round refines the tolerance tenfold, so the rounds are the
-        # distinct tolerances: one log enclosure at each, and two Lambert
-        # enclosures per positive degree.  A bisection starts once per
-        # distinct argument, and a repeated argument resumes it.
-        assert len(logs) == len(set(logs)) == len({tol for _, tol in enclosures}) == rounds, spec
+        # distinct tolerances: one enclosure of the check's one log series
+        # at each, and two Lambert enclosures per positive degree.  A
+        # bisection starts once per distinct argument, and a repeated
+        # argument resumes it.
+        assert series == [1 + F(1, 10**4)], spec
+        tols = [tol for _, tol in logs]
+        assert len(tols) == len(set(tols)) == len({tol for _, tol in enclosures}) == rounds, spec
         assert len(enclosures) == 2 * positive_degrees * rounds, spec
         assert len(arguments) == len(set(arguments)) == len({x for x, _ in enclosures}), spec
         assert len(arguments) < len(enclosures), spec
@@ -538,17 +560,20 @@ def test_occupancy_tf_encloses_the_log_once_per_round(monkeypatch):
 
 def test_triangle_free_checks_start_their_bisections_on_every_call(monkeypatch):
     # The bisections live for one check: a second call on the same input
-    # starts as many as the first and returns the same check, so nothing
-    # carries over from one call to the next.
-    arguments, _ = _count_bisections(monkeypatch)
+    # starts as many as the first, makes its own log series, and returns
+    # the same check, so nothing carries over from one call to the next.
+    arguments, _ = _count_resumed(monkeypatch, "lambert_w_bisection")
+    series, _ = _count_resumed(monkeypatch, "log_series")
     g, lam = petersen_graph(), F(1, 100 * 3**4)
     for check in (bounds.check_occupancy_tf, bounds.check_tf_weighted_marginals):
         runs = []
         for _ in range(2):
             arguments.clear()
-            runs.append((check(g, lam), len(arguments)))
+            series.clear()
+            runs.append((check(g, lam), len(arguments), len(series)))
         assert runs[0] == runs[1], check.__name__
         assert runs[0][0].status == HOLDS and runs[0][1] > 0, check.__name__
+        assert runs[0][2] == 1, check.__name__
 
 
 def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch):
@@ -561,10 +586,10 @@ def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch)
 
 
 def test_tf_weights_refuse_a_nonpositive_log_enclosure(monkeypatch):
-    # log1p_interval's lower endpoint is positive at every lam > 0 (see
+    # The log series' lower endpoint is positive at every lam > 0 (see
     # test_log1p_lower_endpoint_is_positive); were it not, the weight
     # raises rather than divide by it or retry.
-    monkeypatch.setattr(bounds, "log1p_interval", lambda lam, tol: RationalInterval(0, 1))
+    monkeypatch.setattr(bounds, "log_series", lambda v: lambda tol: RationalInterval(0, 1))
     with pytest.raises(ArithmeticError, match="reaches 0"):
         bounds.check_occupancy_tf(petersen_graph(), F(1, 100))
 

@@ -26,6 +26,7 @@ from hardcore_lab.intervals import (
     lambert_w_interval,
     log1p_interval,
     log_interval,
+    log_series,
 )
 from hardcore_lab.polynomials import Poly
 from hardcore_lab.sampler import SplitMix64
@@ -139,8 +140,8 @@ def test_log_argument_jump_ends_where_the_halving_loops_did(monkeypatch):
     # enclosure is the point y + k with y = (m - 1) / (m + 1) the body's
     # argument: equal to the halving loops' m and k, no endpoint moves.
     seen = []
-    monkeypatch.setattr(intervals, "_atanh_series",
-                        lambda y, tol: seen.append(y) or RationalInterval.point(y))
+    monkeypatch.setattr(intervals, "_atanh_sums",
+                        lambda y: seen.append(y) or (lambda tol: RationalInterval.point(y)))
     monkeypatch.setattr(intervals, "_log2_enclosure", lambda tol: RationalInterval.point(1))
     rng = random.Random(9151)
     values = [F(3, 2) * F(2) ** j for j in range(-70, 71)]
@@ -154,6 +155,52 @@ def test_log_argument_jump_ends_where_the_halving_loops_did(monkeypatch):
         seen.clear()
         assert log_interval(v, F(1, 10**6)) == RationalInterval.point((m - 1) / (m + 1) + k), v
         assert seen == [(m - 1) / (m + 1)], v
+
+
+# Reference copies of the one-shot log enclosure: the atanh series summed
+# from its first term at every call.
+
+def _reference_atanh_series(y, tol):
+    if y == 0:
+        return RationalInterval.point(0)
+    y2 = y * y
+    term = y
+    total = F(0)
+    k = 0
+    while True:
+        total += 2 * term / (2 * k + 1)
+        tail = 2 * abs(term) * abs(y2) / ((2 * k + 3) * (1 - y2))
+        if tail <= tol / 2:
+            return RationalInterval(total - tail, total + tail)
+        term *= y2
+        k += 1
+
+
+def _reference_log_interval(v, tol):
+    v = F(v)
+    if v == 1:
+        return RationalInterval.point(0)
+    m, k = _halving_reduction(v)
+    body = _reference_atanh_series((m - 1) / (m + 1), tol / 2)
+    if k == 0:
+        return body
+    return body + _reference_atanh_series(F(1, 3), tol / (4 * abs(k))) * k
+
+
+def test_resumed_log_series_matches_a_fresh_one():
+    # One series per v walks the tolerance down from 10^-6 to 10^-30, each
+    # call summing on from the last, then back up, each call reading a
+    # recorded term: every rung gives what a fresh series and the one-shot
+    # reference give.
+    values = [1 + F(1, 100 * delta**4) for delta in (1, 2, 3, 4, 5, 6, 63)]
+    values += [F(1), F(7, 3), F(3, 5), F(10) ** 30, F(10) ** -30]
+    ladder = [F(1, 10**k) for k in range(6, 31)] + [F(1, 10**k) for k in range(29, 5, -1)]
+    for v in values:
+        enclose = log_series(v)
+        for tol in ladder:
+            enc = enclose(tol)
+            assert enc == log_interval(v, tol) == _reference_log_interval(v, tol), (v, tol)
+            assert enc.hi - enc.lo <= tol, (v, tol)
 
 
 def test_exp_enclosure():
@@ -406,7 +453,8 @@ def test_resumed_bisection_matches_a_fresh_one():
         enclose = lambert_w_bisection(x)
         referenced = i % 50 == 0 or i >= len(cases) or _float_lambert_seed(float(x)) is None
         for tol in ladder:
-            enc = enclose(tol)
+            ln, ld, hn, hd = enclose(tol)
+            enc = RationalInterval(F(ln, ld), F(hn, hd))
             assert enc == lambert_w_interval(x, tol), (x, tol)
             if referenced:
                 assert enc == _reference_lambert_w(x, tol), (x, tol)

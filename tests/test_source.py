@@ -298,11 +298,13 @@ def _tested_operands(node):
 
 
 def test_bounds_reach_lambert_w_through_per_call_bisections():
-    # The triangle-free checks resume one Lambert W bisection per argument
-    # across their refinement rounds.  In bounds.py only _tf_weights starts
-    # a bisection, from a dict that each check makes afresh in its own body
-    # and passes down: _tf_weights has no default for it and never tests
-    # it, so no path falls back to a dict that outlives the call.
+    # The triangle-free checks resume one Lambert W bisection per argument,
+    # and one series for log(1 + lam), across their refinement rounds.  In
+    # bounds.py only _tf_weights starts a bisection, from a dict that each
+    # check makes afresh in its own body and passes down, next to the log
+    # series that the check also makes in its own body: _tf_weights has no
+    # default for either and never tests the dict, so no path falls back to
+    # a dict or a series that outlives the call.
     tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
     functions = dict(_functions(tree))
 
@@ -313,21 +315,30 @@ def test_bounds_reach_lambert_w_through_per_call_bisections():
 
     assert "lambert_w_interval" not in set(_names_used(tree))
     assert [qualified for qualified, _ in calls("lambert_w_bisection")] == ["_tf_weights.lambert"]
+    assert [qualified for qualified, _ in calls("log_series")] == [
+        "check_occupancy_tf", "check_tf_weighted_marginals"]
     weights = functions["_tf_weights"]
-    param = weights.args.args[-1]
-    assert param.arg == "bisections"
-    assert dict((a.arg, d) for a, d in _defaults(weights.args))["bisections"] is None
+    log_param, param = weights.args.args[-2:]
+    assert (log_param.arg, param.arg) == ("log", "bisections")
+    defaults = dict((a.arg, d) for a, d in _defaults(weights.args))
+    assert defaults["log"] is None and defaults["bisections"] is None
     assert [node.lineno for node in ast.walk(weights) for side in _tested_operands(node)
             if isinstance(side, ast.Name) and side.id == param.arg] == []
     fresh = {}
     for qualified, call in calls("_tf_weights"):
         check = qualified.split(".")[0]
-        made = {target.id for node in _own_nodes(functions[check]) if isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Dict) and not node.value.keys
-                for target in node.targets if isinstance(target, ast.Name)}
-        passed = call.args[-1]
-        fresh[qualified] = isinstance(passed, ast.Name) and passed.id in made
-    assert fresh == {"check_occupancy_tf.lhs": True, "check_tf_weighted_marginals.rhs": True}
+        assigned = [(target.id, node.value) for node in _own_nodes(functions[check])
+                    if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)]
+        made = {name for name, value in assigned
+                if isinstance(value, ast.Dict) and not value.keys}
+        series = {name for name, value in assigned
+                  if isinstance(value, ast.Call) and "log_series" in _names_used(value.func)}
+        passed_log, passed = call.args[-2:]
+        fresh[qualified] = (isinstance(passed_log, ast.Name) and passed_log.id in series,
+                            isinstance(passed, ast.Name) and passed.id in made)
+    assert fresh == {"check_occupancy_tf.lhs": (True, True),
+                     "check_tf_weighted_marginals.rhs": (True, True)}
 
 
 # Defaulted parameters kept without a caller: main(argv) is the tests' entry
