@@ -267,14 +267,13 @@ def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> Boun
         raise ValueError("triangle-free floor requires a triangle-free graph")
     e = prof.expectation_at(lam)
     degree_counts = Counter(g.degrees())
-    log = log_series(1 + lam)
-    bisections = {}
+    weights = _tf_weights(lam)
 
     def lhs(tol: Fraction) -> RationalInterval:
-        weights = _tf_weights(degree_counts, lam, tol / (2 * len(degree_counts)), log, bisections)
+        w = weights(degree_counts, tol / (2 * len(degree_counts)))
         # (1/n) sum_d count_d w(d) at each endpoint.
         return RationalInterval(*(
-            _pair_mean(((count * weights[d][end][0], weights[d][end][1])
+            _pair_mean(((count * w[d][end][0], w[d][end][1])
                         for d, count in degree_counts.items()), g.n)
             for end in (0, 1)))
 
@@ -291,58 +290,58 @@ def _pair_mean(pairs, n: int) -> Fraction:
     return Fraction(num, den * n)
 
 
-def _tf_weights(degrees, lam: Fraction, tol: Fraction, log,
-                bisections: dict) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
-    """Endpoints (lo, hi) of enclosures of the triangle-free weight
-    w(d) = s W(d L) / (d L), with s = lam / (1 + lam) and L = log(1 + lam),
-    for each d in degrees, at lam > 0, each endpoint an integer pair
-    (num, den), den > 0, not normalised.  One enclosure of L at tol / 4, from
-    log, the caller's ``log_series(1 + lam)``, serves every d; W is enclosed
-    at d L.lo and at d L.hi, each at tol / 4, and a W enclosure whose lower
-    end is 0 takes the lower bound x / (1 + x) there.  Every factor is
-    positive, so lo = s W(d L.lo).lo / (d L.hi) > 0 and
-    hi = s W(d L.hi).hi / (d L.lo); w(0) = s exactly.
+def _tf_weights(lam: Fraction):
+    """weights(degrees, tol): endpoints (lo, hi) of enclosures of the
+    triangle-free weight w(d) = s W(d L) / (d L), with s = lam / (1 + lam)
+    and L = log(1 + lam), for each d in degrees, at lam > 0, each endpoint
+    an integer pair (num, den), den > 0, not normalised.  One enclosure of L
+    at tol / 4 serves every d; W is enclosed at d L.lo and at d L.hi, each
+    at tol / 4, and a W enclosure whose lower end is 0 takes the lower bound
+    x / (1 + x) there.  Every factor is positive, so
+    lo = s W(d L.lo).lo / (d L.hi) > 0 and hi = s W(d L.hi).hi / (d L.lo);
+    w(0) = s exactly.
 
-    bisections maps each argument of W, as the integer pair
-    (d L.num, L.den), to its ``lambert_w_bisection``.  The caller keeps it
-    and log across its refinement rounds: the series sums on from the terms
-    the last round reached, the enclosure of L, and so the argument, often
-    stays the same, and each round resumes the bisection instead of starting
-    it again.  The enclosures are the same as from a fresh start."""
-    quarter = tol / 4
-
-    def lambert(xn: int, xd: int) -> tuple[int, int, int, int]:
-        enclose = bisections.get((xn, xd))
-        if enclose is None:
-            enclose = bisections[xn, xd] = lambert_w_bisection(Fraction(xn, xd))
-        return enclose(quarter)
-
+    weights owns one ``log_series(1 + lam)`` and one ``lambert_w_bisection``
+    per argument of W, the integer pair (d L.num, L.den).  A check calls it
+    in each refinement round: the series sums on from the terms the last
+    round reached, the argument repeats while the enclosure of L does, and
+    the round resumes its bisection, with the enclosures of a fresh start."""
     s = lam / (1 + lam)
     sn, sd = s.numerator, s.denominator
-    log_enc = log(quarter)
-    # L.lo > 0 at every lam > 0 and tol > 0.  log_series halves 1 + lam k
-    # times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
-    # |y| <= 1/5, so each series tail is at most 1/72 of the first term 2|y|.
-    # For k = 0, y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1,
-    # the reduced term's lo is at least log(3/4) - 1/252 and the lo of each
-    # of the k copies of log 2 at least 2/3 - 1/36, so L.lo > 0.34.
-    if log_enc.lo <= 0:
-        raise ArithmeticError(f"enclosure of log(1 + {lam}) reaches {log_enc.lo}")
-    lln, lld = log_enc.lo.numerator, log_enc.lo.denominator
-    lhn, lhd = log_enc.hi.numerator, log_enc.hi.denominator
-    out = {}
-    for d in degrees:
-        if d == 0:
-            out[d] = ((sn, sd), (sn, sd))
-            continue
-        ln, ld, _, _ = lambert(d * lln, lld)
-        if not ln:
-            # W(d L.lo) lies below the enclosure's resolution.  W(x) <= log(1 + x)
-            # at x >= 0, as (1 + x) log(1 + x) >= x, so W(x) = x e^-W(x) >= x / (1 + x).
-            ln, ld = d * lln, lld + d * lln
-        _, _, hn, hd = lambert(d * lhn, lhd)
-        out[d] = ((sn * ln * lhd, sd * ld * d * lhn), (sn * hn * lld, sd * hd * d * lln))
-    return out
+    log = log_series(1 + lam)
+
+    @cache
+    def bisection(xn: int, xd: int):
+        return lambert_w_bisection(Fraction(xn, xd))
+
+    def weights(degrees, tol: Fraction) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+        quarter = tol / 4
+        log_enc = log(quarter)
+        # L.lo > 0 at every lam > 0 and tol > 0.  log_series halves 1 + lam k
+        # times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
+        # |y| <= 1/5, so each series tail is at most 1/72 of the first term 2|y|.
+        # For k = 0, y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1,
+        # the reduced term's lo is at least log(3/4) - 1/252 and the lo of each
+        # of the k copies of log 2 at least 2/3 - 1/36, so L.lo > 0.34.
+        if log_enc.lo <= 0:
+            raise ArithmeticError(f"enclosure of log(1 + {lam}) reaches {log_enc.lo}")
+        lln, lld = log_enc.lo.numerator, log_enc.lo.denominator
+        lhn, lhd = log_enc.hi.numerator, log_enc.hi.denominator
+        out = {}
+        for d in degrees:
+            if d == 0:
+                out[d] = ((sn, sd), (sn, sd))
+                continue
+            ln, ld, _, _ = bisection(d * lln, lld)(quarter)
+            if not ln:
+                # W(d L.lo) lies below the enclosure's resolution.  W(x) <= log(1 + x)
+                # at x >= 0, as (1 + x) log(1 + x) >= x, so W(x) = x e^-W(x) >= x / (1 + x).
+                ln, ld = d * lln, lld + d * lln
+            _, _, hn, hd = bisection(d * lhn, lhd)(quarter)
+            out[d] = ((sn * ln * lhd, sd * ld * d * lhn), (sn * hn * lld, sd * hd * d * lln))
+        return out
+
+    return weights
 
 
 # -- variance -----------------------------------------------------------------
@@ -489,14 +488,13 @@ def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL
     mass = {}
     for p, d in zip(_marginals_at(prof, lam), g.degrees()):
         mass[d] = mass.get(d, 0) + p
-    log = log_series(1 + lam)
-    bisections = {}
+    weights = _tf_weights(lam)
 
     def rhs(tol: Fraction) -> RationalInterval:
         # (1/n) sum_d mass_d / w(d): lo divides by w(d).hi and hi by w(d).lo.
-        weights = _tf_weights(mass, lam, tol / (2 * g.n), log, bisections)
+        w = weights(mass, tol / (2 * g.n))
         return RationalInterval(*(
-            _pair_mean(((m.numerator * weights[d][end][1], m.denominator * weights[d][end][0])
+            _pair_mean(((m.numerator * w[d][end][1], m.denominator * w[d][end][0])
                         for d, m in mass.items()), g.n)
             for end in (1, 0)))
 

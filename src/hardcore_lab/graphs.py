@@ -255,7 +255,7 @@ def generate(spec: str) -> Graph:
         if "*" in term:
             count, _, term = term.partition("*")
             try:
-                copies = _positive_int(count)
+                copies = _positive_int(count, 1)
             except ValueError as exc:
                 raise ValueError(f"bad copy count in generator spec term {term!r}: {exc}") from None
             term = term.strip()
@@ -266,36 +266,35 @@ def generate(spec: str) -> Graph:
     return g.with_label(spec.strip())
 
 
+# Each atom's builder and the minimum of each of its sizes.
+_ATOMS = {
+    "kn": (complete_graph, (1,)), "empty": (empty_graph, (1,)),
+    "kab": (complete_bipartite, (0, 0)), "path": (path_graph, (0,)),
+    "cycle": (cycle_graph, (3,)), "pasch": (pasch_graph, ()),
+    "petersen": (petersen_graph, ()), "g1": (g1_graph, ()), "g2": (g2_graph, ()),
+}
+
+
 def _generate_atom(term: str) -> Graph:
     name, _, arg = term.partition(":")
     name = name.strip().lower()
+    if name not in _ATOMS:
+        raise ValueError(f"unknown generator spec term {term!r}")
+    build, minima = _ATOMS[name]
+    sizes = arg.split(",") if arg else []
     try:
-        if name == "kn":
-            return complete_graph(_positive_int(arg))
-        if name == "empty":
-            return empty_graph(_positive_int(arg))
-        if name == "kab":
-            a, b = (_positive_int(x, minimum=0) for x in arg.split(","))
-            return complete_bipartite(a, b)
-        if name == "path":
-            return path_graph(_positive_int(arg, minimum=0))
-        if name == "cycle":
-            return cycle_graph(_positive_int(arg, minimum=3))
-        if name == "pasch" and not arg:
-            return pasch_graph()
-        if name == "petersen" and not arg:
-            return petersen_graph()
-        if name == "g1" and not arg:
-            return g1_graph()
-        if name == "g2" and not arg:
-            return g2_graph()
+        if len(sizes) != len(minima):
+            raise ValueError(f"{name} takes {len(minima)} size(s), got {len(sizes)}")
+        return build(*map(_positive_int, sizes, minima))
     except ValueError as exc:
         raise ValueError(f"bad generator spec term {term!r}: {exc}") from None
-    raise ValueError(f"unknown generator spec term {term!r}")
 
 
-def _positive_int(text: str, minimum: int = 1) -> int:
-    value = int(text)
+def _positive_int(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"size {text!r} is not an integer") from None
     if value < minimum or value > MAX_VERTICES:
         raise ValueError(f"size {value} outside {minimum}..{MAX_VERTICES}")
     return value

@@ -32,7 +32,6 @@ from hardcore_lab.intervals import (
     RationalInterval,
     lambert_w_interval,
     log1p_interval,
-    log_series,
 )
 from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
@@ -278,8 +277,8 @@ def test_weighted_marginals_tf_refines_past_a_zero_weight_end():
     # back to x / (1 + x) <= W(x), so every round is a finite enclosure: the
     # check refines to the floor, where the sum is still within 10^-20 of 1.
     lam = F(1, 10**12)
-    coarse = _fractions(bounds._tf_weights({3}, lam, F(1, 10**9) / 20, log_series(1 + lam), {})[3])
-    tight = _fractions(bounds._tf_weights({3}, lam, F(1, 10**40), log_series(1 + lam), {})[3])
+    coarse = _fractions(bounds._tf_weights(lam)({3}, F(1, 10**9) / 20)[3])
+    tight = _fractions(bounds._tf_weights(lam)({3}, F(1, 10**40))[3])
     assert lambert_w_interval(3 * log1p_interval(lam, F(1, 10**9) / 80).lo,
                               F(1, 10**9) / 80).lo == 0
     assert 0 < coarse[0] <= tight[0] <= tight[1] <= coarse[1]
@@ -402,8 +401,9 @@ def _reference_tf_weight(d, lam, tol):
         return RationalInterval.point(s)
     log_enc = log1p_interval(lam, tol / 4)
     arg = log_enc * d
+    # A W enclosure whose lower end is 0 falls back to W(x) >= x / (1 + x).
     w_enc = RationalInterval(
-        lambert_w_interval(arg.lo, tol / 4).lo,
+        lambert_w_interval(arg.lo, tol / 4).lo or arg.lo / (1 + arg.lo),
         lambert_w_interval(arg.hi, tol / 4).hi,
     )
     return _quotient(w_enc, log_enc * d) * s
@@ -447,20 +447,37 @@ def _same_check(check, ref):
 
 def test_tf_weights_match_the_interval_composition():
     rng = random.Random(1983)
-    cases = 0
+    cases, samples = 0, []
     for _ in range(60):
         lam = F(rng.randrange(1, 10**4), rng.randrange(1, 10**4)) * F(10) ** rng.randrange(-8, 4)
         tol = F(rng.randrange(1, 10), 10 ** rng.randrange(3, 31))
         degrees = sorted(set(rng.sample(range(13), 4)) | {0})
+        samples.append((lam, degrees))
         # One call for several degrees shares one log enclosure; each
         # degree alone must give the same endpoints.
-        together = bounds._tf_weights(degrees, lam, tol, log_series(1 + lam), {})
+        together = bounds._tf_weights(lam)(degrees, tol)
         for d in degrees:
             ref = _reference_tf_weight(d, lam, tol)
-            alone = bounds._tf_weights([d], lam, tol, log_series(1 + lam), {})[d]
+            alone = bounds._tf_weights(lam)([d], tol)[d]
             assert _fractions(together[d]) == _fractions(alone) == (ref.lo, ref.hi), (d, lam, tol)
             cases += 1
     assert cases >= 250
+    # One weights object walked down tenfold tolerances resumes its log
+    # series and bisections from rung to rung, and every rung must equal the
+    # one-shot reference.  The samples reach lam > 1/2, where log(1 + lam) is
+    # reduced by a power of two; at lam = 10^-12 the W enclosure of 3 L.lo
+    # has lower end 0 down to tol = 10^-10 and a positive one after.
+    walks = samples[:10] + [(F(1, 10**12), [0, 3])]
+    assert any(lam > F(1, 2) for lam, _ in walks)
+    assert lambert_w_interval(3 * log1p_interval(F(1, 10**12), F(1, 4000)).lo, F(1, 4000)).lo == 0
+    for lam, degrees in walks:
+        weights = bounds._tf_weights(lam)
+        for k in range(3, 31):
+            tol = F(1, 10**k)
+            got = weights(degrees, tol)
+            for d in degrees:
+                ref = _reference_tf_weight(d, lam, tol)
+                assert _fractions(got[d]) == (ref.lo, ref.hi), (d, lam, tol)
 
 
 def _criterion_05_stream():

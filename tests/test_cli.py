@@ -245,6 +245,11 @@ def test_bad_generator_spec(capsys):
     assert code == 1 and "unknown generator" in err
 
 
+def test_malformed_generator_atom(capsys):
+    assert run(capsys, "poly", "kab:1") == (
+        1, "", "error: bad generator spec term 'kab:1': kab takes 2 size(s), got 1\n")
+
+
 def test_sample_command(capsys):
     code, out, _ = run(capsys, "sample", "kn:3", "--lambda", "1",
                        "--steps", "100000", "--burn-in", "1000", "--seed", "3")

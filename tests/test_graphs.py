@@ -129,6 +129,25 @@ def test_generator_errors():
         _raises_within_one_megabyte(generate, oversized)
 
 
+_MALFORMED_ATOMS = {
+    "kab:1": "kab takes 2 size(s), got 1",
+    "kab:1,2,3": "kab takes 2 size(s), got 3",
+    "kn:": "kn takes 1 size(s), got 0",
+    "kab:1,": "size '' is not an integer",
+    "path:x": "size 'x' is not an integer",
+    "pasch:3": "pasch takes 0 size(s), got 1",
+}
+
+
+@pytest.mark.parametrize("term", list(_MALFORMED_ATOMS))
+def test_malformed_atoms_name_what_is_wrong(term):
+    # A known atom with the wrong number of sizes, or a size that is not an
+    # integer, is refused in the lab's own words.
+    with pytest.raises(ValueError) as info:
+        generate(term)
+    assert str(info.value) == f"bad generator spec term {term!r}: {_MALFORMED_ATOMS[term]}"
+
+
 def test_graph6_known_strings():
     assert parse_graph6("A_").edges() == [(0, 1)]
     empty2 = parse_graph6("A?")

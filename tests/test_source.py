@@ -284,61 +284,32 @@ def _own_nodes(fn):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _tested_operands(node):
-    """The operands node tests or compares, as a condition does."""
-    if isinstance(node, ast.Compare):
-        return [node.left, *node.comparators]
-    if isinstance(node, ast.BoolOp):
-        return node.values
-    if isinstance(node, (ast.If, ast.IfExp, ast.While)):
-        return [node.test]
-    if isinstance(node, ast.UnaryOp):
-        return [node.operand]
-    return []
-
-
 def test_bounds_reach_lambert_w_through_per_call_bisections():
     # The triangle-free checks resume one Lambert W bisection per argument,
-    # and one series for log(1 + lam), across their refinement rounds.  In
-    # bounds.py only _tf_weights starts a bisection, from a dict that each
-    # check makes afresh in its own body and passes down, next to the log
-    # series that the check also makes in its own body: _tf_weights has no
-    # default for either and never tests the dict, so no path falls back to
-    # a dict or a series that outlives the call.
+    # and one series for log(1 + lam), across their refinement rounds, and
+    # never beyond one check call.  In bounds.py only _tf_weights(lam), which
+    # takes nothing else and is not memoised, makes the series and starts
+    # the bisections, and it is called once in each check's own body: not in
+    # a nested function, a default or at module level, so the weights object
+    # that owns them lives for exactly one call.
     tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
     functions = dict(_functions(tree))
 
-    def calls(name):
-        return [(qualified, node) for qualified, fn in functions.items()
-                for node in _own_nodes(fn)
+    def calls(name, nodes):
+        return [node for node in nodes
                 if isinstance(node, ast.Call) and name in _names_used(node.func)]
 
     assert "lambert_w_interval" not in set(_names_used(tree))
-    assert [qualified for qualified, _ in calls("lambert_w_bisection")] == ["_tf_weights.lambert"]
-    assert [qualified for qualified, _ in calls("log_series")] == [
-        "check_occupancy_tf", "check_tf_weighted_marginals"]
     weights = functions["_tf_weights"]
-    log_param, param = weights.args.args[-2:]
-    assert (log_param.arg, param.arg) == ("log", "bisections")
-    defaults = dict((a.arg, d) for a, d in _defaults(weights.args))
-    assert defaults["log"] is None and defaults["bisections"] is None
-    assert [node.lineno for node in ast.walk(weights) for side in _tested_operands(node)
-            if isinstance(side, ast.Name) and side.id == param.arg] == []
-    fresh = {}
-    for qualified, call in calls("_tf_weights"):
-        check = qualified.split(".")[0]
-        assigned = [(target.id, node.value) for node in _own_nodes(functions[check])
-                    if isinstance(node, ast.Assign)
-                    for target in node.targets if isinstance(target, ast.Name)]
-        made = {name for name, value in assigned
-                if isinstance(value, ast.Dict) and not value.keys}
-        series = {name for name, value in assigned
-                  if isinstance(value, ast.Call) and "log_series" in _names_used(value.func)}
-        passed_log, passed = call.args[-2:]
-        fresh[qualified] = (isinstance(passed_log, ast.Name) and passed_log.id in series,
-                            isinstance(passed, ast.Name) and passed.id in made)
-    assert fresh == {"check_occupancy_tf.lhs": (True, True),
-                     "check_tf_weighted_marginals.rhs": (True, True)}
+    inside = set(ast.walk(weights))
+    for name in ("log_series", "lambert_w_bisection"):
+        found = calls(name, ast.walk(tree))
+        assert found and set(found) <= inside, name
+    assert [a.arg for a in weights.args.args] == ["lam"] and weights.decorator_list == []
+    checks = ("check_occupancy_tf", "check_tf_weighted_marginals")
+    own = [calls("_tf_weights", _own_nodes(functions[check])) for check in checks]
+    assert [len(found) for found in own] == [1, 1]
+    assert set(calls("_tf_weights", ast.walk(tree))) == {call for found in own for call in found}
 
 
 # Defaulted parameters kept without a caller: main(argv) is the tests' entry
@@ -395,11 +366,10 @@ def test_every_option_has_a_caller():
     assert unset == _UNSET_OPTIONS
 
 
-# Public methods kept without a reference in the library or the demos: four
+# Public methods kept without a reference in the library or the demos: three
 # test instruments, and the argparse hook that argparse itself calls.
 _UNREFERENCED_METHODS = {
-    "Graph.induced", "Graph.tf_edge_count_identity", "RationalInterval.contains",
-    "SplitMix64.random", "_Parser.error",
+    "Graph.induced", "RationalInterval.contains", "SplitMix64.random", "_Parser.error",
 }
 
 
