@@ -194,13 +194,12 @@ def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck
     # separate edgeless-vertex factor as displayed.
     edges = g.edges()
     isolated = sum(1 for d in g.degrees() if d == 0)
-    if edges or isolated:
-        me = lcm(*(g.degree(u) * g.degree(v) for u, v in edges))
-        ceil_prod = _cleared(
-            *((bipartite_partition_value(g.degree(u), g.degree(v), lam),
-               me // (g.degree(u) * g.degree(v))) for u, v in edges),
-            (1 + lam, isolated * me))
-        out.append(_exact_le("free_energy.degree_ceiling", g, lam, _cleared((zv, me)), ceil_prod))
+    me = lcm(*(g.degree(u) * g.degree(v) for u, v in edges))
+    ceil_prod = _cleared(
+        *((bipartite_partition_value(g.degree(u), g.degree(v), lam),
+           me // (g.degree(u) * g.degree(v))) for u, v in edges),
+        (1 + lam, isolated * me))
+    out.append(_exact_le("free_energy.degree_ceiling", g, lam, _cleared((zv, me)), ceil_prod))
     return out
 
 
@@ -402,18 +401,15 @@ def check_p5_threshold() -> list[BoundCheck]:
     return out
 
 
-def cycle_growth_ratio(n: int, lam) -> Fraction:
-    """V_{C_n}(lam) / (lam/(1+lam)^2), exactly."""
-    lam = _positive_lam(lam)
-    z = cycle_polynomial(n)
-    return var_numerator(z).evaluate(lam) * (1 + lam) ** 2 / (n * z.evaluate(lam) ** 2 * lam)
-
-
-def check_cycle_growth(n: int, lams=(100, 10000)) -> BoundCheck:
-    """Finite-size growth of the variance-to-ceiling ratio along a fugacity
-    ladder (the limiting statement is out of scope at desk scale)."""
+def check_cycle_growth(n: int, lams) -> BoundCheck:
+    """Finite-size growth of V_{C_n}(lam) / (lam/(1+lam)^2), exactly, along a
+    fugacity ladder (the limiting statement is out of scope at desk scale)."""
     lams = [_positive_lam(l) for l in lams]
-    ratios = [cycle_growth_ratio(n, l) for l in lams]
+    if not lams:
+        raise ValueError("fugacity ladder is empty")
+    z = cycle_polynomial(n)
+    num = var_numerator(z)
+    ratios = [num.evaluate(l) * (1 + l) ** 2 / (n * z.evaluate(l) ** 2 * l) for l in lams]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     return BoundCheck(
         "variance.cycle_ratio_growth", f"cycle:{n}", lams[-1],
@@ -462,18 +458,22 @@ def check_local_occupancy(g: Graph | HardCoreProfile, beta, gamma, lam) -> Bound
         note=f"beta={format_rational(beta)} gamma={format_rational(gamma)}")
 
 
-def _marginals_at(prof: HardCoreProfile, lam: Fraction) -> list[Fraction]:
-    """Every vertex marginal lam Z(G - N[u]) / Z at lam, from the profile."""
-    zv = Fraction(prof.z.evaluate(lam))
-    return [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
+def _marginal_mass(prof: HardCoreProfile, lam: Fraction) -> dict[int, Fraction]:
+    """For each degree d, the sum of the vertex marginals lam Z(G - N[u]) / Z
+    at lam over the vertices u of degree d, from the profile."""
+    rests = {}
+    for rest, d in zip(prof.residuals, prof.graph.degrees()):
+        rests[d] = rests.get(d, 0) + rest.evaluate(lam)
+    scale = lam / Fraction(prof.z.evaluate(lam))
+    return {d: r * scale for d, r in rests.items()}
 
 
 def check_clique_weighted_marginals(g: Graph | HardCoreProfile, lam) -> BoundCheck:
     """Average marginal weighted by the reciprocal clique occupancy weight
     lam / (1 + (d_u + 1) lam) is at least one, decided exactly."""
     prof, g, lam = _inputs(g, lam)
-    total = sum(p / clique_occupancy_value(g.degree(u), lam)
-                for u, p in enumerate(_marginals_at(prof, lam))) / g.n
+    total = sum(m / clique_occupancy_value(d, lam)
+                for d, m in _marginal_mass(prof, lam).items()) / g.n
     return _exact_le("local_occupancy.clique_weighted_marginals", g, lam, Fraction(1), total)
 
 
@@ -484,10 +484,7 @@ def check_tf_weighted_marginals(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL
     tol = _positive_tol(tol)
     if not g.is_triangle_free():
         raise ValueError("triangle-free weight requires a triangle-free graph")
-    # The marginals of the vertices of each degree, summed once.
-    mass = {}
-    for p, d in zip(_marginals_at(prof, lam), g.degrees()):
-        mass[d] = mass.get(d, 0) + p
+    mass = _marginal_mass(prof, lam)
     weights = _tf_weights(lam)
 
     def rhs(tol: Fraction) -> RationalInterval:

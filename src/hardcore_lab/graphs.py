@@ -375,9 +375,10 @@ def read_edge_list(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise ValueError(f"bad edge line: {line!r}") from None
         top = max(top, u, v)
         edges.append((u, v))
     return from_edges(top + 1, edges)

@@ -275,7 +275,7 @@ def item_variance_p5_threshold() -> tuple[str, dict]:
 
 def item_variance_cycle_growth() -> tuple[str, dict]:
     check = bounds.check_cycle_growth(500, (100, 1000, 10000))
-    small = bounds.cycle_growth_ratio(4, 1)
+    small = bounds.check_cycle_growth(4, (1,)).lhs[0]
     return _status_from_checks([check]), {
         "checks": [check.to_json()],
         "smoke_ratio_cycle4_at_1": format_rational(small),

@@ -110,8 +110,11 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     (0, oo).
 
     Intervals are half-open (lo, hi] and sorted increasingly; pass max_width
-    to refine each below a requested width.
+    to refine each below a requested width, which must be positive.
     """
+    width = None if max_width is None else Fraction(max_width)
+    if width is not None and width <= 0:
+        raise ValueError("max_width must be positive")
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     cs = _content_split(p)[1]
@@ -121,8 +124,7 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     chain = _int_chain(cs)
     seen: dict = {}
     intervals = _isolate(chain, seen)
-    if max_width is not None:
-        width = Fraction(max_width)
+    if width is not None:
         intervals = [_refine(chain, lo, hi, width, seen) for lo, hi in intervals]
     return intervals
 

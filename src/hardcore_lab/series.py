@@ -168,18 +168,13 @@ def verify_t_coefficients() -> dict:
         "a3": coefficient(t, 3) == expected[3],
         "twelve_a4": a4_scaled == expected[48],
     }
-    floor_ok = True
-    worst = None
+    # One pass over the triangle 1 <= d_v <= d_u <= DEGREE_GRID: the minimum
+    # for Delta is the running one over the rows d_u <= Delta.
+    floor_ok, lo = True, None
     for delta in range(1, DEGREE_GRID + 1):
-        lo = min(
-            a4_scaled.evaluate({"d_u": du, "d_v": dv})
-            for du in range(1, delta + 1)
-            for dv in range(1, du + 1)
-        )
-        if lo < -431 * delta ** 3:
-            floor_ok = False
-        if worst is None or lo < worst:
-            worst = lo
+        row = min(a4_scaled.evaluate({"d_u": delta, "d_v": dv}) for dv in range(1, delta + 1))
+        lo = row if lo is None else min(lo, row)
+        floor_ok = floor_ok and lo >= -431 * delta ** 3
     checks["a4_cubic_floor"] = floor_ok
     return {
         "ok": all(checks.values()),

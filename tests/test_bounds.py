@@ -171,7 +171,7 @@ def test_cycle_growth_ladder():
     assert c.holds
     assert c.lhs[-1] > 10
     # n = 4 smoke value: V_{C4}(1) = 5/49, so the ratio is 4 * 5/49
-    assert bounds.cycle_growth_ratio(4, 1) == F(20, 49)
+    assert bounds.check_cycle_growth(4, (1,)).lhs[0] == F(20, 49)
     # The ratio and V_{C_n} against the derivative route
     # V = lam ((Z' + lam Z'') Z - lam Z'^2) / (n Z^2).
     for n in (3, 4, 7):
@@ -182,7 +182,12 @@ def test_cycle_growth_ladder():
             zv, d1v, d2v = z.evaluate(lam), d1.evaluate(lam), d1.derivative().evaluate(lam)
             v = lam * ((d1v + lam * d2v) * zv - lam * d1v * d1v) / (n * zv * zv)
             assert HardCoreProfile(g).variance_at(lam) == v
-            assert bounds.cycle_growth_ratio(n, lam) == v * (1 + lam) ** 2 / lam
+            assert bounds.check_cycle_growth(n, (lam,)).lhs[0] == v * (1 + lam) ** 2 / lam
+
+
+def test_cycle_growth_refuses_an_empty_ladder():
+    with pytest.raises(ValueError, match="^fugacity ladder is empty$"):
+        bounds.check_cycle_growth(5, ())
 
 
 def test_local_occupancy_default_parameters():
@@ -423,10 +428,16 @@ def _reference_occupancy_tf(g, lam):
                                lhs, lambda _: e, bounds.DEFAULT_TOL)
 
 
-def _reference_tf_weighted_marginals(g, lam):
-    prof = HardCoreProfile(g)
+def _marginals_at(prof, lam):
+    """Every vertex marginal lam Z(G - N[u]) / Z at lam, one Fraction per
+    vertex: the route of the weighted-marginal checks before they summed the
+    marginals per degree."""
     zv = F(prof.z.evaluate(lam))
-    marginals = [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
+    return [lam * rest.evaluate(lam) / zv for rest in prof.residuals]
+
+
+def _reference_tf_weighted_marginals(g, lam):
+    marginals = _marginals_at(HardCoreProfile(g), lam)
 
     def rhs(tol):
         acc = RationalInterval.point(0)
@@ -514,6 +525,25 @@ def test_tf_weighted_marginals_match_the_interval_composition():
         lam = F(1, 100 * g.max_degree ** 4)
         _same_check(bounds.check_tf_weighted_marginals(g, lam),
                     _reference_tf_weighted_marginals(g, lam))
+    for g in _criterion_05_stream()[23:29]:
+        for lam in (F(1, 3), F(1), F(7, 2)):
+            _same_check(bounds.check_tf_weighted_marginals(g, lam),
+                        _reference_tf_weighted_marginals(g, lam))
+
+
+def test_clique_weighted_marginals_match_the_per_vertex_sum():
+    # The check sums the marginals of each degree once; the reference divides
+    # every vertex's marginal by its own clique weight.
+    rng = SplitMix64(3535)
+    graphs = [generate(spec) for spec in
+              ("kn:4", "path:4", "cycle:6", "kab:2,3", "pasch", "petersen", "path:3 + empty:2")]
+    graphs += [corpus.random_graph(3 + rng.randrange(8), rng) for _ in range(12)]
+    for g in graphs:
+        for lam in (F(1, 100), F(1, 3), F(1), F(7, 2)):
+            ref = sum(p / bounds.clique_occupancy_value(g.degree(u), lam)
+                      for u, p in enumerate(_marginals_at(HardCoreProfile(g), lam))) / g.n
+            check = bounds.check_clique_weighted_marginals(g, lam)
+            assert (check.lhs, check.rhs, check.margin) == (1, ref, ref - 1), (g, lam)
 
 
 def _count_calls(monkeypatch, name):
@@ -650,7 +680,7 @@ _GRAPH_CALLS = [
 def test_nonpositive_fugacity_raises():
     g = cycle_graph(5)
     calls = [lambda lam, call=call: call(g, lam) for call in _GRAPH_CALLS] + [
-        lambda lam: bounds.cycle_growth_ratio(5, lam),
+        lambda lam: bounds.check_cycle_growth(5, (lam,)).lhs[0],
         lambda lam: bounds.check_cycle_growth(5, (1, lam)),
         lambda lam: bounds.check_edge_occ_counterexamples(lam),
     ]

@@ -235,6 +235,14 @@ def test_graph6_and_file_specs(tmp_path, capsys):
     assert code == 0 and json.loads(out)["coefficients"] == "1,3"
 
 
+def test_non_integer_edge_list_vertex_is_a_one_line_usage_error(tmp_path, capsys):
+    for bad in ("a b", "0 1.5"):
+        edge_file = tmp_path / "bad.txt"
+        edge_file.write_text(f"0 1\n{bad}\n")
+        code, out, err = run(capsys, "poly", f"@{edge_file}")
+        assert (code, out, err) == (1, "", f"error: bad edge line: '{bad}'\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "poly", "@/nonexistent/file.txt")
     assert code == 1 and err

@@ -65,6 +65,14 @@ def test_isolate_sqrt2():
     assert lo * lo < 2 <= hi * hi
 
 
+def test_isolate_refuses_a_nonpositive_width():
+    # Refinement halves until the width is at most max_width, which never
+    # happens for max_width <= 0: the call is refused before any isolation.
+    for width in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            isolate_positive_roots(Poly([-2, 0, 1]), max_width=width)
+
+
 def test_isolate_two_integer_roots():
     iv = isolate_positive_roots(Poly([2, -3, 1]))
     assert len(iv) == 2

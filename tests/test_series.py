@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hardcore_lab import series
 from hardcore_lab.graphs import complete_bipartite, cycle_graph, generate, petersen_graph
 from hardcore_lab.intervals import log1p_interval, lambert_w_interval
 from hardcore_lab.multipoly import MultiPoly
@@ -208,6 +209,40 @@ def test_g_series_at_degree_zero_is_fugacity_weight():
 def test_t_series_report():
     rep = verify_t_coefficients()
     assert rep["ok"], rep["checks"]
+
+
+def _with_twelve_a4(monkeypatch, twelve_a4):
+    """Make verify_t_coefficients read a t series whose t^4 coefficient is
+    twelve_a4 / 12, the lower coefficients unchanged."""
+    low = truncate(t_series(4), 3)
+    top = series_of(V, [0, 0, 0, 0, twelve_a4 * F(1, 12)])
+    monkeypatch.setattr(series, "t_series", lambda order: low + top)
+    return verify_t_coefficients()["checks"]["a4_cubic_floor"]
+
+
+def test_t_series_cubic_floor_matches_the_per_delta_minima(monkeypatch):
+    # The report decides 12 a4 >= -431 Delta^3 in one pass over the triangle
+    # 1 <= d_v <= d_u <= DEGREE_GRID.  Reference: one minimum per Delta over
+    # its whole sub-triangle.
+    du, _ = _du_dv()
+    twelve_a4 = coefficient(t_series(4), 4) * 12
+    minima = [min(twelve_a4.evaluate({"d_u": a, "d_v": b})
+                  for a in range(1, delta + 1) for b in range(1, a + 1))
+              for delta in range(1, series.DEGREE_GRID + 1)]
+    slack = min(m + 431 * delta ** 3 for delta, m in enumerate(minima, 1))
+    assert slack > 0 and verify_t_coefficients()["checks"]["a4_cubic_floor"]
+    # A constant shift moves every minimum alike: the verdict turns exactly
+    # where the tightest per-Delta minimum meets its floor.
+    one = MultiPoly.constant(V, 1)
+    assert _with_twelve_a4(monkeypatch, twelve_a4 - slack * one)
+    assert not _with_twelve_a4(monkeypatch, twelve_a4 - (slack + F(1, 2)) * one)
+    # -431 d_u^3 + (d_u - k)^2 + c has minimum -431 Delta^3 + c at Delta = k
+    # and at least -431 Delta^3 + 1 + c at every other Delta, so at c = -1/2
+    # the floor fails at Delta = k alone.
+    for k in range(1, series.DEGREE_GRID + 1):
+        probe = -431 * du ** 3 + (du - k) ** 2
+        assert _with_twelve_a4(monkeypatch, probe), k
+        assert not _with_twelve_a4(monkeypatch, probe - F(1, 2) * one), k
 
 
 def test_t_series_leading_coefficients():
