@@ -97,9 +97,9 @@ def _inputs(g: Graph | HardCoreProfile, lam) -> tuple[HardCoreProfile, Graph, Fr
     return prof, prof.graph, lam
 
 
-def _exact_le(name: str, g: Graph, lam, lhs: Fraction, rhs: Fraction,
+def _exact_le(name: str, g: Graph, lam: Fraction, lhs: Fraction, rhs: Fraction,
               note: str | None = None) -> BoundCheck:
-    return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS if lhs <= rhs else FAILS,
+    return BoundCheck(name, g.display_name(), lam, HOLDS if lhs <= rhs else FAILS,
                       lhs=lhs, rhs=rhs, margin=rhs - lhs, note=note)
 
 
@@ -132,13 +132,21 @@ def bipartite_partition_value(a: int, b: int, lam: Fraction) -> Fraction:
 
 
 def bipartite_occupancy_value(a: int, b: int, lam: Fraction) -> Fraction:
-    num = lam * (a * (1 + lam) ** (a - 1) + b * (1 + lam) ** (b - 1))
-    return num / ((a + b) * bipartite_partition_value(a, b, lam))
+    """Expected occupied fraction of K_{a,b}, a, b >= 1:
+    lam (a (1+lam)^(a-1) + b (1+lam)^(b-1)) / ((a+b) Z), whose numerator and
+    denominator times q^max(a, b) are integers at lam = p/q, with 1+lam = s/q."""
+    p, q = lam.numerator, lam.denominator
+    s, m = q + p, max(a, b)
+    qa, qb = q ** (m - a), q ** (m - b)
+    return Fraction(p * (a * s ** (a - 1) * qa + b * s ** (b - 1) * qb),
+                    (a + b) * (s ** a * qa + s ** b * qb - q ** m))
 
 
 def clique_occupancy_value(d: int, lam: Fraction) -> Fraction:
-    """Expected occupied fraction of the (d+1)-clique: lam / (1 + (d+1) lam)."""
-    return lam / (1 + (d + 1) * lam)
+    """Expected occupied fraction of the (d+1)-clique: lam / (1 + (d+1) lam),
+    which is p / (q + (d+1) p) at lam = p/q."""
+    p = lam.numerator
+    return Fraction(p, lam.denominator + (d + 1) * p)
 
 
 # -- free energy -----------------------------------------------------------
@@ -221,10 +229,11 @@ def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> Boun
 def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     prof, g, lam = _inputs(g, lam)
     e = prof.expectation_at(lam)
-    n = g.n
+    # The complete floor and the edgeless ceiling are the occupancy of K_n
+    # and of K_1.
     out = [
-        _exact_le("occupancy.complete_floor", g, lam, lam / (1 + n * lam), e),
-        _exact_le("occupancy.edgeless_ceiling", g, lam, e, lam / (1 + lam)),
+        _exact_le("occupancy.complete_floor", g, lam, clique_occupancy_value(g.n - 1, lam), e),
+        _exact_le("occupancy.edgeless_ceiling", g, lam, e, clique_occupancy_value(0, lam)),
     ]
     delta = g.max_degree
     if delta >= 1:
@@ -234,7 +243,7 @@ def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
             out.append(_exact_le(
                 "occupancy.biregular_ceiling", g, lam,
                 e, bipartite_occupancy_value(delta, delta, lam)))
-    in_range = lam <= Fraction(3, (delta + 1) ** 2)
+    in_range = lam.numerator * (delta + 1) ** 2 <= 3 * lam.denominator
     out.append(_exact_le(
         "occupancy.degree_floor", g, lam, degree_floor_value(g, lam), e,
         note=None if in_range else "outside the guaranteed fugacity range; exploratory"))
@@ -349,22 +358,21 @@ def check_variance_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
     prof, g, lam = _inputs(g, lam)
     v = prof.variance_at(lam)
     n = g.n
-    floor_note = None if lam < Fraction(1, 2 * n - 1) else \
+    # lam / (1 + k lam)^2 is p q / (q + k p)^2 at lam = p/q.
+    p, q = lam.numerator, lam.denominator
+    floor_note = None if p * (2 * n - 1) < q else \
         "outside the guaranteed fugacity window; exploratory"
-    ceil_note = None if lam <= Fraction(1, n) else \
+    ceil_note = None if p * n <= q else \
         "outside the guaranteed fugacity window; exploratory"
-    out = [
+    return [
         _exact_le("variance.complete_floor", g, lam,
-                  lam / (1 + n * lam) ** 2, v, note=floor_note),
+                  Fraction(p * q, (q + n * p) ** 2), v, note=floor_note),
         _exact_le("variance.edgeless_ceiling", g, lam,
-                  v, lam / (1 + lam) ** 2, note=ceil_note),
+                  v, Fraction(p * q, (q + p) ** 2), note=ceil_note),
+        _exact_le("variance.clique_floor_conjecture", g, lam,
+                  Fraction(p * q, (q + (g.max_degree + 1) * p) ** 2), v,
+                  note="conjectured range-unrestricted floor; exploratory"),
     ]
-    delta = g.max_degree
-    conj = _exact_le("variance.clique_floor_conjecture", g, lam,
-                     lam / (1 + (delta + 1) * lam) ** 2, v,
-                     note="conjectured range-unrestricted floor; exploratory")
-    out.append(conj)
-    return out
 
 
 def check_p5_threshold() -> list[BoundCheck]:
@@ -386,7 +394,7 @@ def check_p5_threshold() -> list[BoundCheck]:
         HOLDS if v33 > ceiling33 else FAILS, lhs=ceiling33, rhs=v33,
         margin=v33 - ceiling33))
 
-    out.append(_exact_le("variance.p5_below_ceiling_at_1", g, 1,
+    out.append(_exact_le("variance.p5_below_ceiling_at_1", g, Fraction(1),
                          prof.variance_at(1), Fraction(1, 4)))
 
     intervals = isolate_positive_roots(gap, max_width=Fraction(1, 1000))

@@ -42,7 +42,9 @@ def resolve_graph(spec: str) -> Graph:
     if spec.startswith("g6:"):
         return parse_graph6(spec[3:])
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="ascii") as handle:
+        # Read as UTF-8 so that read_edge_list, not the codec, refuses a
+        # non-ASCII digit as a bad edge line.
+        with open(spec[1:], "r", encoding="utf-8") as handle:
             return read_edge_list(handle.read()).with_label(spec)
     return generate(spec)
 

@@ -376,6 +376,10 @@ def read_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         try:
+            # An id is a run of ASCII digits: int() alone also reads 1_0, +0
+            # and non-ASCII digits.
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError
             u, v = map(int, parts)
         except ValueError:
             raise ValueError(f"bad edge line: {line!r}") from None

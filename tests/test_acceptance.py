@@ -23,7 +23,7 @@ criteria call the library check those items call, on a larger corpus:
                               on one HardCoreProfile per graph
     10 implication web        orderings.implication_web_check
     11 combined chain         bounds.check_combined_chain, the edgeless enclosures
-    12 sampler                sampler.cross_validation
+    12 sampler                sampler.cross_validation, its line pinned by sha256
 
 Every `repro.REGISTRY` id that no criterion claims is asserted *verified* by
 `test_unclaimed_repro_item_is_verified`, so each item is gated exactly once.
@@ -71,12 +71,13 @@ CLAIMED = {
 UNCLAIMED = sorted(set(repro.REGISTRY).difference(*CLAIMED.values()))
 
 
-def _assert_verified(ids) -> None:
+def _assert_verified(ids) -> list:
     records = repro.run(list(ids))
     assert [r.id for r in records] == sorted(ids)
     for record in records:
         assert record.status == repro.VERIFIED, \
             json.dumps(record.to_json(), sort_keys=True)
+    return records
 
 
 def _pass(number: int, label: str, start: float, budget: float) -> None:
@@ -255,7 +256,11 @@ def test_criterion_11_combined_chain():
 def test_criterion_12_sampler_cross_validation():
     start = time.monotonic()
     assert len(CROSS_VALIDATION_CASES) == 20
-    _assert_verified(CLAIMED[12])
+    [record] = _assert_verified(CLAIMED[12])
+    # The item's JSON line, hashed as in tests/test_repro_bytes.py.
+    line = json.dumps(record.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(line).hexdigest() == \
+        "f981f769b7a40a060243cfb6f0be07738e2af2afbe8e60bd948b75bb1592aaaa"
 
     # byte-level reproducibility of a fixed-seed report
     g = generate("kab:3,3")

@@ -746,7 +746,81 @@ def test_exact_evaluations_match_the_fraction_references():
                 lam * z.derivative().evaluate(lam) / (n * z.evaluate(lam)), (g.label, lam)
             assert prof.variance_at(lam) == var_numerator(z).evaluate(lam) / (n * zv * zv)
             assert bounds.degree_floor_value(g, lam) == \
-                sum(bounds.clique_occupancy_value(d, lam) for d in g.degrees()) / n
+                sum(_reference_clique_occupancy(d, lam) for d in g.degrees()) / n
+
+
+def _reference_clique_occupancy(d, lam):
+    return lam / (1 + (d + 1) * lam)
+
+
+def _reference_bipartite_occupancy(a, b, lam):
+    num = lam * (a * (1 + lam) ** (a - 1) + b * (1 + lam) ** (b - 1))
+    return num / ((a + b) * ((1 + lam) ** a + (1 + lam) ** b - 1))
+
+
+def _reference_closed_form_checks(g, lam):
+    """check_occupancy_bounds and check_variance_bounds with every closed-form
+    side and every note stated as a chain of Fraction operations in lam;
+    E, V and the degree floor come from the library."""
+    prof = HardCoreProfile(g)
+    e, v = prof.expectation_at(lam), prof.variance_at(lam)
+    n, delta = g.n, g.max_degree
+
+    def le(name, lhs, rhs, note=None):
+        return bounds.BoundCheck(name, g.display_name(), lam, HOLDS if lhs <= rhs else FAILS,
+                                 lhs=lhs, rhs=rhs, margin=rhs - lhs, note=note)
+
+    occupancy = [le("occupancy.complete_floor", lam / (1 + n * lam), e),
+                 le("occupancy.edgeless_ceiling", e, lam / (1 + lam))]
+    if delta >= 1:
+        occupancy.append(le("occupancy.clique_floor", _reference_clique_occupancy(delta, lam), e))
+        if all(d == delta for d in g.degrees()):
+            occupancy.append(le("occupancy.biregular_ceiling",
+                                e, _reference_bipartite_occupancy(delta, delta, lam)))
+    occupancy.append(le(
+        "occupancy.degree_floor", bounds.degree_floor_value(g, lam), e,
+        None if lam <= F(3, (delta + 1) ** 2)
+        else "outside the guaranteed fugacity range; exploratory"))
+    window = "outside the guaranteed fugacity window; exploratory"
+    variance = [
+        le("variance.complete_floor", lam / (1 + n * lam) ** 2, v,
+           None if lam < F(1, 2 * n - 1) else window),
+        le("variance.edgeless_ceiling", v, lam / (1 + lam) ** 2,
+           None if lam <= F(1, n) else window),
+        le("variance.clique_floor_conjecture", lam / (1 + (delta + 1) * lam) ** 2, v,
+           "conjectured range-unrestricted floor; exploratory"),
+    ]
+    return occupancy, variance
+
+
+def test_closed_form_sides_match_the_fraction_references():
+    # Each occupancy and variance side is one Fraction built from integers at
+    # lam = p/q, and each note an integer comparison: every report equals the
+    # Fraction expressions they replaced, at each note's boundary and 10^-9
+    # to either side of it too.
+    specs = ("petersen", "kab:3,3", "cycle:5", "path:1", "kn:1", "empty:3")
+    eps = F(1, 10**9)
+    for g in corpus.connected_corpus(6) + tuple(generate(spec) for spec in specs):
+        edges = (F(1, 2 * g.n - 1), F(1, g.n), F(3, (g.max_degree + 1) ** 2))
+        lams = {F(1, 3), F(1), F(7, 2), F(100), F(1, 10**12)}
+        lams.update(edge + k * eps for edge in edges for k in (-1, 0, 1))
+        for lam in sorted(lams):
+            ref_occupancy, ref_variance = _reference_closed_form_checks(g, lam)
+            for checks, refs in ((bounds.check_occupancy_bounds(g, lam), ref_occupancy),
+                                 (bounds.check_variance_bounds(g, lam), ref_variance)):
+                assert [c.name for c in checks] == [r.name for r in refs]
+                for check, ref in zip(checks, refs):
+                    assert (check.status, check.lhs, check.rhs, check.margin, check.note) == (
+                        ref.status, ref.lhs, ref.rhs, ref.margin, ref.note), \
+                        (g.display_name(), lam, ref.name)
+                    assert check.to_json() == ref.to_json()
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for lam in (F(1, 3), F(1), F(7, 2), F(100), F(1, 10**12)):
+                assert bounds.bipartite_occupancy_value(a, b, lam) == \
+                    _reference_bipartite_occupancy(a, b, lam)
+                assert bounds.clique_occupancy_value(a, lam) == \
+                    _reference_clique_occupancy(a, lam)
 
 
 def test_one_graph6_encode_per_graph(monkeypatch):

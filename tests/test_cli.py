@@ -236,9 +236,9 @@ def test_graph6_and_file_specs(tmp_path, capsys):
 
 
 def test_non_integer_edge_list_vertex_is_a_one_line_usage_error(tmp_path, capsys):
-    for bad in ("a b", "0 1.5"):
+    for bad in ("a b", "0 1.5", "0 1_0", "+0 1", "0 \u0661"):
         edge_file = tmp_path / "bad.txt"
-        edge_file.write_text(f"0 1\n{bad}\n")
+        edge_file.write_text(f"0 1\n{bad}\n", encoding="utf-8")
         code, out, err = run(capsys, "poly", f"@{edge_file}")
         assert (code, out, err) == (1, "", f"error: bad edge line: '{bad}'\n")
 

@@ -1,5 +1,6 @@
 """Graph substrate: generators, graph6, neighborhoods, identities."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -257,9 +258,10 @@ def test_edge_list_parsing():
     for bad in ("0 -1", "0 64"):
         with pytest.raises(ValueError):
             read_edge_list(bad)
-    # A vertex id that is not an integer is a bad line, not Python's message.
-    for bad in ("a b", "0 1.5"):
-        with pytest.raises(ValueError, match=f"^bad edge line: '{bad}'$"):
+    # A vertex id that is not a run of ASCII digits is a bad line, not
+    # Python's message, even where int() would read it.
+    for bad in ("a b", "0 1.5", "0 1_0", "+0 1", "0 \u0661"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad edge line: {bad!r}')}$"):
             read_edge_list(f"0 1\n{bad}\n")
     _raises_within_one_megabyte(read_edge_list, "0 1\n2 5000000\n")
 

@@ -2,8 +2,10 @@
 
 A change that makes the lab faster or smaller moves no verdict, witness or
 margin, so the JSON line of every deterministic item is pinned by its
-sha256.  `sampler.cross_validation` is left out: it runs twenty Glauber
-chains of 10^6 steps and prints float estimates.  The pins hold on this
+sha256.  `sampler.cross_validation` is left out here: it runs twenty Glauber
+chains of 10^6 steps and prints float estimates.  Its line is pinned in
+`tests/test_acceptance.py::test_criterion_12_sampler_cross_validation`,
+which runs the item anyway.  The pins hold on this
 platform, x86-64 Linux with CPython 3.11: the Lambert-W seed of the
 triangle-free enclosures comes from libm floats, so another platform may
 print other enclosure endpoints and need its own pins.
