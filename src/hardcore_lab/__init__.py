@@ -36,7 +36,6 @@ from .intervals import (
     lambert_w_bisection,
     lambert_w_interval,
     log1p_interval,
-    log_interval,
     log_series,
 )
 from .multipoly import MultiPoly

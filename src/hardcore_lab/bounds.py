@@ -23,17 +23,7 @@ from .hardcore import (
     _require_vertices,
     cycle_polynomial,
 )
-from .intervals import (
-    RationalInterval,
-    _lift,
-    _positive_tol,
-    entropy_interval,
-    free_energy_interval,
-    lambert_w_bisection,
-    log1p_interval,
-    log_interval,
-    log_series,
-)
+from .intervals import RationalInterval, _lift, _positive_tol, lambert_w_bisection, log_series
 from .polynomials import Poly, RatFunc, _int_horner, var_numerator
 from .roots import isolate_positive_roots
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, _jsonify, _refuse_digits, format_rational
@@ -103,7 +93,7 @@ def _exact_le(name: str, g: Graph, lam: Fraction, lhs: Fraction, rhs: Fraction,
                       lhs=lhs, rhs=rhs, margin=rhs - lhs, note=note)
 
 
-def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol) -> BoundCheck:
+def _interval_le(name: str, g: Graph, lam: Fraction, make_lhs, make_rhs, tol) -> BoundCheck:
     """Certify lhs <= rhs where either side is an enclosure factory tol -> value."""
     tol = _positive_tol(tol)
     while True:
@@ -111,14 +101,14 @@ def _interval_le(name: str, g: Graph, lam, make_lhs, make_rhs, tol) -> BoundChec
         rhs = make_rhs(tol)
         lhs_i, rhs_i = _lift(lhs), _lift(rhs)
         if lhs_i.certainly_le(rhs_i):
-            return BoundCheck(name, g.display_name(), Fraction(lam), HOLDS,
+            return BoundCheck(name, g.display_name(), lam, HOLDS,
                               lhs=lhs, rhs=rhs, margin=rhs_i.lo - lhs_i.hi)
         if rhs_i.certainly_lt(lhs_i):
-            return BoundCheck(name, g.display_name(), Fraction(lam), FAILS,
+            return BoundCheck(name, g.display_name(), lam, FAILS,
                               lhs=lhs, rhs=rhs, margin=rhs_i.hi - lhs_i.lo,
                               witness=(lhs_i, rhs_i))
         if tol <= TOL_FLOOR:
-            return BoundCheck(name, g.display_name(), Fraction(lam), INCONCLUSIVE,
+            return BoundCheck(name, g.display_name(), lam, INCONCLUSIVE,
                               lhs=lhs, rhs=rhs,
                               margin=RationalInterval(rhs_i.lo - lhs_i.hi, rhs_i.hi - lhs_i.lo))
         tol /= 10
@@ -171,7 +161,7 @@ def check_free_energy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck
     """Every displayed free-energy comparison, decided exactly by clearing
     logarithms to cross-power comparisons over the rationals."""
     prof, g, lam = _inputs(g, lam)
-    zv = Fraction(prof.z.evaluate(lam))
+    zv = prof.z.evaluate(lam)
     n = g.n
     out = []
 
@@ -218,7 +208,7 @@ def check_vertex_f_upper_counterexample(g: Graph | HardCoreProfile, lam) -> Boun
     prof, g, lam = _inputs(g, lam)
     if min(g.degrees()) < 1:
         raise ValueError("vertex-based ceiling needs minimum degree one")
-    zv = Fraction(prof.z.evaluate(lam))
+    zv = prof.z.evaluate(lam)
     m = lcm(*(2 * d for d in g.degrees()))
     rhs = _cleared(*((2 * (1 + lam) ** d - 1, m // (2 * d)) for d in g.degrees()))
     return _exact_le("free_energy.vertex_biregular_ceiling", g, lam, _cleared((zv, m)), rhs)
@@ -252,17 +242,11 @@ def check_occupancy_bounds(g: Graph | HardCoreProfile, lam) -> list[BoundCheck]:
 
 def degree_floor_value(g: Graph, lam: Fraction) -> Fraction:
     """(1/n) sum_u lam / (1 + (d_u + 1) lam).  At lam = p/q each term is
-    p / (q + (d + 1) p), so the sum is one Fraction over n P, P the product
-    of the distinct denominators, with c_d vertices of degree d adding
-    c_d p P / (q + (d + 1) p)."""
+    p / (q + (d + 1) p), so the c_d vertices of degree d add the pair
+    (c_d p, q + (d + 1) p) to one common-denominator mean."""
     _, g, lam = _inputs(g, lam)
     p, q = lam.numerator, lam.denominator
-    counts = Counter(g.degrees())
-    product = 1
-    for d in counts:
-        product *= q + (d + 1) * p
-    total = sum(c * p * (product // (q + (d + 1) * p)) for d, c in counts.items())
-    return Fraction(total, g.n * product)
+    return _pair_mean(((c * p, q + (d + 1) * p) for d, c in Counter(g.degrees()).items()), g.n)
 
 
 def check_occupancy_tf(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> BoundCheck:
@@ -472,7 +456,7 @@ def _marginal_mass(prof: HardCoreProfile, lam: Fraction) -> dict[int, Fraction]:
     rests = {}
     for rest, d in zip(prof.residuals, prof.graph.degrees()):
         rests[d] = rests.get(d, 0) + rest.evaluate(lam)
-    scale = lam / Fraction(prof.z.evaluate(lam))
+    scale = lam / prof.z.evaluate(lam)
     return {d: r * scale for d, r in rests.items()}
 
 
@@ -525,24 +509,29 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
     for part in (e.numerator, e.denominator):
         _refuse_digits(log10(part), "the occupancy fraction")
 
+    # One series per argument serves every side and every refinement round.
+    log_lam, log_1p, log_z, log_e, log_1me = (
+        log_series(lam), log_series(1 + lam), log_series(prof.z.evaluate(lam)),
+        log_series(e), log_series(1 - e))
+
     # Three comparisons read the free energy and two each the other
     # ceilings: each is enclosed once per tolerance within this call.
     @cache
     def free_energy(tol):
-        return free_energy_interval(prof.z, g.n, lam, tol)
+        return log_z(tol * g.n) * Fraction(1, g.n)
 
     def lower(tol):
-        return log1p_interval(lam, tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
+        return log_1p(tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
 
     @cache
     def entropy_form(tol):
-        return log_interval(lam, tol / 2) * e + entropy_interval(e, tol / 2)
+        # E log lam + h(E), h(E) = -E log E - (1 - E) log(1 - E)
+        return log_lam(tol / 2) * e - log_e(tol / 4) * e - log_1me(tol / 4) * (1 - e)
 
     @cache
     def final_form(tol):
         # E log(e lam / E) = E (1 + log lam - log E)
-        inner = 1 + (log_interval(lam, tol / 2) - log_interval(e, tol / 2))
-        return inner * e
+        return (1 + (log_lam(tol / 2) - log_e(tol / 2))) * e
 
     return [
         _interval_le("combined.expectation_floor", g, lam, lower, free_energy, tol),

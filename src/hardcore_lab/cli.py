@@ -98,7 +98,7 @@ def cmd_quantities(args) -> int:
         "graph": g.display_name(),
         "lambda": format_rational(lam),
         "partition": z.to_text(),
-        "partition_at_lambda": format_rational(Fraction(z.evaluate(lam))),
+        "partition_at_lambda": format_rational(z.evaluate(lam)),
         "occupancy": {"num": e.num.to_text(), "den": e.den.to_text()},
         "occupancy_at_lambda": format_rational(prof.expectation_at(lam)),
         "variance": {"num": v.num.to_text(), "den": v.den.to_text()},

@@ -311,7 +311,8 @@ class HardCoreProfile:
         """E(lam) = p H' / (n H) at lam = p/q, where H = q^D Z(lam) and
         H' = q^(D-1) Z'(lam) are integer Horner values and D = deg Z."""
         _require_vertices(self.graph)
-        lam, cs = Fraction(lam), self.z.coeffs
+        lam = lam if type(lam) is Fraction else Fraction(lam)
+        cs = self.z.coeffs
         p, q = lam.numerator, lam.denominator
         return Fraction(p * _int_horner(_derivative(cs), p, q),
                         self.graph.n * _int_horner(cs, p, q))
@@ -321,7 +322,8 @@ class HardCoreProfile:
         degree at most 2D - 1: at lam = p/q, the integer Horner value
         q^(deg N) N(lam) times q^(2D - deg N), over n H^2 with H = q^D Z(lam)."""
         _require_vertices(self.graph)
-        lam, cs = Fraction(lam), self.z.coeffs
+        lam = lam if type(lam) is Fraction else Fraction(lam)
+        cs = self.z.coeffs
         p, q = lam.numerator, lam.denominator
         num = self.variance_numerator.coeffs
         h = _int_horner(cs, p, q)

@@ -23,11 +23,13 @@ fresh bisection, the one place where a bracket becomes an interval.
 
 The logarithm resumes the same way.  ``log_series(v)`` records the partial
 sums of its atanh series and their tail bounds once: a smaller tol sums on
-from the last term, a larger one reads a recorded term, and
-``log_interval`` and ``log1p_interval`` are one call into a fresh series.
-A caller that refines one comparison round by round, as the triangle-free
-bound checks do, keeps one series and one bisection per argument across its
-rounds and pays only for the terms and steps each round adds.
+from the last term, and a larger one reads a recorded term.  It is the one
+entrance to the logarithm: the one-shot ``log1p_interval``,
+``entropy_interval`` and ``free_energy_interval`` read fresh series at each
+call.  A caller that refines comparisons round by round, as the
+triangle-free checks and the combined chain do, keeps one series and one
+bisection per argument across its rounds and sides, and pays only for the
+terms and steps each round adds.
 """
 
 from __future__ import annotations
@@ -112,12 +114,6 @@ def _lift(value) -> RationalInterval:
 @cache
 def _log2_enclosure(tol: Fraction) -> RationalInterval:
     return _atanh_sums(Fraction(1, 3))(tol)
-
-
-def log_interval(v, tol) -> RationalInterval:
-    """Enclosure of log(v) for rational v > 0 with width <= tol: one call
-    into a fresh ``log_series(v)``."""
-    return log_series(v)(tol)
 
 
 def log1p_interval(x, tol) -> RationalInterval:
@@ -466,9 +462,7 @@ def entropy_interval(x, tol) -> RationalInterval:
         raise ValueError("entropy argument outside [0, 1]")
     if x == 0 or x == 1:
         return RationalInterval.point(0)
-    left = -(log_interval(x, tol / 2) * x)
-    right = -(log_interval(1 - x, tol / 2) * (1 - x))
-    return left + right
+    return -(log_series(x)(tol / 2) * x) - log_series(1 - x)(tol / 2) * (1 - x)
 
 
 def free_energy_interval(z: Poly, n: int, lam, tol) -> RationalInterval:
@@ -476,7 +470,7 @@ def free_energy_interval(z: Poly, n: int, lam, tol) -> RationalInterval:
     tol = _positive_tol(tol)
     if n < 1:
         raise ValueError("need at least one vertex")
-    value = Fraction(z.evaluate(Fraction(lam)))
+    value = z.evaluate(Fraction(lam))
     if value <= 0:
         raise ValueError("partition function evaluated nonpositive")
-    return log_interval(value, tol * n) * Fraction(1, n)
+    return log_series(value)(tol * n) * Fraction(1, n)

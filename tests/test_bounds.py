@@ -30,8 +30,11 @@ from hardcore_lab.hardcore import (
 )
 from hardcore_lab.intervals import (
     RationalInterval,
+    entropy_interval,
+    free_energy_interval,
     lambert_w_interval,
     log1p_interval,
+    log_series,
 )
 from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
@@ -380,6 +383,56 @@ def test_combined_chain_edgeless_is_inconclusive_by_design():
     assert first.status == INCONCLUSIVE
 
 
+# -- combined chain: the one-shot enclosures as references ---------------------
+#
+# The chain's sides were first built from one-shot enclosures, each summing
+# its log series afresh per side and per tolerance.  The library now reads
+# one series per argument; a series read at tol gives the enclosure a fresh
+# one gives there, so every check must be the same.
+
+def _reference_combined_chain(g, lam, tol):
+    prof = HardCoreProfile(g)
+    e = prof.expectation_at(lam)
+
+    def free_energy(tol):
+        return free_energy_interval(prof.z, g.n, lam, tol)
+
+    def lower(tol):
+        return log1p_interval(lam, tol * lam / (2 * (1 + lam))) * ((1 + lam) / lam) * e
+
+    def entropy_form(tol):
+        return log_series(lam)(tol / 2) * e + entropy_interval(e, tol / 2)
+
+    def final_form(tol):
+        return (1 + (log_series(lam)(tol / 2) - log_series(e)(tol / 2))) * e
+
+    return [
+        bounds._interval_le("combined.expectation_floor", g, lam, lower, free_energy, tol),
+        bounds._interval_le("combined.entropy_ceiling", g, lam, free_energy, entropy_form, tol),
+        bounds._interval_le("combined.relaxed_ceiling", g, lam, entropy_form, final_form, tol),
+        bounds._interval_le("combined.free_energy_vs_relaxed", g, lam, free_energy, final_form,
+                            tol),
+    ]
+
+
+def test_combined_chain_matches_the_one_shot_enclosures():
+    cases = [(g, lam, bounds.DEFAULT_TOL)
+             for g in corpus.connected_corpus(6) if g.n >= 2
+             for lam in (F(1, 4), F(1), F(4), F(1, 10**6), F(10**6), F(7, 3))]
+    cases += [(generate(spec), F(1), F(1, 10**28)) for spec in ("empty:2", "empty:3")]
+    cases += [(generate(spec), F(1), bounds.DEFAULT_TOL)
+              for spec in ("path:4", "kn:5", "petersen")]
+    assert len(cases) == 857
+    fields = ("name", "status", "lhs", "rhs", "margin", "witness")
+    for g, lam, tol in cases:
+        got = bounds.check_combined_chain(g, lam, tol)
+        want = _reference_combined_chain(g, lam, tol)
+        assert [[getattr(c, f) for f in fields] for c in got] == \
+            [[getattr(c, f) for f in fields] for c in want], (g.label, lam)
+        assert json.dumps([c.to_json() for c in got]) == \
+            json.dumps([c.to_json() for c in want]), (g.label, lam)
+
+
 # -- triangle-free weight: the interval compositions as references -----------
 #
 # The weight and both triangle-free checks were first written as chained
@@ -546,20 +599,6 @@ def test_clique_weighted_marginals_match_the_per_vertex_sum():
             assert (check.lhs, check.rhs, check.margin) == (1, ref, ref - 1), (g, lam)
 
 
-def _count_calls(monkeypatch, name):
-    """Patch bounds.name with a wrapper; return the list of the tolerances
-    it is called with."""
-    seen = []
-    original = getattr(bounds, name)
-
-    def counted(*args):
-        seen.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(bounds, name, counted)
-    return seen
-
-
 def _count_resumed(monkeypatch, name):
     """Patch bounds.name, a factory x -> enclose(tol) such as
     lambert_w_bisection or log_series, with a wrapper; return the list of
@@ -624,12 +663,21 @@ def test_triangle_free_checks_start_their_bisections_on_every_call(monkeypatch):
 
 
 def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch):
-    free_energies = _count_calls(monkeypatch, "free_energy_interval")
-    checks = bounds.check_combined_chain(empty_graph(2), F(1), tol=F(1, 10**28))
-    # Two comparisons refine to the floor; the free energy, which three of
-    # them read, is enclosed once at each tolerance any of them reaches.
-    assert [c.status for c in checks].count(INCONCLUSIVE) == 2
-    assert sorted(free_energies, reverse=True) == [F(1, 10**28), F(1, 10**29), bounds.TOL_FLOOR]
+    series, logs = _count_resumed(monkeypatch, "log_series")
+    g, lam = empty_graph(2), F(1)
+    z, e = F(4), F(1, 2)  # Z = (1 + lam)^2 and E = lam / (1 + lam)
+    for _ in range(2):
+        series.clear()
+        logs.clear()
+        checks = bounds.check_combined_chain(g, lam, tol=F(1, 10**28))
+        # Each call makes one series per argument: lam, 1 + lam, Z(lam), E
+        # and 1 - E.  Two comparisons refine to the floor; the free energy,
+        # which three of them read, reads the Z series once at each
+        # tolerance any of them reaches, times n.
+        assert [c.status for c in checks].count(INCONCLUSIVE) == 2
+        assert Counter(series) == Counter([lam, 1 + lam, z, e, 1 - e])
+        assert sorted((tol for v, tol in logs if v == z), reverse=True) == \
+            [2 * F(1, 10**28), 2 * F(1, 10**29), 2 * bounds.TOL_FLOOR]
 
 
 def test_tf_weights_refuse_a_nonpositive_log_enclosure(monkeypatch):
@@ -735,16 +783,19 @@ def test_boundcheck_json_schema():
 
 def test_exact_evaluations_match_the_fraction_references():
     # E, V and the degree floor are each one Fraction built from integers:
-    # they equal the Fraction expressions they replaced.
+    # they equal the Fraction expressions they replaced.  E and V take lam
+    # as a Fraction, an int or a "p/q" string alike.
     specs = ("path:1", "kn:1", "empty:3")
     for g in corpus.connected_corpus(6) + tuple(generate(spec) for spec in specs):
         prof = HardCoreProfile(g)
         z, n = prof.z, g.n
         for lam in (F(1, 3), F(1), F(7, 2), F(100), F(1, 10**12)):
             zv = z.evaluate(lam)
-            assert prof.expectation_at(lam) == \
-                lam * z.derivative().evaluate(lam) / (n * z.evaluate(lam)), (g.label, lam)
-            assert prof.variance_at(lam) == var_numerator(z).evaluate(lam) / (n * zv * zv)
+            e, v = prof.expectation_at(lam), prof.variance_at(lam)
+            assert e == lam * z.derivative().evaluate(lam) / (n * zv), (g.label, lam)
+            assert v == var_numerator(z).evaluate(lam) / (n * zv * zv)
+            for same in [str(lam)] + ([int(lam)] if lam.denominator == 1 else []):
+                assert (prof.expectation_at(same), prof.variance_at(same)) == (e, v), same
             assert bounds.degree_floor_value(g, lam) == \
                 sum(_reference_clique_occupancy(d, lam) for d in g.degrees()) / n
 

@@ -25,7 +25,6 @@ from hardcore_lab.intervals import (
     lambert_w_bisection,
     lambert_w_interval,
     log1p_interval,
-    log_interval,
     log_series,
 )
 from hardcore_lab.polynomials import Poly
@@ -90,7 +89,7 @@ def test_log_two_against_independent_series():
         if tail < F(1, 10**15):
             break
     oracle = RationalInterval(total, total + tail)
-    enc = log_interval(2, F(1, 10**15))
+    enc = log_series(2)(F(1, 10**15))
     assert enc.intersects(oracle)
 
 
@@ -116,14 +115,14 @@ def test_log1p_inverse_relationship():
 
 def test_log_argument_reduction():
     for v in (F(390625), F(1, 390625), F(22, 7), F(3), F(10) ** 12):
-        enc = log_interval(v, F(1, 10**18))
+        enc = log_series(v)(F(1, 10**18))
         ref = _dec_to_frac(Decimal(v.numerator).ln() - Decimal(v.denominator).ln())
         assert enc.lo <= ref <= enc.hi
         assert enc.hi - enc.lo <= F(1, 10**18)
 
 
 def _halving_reduction(v):
-    """log_interval's argument reduction as it was: one halving or doubling
+    """log_series' argument reduction as it was: one halving or doubling
     per step."""
     k, m = 0, v
     while m > F(3, 2):
@@ -153,7 +152,7 @@ def test_log_argument_jump_ends_where_the_halving_loops_did(monkeypatch):
     for v in values:
         m, k = _halving_reduction(v)
         seen.clear()
-        assert log_interval(v, F(1, 10**6)) == RationalInterval.point((m - 1) / (m + 1) + k), v
+        assert log_series(v)(F(1, 10**6)) == RationalInterval.point((m - 1) / (m + 1) + k), v
         assert seen == [(m - 1) / (m + 1)], v
 
 
@@ -199,7 +198,7 @@ def test_resumed_log_series_matches_a_fresh_one():
         enclose = log_series(v)
         for tol in ladder:
             enc = enclose(tol)
-            assert enc == log_interval(v, tol) == _reference_log_interval(v, tol), (v, tol)
+            assert enc == log_series(v)(tol) == _reference_log_interval(v, tol), (v, tol)
             assert enc.hi - enc.lo <= tol, (v, tol)
 
 
@@ -328,7 +327,7 @@ def test_midpoints_track_reference():
     rng = SplitMix64(11)
     for _ in range(50):
         v = F(rng.randrange(10**5) + 1, rng.randrange(100) + 1)
-        enc = log_interval(v, F(1, 10**12))
+        enc = log_series(v)(F(1, 10**12))
         ref = _dec_to_frac(Decimal(v.numerator).ln() - Decimal(v.denominator).ln())
         assert abs((enc.lo + enc.hi) / 2 - ref) <= enc.hi - enc.lo
 
@@ -518,7 +517,7 @@ def test_dyadic_between_matches_the_fraction_loop():
 def test_nonpositive_tolerance_raises():
     g = generate("cycle:5")
     calls = (
-        lambda t: log_interval(3, t),
+        log_series(3),
         lambda t: log1p_interval(F(1, 2), t),
         lambda t: exp_interval(F(1, 2), t),
         lambda t: exp_interval(0, t),

@@ -291,7 +291,8 @@ def test_bounds_reach_lambert_w_through_per_call_bisections():
     # takes nothing else and is not memoised, makes the series and starts
     # the bisections, and it is called once in each check's own body: not in
     # a nested function, a default or at module level, so the weights object
-    # that owns them lives for exactly one call.
+    # that owns them lives for exactly one call.  The combined chain makes
+    # its own series the same way: once per argument, in its own body.
     tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
     functions = dict(_functions(tree))
 
@@ -302,14 +303,29 @@ def test_bounds_reach_lambert_w_through_per_call_bisections():
     assert "lambert_w_interval" not in set(_names_used(tree))
     weights = functions["_tf_weights"]
     inside = set(ast.walk(weights))
-    for name in ("log_series", "lambert_w_bisection"):
-        found = calls(name, ast.walk(tree))
-        assert found and set(found) <= inside, name
+    chain = calls("log_series", _own_nodes(functions["check_combined_chain"]))
+    arguments = [ast.unparse(call.args[0]) for call in chain]
+    assert len(arguments) == len(set(arguments)) == 5
+    for name, allowed in (("log_series", chain), ("lambert_w_bisection", [])):
+        found = set(calls(name, ast.walk(tree))) - set(allowed)
+        assert found and found <= inside, name
     assert [a.arg for a in weights.args.args] == ["lam"] and weights.decorator_list == []
     checks = ("check_occupancy_tf", "check_tf_weighted_marginals")
     own = [calls("_tf_weights", _own_nodes(functions[check])) for check in checks]
     assert [len(found) for found in own] == [1, 1]
     assert set(calls("_tf_weights", ast.walk(tree))) == {call for found in own for call in found}
+
+
+def test_bounds_import_no_one_shot_enclosure():
+    # The checks reach every logarithm through log_series and W through
+    # lambert_w_bisection: a one-shot wrapper, which starts a fresh series or
+    # bisection per call, is not imported into bounds.py.
+    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "intervals"
+                for alias in node.names]
+    assert sorted(imported) == ["RationalInterval", "_lift", "_positive_tol",
+                                "lambert_w_bisection", "log_series"]
 
 
 # Defaulted parameters kept without a caller: main(argv) is the tests' entry
