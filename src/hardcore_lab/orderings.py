@@ -1,15 +1,33 @@
 """Decision procedures for the seven comparison orderings between generating
 polynomials with nonnegative coefficients and constant term one, plus the
-implication-web harness.  The VAR certificate reads both variance numerators
-from the one kernel in `polynomials` and is one packed product."""
+implication-web harness.
+
+The pointwise kinds PART, OCC and VAR each build one integer polynomial from
+the padded pair and hand it to the one half-line decision,
+`roots._halfline_witness`: PART p - q; OCC p' q - q' p, one packed product
+at 2^k; VAR the certificate N_p q^2 - N_q p^2, which reads both variance
+numerators from the one kernel in `polynomials` and is one packed product
+too.  A rational pair is first scaled by one common denominator L, which
+changes no sign and so no witness.  A failing margin, PART/L, x c/(p q) or
+c/(p q)^2 at the witness x, is one Fraction of integer Horner values."""
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
-from .polynomials import Poly, _content_split, _int_poly, _int_var_numerator, _pack, _unpack
-from .roots import nonneg_on_halfline
+from .polynomials import (
+    Coeffs,
+    Poly,
+    _content_split,
+    _int_horner,
+    _int_poly,
+    _int_var_numerator,
+    _pack,
+    _unpack,
+)
+from .roots import _halfline_witness
 from .verdict import FAILS, HOLDS, Verdict
 
 
@@ -50,7 +68,8 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdi
 
     Coefficient-indexed kinds fail with the offending index as witness; the
     pointwise kinds fail with an exact rational point where the defining
-    inequality is violated.  `compare_all` validates and pads the pair once
+    inequality is violated, found by `_halfline_witness` (see the module
+    docstring).  `compare_all` validates and pads the pair once
     and hands the result over as `padded`.
     """
     kind = OrderingKind(kind) if not isinstance(kind, OrderingKind) else kind
@@ -79,23 +98,31 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdi
                 return Verdict(FAILS, witness=k, margin=b[k] * a[k + 1] - a[k] * b[k + 1])
         return Verdict(HOLDS)
 
-    if kind is OrderingKind.PART:
-        return nonneg_on_halfline(p - q)
-
-    if kind is OrderingKind.OCC or kind is OrderingKind.VAR:
-        # x p'/p >= x q'/q on x >= 0 reduces to p' q - q' p >= 0 there, since
-        # both polynomials are positive on the half-line, and V_p >= V_q to
-        # p^2 q^2 (V_p - V_q) >= 0.  A failing verdict's margin is that
-        # polynomial at the witness, divided back.
-        occ = kind is OrderingKind.OCC
-        v = nonneg_on_halfline(p.derivative() * q - q.derivative() * p if occ
-                               else var_difference_certificate(p, q))
-        if v.fails:
-            x = v.witness
-            pq = p.evaluate(x) * q.evaluate(x)
-            margin = x * v.margin / pq if occ else v.margin / (pq * pq)
-            return Verdict(FAILS, witness=x, margin=margin)
-        return v
+    if kind is OrderingKind.PART or kind is OrderingKind.OCC or kind is OrderingKind.VAR:
+        # One common denominator L makes the pair integral and changes no sign.
+        den = 1
+        if not (p._int and q._int):
+            den = lcm(*(c.denominator for c in a), *(c.denominator for c in b))
+            a = [c.numerator * (den // c.denominator) for c in a]
+            b = [c.numerator * (den // c.denominator) for c in b]
+        if kind is OrderingKind.PART:
+            cs = [x - y for x, y in zip(a, b)]
+        elif kind is OrderingKind.OCC:
+            cs = _int_occ_numerator(a, b)
+        else:
+            cs = _int_var_certificate(a, b)
+        w = _halfline_witness(cs)
+        if w is None:
+            return Verdict(HOLDS)
+        # Horner values carry w's denominator d to the power len - 1: cs
+        # gives d^(len(cs) - 1) cs(w), and p q gives d^(2n) L^2 p(w) q(w).
+        num, d = w.numerator, w.denominator
+        value = _int_horner(cs, num, d)
+        if kind is OrderingKind.PART:
+            return Verdict(FAILS, witness=w, margin=Fraction(value, den * d ** n))
+        pq = _int_horner(a, num, d) * _int_horner(b, num, d)
+        margin = Fraction(num * value, pq) if kind is OrderingKind.OCC else Fraction(value * d, pq * pq)
+        return Verdict(FAILS, witness=w, margin=margin)
 
     raise ValueError(f"unknown ordering kind {kind!r}")
 
@@ -105,19 +132,36 @@ def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
     return {kind: compare(kind, p, q, padded=padded) for kind in OrderingKind}
 
 
-def var_difference_certificate(p: Poly, q: Poly) -> Poly:
-    """The exact polynomial p^2 q^2 (V_p - V_q) = N_p q^2 - N_q p^2, with N_p
-    = var_numerator(p); nonnegative on the half-line iff p dominates q in the
-    variance ordering.  Contents are split off first, cert(c P, d Q) =
-    (c d)^2 cert(P, Q); each coefficient is at most |N_p|_1 |q|_1^2 +
-    |N_q|_1 |p|_1^2 in size, so one value at 2^k past that gives it."""
-    c, a = _content_split(p)
-    d, b = _content_split(q)
+def _int_occ_numerator(a, b) -> Coeffs:
+    """The len(a) + len(b) - 2 coefficients of a' b - b' a for integer a and
+    b: x a'/a >= x b'/b on x >= 0 reduces to it being >= 0 there, both sides
+    being positive.  Each coefficient is at most |a'|_1 |b|_1 + |b'|_1 |a|_1
+    in size, so one value at 2^k past that gives it."""
+    da = [i * c for i, c in enumerate(a)][1:]
+    db = [i * c for i, c in enumerate(b)][1:]
+    k = (sum(map(abs, da)) * sum(map(abs, b)) + sum(map(abs, db)) * sum(map(abs, a))).bit_length() + 1
+    return _unpack(_pack(da, k) * _pack(b, k) - _pack(db, k) * _pack(a, k), k, len(a) + len(b) - 2)
+
+
+def _int_var_certificate(a, b) -> Coeffs:
+    """The 2 (len(a) + len(b)) - 4 coefficients of N_a b^2 - N_b a^2 for
+    integer a and b.  Each is at most |N_a|_1 |b|_1^2 + |N_b|_1 |a|_1^2 in
+    size, so one value at 2^k past that gives it."""
     na, nb = _int_var_numerator(a), _int_var_numerator(b)
     a_l1, b_l1 = sum(map(abs, a)), sum(map(abs, b))
     k = (sum(map(abs, na)) * b_l1 * b_l1 + sum(map(abs, nb)) * a_l1 * a_l1).bit_length() + 1
     pa, pb = _pack(a, k), _pack(b, k)
-    cs = _unpack(_pack(na, k) * pb * pb - _pack(nb, k) * pa * pa, k, 2 * (len(a) + len(b)) - 4)
+    return _unpack(_pack(na, k) * pb * pb - _pack(nb, k) * pa * pa, k, 2 * (len(a) + len(b)) - 4)
+
+
+def var_difference_certificate(p: Poly, q: Poly) -> Poly:
+    """The exact polynomial p^2 q^2 (V_p - V_q) = N_p q^2 - N_q p^2, with N_p
+    = var_numerator(p); nonnegative on the half-line iff p dominates q in the
+    variance ordering.  Contents are split off first, cert(c P, d Q) =
+    (c d)^2 cert(P, Q)."""
+    c, a = _content_split(p)
+    d, b = _content_split(q)
+    cs = _int_var_certificate(a, b)
     scale = 1 if c == d == 1 else (c * d) ** 2
     return _int_poly(cs) if scale == 1 else Poly([x * scale for x in cs])
 

@@ -12,6 +12,26 @@ Each isolation or decision call keeps one dict of the chain's sign
 variations at each point, shared by `_isolate` and `_refine`: a bisection
 step evaluates the chain at its midpoint alone.
 
+There is one half-line decision, `_halfline_witness`, on integer
+coefficients: it returns nothing when the polynomial holds, else its
+witness.  `nonneg_on_halfline` adds the margin p(w), and `orderings.compare`
+calls it on its own integer polynomials.  Its sign probes stop at, and its
+isolation starts from, a positive-root bound B, a power of two: the least
+one at or above Kioustelidis' bound 2 max (|c_(n-k)| / c_n)^(1/k) over the
+negative c_(n-k) (J. Comput. Appl. Math. 16, 1986), or Cauchy's where that
+is smaller.  For x >= B, each negative term has |c_(n-k)| x^(n-k) <=
+c_n x^n 2^-k, so p(x) >= c_n x^n (1 - sum_k 2^-k) > 0; past Cauchy's bound
+p has no root at all.
+
+The witness does not depend on where isolation starts.  A negative sample
+is walked down the Stern-Brocot tree to the first negative mediant, and two
+samples in one negative gap between roots walk alike up to the first
+mediant that separates them, which lies in the gap and so is negative.  The
+one exception is a walk that reaches its 128-step cap and returns its
+sample.  Probes past B are positive, so stopping there moves no witness
+either.  `isolate_positive_roots` keeps Cauchy's bound of the squarefree
+part as its start, so its plain intervals stay as they were.
+
 The segment decision maps [a, b] onto the half-line by one integer Horner pass.
 """
 
@@ -36,11 +56,12 @@ from .verdict import FAILS, HOLDS, Verdict
 def _int_chain(cs: Coeffs) -> list[Coeffs]:
     """Sturm chain of the squarefree part, as primitive integer polynomials.
 
+    cs need not be primitive: a positive content changes no sign.
     Pseudo-remainders scale the true remainder by lc(g)^s; an odd power of a
     negative leading coefficient flips the sign, which is compensated before
     the negated remainder joins the chain.
     """
-    q = _int_squarefree(cs)
+    q = _int_squarefree(_int_primitive(cs))
     chain = [q, _int_primitive(_derivative(q))]
     while chain[-1]:
         r, steps = _pseudo_rem(chain[-2], chain[-1])
@@ -65,18 +86,33 @@ def _chain_count(chain: list[Coeffs], a: Fraction, b: Fraction, seen: dict) -> i
     return _chain_variations(chain, a, seen) - _chain_variations(chain, b, seen)
 
 
+def _pow2_exponent(top: int, lc: int) -> int:
+    """The least s >= 0 with lc * 2^s >= top, for lc > 0."""
+    s = max(0, top.bit_length() - lc.bit_length())
+    return s + 1 if lc << s < top else s
+
+
 def _int_root_bound(cs: Coeffs) -> Fraction:
     """The least power of two at or above Cauchy's bound 1 + max|c_i| / |lc|."""
     lc = abs(cs[-1])
-    top = lc + max((abs(c) for c in cs[:-1]), default=0)
-    b = 1
-    while b * lc < top:
-        b *= 2
-    return Fraction(b)
+    return Fraction(1 << _pow2_exponent(lc + max((abs(c) for c in cs[:-1]), default=0), lc))
 
 
-def _isolate(chain: list[Coeffs], seen: dict) -> list[tuple[Fraction, Fraction]]:
-    bound = _int_root_bound(chain[0]) if len(chain[0]) > 1 else Fraction(1)
+def _positive_root_bound(cs: Coeffs) -> int:
+    """The power of two B past every positive root of cs, for cs[-1] > 0,
+    that the module docstring describes: 2^e is at or above Kioustelidis'
+    k-th term exactly when c_n 2^((e-1) k) >= |c_(n-k)|, in integers only."""
+    lc = cs[-1]
+    e = 1
+    for k, c in enumerate(reversed(cs[:-1]), 1):
+        if c < 0:
+            e = max(e, 1 - (-_pow2_exponent(-c, lc) // k))
+    return min(1 << e, _int_root_bound(cs).numerator)
+
+
+def _isolate(chain: list[Coeffs], bound: Fraction, seen: dict) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the positive roots in (0, bound], which must
+    hold them all."""
     intervals: list[tuple[Fraction, Fraction]] = []
     stack = [(Fraction(0), bound, _chain_count(chain, Fraction(0), bound, seen))]
     while stack:
@@ -123,7 +159,7 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
         return []
     chain = _int_chain(cs)
     seen: dict = {}
-    intervals = _isolate(chain, seen)
+    intervals = _isolate(chain, _int_root_bound(chain[0]), seen)
     if width is not None:
         intervals = [_refine(chain, lo, hi, width, seen) for lo, hi in intervals]
     return intervals
@@ -159,45 +195,45 @@ def _witness_near_zero(cs: Coeffs) -> Fraction:
     return _simplify_witness(cs, Fraction(1, den))
 
 
-def nonneg_on_halfline(p: Poly) -> Verdict:
-    """Decide exactly whether p(x) >= 0 for all x >= 0.
+def _halfline_witness(cs) -> Fraction | None:
+    """None when the integer polynomial cs is >= 0 on [0, oo), else the
+    rational witness where it is negative.  Only the signs of its values are
+    read, so any positive multiple of cs gives the same answer.
 
-    Necessary sign checks at 0 and at infinity come first, then cheap sign
-    sampling to catch failures early; to certify a hold, the distinct
-    positive roots of the squarefree part are isolated and the sign of p is
-    sampled strictly between consecutive isolating intervals and beyond the
-    last one.  Sign is constant between consecutive distinct roots, so the
-    procedure is complete.
+    Necessary sign checks at 0 and at infinity come first, then sign probes
+    at 1/4, 1, 4, ... up to the bound B of `_positive_root_bound`, to catch
+    failures early; to certify a hold, the distinct positive roots of the
+    squarefree part are isolated in (0, B] and the sign is sampled strictly
+    between consecutive isolating intervals and beyond the last one.  Sign is
+    constant between consecutive distinct roots, so the procedure is
+    complete.  A negative sample becomes the witness by `_simplify_witness`.
     """
-    if p.is_zero:
-        return Verdict(HOLDS)
-    cs = _content_split(p)[1]
-
-    def fail_at(w: Fraction) -> Verdict:
-        return Verdict(FAILS, witness=w, margin=p.evaluate(w))
-
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    if not cs:
+        return None
     if cs[0] < 0:
-        return fail_at(Fraction(0))
-    if cs[-1] < 0:  # p has the sign of its leading coefficient past the root bound
-        return fail_at(_simplify_witness(cs, _int_root_bound(cs)))
+        return Fraction(0)
+    if cs[-1] < 0:  # cs has the sign of its leading coefficient past the root bound
+        return _simplify_witness(cs, _int_root_bound(cs))
     if all(c >= 0 for c in cs):
-        return Verdict(HOLDS)
+        return None
 
     val = next(i for i, c in enumerate(cs) if c)
     r = cs[val:]
     if r[0] < 0:
-        return fail_at(_witness_near_zero(cs))
+        return _witness_near_zero(cs)
 
-    limit = 2 * _int_root_bound(r).numerator
+    bound = _positive_root_bound(r)
     num, den = 1, 4
-    while num <= limit * den:
+    while num <= bound * den:
         if _int_horner(cs, num, den) < 0:
-            return fail_at(_simplify_witness(cs, Fraction(num, den)))
+            return _simplify_witness(cs, Fraction(num, den))
         num, den = 4 * num // den, 1  # the probes are 1/4, 1, 4, 16, ...
 
     chain = _int_chain(r)
     seen: dict = {}
-    intervals = _isolate(chain, seen)
+    intervals = _isolate(chain, Fraction(bound), seen)
 
     # Refine until consecutive intervals leave a gap to sample in.
     for i in range(len(intervals) - 1):
@@ -214,8 +250,29 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
         samples.append(intervals[-1][1] + 1)
     for s in samples:
         if _int_horner(cs, s.numerator, s.denominator) < 0:
-            return fail_at(_simplify_witness(cs, s))
-    return Verdict(HOLDS)
+            return _simplify_witness(cs, s)
+    return None
+
+
+def nonneg_on_halfline(p: Poly) -> Verdict:
+    """Decide exactly whether p(x) >= 0 for all x >= 0.
+
+    The decision is `_halfline_witness` on the primitive integer part of p;
+    a failing verdict carries its witness w and the margin p(w).  Its probes
+    stop at, and its isolation starts from, a power of two B at or above
+    Kioustelidis' positive-root bound (J. Comput. Appl. Math. 16, 1986): for
+    x >= B, p(x) >= c_n x^n (1 - sum_k 2^-k) > 0 over the coefficients c.
+    Where the search starts moves no witness: every sample in one negative
+    gap between roots walks down the Stern-Brocot tree to the same one, the
+    first mediant that separates two of them lying in that gap, unless the
+    walk reaches its 128-step cap.
+    """
+    if p.is_zero:
+        return Verdict(HOLDS)
+    w = _halfline_witness(_content_split(p)[1])
+    if w is None:
+        return Verdict(HOLDS)
+    return Verdict(FAILS, witness=w, margin=p.evaluate(w))
 
 
 def nonneg_on_segment(p: Poly, a, b) -> Verdict:
@@ -229,8 +286,9 @@ def nonneg_on_segment(p: Poly, a, b) -> Verdict:
     a, b = Fraction(a), Fraction(b)
     if b < a:
         raise ValueError("empty segment")
-    if p.evaluate(b) < 0:
-        return Verdict(FAILS, witness=b, margin=p.evaluate(b))
+    at_b = p.evaluate(b)
+    if at_b < 0:
+        return Verdict(FAILS, witness=b, margin=at_b)
     if p.is_zero or a == b:
         return Verdict(HOLDS)
     den = a.denominator * b.denominator
@@ -240,9 +298,8 @@ def nonneg_on_segment(p: Poly, a, b) -> Verdict:
     for c in reversed(cs[:-1]):
         power = _int_mul(power, (den, den))
         seg = tuple(x + c * y for x, y in zip(_int_mul(seg, inner), power))
-    v = nonneg_on_halfline(Poly(seg))
-    if v.fails:
-        t = v.witness
-        x = a + (b - a) * t / (1 + t)
-        return Verdict(FAILS, witness=x, margin=p.evaluate(x))
-    return v
+    t = _halfline_witness(seg)
+    if t is None:
+        return Verdict(HOLDS)
+    x = a + (b - a) * t / (1 + t)
+    return Verdict(FAILS, witness=x, margin=p.evaluate(x))

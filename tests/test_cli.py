@@ -50,6 +50,18 @@ def test_order_holding_pair(capsys):
     assert json.loads(out)["status"] == "holds"
 
 
+def test_order_on_rational_pairs(capsys):
+    # Rational coefficients reach the integer decision through one common
+    # denominator; the output is what the Fraction route printed.
+    code, out, _ = run(capsys, "order", "OCC", "1,1/2", "1,1/3")
+    assert code == 0
+    assert out == '{"kind": "OCC", "p": "1,1/2", "q": "1,1/3", "status": "holds"}\n'
+    code, out, _ = run(capsys, "order", "VAR", "1,1/2,1/5", "1,1/3")
+    assert code == 2
+    assert out == ('{"kind": "VAR", "margin": "-3615/188018944", "p": "1,1/2,1/5", '
+                   '"q": "1,1/3", "status": "fails", "witness": "45"}\n')
+
+
 def test_order_unknown_kind_is_usage_error(capsys):
     code, _, err = run(capsys, "order", "WIBBLE", "1,1", "1,1")
     assert code == 1 and "unknown ordering kind" in err

@@ -17,6 +17,8 @@ from hardcore_lab.orderings import (
 )
 from hardcore_lab.polynomials import Poly, var_numerator
 from hardcore_lab.sampler import SplitMix64
+from hardcore_lab.verdict import FAILS, Verdict
+from test_roots import halfline_from_cauchy, typed
 
 P_CUBE = Poly([1, 3, 1]) ** 3                       # 1+9x+30x^2+45x^3+30x^4+9x^5+x^6
 Q_CLIQUES = Poly([1, 2]) ** 3 * Poly([1, 3])        # 1+9x+30x^2+44x^3+24x^4
@@ -247,3 +249,83 @@ def test_certificate_pins_on_the_web_pairs():
                 for _ in range(512)]
     assert digest(web) == "fbfe0d860c9ea526a19fdebd1cb0a19f50f50147e04f0cc6acdc6d8fd00b1888"
     assert digest(rational) == "0cb723abe6d9b44dca27dcf4b271fa0517977d132d8a48b1d390b02a216e2fa8"
+
+
+def _pointwise_by_polys(kind: str, p: Poly, q: Poly) -> Verdict:
+    """PART, OCC and VAR as `compare` decided them before they moved to
+    integer coefficients: p - q, p' q - q' p and the variance certificate as
+    Polys, each through the half-line decision from Cauchy's bound, with the
+    margin divided back in Fractions."""
+    if kind == "PART":
+        return halfline_from_cauchy(p - q)
+    occ = kind == "OCC"
+    v = halfline_from_cauchy(p.derivative() * q - q.derivative() * p if occ
+                             else var_difference_certificate(p, q))
+    if v.fails:
+        x = v.witness
+        pq = p.evaluate(x) * q.evaluate(x)
+        return Verdict(FAILS, witness=x, margin=x * v.margin / pq if occ else v.margin / (pq * pq))
+    return v
+
+
+def _lemma_pairs():
+    return [(P_CUBE, Q_CLIQUES), (P_CUBE, Poly([1, 9, 30, 44, 24, 9])),
+            (P_CUBE, Poly([1, 9, 30, 44, 24, 10])), (Poly([1, 4, 2, 2]), Poly([1, 2, 1, 1])),
+            (Poly([1, 10, 210, 21, 21, 21]), Poly([1, 10, 10, 1, 1, 1])),
+            (Poly([1, 10, 1, 20010, 2001, 2001]), Poly([1, 10, 1, 10, 1, 1]))]
+
+
+def _interior_zero_pairs():
+    rng = SplitMix64(808)
+    pairs = [(Poly([1, 0, 1]), Poly([1, 0, 2])), (Poly([1, 0, 0, 5]), Poly([1, 3])),
+             (Poly([1, 2]), Poly([1, 0, 0, 0, 1]))]
+    for _ in range(300):
+        pairs.append(tuple(Poly([1] + [rng.randrange(4) * rng.randrange(30)
+                                       for _ in range(1 + rng.randrange(8))]) for _ in range(2)))
+    return pairs
+
+
+def _assert_pointwise_match(pairs):
+    fails = 0
+    for p, q in pairs:
+        for kind in ("PART", "OCC", "VAR"):
+            got, want = compare(kind, p, q), _pointwise_by_polys(kind, p, q)
+            assert typed(got) == typed(want), (kind, p, q)
+            fails += got.fails
+    return fails
+
+
+def test_pointwise_orderings_match_the_poly_route():
+    # compare decides PART, OCC and VAR on integer coefficients, from the
+    # positive-root bound; the Poly route from Cauchy's bound must give the
+    # same status, witness and margin, types included.
+    rng = SplitMix64(20260809)
+    web = [random_generating_pair(rng) for _ in range(4096)]
+    assert _assert_pointwise_match(web) > 1000
+    assert _assert_pointwise_match(_lemma_pairs()) == 3
+    assert _assert_pointwise_match(_interior_zero_pairs()) > 200
+
+
+def test_pointwise_orderings_on_rational_pairs():
+    # Rational coefficients on one side, the other or both are scaled by one
+    # common denominator before the integer decision; every kind runs, and
+    # the pointwise ones match the Poly route.
+    rng = SplitMix64(2718)
+
+    def draw(rational):
+        cs = [1 + rng.randrange(30) for _ in range(1 + rng.randrange(6))]
+        if rational:
+            cs = [F(c, 1 + rng.randrange(12)) for c in cs]
+        return Poly([1] + cs)
+
+    pairs = [(Poly([1, F(1, 2)]), Poly([1, F(1, 3)])), (Poly([1, F(1, 2), F(1, 5)]), Poly([1, F(1, 3)])),
+             (Poly([1, F(4, 2), F(6, 3)]), Poly([1, 2, 2])), (Poly([1, F(1, 2)]), Poly([1, F(1, 2)]))]
+    for i in range(600):
+        pairs.append((draw(i % 3 != 1), draw(i % 3 != 0)))
+    for p, q in pairs:
+        verdicts = compare_all(p, q)
+        assert not implication_web_check(p, q)["violations"]
+        assert all(verdicts[kind] == compare(kind, p, q) for kind in OrderingKind)
+    assert _assert_pointwise_match(pairs) > 300
+    v = compare("VAR", Poly([1, F(1, 2), F(1, 5)]), Poly([1, F(1, 3)]))
+    assert v.fails and v.witness == 45 and v.margin == F(-3615, 188018944)

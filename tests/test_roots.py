@@ -6,11 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab.polynomials import Poly, _int_exact_div
+from hardcore_lab.polynomials import Poly, _content_split, _int_exact_div, _int_horner
 from hardcore_lab.roots import (
+    _halfline_witness,
     _int_chain,
     _int_root_bound,
+    _isolate,
+    _positive_root_bound,
+    _refine,
     _simplify_witness,
+    _witness_near_zero,
     isolate_positive_roots,
     nonneg_on_halfline,
     nonneg_on_segment,
@@ -325,3 +330,121 @@ def test_isolation_digest_is_pinned():
             intervals = isolate_positive_roots(p, width)
             h.update(repr([(str(lo), str(hi)) for lo, hi in intervals]).encode())
     assert h.hexdigest() == "c05eda0fa75c1b2e8e48025b919f5a844c6aa9f24131abaeed2a7a06638846ee"
+
+
+def halfline_from_cauchy(p: Poly) -> Verdict:
+    """The half-line decision as it ran before its search started at the
+    positive-root bound: sign probes up to twice Cauchy's bound of the
+    polynomial stripped of its zero root, and isolation from Cauchy's bound
+    of its squarefree part.  The reference for `nonneg_on_halfline` and the
+    pointwise orderings."""
+    if p.is_zero:
+        return Verdict(HOLDS)
+    cs = _content_split(p)[1]
+
+    def fail_at(w):
+        return Verdict(FAILS, witness=w, margin=p.evaluate(w))
+
+    if cs[0] < 0:
+        return fail_at(F(0))
+    if cs[-1] < 0:
+        return fail_at(_simplify_witness(cs, _int_root_bound(cs)))
+    if all(c >= 0 for c in cs):
+        return Verdict(HOLDS)
+    r = cs[next(i for i, c in enumerate(cs) if c):]
+    if r[0] < 0:
+        return fail_at(_witness_near_zero(cs))
+    limit = 2 * _int_root_bound(r).numerator
+    num, den = 1, 4
+    while num <= limit * den:
+        if _int_horner(cs, num, den) < 0:
+            return fail_at(_simplify_witness(cs, F(num, den)))
+        num, den = 4 * num // den, 1
+    chain = _int_chain(r)
+    seen: dict = {}
+    intervals = _isolate(chain, _int_root_bound(chain[0]), seen)
+    for i in range(len(intervals) - 1):
+        (lo1, hi1), (lo2, hi2) = intervals[i], intervals[i + 1]
+        while hi1 >= lo2:
+            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
+            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
+        intervals[i], intervals[i + 1] = (lo1, hi1), (lo2, hi2)
+    samples = [(hi1 + lo2) / 2 for (_, hi1), (lo2, _) in zip(intervals, intervals[1:])]
+    if intervals:
+        samples.append(intervals[-1][1] + 1)
+    for x in samples:
+        if p.evaluate(x) < 0:
+            return fail_at(_simplify_witness(cs, x))
+    return Verdict(HOLDS)
+
+
+def typed(v: Verdict):
+    """A verdict's status, witness and margin, each with its type."""
+    return [(x, type(x)) for x in (v.status, v.witness, v.margin)]
+
+
+def _planted(roots, extra=Poly([1])) -> Poly:
+    p = extra
+    for r in roots:
+        r = F(r)
+        p = p * Poly([-r.numerator, r.denominator])
+    return p
+
+
+def _root_bound_cases():
+    rng = SplitMix64(31)
+    cases = [_planted([1]), _planted([2]), _planted([2 ** 20]), _planted([10 ** 6]),
+             _planted([F(1, 3), 2 ** 7]), _planted([10 ** 6, 10 ** 6 + 1]),
+             _planted([F(1, 1000)], Poly([1000, 0, 1])), _planted([4, 4, 4]),
+             _planted([2 ** 10], Poly([1, -1, 1]))]
+    for _ in range(300):
+        roots = [F(1 + rng.randrange(10 ** (1 + rng.randrange(6))), 1 + rng.randrange(50))
+                 for _ in range(1 + rng.randrange(4))]
+        extra = Poly([1 + rng.randrange(20), rng.randrange(41) - 20, 1 + rng.randrange(20)])
+        cases.append(_planted(roots, extra * (1 + rng.randrange(9))))
+    return cases
+
+
+def test_positive_root_bound_is_a_power_of_two_past_every_root():
+    # On polynomials with planted positive roots, some at a power of two and
+    # one at 10^6: the bound is a power of two, at least every isolated root
+    # and at most Cauchy's; isolation from it finds every root, and from half
+    # of it some case loses one.
+    missed = 0
+    for p in _root_bound_cases():
+        cs = _content_split(p)[1]
+        bound = _positive_root_bound(cs)
+        assert bound & (bound - 1) == 0 and 1 <= bound <= _int_root_bound(cs), p
+        roots = isolate_positive_roots(p, F(1, 1000))
+        assert all(lo < bound for lo, _ in roots), p
+        chain = _int_chain(cs)
+        assert len(_isolate(chain, F(bound), {})) == len(roots), p
+        missed += len(_isolate(chain, F(bound, 2), {})) < len(roots)
+    assert missed > 10
+
+
+def test_halfline_matches_the_cauchy_start():
+    # The positive-root bound moves where the probes stop and isolation
+    # starts, not the verdict, the witness or the margin: every sample in one
+    # negative gap walks to the same witness.  Narrow negative gaps, as in
+    # the narrow case above, and planted double roots included.
+    rng = SplitMix64(77)
+    cases = [Poly([10 ** 24 - 1, -2 * 10 ** 30, 10 ** 36]), Poly([1, -3, 0, 1])]
+    for e in range(1, 9):
+        # (x - r)^2 - 10^(-2e), negative on (r - 10^-e, r + 10^-e), r = 10^e
+        cases.append(Poly([10 ** (4 * e) - 1, -2 * 10 ** (3 * e), 10 ** (2 * e)]) * Poly([1, 1]))
+        cases.append(_planted([F(1, 10 ** e), F(1, 10 ** e) + F(1, 10 ** (2 * e))]))
+    cases += _root_bound_cases()
+    for _ in range(400):
+        cases.append(Poly([rng.randrange(101) - 50 for _ in range(rng.randrange(10) + 1)]))
+        roots = [F(1 + rng.randrange(100), 1 + rng.randrange(9)) for _ in range(rng.randrange(4))]
+        cases.append(_planted(roots + roots[:1], Poly([1 + rng.randrange(30), -rng.randrange(30),
+                                                       1 + rng.randrange(30)])))
+    fails = 0
+    for p in cases:
+        got, want = nonneg_on_halfline(p), halfline_from_cauchy(p)
+        assert typed(got) == typed(want), p
+        if got.fails:
+            fails += 1
+            assert got.witness == _halfline_witness(_content_split(p)[1])
+    assert fails > 300
