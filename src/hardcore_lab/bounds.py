@@ -501,9 +501,8 @@ def check_combined_chain(g: Graph | HardCoreProfile, lam, tol=DEFAULT_TOL) -> li
     certified with outward-rounded enclosures at the given tolerance."""
     prof, g, lam = _inputs(g, lam)
     tol = _positive_tol(tol)
+    # 0 < E < 1: each vertex is occupied with probability in (0, lam / (1 + lam)].
     e = prof.expectation_at(lam)
-    if not 0 < e < 1:
-        raise ValueError("chain requires 0 < E < 1")
     # Each of the four comparisons prints a side built from E: an E past the
     # print limit is refused before the enclosures, which take seconds there.
     for part in (e.numerator, e.denominator):

@@ -124,8 +124,6 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdi
         margin = Fraction(num * value, pq) if kind is OrderingKind.OCC else Fraction(value * d, pq * pq)
         return Verdict(FAILS, witness=w, margin=margin)
 
-    raise ValueError(f"unknown ordering kind {kind!r}")
-
 
 def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
     padded = _padded(p, q)

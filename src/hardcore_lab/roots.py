@@ -258,14 +258,9 @@ def nonneg_on_halfline(p: Poly) -> Verdict:
     """Decide exactly whether p(x) >= 0 for all x >= 0.
 
     The decision is `_halfline_witness` on the primitive integer part of p;
-    a failing verdict carries its witness w and the margin p(w).  Its probes
-    stop at, and its isolation starts from, a power of two B at or above
-    Kioustelidis' positive-root bound (J. Comput. Appl. Math. 16, 1986): for
-    x >= B, p(x) >= c_n x^n (1 - sum_k 2^-k) > 0 over the coefficients c.
-    Where the search starts moves no witness: every sample in one negative
-    gap between roots walks down the Stern-Brocot tree to the same one, the
-    first mediant that separates two of them lying in that gap, unless the
-    walk reaches its 128-step cap.
+    a failing verdict carries its witness w and the margin p(w).  The module
+    docstring states the positive-root bound its search stops at and why
+    that bound moves no witness.
     """
     if p.is_zero:
         return Verdict(HOLDS)

@@ -132,6 +132,39 @@ def test_occupancy_tf_named():
         assert c.status == HOLDS and c.margin > 0
 
 
+def test_interval_le_fails_on_disjoint_enclosures():
+    # lhs lies certainly above rhs: both enclosures are the witness and the
+    # margin is rhs.hi - lhs.lo.
+    lhs, rhs = RationalInterval(F(2), F(3)), RationalInterval(F(0), F(1))
+    c = bounds._interval_le("planted", path_graph(2), F(1), lambda _: lhs, lambda _: rhs,
+                            bounds.DEFAULT_TOL)
+    assert (c.status, c.witness, c.margin) == (FAILS, (lhs, rhs), -1)
+    assert c.to_json()["witness"] == ["[2, 3]", "[0, 1]"]
+
+
+def test_occupancy_tf_fails_with_a_witness_under_planted_weights(monkeypatch, capsys):
+    # Weights 1% too large put the floor of cycle:5 at lambda = 1/1600 above
+    # its occupancy fraction: the certified comparison fails, end to end.
+    honest = bounds._tf_weights
+
+    def inflated(lam):
+        weights = honest(lam)
+        return lambda degrees, tol: {
+            d: tuple((101 * num, 100 * den) for num, den in ends)
+            for d, ends in weights(degrees, tol).items()}
+
+    monkeypatch.setattr(bounds, "_tf_weights", inflated)
+    witness = ["[83184119726103/132023863000170496, 2599503953607/4125745450319872]",
+               "[1602/2568005, 1602/2568005]"]
+    c = bounds.check_occupancy_tf(cycle_graph(5), F(1, 1600))
+    assert c.status == FAILS
+    assert c.margin == F(1602, 2568005) - F(83184119726103, 132023863000170496)  # about -6.24e-6
+    assert c.to_json()["witness"] == witness
+    assert main(["bound", "occupancy_tf", "cycle:5", "--lambda", "1/1600"]) == 2
+    line = json.loads(capsys.readouterr().out)
+    assert (line["status"], line["witness"]) == ("fails", witness)
+
+
 def test_occupancy_tf_rejects_triangles():
     with pytest.raises(ValueError):
         bounds.check_occupancy_tf(complete_graph(3), F(1, 10))

@@ -75,6 +75,19 @@ def test_order_refuses_an_empty_coefficient_field(argv, capsys):
     assert (code, out, err) == (1, "", "error: Invalid literal for Fraction: ''\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("quantities", "pasch", "--lambda", "x"), "argument --lambda: not a rational: 'x'"),
+    (("quantities", "pasch", "--lambda", "1/0"), "argument --lambda: not a rational: '1/0'"),
+    ((), "the following arguments are required: command"),
+    (("bound",), "the following arguments are required: name"),
+], ids=["lambda_not_a_number", "lambda_over_zero", "no_command", "bound_without_name"])
+def test_argparse_refusals_are_usage_errors(argv, message, capsys):
+    # argparse's refusal prints the usage, then one error line, and main
+    # returns exit 1 instead of raising SystemExit.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
+
+
 def test_bound_groups(capsys):
     code, out, _ = run(capsys, "bound", "occupancy", "kab:1,3", "--lambda", "3/16")
     assert code == 0

@@ -55,6 +55,10 @@ def test_adjacency_validation():
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(ValueError):
         Graph(65, (0,) * 65)
+    with pytest.raises(ValueError, match="adjacency length does not match vertex count"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="adjacency of vertex 0 mentions nonexistent vertices"):
+        Graph(2, (4, 0))
 
 
 def test_pasch_structure():
@@ -151,6 +155,7 @@ def test_malformed_atoms_name_what_is_wrong(term):
 
 def test_graph6_known_strings():
     assert parse_graph6("A_").edges() == [(0, 1)]
+    assert parse_graph6(">>graph6<<A_") == parse_graph6("A_")
     empty2 = parse_graph6("A?")
     assert empty2.n == 2 and empty2.edge_count == 0
     assert parse_graph6("Bw").degrees() == (2, 2, 2)
@@ -175,6 +180,11 @@ def test_graph6_large_header_round_trip():
 def test_graph6_malformed():
     for bad in ("", "Bww", "B", "~??"):
         with pytest.raises(ValueError):
+            parse_graph6(bad)
+    for bad, message in (("A!", "graph6 byte out of range"),
+                         ("~?@@", "graph6 graph on 65 vertices exceeds the 64-vertex cap"),
+                         ("A@", "graph6 padding bits are not zero")):
+        with pytest.raises(ValueError, match=message):
             parse_graph6(bad)
 
 

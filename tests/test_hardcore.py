@@ -192,16 +192,28 @@ def _degree_two_rich_graph(rng: SplitMix64):
     return from_edges(n, edges)
 
 
-def test_engine_matches_brute_force_on_degree_two_rich_graphs():
-    rng = SplitMix64(1818)
+def _engine_matches_brute_force(seed: int, graph, is_leaf) -> None:
+    """Z of 24 graphs drawn by graph(rng) from SplitMix64(seed) equals the
+    oracle's, and at least 24 of their memo entries are leaves of the kind
+    is_leaf(g, mask) names, so the sample reaches the shortcut it targets."""
+    rng = SplitMix64(seed)
     leaves = 0
     for _ in range(24):
-        g = _degree_two_rich_graph(rng)
+        g = graph(rng)
         prof = HardCoreProfile(g)
         assert prof.z == brute_force_polynomial(g), g.adj
-        leaves += sum(max((g.adj[v] & mask).bit_count() for v in bits_of(mask)) <= 2
-                      for mask in prof._memo if mask.bit_count() >= 3)
+        leaves += sum(is_leaf(g, mask) for mask in prof._memo)
     assert leaves >= 24
+
+
+def _is_degree_two_leaf(g, mask: int) -> bool:
+    """The memo entry for mask has at least 3 vertices and none of degree
+    more than 2 within it: a path or cycle component."""
+    return mask.bit_count() >= 3 and max((g.adj[v] & mask).bit_count() for v in bits_of(mask)) <= 2
+
+
+def test_engine_matches_brute_force_on_degree_two_rich_graphs():
+    _engine_matches_brute_force(1818, _degree_two_rich_graph, _is_degree_two_leaf)
 
 
 def _random_tree_edges(rng: SplitMix64, first: int, size: int) -> list[tuple[int, int]]:
@@ -238,14 +250,7 @@ def _is_tree_leaf(g, mask: int) -> bool:
 
 
 def test_engine_matches_brute_force_on_tree_rich_graphs():
-    rng = SplitMix64(2626)
-    tree_leaves = 0
-    for _ in range(24):
-        g = _tree_rich_graph(rng)
-        prof = HardCoreProfile(g)
-        assert prof.z == brute_force_polynomial(g), g.adj
-        tree_leaves += sum(_is_tree_leaf(g, mask) for mask in prof._memo)
-    assert tree_leaves >= 24
+    _engine_matches_brute_force(2626, _tree_rich_graph, _is_tree_leaf)
 
 
 def _unicyclic_rich_graph(rng: SplitMix64):
@@ -278,14 +283,7 @@ def _is_unicyclic_leaf(g, mask: int) -> bool:
 
 
 def test_engine_matches_brute_force_on_unicyclic_rich_graphs():
-    rng = SplitMix64(2828)
-    unicyclic_leaves = 0
-    for _ in range(24):
-        g = _unicyclic_rich_graph(rng)
-        prof = HardCoreProfile(g)
-        assert prof.z == brute_force_polynomial(g), g.adj
-        unicyclic_leaves += sum(_is_unicyclic_leaf(g, mask) for mask in prof._memo)
-    assert unicyclic_leaves >= 24
+    _engine_matches_brute_force(2828, _unicyclic_rich_graph, _is_unicyclic_leaf)
 
 
 def test_unicyclic_components_take_one_memo_entry():

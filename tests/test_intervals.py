@@ -248,6 +248,25 @@ def test_exp_fixed_rounds_outward_at_every_precision():
             assert F(lo, 2**p) <= ref <= F(hi, 2**p), (w, bits)
 
 
+def test_lambert_sign_test_raises_its_precision(monkeypatch):
+    # m / 2^100 and (m + 1) / 2^100 bracket W(1) within 2^-100, so neither
+    # sign of w e^w - 1 is decided before e^w is known to about 96 bits.
+    with localcontext() as ctx:
+        ctx.prec = 80
+        m = int(_dec_lambert(Decimal(1)) * 2**100)
+    honest, precisions = intervals._exp_fixed, []
+
+    def exp_fixed(n, d, bits):
+        precisions.append(bits)
+        return honest(n, d, bits)
+
+    monkeypatch.setattr(intervals, "_exp_fixed", exp_fixed)
+    for wn, sign in ((m, -1), (m + 1, 1)):
+        precisions.clear()
+        assert intervals._we_sign(wn, 2**100, 1, 1, 0) == sign
+        assert precisions == [0, 32, 64, 96]
+
+
 def test_lambert_at_zero():
     assert lambert_w_interval(0, F(1, 10**9)) == RationalInterval.point(0)
 

@@ -10,6 +10,13 @@ from hardcore_lab import cli, repro
 
 MODULES = sorted(Path(hardcore_lab.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(hardcore_lab.__file__).parents[2] / "demos").glob("*.py"))
+# Each library module and demo is parsed once, and every rule reads these.
+TREES = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES + DEMOS}
+
+
+def _tree(name: str) -> ast.Module:
+    """The parsed library module called name."""
+    return TREES[Path(hardcore_lab.__file__).parent / name]
 
 
 def test_library_has_no_assert_statements():
@@ -18,7 +25,7 @@ def test_library_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
         for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for node in ast.walk(TREES[path])
         if isinstance(node, ast.Assert)
     ]
     assert len(MODULES) > 10
@@ -39,12 +46,11 @@ def test_every_private_helper_has_a_caller():
     # A single-underscore function, method or class must be referenced
     # somewhere in the library outside its own definition: helpers nobody
     # calls are deleted, not kept.
-    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES]
-    used = Counter(name for tree in trees for name in _names_used(tree))
+    used = Counter(name for path in MODULES for name in _names_used(TREES[path]))
     defined = [
         (path.name, node)
-        for path, tree in zip(MODULES, trees)
-        for node in ast.walk(tree)
+        for path in MODULES
+        for node in ast.walk(TREES[path])
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
     ]
@@ -61,14 +67,12 @@ def test_every_public_function_is_exported_or_used():
     # A public module-level function is exported from the package, or
     # something in the library, the command line or the demos references it
     # outside its own definition.  One that only tests call is deleted.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in MODULES + DEMOS}
-    exported = set(_names_used(trees[Path(hardcore_lab.__file__)]))
-    used = Counter(name for tree in trees.values() for name in _names_used(tree))
+    exported = set(_names_used(TREES[Path(hardcore_lab.__file__)]))
+    used = Counter(name for tree in TREES.values() for name in _names_used(tree))
     public = [
         (path.name, node)
         for path in MODULES
-        for node in trees[path].body
+        for node in TREES[path].body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     unused = [
@@ -104,10 +108,10 @@ def test_one_integer_product_kernel():
     # function convolves coefficient lists, and the engine has no product
     # of its own.
     found = {f"{path.name}:{name}" for path in MODULES
-             for name in _convolutions(ast.parse(path.read_text(encoding="utf-8"), str(path)))}
-    hardcore = ast.parse((Path(hardcore_lab.__file__).parent / "hardcore.py").read_text())
+             for name in _convolutions(TREES[path])}
     assert found == {"polynomials.py:_int_mul"}
-    assert "_mul" not in {n.name for n in ast.walk(hardcore) if isinstance(n, ast.FunctionDef)}
+    assert "_mul" not in {n.name for n in ast.walk(_tree("hardcore.py"))
+                          if isinstance(n, ast.FunctionDef)}
 
 
 # The special methods each library class defines, by def or by assignment.
@@ -139,7 +143,7 @@ def test_every_special_method_is_pinned():
     # __slots__ is a data attribute, not a method.
     found = {}
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for node in ast.walk(TREES[path]):
             if isinstance(node, ast.ClassDef):
                 names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)} | {
                     t.id for item in node.body if isinstance(item, ast.Assign)
@@ -174,7 +178,7 @@ def test_only_the_profile_owns_an_engine_memo():
     callers = {
         f"{path.name}:{name}"
         for path in MODULES
-        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for name, fn in _functions(TREES[path])
         if any(isinstance(node, ast.Call) and engine & set(_names_used(node.func))
                for node in ast.walk(fn))
     }
@@ -185,8 +189,7 @@ def test_engine_rows_come_from_the_path_product():
     # Every engine leaf reads the two-state path product, so hardcore.py has
     # no binomial-coefficient row: comb is called only for the chunk bound
     # of variance_via_marginals' packed pair sum.
-    tree = ast.parse((Path(hardcore_lab.__file__).parent / "hardcore.py").read_text())
-    callers = {name for name, fn in _functions(tree)
+    callers = {name for name, fn in _functions(_tree("hardcore.py"))
                if any(isinstance(node, ast.Call) and "comb" in _names_used(node.func)
                       for node in ast.walk(fn))}
     assert callers == {"variance_via_marginals"}
@@ -205,7 +208,7 @@ def test_only_the_engine_check_runs_the_oracle():
     refs = {
         f"{path.name}:{scope(stmt)}"
         for path in MODULES
-        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        for stmt in TREES[path].body
         if "brute_force_polynomial" in _names_used(stmt)
     }
     assert callable(hardcore_lab.hardcore.brute_force_polynomial)
@@ -223,14 +226,12 @@ def test_per_graph_quantities_come_from_the_profile():
     # the command line never compute Z themselves, no function takes a
     # precomputed Z through an optional z= parameter, and the one
     # Graph-or-profile coercion lives next to the profile.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in MODULES}
-    functions = [(name, fn) for name, tree in trees.items() for fn in ast.walk(tree)
+    functions = [(path.name, fn) for path in MODULES for fn in ast.walk(TREES[path])
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
     engine_calls = [
         f"{name}:{node.lineno}"
         for name in ("bounds.py", "cli.py")
-        for node in ast.walk(trees[name])
+        for node in ast.walk(_tree(name))
         if isinstance(node, ast.Call) and "independence_polynomial" in _names_used(node.func)
     ]
     optional_z = [
@@ -257,7 +258,7 @@ def test_every_per_graph_check_opens_with_the_input_contract():
     # then a graph or profile with a vertex): it alone calls _profile_of in
     # bounds.py, and every public function there whose first parameter is a
     # graph or its profile opens with a call to it, after its docstring.
-    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
+    tree = _tree("bounds.py")
     coercers = {name for name, fn in _functions(tree)
                 if any(isinstance(node, ast.Call) and "_profile_of" in _names_used(node.func)
                        for node in ast.walk(fn))}
@@ -293,7 +294,7 @@ def test_bounds_reach_lambert_w_through_per_call_bisections():
     # a nested function, a default or at module level, so the weights object
     # that owns them lives for exactly one call.  The combined chain makes
     # its own series the same way: once per argument, in its own body.
-    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
+    tree = _tree("bounds.py")
     functions = dict(_functions(tree))
 
     def calls(name, nodes):
@@ -320,8 +321,7 @@ def test_bounds_import_no_one_shot_enclosure():
     # The checks reach every logarithm through log_series and W through
     # lambert_w_bisection: a one-shot wrapper, which starts a fresh series or
     # bisection per call, is not imported into bounds.py.
-    tree = ast.parse((Path(hardcore_lab.__file__).parent / "bounds.py").read_text())
-    imported = [alias.name for node in ast.walk(tree)
+    imported = [alias.name for node in ast.walk(_tree("bounds.py"))
                 if isinstance(node, ast.ImportFrom) and node.module == "intervals"
                 for alias in node.names]
     assert sorted(imported) == ["RationalInterval", "_lift", "_positive_tol",
@@ -357,16 +357,14 @@ def test_every_option_has_a_caller():
     # is matched by name (a class's __init__ by the class name), with self
     # or cls not counted among the positions.  cmd_bound calls each check of
     # cli.BOUNDS with one positional argument per option its entry reads.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in MODULES + DEMOS}
-    calls = [node for tree in trees.values() for node in ast.walk(tree)
+    calls = [node for tree in TREES.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
     calls += [ast.Call(ast.Name(check.__name__), [ast.Constant(None)] * len(reads), [])
               for check, reads in cli.BOUNDS.values()]
     unset, options = set(), 0
     for path in MODULES:
-        classes = {node.name for node in ast.walk(trees[path]) if isinstance(node, ast.ClassDef)}
-        for qualified, fn in _functions(trees[path]):
+        classes = {node.name for node in ast.walk(TREES[path]) if isinstance(node, ast.ClassDef)}
+        for qualified, fn in _functions(TREES[path]):
             cls = qualified.split(".")[-2] if "." in qualified else None
             bound = cls in classes
             name = cls if bound and fn.name == "__init__" else fn.name
@@ -401,12 +399,11 @@ def test_every_public_method_is_referenced():
     # its own definition: a method only tests reach is deleted, not kept.  A
     # bare name is a local or a module-level function, never a method, so it
     # does not count.
-    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES + DEMOS]
-    used = Counter(name for tree in trees for name in _attributes_used(tree))
+    used = Counter(name for tree in TREES.values() for name in _attributes_used(tree))
     methods = [
         (cls.name, item)
-        for tree in trees[:len(MODULES)]
-        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for path in MODULES
+        for cls in ast.walk(TREES[path]) if isinstance(cls, ast.ClassDef)
         for item in cls.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not item.name.startswith("_")
@@ -433,7 +430,7 @@ def test_no_parameter_picks_a_route_by_string():
     # knows another module's vocabulary reads that module's constant.
     found = []
     for path in MODULES:
-        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for name, fn in _functions(TREES[path]):
             params = {arg.arg for arg, _ in _defaults(fn.args)}
             found += [
                 f"{path.name}:{node.lineno} {name}"
@@ -452,7 +449,7 @@ def test_only_the_verdict_module_reads_the_print_limit():
     readers = {
         path.name
         for path in MODULES
-        if "get_int_max_str_digits" in _names_used(ast.parse(path.read_text(encoding="utf-8")))
+        if "get_int_max_str_digits" in _names_used(TREES[path])
     }
     assert readers == {"verdict.py"}
 
@@ -461,8 +458,7 @@ def test_each_repro_id_is_stated_once():
     # A repro item's id is its REGISTRY key and nowhere else in repro.py:
     # the item returns (status, payload), and _run_item alone builds the
     # ReproItem record, for a result and for a caught exception alike.
-    path = Path(hardcore_lab.__file__).parent / "repro.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    tree = _tree("repro.py")
     strings = Counter(node.value for node in ast.walk(tree)
                       if isinstance(node, ast.Constant) and isinstance(node.value, str))
     builders = [name for name, fn in _functions(tree)
