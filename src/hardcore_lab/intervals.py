@@ -194,32 +194,9 @@ def _atanh_sums(y: Fraction):
 
 
 def exp_interval(w, tol) -> RationalInterval:
-    """Enclosure of exp(w) for rational w, width <= tol, with dyadic
-    endpoints from ``_exp_fixed``: argument reduction, a fixed-point Taylor
-    sum and repeated squaring, each step rounded outward (Brent and
-    Zimmermann, *Modern Computer Arithmetic*, 2010, sections 4.3-4.4;
-    Johansson, arXiv:1410.7176).  With a = |w|, an ulp 2^-p,
-    p = max(bits, 0) + s + g and g = bitlen(max(bits, 0) + s) + 4:
-
-    - r = a / 2^s <= 2^-9 for the least such s >= 0;
-    - the Taylor terms of e^r in ulps: term k is term k-1 times r / k,
-      floored for lo and ceiled for hi, so every lower term is at most the
-      exact r^k / k! and every upper term at least it.  The sum stops at the
-      first upper term <= 1; every later exact term is below r / (k + 1)
-      times the one before, so the rest of the series is below r / (1 - r)
-      < 1 ulp, and hi adds one ulp for it.  Each upper term exceeds its
-      lower one by an integer below 2 / (1 - 2^-9), so K terms leave
-      hi - lo <= 2K + 1 ulp at a value >= 1, and K <= p / 9 + 1;
-    - s squarings, lo floored and hi ceiled, give e^a.  Each about doubles
-      the relative width hi / lo - 1 and adds under 2^(1-p), so the width
-      ends near 2^s (2K + 3) 2^-p, which 2^g >= 2K + 3 keeps near 2^-bits;
-    - for w < 0, floor(4^p / hi) and ceil(4^p / lo) enclose e^-a, with an
-      absolute width near 2^-bits.
-
-    The enclosure holds at every precision; bits only sets its width.  The
-    first bits gives 2^-bits <= tol / max(1, e^w) (log2 e < 1443/1000);
-    while the width is still above tol, bits rises by 32.
-    """
+    """Enclosure of exp(w) for rational w, width <= tol: one ``_exp_fixed``
+    call at bits with 2^-bits <= tol / max(1, e^w) (log2 e < 1443/1000), so
+    the width bound that its docstring proves is at most tol."""
     w = Fraction(w)
     tol = _positive_tol(tol)
     if w == 0:
@@ -227,17 +204,42 @@ def exp_interval(w, tol) -> RationalInterval:
     n, d = w.numerator, w.denominator
     tn, td = tol.numerator, tol.denominator
     bits = td.bit_length() - tn.bit_length() + 1 + max(0, n * 1443 // (1000 * d) + 1)
-    while True:
-        lo, hi, p = _exp_fixed(n, d, bits)
-        if (hi - lo) * td <= tn << p:
-            return RationalInterval(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
-        bits += 32
+    lo, hi, p = _exp_fixed(n, d, bits)
+    return RationalInterval(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
 
 
 def _exp_fixed(n: int, d: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, p) with lo / 2^p <= exp(n / d) <= hi / 2^p, for d > 0: the
-    steps of ``exp_interval``, whose docstring gives their error analysis.
-    The width is near 2^-bits relative for n > 0, absolute for n < 0."""
+    """(lo, hi, p) with lo / 2^p <= exp(n / d) <= hi / 2^p, for d > 0, and
+    a width (hi - lo) / 2^p below 2^-B e^(n/d) for n >= 0 and below 2^-B
+    for n < 0, B = max(bits, 0).  Argument reduction, a fixed-point Taylor sum
+    and repeated squaring, each step rounded outward (Brent and Zimmermann,
+    *Modern Computer Arithmetic*, 2010, sections 4.3-4.4; Johansson,
+    arXiv:1410.7176).  With a = |n|, an ulp 2^-p, p = B + s + g and guard
+    bits g = bitlen(B + s) + 4, so 2^g > 16 (B + s) and 2^g >= 16:
+
+    - r = a / (d 2^s) <= 2^-9.
+    - The Taylor terms of e^r in ulps: term k is term k-1 times r / k,
+      floored for lo and ceiled for hi, so every lower term is at most the
+      exact t_k = 2^p r^k / k! and every upper term at least it.  The sum
+      stops at the first K whose upper term is <= 1; each later exact term
+      is below r times the one before, so they total below r / (1 - r) < 1,
+      and hi adds one ulp for them.  An upper term exceeds its lower one by
+      e_k < r e_(k-1) + 2 < 2 / (1 - r) < 3, so hi - lo <= 2K + 1 ulps at a
+      value >= 1.  Upper term k is below 2^p r^k + 1 / (1 - r), under 2
+      once 9k >= p + 1, so K <= p / 9 + 1.
+    - s squarings, lo floored and hi ceiled, give e^a.  With X >= 2^p the
+      exact value in ulps and tau = (hi - lo) / X, a squaring gives
+      tau' <= 2 tau + tau^2 + 2^(1-p), so sigma = tau + 2^(1-p) has
+      1 + sigma' <= (1 + sigma)^2.  Before them sigma <= (2K + 3) 2^-p, so
+      after them tau <= (1 + sigma)^(2^s) - 1 <= e^y - 1 <= y e^y for
+      y = 2^s (2K + 3) 2^-p = 2^-B (2K + 3) / 2^g.  As
+      2K + 3 <= 2 (B + s + g) / 9 + 5, (2K + 3) / 2^g is below
+      1/72 + 1/18 + 5/16 < 0.39 (at g = 4 for the last two), so
+      tau < 0.39 e^0.39 2^-B < 0.58 2^-B.
+    - For n < 0, floor(4^p / hi) and ceil(4^p / lo) enclose e^-a, and their
+      width is at most 2^p (hi - lo) / (lo hi) + 2^(1-p) <= tau + 2^(1-p)
+      < (0.58 + 1/8) 2^-B in value, as lo >= 2^p and g >= 4.
+    """
     a = abs(n)
     s = max(0, a.bit_length() - d.bit_length() + 9)
     while a << 9 > d << s:

@@ -27,20 +27,27 @@ splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts.
 `RatFunc` reduction and the Sturm chains in `roots` both run on
 `_int_cofactors`, which returns the gcd h with the quotients f/h and g/h.
-It first tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb.
-Comput. 1989; Geddes, Czapor and Labahn, "Algorithms for Computer Algebra",
-1992, sec. 7.7) at x = 2^k with 2^k >= 2 min(|f|_inf, |g|_inf) + 2, on the
-same packing as the products: gamma = gcd(f(2^k), g(2^k)) in integers.  A
-nonconstant common factor G has its roots inside Cauchy's bound
-1 + min(|f|_inf, |g|_inf), so |G(2^k)| > 2^(k-1), and G(2^k) divides gamma:
-gamma < 2^(k-1) certifies gcd 1.  Otherwise gamma's balanced base-2^k digits
-give a candidate, whose primitive part is the gcd exactly when it divides
-both f and g (the same bound shows that a divisor found this way misses no
-factor), and the divisions give the quotients.  A failed try doubles k;
-after three the primitive pseudo-remainder sequence decides (`_int_gcd`;
-Brown, "On Euclid's algorithm and the computation of polynomial greatest
-common divisors", J. ACM 1971).  The gcd is primitive with a positive lead,
-so both routes return the same one.
+It is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
+1989; Geddes, Czapor and Labahn, "Algorithms for Computer Algebra", 1992,
+sec. 7.7) at x = 2^k with 2^(k-1) >= 1 + min(|f|_inf, |g|_inf), on the same
+packing as the products: gamma = gcd(f(2^k), g(2^k)) in integers.  Write
+f = G F and g = G H with G the primitive gcd, lead positive, and F, H
+coprime.  Every root of G is a root of f and of g, inside Cauchy's bound
+1 + min(|f|_inf, |g|_inf) <= 2^(k-1), so each factor 2^k - alpha of G(2^k)
+exceeds 2^(k-1) in size, and a nonconstant G has G(2^k) > 2^(k-1).
+
+- Exactness: a candidate C, gamma's balanced base-2^k digits, whose
+  primitive part h divides f and g is G.  h divides G, say G = h Q, and
+  C = c h with c the content of C, so C(2^k) = gamma = G(2^k) e gives
+  c = Q(2^k) e for an integer e >= 1.  A nonconstant Q would have
+  |Q(2^k)| > 2^(k-1) >= |C|_inf >= |c|; so Q = 1.  gamma < 2^(k-1) gives
+  the candidate 1 at once: gcd 1 is certified without a division.
+- Termination: gamma = G(2^k) e with e = gcd(F(2^k), H(2^k)).  As F and H
+  are coprime, A F + B H = Res(F, H) != 0 for integer polynomials A and B,
+  so 1 <= e <= |Res(F, H)| at every k.  Once 2^(k-1) > |Res(F, H)| |G|_inf,
+  the balanced digits of gamma are those of e G, whose primitive part G
+  divides both sides.  That bound does not depend on k, and each failed
+  candidate doubles k, so the loop ends.
 """
 
 from __future__ import annotations
@@ -318,45 +325,28 @@ def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
     return work, steps
 
 
-def _int_gcd(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Primitive gcd with a positive leading coefficient (() if both are
-    zero), by the primitive pseudo-remainder sequence: the fallback of
-    _int_cofactors, and the reference its heuristic is tested against."""
-    f = _int_primitive(f)
-    g = _int_primitive(g)
-    while g:
-        r, _ = _pseudo_rem(f, g)
-        f, g = g, _int_primitive(r)
-    if f and f[-1] < 0:
-        f = tuple(-c for c in f)
-    return f
-
-
-_HEURISTIC_TRIES = 3  # evaluation points 2^k, 2^(2k), 2^(4k) before the PRS
-
-
 def _int_cofactors(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
     """(h, f / h, g / h) for primitive f and g: h is their primitive gcd
-    with a positive leading coefficient, from GCDHEU at x = 2^k or, when a
-    side is zero or the heuristic's tries run out, from _int_gcd."""
-    if f and g:
-        k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
-        for _ in range(_HEURISTIC_TRIES):
-            gamma = gcd(_pack(f, k), _pack(g, k))
-            if gamma < 1 << (k - 1):
-                return (1,), f, g
-            digits = list(_unpack(gamma, k, gamma.bit_length() // k + 2))
-            while not digits[-1]:
-                digits.pop()
-            h = _int_primitive(digits if digits[-1] > 0 else [-c for c in digits])
-            try:
-                return h, _int_exact_div(f, h), _int_exact_div(g, h)
-            except ArithmeticError:
-                k *= 2
-    h = _int_gcd(f, g)
-    if len(h) == 1:
-        return h, f, g
-    return h, _int_exact_div(f, h) if f else (), _int_exact_div(g, h) if g else ()
+    with a positive leading coefficient, by GCDHEU (the module docstring
+    proves that its loop ends); a zero side gives the other side's h."""
+    if not f or not g:
+        h = f or g
+        unit = (-1,) if h and h[-1] < 0 else (1,)
+        return tuple(unit[0] * c for c in h), f and unit, g and unit
+    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+    while True:
+        gamma = gcd(_pack(f, k), _pack(g, k))
+        if gamma < 1 << (k - 1):
+            return (1,), f, g
+        # gamma > 0, so its top balanced digit is positive.
+        digits = list(_unpack(gamma, k, gamma.bit_length() // k + 2))
+        while not digits[-1]:
+            digits.pop()
+        h = _int_primitive(digits)
+        try:
+            return h, _int_exact_div(f, h), _int_exact_div(g, h)
+        except ArithmeticError:
+            k *= 2
 
 
 def _int_exact_div(f: Coeffs, g: Coeffs) -> Coeffs:

@@ -94,6 +94,10 @@ def test_vertex_ceiling_counterexample():
     c = bounds.check_vertex_f_upper_counterexample(cycle_graph(4), 1)
     assert c.holds and c.margin == 0  # the 4-cycle is the extremal biclique
 
+    # An isolated vertex has no biclique K_{d,d} to compare with.
+    with pytest.raises(ValueError, match="^vertex-based ceiling needs minimum degree one$"):
+        bounds.check_vertex_f_upper_counterexample(generate("path:3 + empty:1"), 1)
+
 
 def test_occupancy_bounds_sample():
     for spec in ("kn:4", "kab:1,3", "pasch", "petersen"):

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from hardcore_lab import cli, hardcore, repro
-from hardcore_lab.bounds import DEFAULT_TOL
+from hardcore_lab.bounds import DEFAULT_TOL, BoundCheck
 from hardcore_lab.cli import main
+from hardcore_lab.intervals import RationalInterval
 from hardcore_lab.polynomials import Poly, RatFunc
+from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 
 def run(capsys, *argv):
@@ -352,6 +354,41 @@ def test_repro_variance_identity_failure_is_a_record(capsys, monkeypatch):
     monkeypatch.setattr(repro, "variance_via_marginals", lambda g: RatFunc(Poly()))
     code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity")
     assert code == 2 and json.loads(out)["status"] == "failed"
+
+
+@pytest.mark.parametrize("statuses, code, status", [
+    ((HOLDS, HOLDS), 0, "verified"),
+    ((HOLDS, INCONCLUSIVE), 3, "inconclusive"),
+    ((INCONCLUSIVE, FAILS, HOLDS), 2, "failed"),
+], ids=["verified", "inconclusive", "failed"])
+def test_repro_item_status_from_its_checks(capsys, monkeypatch, statuses, code, status):
+    # One failed check fails the item; otherwise one inconclusive check
+    # makes it inconclusive.
+    checks = [BoundCheck(f"test.check{i}", "kn:1", F(1), s) for i, s in enumerate(statuses)]
+    monkeypatch.setitem(repro.REGISTRY, "test.checks", lambda: repro._item_from_checks(checks))
+    got, out, err = run(capsys, "repro", "test.checks")
+    assert (got, err) == (code, "")
+    record = json.loads(out)
+    assert record["status"] == status
+    assert [c["status"] for c in record["payload"]["checks"]] == list(statuses)
+
+
+@pytest.mark.parametrize("shift", ["apart", "wide"])
+def test_repro_chain_exhibit_that_misses_fails_the_item(capsys, monkeypatch, shift):
+    # Every chain check holds; the edgeless exhibit alone fails the item,
+    # when its two enclosures miss each other or meet with a gap > 10^-15.
+    real = repro.free_energy_interval
+
+    def moved(*args):
+        fe = real(*args)
+        return fe + 1 if shift == "apart" else RationalInterval(fe.lo - F(1, 10**14), fe.hi)
+
+    monkeypatch.setattr(repro, "free_energy_interval", moved)
+    code, out, err = run(capsys, "repro", "combined.chain_samples")
+    record = json.loads(out)
+    assert (code, err, record["status"]) == (2, "", "failed")
+    assert {c["status"] for c in record["payload"]["checks"]} == {HOLDS}
+    assert record["payload"]["edgeless_equality"]["overlap"] == (shift == "wide")
 
 
 def test_repro_item_that_raises_is_a_failed_record(capsys, monkeypatch):

@@ -132,6 +132,10 @@ def test_generator_errors():
             generate(bad)
     for oversized in ("kab:8000000,1", "kab:1,8000000", "800000*kn:1"):
         _raises_within_one_megabyte(generate, oversized)
+    # generate refuses cycle:2 by its own size floor; the builder refuses too.
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="^cycles need at least 3 vertices$"):
+            cycle_graph(n)
 
 
 _MALFORMED_ATOMS = {

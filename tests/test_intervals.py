@@ -231,6 +231,39 @@ def test_exp_enclosure_against_decimal_at_twice_the_precision():
         assert enc.hi - enc.lo <= tol, (w, tol)
 
 
+def _dec_exp_series(w: F, digits: int) -> F:
+    """e^w to about `digits` significant digits, as (e^(1/d))^n for
+    w = n / d, with e^(1/d) summed term by term in decimal arithmetic:
+    Decimal.exp takes seconds at the 19,000 digits that e^(3 10^5 / 7) to
+    10^-300 needs."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        term = total = Decimal(1)
+        k = 0
+        while term > total.scaleb(-digits - 10):
+            k += 1
+            term /= k * w.denominator
+            total += term
+        return F(*(total ** w.numerator).as_integer_ratio())
+
+
+def test_exp_width_at_the_first_precision_on_the_corner_grid():
+    # exp_interval makes one _exp_fixed call: the error analysis in its
+    # docstring, not a retry, gives the width.  Corners: w = 0, tiny, unit,
+    # non-dyadic, e^|w| past 10^1000 and 10^18000, a near-dyadic w; tol from
+    # 10^6 down to 10^-300 and a dyadic one.
+    ws = [F(0), F(1, 10**9), F(1), F(7, 3), F(10**4, 3), F(3 * 10**5, 7)]
+    ws = ws + [-w for w in ws[1:]] + [1 + F(1, 2**40)]
+    tols = [F(10**6), F(1), F(1, 2), F(1, 10**9), F(1, 10**30), F(1, 10**100),
+            F(1, 10**300), F(3, 2**200)]
+    for w in ws:
+        ref = _dec_exp_series(w, max(0, int(w * F(4343, 10**4))) + 331)
+        for tol in tols:
+            enc = exp_interval(w, tol)
+            assert enc.hi - enc.lo <= tol, (w, tol)
+            assert enc.lo <= ref <= enc.hi, (w, tol)
+
+
 def test_exp_fixed_rounds_outward_at_every_precision():
     # At a few bits every rounding is a large part of the width, so rounding
     # one step inward shows up as a missed reference.  The one exception is
@@ -565,6 +598,34 @@ def test_lambert_at_large_arguments(x):
         enc = lambert_w_interval(x, tol)
         assert enc.contains(ref), (x, tol)
         assert enc.hi - enc.lo <= tol
+
+
+_TOL = F(1, 10**9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log1p_interval(-1, _TOL), "log1p requires x > -1"),
+    (lambda: log1p_interval(F(-7, 3), _TOL), "log1p requires x > -1"),
+    (lambda: log_series(0), "log of a nonpositive value"),
+    (lambda: log_series(F(-1, 10**30)), "log of a nonpositive value"),
+    (lambda: lambert_w_interval(F(-1, 10**30), _TOL),
+     "the nonnegative Lambert W branch needs x >= 0"),
+    (lambda: lambert_w_bisection(-1), "the nonnegative Lambert W branch needs x >= 0"),
+    (lambda: entropy_interval(F(-1, 10**30), _TOL), "entropy argument outside [0, 1]"),
+    (lambda: entropy_interval(1 + F(1, 10**30), _TOL), "entropy argument outside [0, 1]"),
+    (lambda: free_energy_interval(Poly([1, 5, 5]), 0, 1, _TOL), "need at least one vertex"),
+    (lambda: free_energy_interval(Poly([1, 5, 5]), -1, 1, _TOL), "need at least one vertex"),
+    (lambda: free_energy_interval(Poly([1, -1]), 1, 1, _TOL),
+     "partition function evaluated nonpositive"),
+    (lambda: free_energy_interval(Poly([1, -2]), 1, 1, _TOL),
+     "partition function evaluated nonpositive"),
+], ids=["log1p_at_minus_one", "log1p_below_minus_one", "log_of_zero", "log_of_negative",
+        "lambert_w_negative", "lambert_w_bisection_negative", "entropy_below_zero",
+        "entropy_above_one", "free_energy_no_vertices", "free_energy_negative_n",
+        "free_energy_zero_z", "free_energy_negative_z"])
+def test_arguments_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_lambert_beyond_the_largest_double_is_a_range_error():

@@ -15,11 +15,11 @@ from hardcore_lab.polynomials import (
     RatFunc,
     _content_split,
     _int_cofactors,
-    _int_gcd,
     _int_mul,
     _int_primitive,
     _int_squarefree,
     _pack,
+    _pseudo_rem,
     var_numerator,
 )
 from hardcore_lab.sampler import SplitMix64
@@ -84,16 +84,38 @@ def _primitive(p: Poly):
     return _content_split(p)[1]
 
 
+def _prs_gcd(f, g):
+    """Primitive gcd with a positive leading coefficient (() if both are
+    zero), by the primitive pseudo-remainder sequence (Brown, "On Euclid's
+    algorithm and the computation of polynomial greatest common divisors",
+    J. ACM 1971): the reference the heuristic gcd is tested against."""
+    f, g = _int_primitive(f), _int_primitive(g)
+    while g:
+        f, g = g, _int_primitive(_pseudo_rem(f, g)[0])
+    return tuple(-c for c in f) if f and f[-1] < 0 else f
+
+
+def _prs_cofactors(f, g):
+    """(h, f / h, g / h) for the PRS gcd h, divided over the rationals."""
+    h = _prs_gcd(f, g)
+    out = [h]
+    for side in (f, g):
+        quo, rem = _divmod(Poly(side), Poly(h))
+        assert rem.is_zero
+        out.append(quo.coeffs)
+    return tuple(out)
+
+
 def test_gcd_is_monic_and_idempotent():
     # The primitive gcd has a positive leading coefficient, so a gcd that is
-    # monic over the rationals comes out monic.
+    # monic over the rationals comes out monic, by both routes.
     a = Poly([1, 2, 1]) * Poly([3, 1])
     b = Poly([1, 1]) * Poly([5, 7])
-    g = _int_gcd(_primitive(a), _primitive(b))
-    assert g == (1, 1)
-    assert _int_gcd(g, g) == g
-    assert _int_gcd((-2, -2), (3, 3)) == (1, 1)
-    assert _int_gcd((), ()) == ()
+    for f, g in ((_primitive(a), _primitive(b)), ((1, 1), (1, 1)), ((-1, -1), (1, 1))):
+        assert _int_cofactors(f, g) == _prs_cofactors(f, g)
+        assert _int_cofactors(f, g)[0] == (1, 1)
+    assert _prs_gcd((-2, -2), (3, 3)) == (1, 1)
+    assert _int_cofactors((), ()) == ((), (), ()) and _prs_gcd((), ()) == ()
 
 
 def _planted_pair(rng, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,29 +172,34 @@ def _gcd_cases(monkeypatch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def test_gcd_heuristic_matches_the_prs_route(monkeypatch):
     cases = [(_int_primitive(f), _int_primitive(g)) for f, g in _gcd_cases(monkeypatch) if f or g]
     heuristic = [_int_cofactors(f, g) for f, g in cases]
-    assert [h for h, _, _ in heuristic] == [_int_gcd(f, g) for f, g in cases]
+    assert heuristic == [_prs_cofactors(f, g) for f, g in cases]
     assert sum(len(h) > 1 for h, _, _ in heuristic) >= 150
-    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 0)
-    assert [_int_cofactors(f, g) for f, g in cases] == heuristic
 
 
-def test_heuristic_gcd_retries_and_falls_back(monkeypatch):
+def _evaluation_points(monkeypatch, f, g):
+    """_int_cofactors(f, g) and the k of each point 2^k it evaluated at."""
+    ks = []
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_pack", lambda cs, k, pack=_pack: ks.append(k) or pack(cs, k))
+        got = _int_cofactors(f, g)
+    assert ks[::2] == ks[1::2]  # f and g at each point
+    return got, ks[::2]
+
+
+def test_heuristic_gcd_doubles_k_until_a_candidate_divides(monkeypatch):
     # p = 35 + 12x - 24x^2 + 28x^3 and p'/12 = 1 - 4x + 7x^2 are coprime, but
     # at the first point, 2^4, their values share 13 >= 2^3: the candidate
     # x - 3 divides neither, and the second point, 2^8, certifies gcd 1.
     f, g = (35, 12, -24, 28), (1, -4, 7)
     assert (2 * 7 + 1).bit_length() == 4 and _pack(g, 4) % 13 == _pack(f, 4) % 13 == 0
-    prs = []
-    monkeypatch.setattr(polynomials, "_int_gcd",
-                        lambda f, g, kernel=_int_gcd: prs.append((f, g)) or kernel(f, g))
-    assert _int_cofactors(f, g) == ((1,), f, g) and prs == []
-    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 1)
-    assert _int_cofactors(f, g) == ((1,), f, g) and prs == [(f, g)]
-    # A nontrivial gcd through the fallback, with the cofactors it divides out.
-    monkeypatch.setattr(polynomials, "_HEURISTIC_TRIES", 0)
-    h = (Poly([-3, 1]) * Poly([1, 0, 2])).coeffs
-    assert _int_cofactors((Poly(h) * Poly(f)).coeffs, (Poly(h) * Poly(g)).coeffs) == (h, f, g)
-    assert len(prs) == 2
+    assert _evaluation_points(monkeypatch, f, g) == (((1,), f, g), [4, 8])
+    # x^3 - 1 and 9x^4 + 7x^3 - 4x^2 - 5x + 8 are coprime, and none of the
+    # candidates at 2^2, 2^4 and 2^8 (x - 1, x^2 + 4x - 5, x - 61) divides
+    # both: at 2^16 the values share 315 < 2^15, which certifies gcd 1.
+    f, g = (-1, 0, 0, 1), (8, -5, -4, 7, 9)
+    assert _evaluation_points(monkeypatch, f, g) == (((1,), f, g), [2, 4, 8, 16])
+    r = RatFunc(Poly(f), Poly(g))
+    assert (r.num.to_text(), r.den.to_text()) == ("-1/9,0,0,1/9", "8/9,-5/9,-4/9,7/9,1")
 
 
 def test_squarefree_part():
@@ -258,6 +285,19 @@ def test_ratfunc_reduction():
 def test_ratfunc_evaluate():
     f = RatFunc(Poly([0, 1]), Poly([1, 6]))
     assert f.evaluate(F(1, 6)) == F(1, 12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Poly([1, 1]) ** -1, ValueError, "negative polynomial power"),
+    (lambda: Poly() ** -2, ValueError, "negative polynomial power"),
+    (lambda: RatFunc(Poly([1, 1]), Poly()), ZeroDivisionError,
+     "rational function with zero denominator"),
+    (lambda: RatFunc(Poly(), Poly([0, 0])), ZeroDivisionError,
+     "rational function with zero denominator"),
+], ids=["negative_power", "negative_power_of_zero", "zero_denominator", "zero_over_zero"])
+def test_undefined_operations_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_ratfunc_pole_raises():

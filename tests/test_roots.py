@@ -227,6 +227,13 @@ def test_segment_decision_builds_no_fraction_poly(monkeypatch):
     assert [q for q in made if not q._int] == []
 
 
+def test_isolate_refuses_the_zero_polynomial():
+    # Every point is a root of 0: there are no isolating intervals to return.
+    for width in (None, F(1, 2)):
+        with pytest.raises(ValueError, match="^cannot isolate roots of the zero polynomial$"):
+            isolate_positive_roots(Poly(), max_width=width)
+
+
 def test_witness_prefers_small_denominators():
     p = Poly([1, -3, 0, 1])  # negative on an interval around 1
     v = nonneg_on_halfline(p)
