@@ -326,13 +326,11 @@ def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
 
 
 def _int_cofactors(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
-    """(h, f / h, g / h) for primitive f and g: h is their primitive gcd
+    """(h, f / h, g / h) for primitive f and g, both nonzero (`RatFunc`
+    returns first on a zero numerator and refuses a zero denominator, and
+    `_int_squarefree` gets only nonconstant input): h is their primitive gcd
     with a positive leading coefficient, by GCDHEU (the module docstring
-    proves that its loop ends); a zero side gives the other side's h."""
-    if not f or not g:
-        h = f or g
-        unit = (-1,) if h and h[-1] < 0 else (1,)
-        return tuple(unit[0] * c for c in h), f and unit, g and unit
+    proves that its loop ends)."""
     k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
     while True:
         gamma = gcd(_pack(f, k), _pack(g, k))
@@ -373,8 +371,9 @@ def _derivative(cs: Coeffs) -> Coeffs:
 
 
 def _int_squarefree(cs: Coeffs) -> Coeffs:
-    """cs / gcd(cs, cs') for primitive cs; the quotient is primitive (Gauss's
-    lemma) and keeps the sign of the leading coefficient."""
+    """cs / gcd(cs, cs') for nonconstant primitive cs (each `roots` caller
+    returns first on a constant); the quotient is primitive (Gauss's lemma)
+    and keeps the sign of the leading coefficient."""
     return _int_cofactors(cs, _int_primitive(_derivative(cs)))[1]
 
 

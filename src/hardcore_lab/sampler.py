@@ -8,7 +8,8 @@ against ceil(p_occ * 2**53), the exact equivalent of comparing a 53-bit
 uniform double with p_occ.  The generator is splitmix64, spelled out below
 so that fixed seeds reproduce bit-identically on any platform; the step
 kernel draws it in blocks (see `_splitmix_block`), which yields exactly the
-stream of `SplitMix64.next_u64`.
+stream of `SplitMix64.next_u64`.  `estimate` makes one kernel call over
+the burn-in and all batches, and the current block carries across them.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class SplitMix64:
 # mix(s + k*GAMMA mod 2**64).  A block of up to _BLOCK draws is computed at
 # once, lane k of one big int holding draw k+1 in 128 bits: the 64-bit lane
 # value times a 64-bit constant fits its lane, so after every multiply and
-# every xor-shift, `& _LANE` restores each lane mod 2**64 and nothing carries
-# or shifts across lanes.  The constants for m lanes are the low m lanes of
-# these.
+# xor-shift, `& _LANE` restores each lane mod 2**64 and nothing carries or
+# shifts across lanes.  The last xor-shift needs no mask: it moves lane k+1's
+# bits only into lane k's high word, which is never read.  The constants for
+# m < _BLOCK lanes are the low m lanes of these.
 _BLOCK = 1024
 _REP = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")  # 1 per lane
 _LANE = _MASK * _REP  # the low 64 bits of each lane
@@ -74,65 +76,74 @@ _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, 
 def _splitmix_block(state: int, m: int) -> list[int]:
     """The next m (1 <= m <= _BLOCK) outputs of splitmix64 from state, the
     same values m calls of `SplitMix64.next_u64` return."""
-    low = (1 << (128 * m)) - 1
-    lane = _LANE & low
-    z = (state * (_REP & low) + (_G_K & low)) & lane
+    if m == _BLOCK:
+        rep, lane, g_k = _REP, _LANE, _G_K
+    else:
+        low = (1 << (128 * m)) - 1
+        rep, lane, g_k = _REP & low, _LANE & low, _G_K & low
+    z = (state * rep + g_k) & lane
     z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
     z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
-    z = (z ^ (z >> 31)) & lane
+    z ^= z >> 31
     return memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
 def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,
-               steps: int) -> tuple[int, int, int, int]:
-    """The step kernel: run `steps` heat-bath updates from an independent set
-    (occupied, size) and return (occupied, size, s1, s2), where s1 and s2 sum
-    the size and its square after each update.  Each update picks a uniform
-    vertex (`SplitMix64.randrange`); with an occupied neighbor it is empty and
-    stays so, otherwise it is occupied iff the next draw c has (c >> 11) <
-    coin, with coin from `_coin_threshold`, so the set stays independent.
+               lengths) -> tuple[int, int, list[tuple[int, int]]]:
+    """The step kernel: run heat-bath updates from an independent set
+    (occupied, size) in consecutive segments of the given lengths and return
+    (occupied, size, sums), sums holding per segment (s1, s2), the sums of
+    the size and its square after each of its updates.  Each update picks a
+    uniform vertex (`SplitMix64.randrange`); with an occupied neighbor it is
+    empty and stays so, otherwise it is occupied iff the next draw c has
+    (c >> 11) < coin, with coin from `_coin_threshold`, so the set stays
+    independent.
 
-    Draws come from `_splitmix_block` in blocks of min(_BLOCK, 2*steps + 1),
-    so one update never pays for a large block.  An update that runs off
-    the end of a block is redone from a block that starts at its vertex
-    draw, and on return rng.state has advanced by exactly the draws
-    consumed: the stream is the one `next_u64` would have produced."""
+    Draws come from `_splitmix_block` in blocks of min(_BLOCK, 2*sum(lengths)
+    + 1), so a short run never pays for a large block, and a block carries
+    across segments.  An update that runs off the end of a block (pos passes
+    its vertex draw only after the coin is read) is redone from a block that
+    starts at its vertex draw, and on return rng.state has advanced by
+    exactly the draws consumed: the stream is the one `next_u64` would have
+    produced."""
     limit = _MASK + 1 - ((_MASK + 1) % n)
     cut = coin << 11  # (c >> 11) < coin  iff  c < coin * 2**11
-    m = min(_BLOCK, 2 * steps + 1)
+    m = min(_BLOCK, 2 * sum(lengths) + 1)
     state = rng.state
-    s1 = s2 = 0
-    while steps:
-        draws = _splitmix_block(state, m)
-        pos = start = 0
-        try:
-            while steps:
-                r = draws[pos]
-                pos += 1
-                if r >= limit:
-                    start = pos
-                    continue
-                v = r % n
-                bit = 1 << v
-                if not adj[v] & occupied:
-                    c = draws[pos]
-                    pos += 1
-                    if c < cut:
-                        if not occupied & bit:
-                            occupied |= bit
-                            size += 1
-                    elif occupied & bit:
-                        occupied ^= bit
-                        size -= 1
-                s1 += size
-                s2 += size * size
-                steps -= 1
-                start = pos
-        except IndexError:
-            pass
-        state = (state + start * _GAMMA) & _MASK
-    rng.state = state
-    return occupied, size, s1, s2
+    draws, pos = (), 0
+    sums = []
+    for steps in lengths:
+        s1 = s2 = 0
+        while steps:
+            try:
+                while steps:
+                    r = draws[pos]
+                    if r >= limit:
+                        pos += 1
+                        continue
+                    v = r % n
+                    if adj[v] & occupied:
+                        pos += 1
+                    else:
+                        c = draws[pos + 1]
+                        pos += 2
+                        bit = 1 << v
+                        if c < cut:
+                            if not occupied & bit:
+                                occupied |= bit
+                                size += 1
+                        elif occupied & bit:
+                            occupied ^= bit
+                            size -= 1
+                    s1 += size
+                    s2 += size * size
+                    steps -= 1
+            except IndexError:
+                state = (state + pos * _GAMMA) & _MASK
+                draws, pos = _splitmix_block(state, m), 0
+        sums.append((s1, s2))
+    rng.state = (state + pos * _GAMMA) & _MASK
+    return occupied, size, sums
 
 
 def _coin_threshold(lam: Fraction) -> int:
@@ -199,26 +210,15 @@ def estimate(g: Graph, lam, steps: int, burn_in: int = 10**5, seed: int = 1) -> 
         raise ValueError("need steps >= batches (at least one step per batch)")
     batch_len = steps // BATCHES
 
-    rng = SplitMix64(seed)
-    coin = _coin_threshold(lam)
-    occupied, size, _, _ = _heat_bath(rng, g.adj, g.n, coin, 0, 0, burn_in)
-
-    batch_means = []
-    batch_vars = []
-    total1 = 0
-    total2 = 0
-    for _ in range(BATCHES):
-        occupied, size, s1, s2 = _heat_bath(rng, g.adj, g.n, coin, occupied, size,
-                                            batch_len)
-        m = s1 / batch_len
-        batch_means.append(m)
-        batch_vars.append(s2 / batch_len - m * m)
-        total1 += s1
-        total2 += s2
+    _, _, sums = _heat_bath(SplitMix64(seed), g.adj, g.n, _coin_threshold(lam), 0, 0,
+                            (burn_in,) + (batch_len,) * BATCHES)
+    batches = sums[1:]
+    batch_means = [s1 / batch_len for s1, _ in batches]
+    batch_vars = [s2 / batch_len - m * m for m, (_, s2) in zip(batch_means, batches)]
 
     measured = BATCHES * batch_len
-    mean = total1 / measured
-    var = total2 / measured - mean * mean
+    mean = sum(s1 for s1, _ in batches) / measured
+    var = sum(s2 for _, s2 in batches) / measured - mean * mean
     se_mean = _spread(batch_means)
     se_var = _spread(batch_vars)
     return EstimateReport(
