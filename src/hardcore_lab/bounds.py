@@ -286,10 +286,12 @@ def _tf_weights(lam: Fraction):
     """weights(degrees, tol): endpoints (lo, hi) of enclosures of the
     triangle-free weight w(d) = s W(d L) / (d L), with s = lam / (1 + lam)
     and L = log(1 + lam), for each d in degrees, at lam > 0, each endpoint
-    an integer pair (num, den), den > 0, not normalised.  One enclosure of L
-    at tol / 4 serves every d; W is enclosed at d L.lo and at d L.hi, each
-    at tol / 4, and a W enclosure whose lower end is 0 takes the lower bound
-    x / (1 + x) there.  Every factor is positive, so
+    an integer pair (num, den), den > 0, not normalised.  Callers pass
+    lam > 0 and tol > 0, so the enclosure of L has L.lo > 0 (proved where it
+    is read).  One enclosure of L at tol / 4 serves every d; W is enclosed
+    at d L.lo and at d L.hi, each at tol / 4, and a W enclosure whose lower
+    end is 0 takes the lower bound x / (1 + x) there.  Every factor is
+    positive, so
     lo = s W(d L.lo).lo / (d L.hi) > 0 and hi = s W(d L.hi).hi / (d L.lo);
     w(0) = s exactly.
 
@@ -309,14 +311,13 @@ def _tf_weights(lam: Fraction):
     def weights(degrees, tol: Fraction) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
         quarter = tol / 4
         log_enc = log(quarter)
-        # L.lo > 0 at every lam > 0 and tol > 0.  log_series halves 1 + lam k
-        # times into m in (3/4, 3/2] and sums 2 atanh(y), y = (m - 1) / (m + 1),
-        # |y| <= 1/5, so each series tail is at most 1/72 of the first term 2|y|.
-        # For k = 0, y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1,
-        # the reduced term's lo is at least log(3/4) - 1/252 and the lo of each
-        # of the k copies of log 2 at least 2/3 - 1/36, so L.lo > 0.34.
-        if log_enc.lo <= 0:
-            raise ArithmeticError(f"enclosure of log(1 + {lam}) reaches {log_enc.lo}")
+        # The weights divide by L.lo, which is > 0 at every lam > 0 and
+        # tol > 0.  log_series halves 1 + lam k times into m in (3/4, 3/2] and
+        # sums 2 atanh(y), y = (m - 1) / (m + 1), |y| <= 1/5, so each series
+        # tail is at most 1/72 of the first term 2|y|.  For k = 0,
+        # y = lam / (2 + lam) > 0 and L.lo >= (71/72) 2y.  For k >= 1, the
+        # reduced term's lo is at least log(3/4) - 1/252 and the lo of each of
+        # the k copies of log 2 at least 2/3 - 1/36, so L.lo > 0.34.
         lln, lld = log_enc.lo.numerator, log_enc.lo.denominator
         lhn, lhd = log_enc.hi.numerator, log_enc.hi.denominator
         out = {}

@@ -250,7 +250,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError, MemoLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

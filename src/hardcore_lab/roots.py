@@ -171,10 +171,14 @@ def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
     """Walk the Stern-Brocot tree toward x, returning the first mediant that
     still certifies a negative value; keeps reported witnesses readable.
     Mediants are integer pairs in lowest terms, compared by cross-multiplying;
-    only the one returned becomes a Fraction."""
+    only the one returned becomes a Fraction.
+
+    x must have cs(x) < 0, so the walk returns a witness even when it ends at
+    its cap.  Every caller passes such a point: a power of two at or past
+    Cauchy's bound when the lead is negative (no root lies there, so cs has
+    the lead's sign), a negative probe or sample, and the first 1/2^k that
+    `_witness_near_zero` finds negative."""
     num, den = x.numerator, x.denominator
-    if _int_horner(cs, num, den) >= 0:
-        raise ValueError("witness candidate does not certify failure")
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0
     for _ in range(128):

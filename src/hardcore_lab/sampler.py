@@ -57,13 +57,12 @@ class SplitMix64:
 
 
 # Block drawing.  splitmix64 is counter-based: the k-th draw after state s is
-# mix(s + k*GAMMA mod 2**64).  A block of up to _BLOCK draws is computed at
-# once, lane k of one big int holding draw k+1 in 128 bits: the 64-bit lane
-# value times a 64-bit constant fits its lane, so after every multiply and
+# mix(s + k*GAMMA mod 2**64).  A block of _BLOCK draws is computed at once,
+# lane k of one big int holding draw k+1 in 128 bits: the 64-bit lane value
+# times a 64-bit constant fits its lane, so after every multiply and
 # xor-shift, `& _LANE` restores each lane mod 2**64 and nothing carries or
 # shifts across lanes.  The last xor-shift needs no mask: it moves lane k+1's
-# bits only into lane k's high word, which is never read.  The constants for
-# m < _BLOCK lanes are the low m lanes of these.
+# bits only into lane k's high word, which is never read.
 _BLOCK = 1024
 _REP = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")  # 1 per lane
 _LANE = _MASK * _REP  # the low 64 bits of each lane
@@ -73,19 +72,14 @@ _G_K = _GAMMA * int.from_bytes(
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
-def _splitmix_block(state: int, m: int) -> list[int]:
-    """The next m (1 <= m <= _BLOCK) outputs of splitmix64 from state, the
-    same values m calls of `SplitMix64.next_u64` return."""
-    if m == _BLOCK:
-        rep, lane, g_k = _REP, _LANE, _G_K
-    else:
-        low = (1 << (128 * m)) - 1
-        rep, lane, g_k = _REP & low, _LANE & low, _G_K & low
-    z = (state * rep + g_k) & lane
-    z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
-    z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
+def _splitmix_block(state: int) -> list[int]:
+    """The next _BLOCK outputs of splitmix64 from state, the same values
+    _BLOCK calls of `SplitMix64.next_u64` return."""
+    z = (state * _REP + _G_K) & _LANE
+    z = ((z ^ (z >> 30)) & _LANE) * 0xBF58476D1CE4E5B9 & _LANE
+    z = ((z ^ (z >> 27)) & _LANE) * 0x94D049BB133111EB & _LANE
     z ^= z >> 31
-    return memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+    return memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
 def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,
@@ -99,16 +93,14 @@ def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int
     (c >> 11) < coin, with coin from `_coin_threshold`, so the set stays
     independent.
 
-    Draws come from `_splitmix_block` in blocks of min(_BLOCK, 2*sum(lengths)
-    + 1), so a short run never pays for a large block, and a block carries
-    across segments.  An update that runs off the end of a block (pos passes
-    its vertex draw only after the coin is read) is redone from a block that
-    starts at its vertex draw, and on return rng.state has advanced by
-    exactly the draws consumed: the stream is the one `next_u64` would have
-    produced."""
+    Draws come from `_splitmix_block` in blocks of _BLOCK, and a block
+    carries across segments.  An update that runs off the end of a block
+    (pos passes its vertex draw only after the coin is read) is redone from
+    a block that starts at its vertex draw, and on return rng.state has
+    advanced by exactly the draws consumed: the stream is the one `next_u64`
+    would have produced."""
     limit = _MASK + 1 - ((_MASK + 1) % n)
     cut = coin << 11  # (c >> 11) < coin  iff  c < coin * 2**11
-    m = min(_BLOCK, 2 * sum(lengths) + 1)
     state = rng.state
     draws, pos = (), 0
     sums = []
@@ -140,7 +132,7 @@ def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int
                     steps -= 1
             except IndexError:
                 state = (state + pos * _GAMMA) & _MASK
-                draws, pos = _splitmix_block(state, m), 0
+                draws, pos = _splitmix_block(state), 0
         sums.append((s1, s2))
     rng.state = (state + pos * _GAMMA) & _MASK
     return occupied, size, sums

@@ -717,15 +717,6 @@ def test_combined_chain_encloses_the_free_energy_once_per_tolerance(monkeypatch)
             [2 * F(1, 10**28), 2 * F(1, 10**29), 2 * bounds.TOL_FLOOR]
 
 
-def test_tf_weights_refuse_a_nonpositive_log_enclosure(monkeypatch):
-    # The log series' lower endpoint is positive at every lam > 0 (see
-    # test_log1p_lower_endpoint_is_positive); were it not, the weight
-    # raises rather than divide by it or retry.
-    monkeypatch.setattr(bounds, "log_series", lambda v: lambda tol: RationalInterval(0, 1))
-    with pytest.raises(ArithmeticError, match="reaches 0"):
-        bounds.check_occupancy_tf(petersen_graph(), F(1, 100))
-
-
 def test_edge_counterexamples():
     checks = bounds.check_edge_occ_counterexamples(5)
     assert len(checks) == 6

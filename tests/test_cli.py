@@ -1,16 +1,20 @@
 """Command-line surface: JSON output, exit codes, graph-spec resolution."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from hardcore_lab import cli, hardcore, repro
 from hardcore_lab.bounds import DEFAULT_TOL, BoundCheck
 from hardcore_lab.cli import main
+from hardcore_lab.graphs import Graph, generate
 from hardcore_lab.intervals import RationalInterval
-from hardcore_lab.polynomials import Poly, RatFunc
 from hardcore_lab.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 
@@ -351,9 +355,6 @@ def test_repro_variance_identity_failure_is_a_record(capsys, monkeypatch):
     assert item["status"] == "failed"
     assert len(item["payload"]["failing"]) == len(item["payload"]["graphs"])
     assert records["variance.p5_threshold"]["status"] == "verified"
-    monkeypatch.setattr(repro, "variance_via_marginals", lambda g: RatFunc(Poly()))
-    code, out, _ = run(capsys, "repro", "variance.pair_marginal_identity")
-    assert code == 2 and json.loads(out)["status"] == "failed"
 
 
 @pytest.mark.parametrize("statuses, code, status", [
@@ -389,6 +390,78 @@ def test_repro_chain_exhibit_that_misses_fails_the_item(capsys, monkeypatch, shi
     assert (code, err, record["status"]) == (2, "", "failed")
     assert {c["status"] for c in record["payload"]["checks"]} == {HOLDS}
     assert record["payload"]["edgeless_equality"]["overlap"] == (shift == "wide")
+
+
+def _small_corpus(monkeypatch):
+    """Stand the connected corpus in with kn:3 and path:3."""
+    graphs = [generate("kn:3"), generate("path:3")]
+    monkeypatch.setattr(repro.corpus, "connected_corpus", lambda max_n: graphs)
+
+
+def test_repro_degree_floor_equality_mismatch_fails_the_item(capsys, monkeypatch):
+    # kn:3 meets the degree floor with equality; classified as no union of
+    # cliques, it is the one mismatch.
+    _small_corpus(monkeypatch)
+    monkeypatch.setattr(Graph, "is_disjoint_union_of_cliques", lambda self: False)
+    code, out, err = run(capsys, "repro", "occupancy.degree_floor_corpus")
+    record = json.loads(out)
+    assert (code, err, record["status"]) == (2, "", "failed")
+    assert record["payload"]["graphs"] == 2
+    assert record["payload"]["equality_classification_mismatches"] == 1
+
+
+@pytest.mark.parametrize("wrong, mismatches", [
+    (lambda n: n <= 6, 2),
+    (lambda n: n >= 9, 60),
+], ids=["corpus", "random"])
+def test_repro_engine_oracle_mismatch_fails_the_item(capsys, monkeypatch, wrong, mismatches):
+    # The oracle disagrees only on the corpus graphs (kn:3, path:3) or only
+    # on the 60 random graphs (9 to 12 vertices); each disagreement counts.
+    _small_corpus(monkeypatch)
+    monkeypatch.setattr(repro, "brute_force_polynomial",
+                        lambda g: repro.independence_polynomial(g) + int(wrong(g.n)))
+    code, out, err = run(capsys, "repro", "engine.oracle_equivalence")
+    record = json.loads(out)
+    assert (code, err, record["status"]) == (2, "", "failed")
+    assert record["payload"] == {"corpus_graphs": 2, "random_graphs": 60,
+                                 "mismatches": mismatches, "cycle_recurrence_ok": True}
+
+
+def test_repro_corpus_summary_lists_every_check_that_does_not_hold(capsys, monkeypatch):
+    _small_corpus(monkeypatch)
+    statuses = {"kn:3": (HOLDS, FAILS), "path:3": (INCONCLUSIVE, HOLDS)}
+    monkeypatch.setattr(repro.bounds, "check_free_energy_bounds", lambda g, lam: [
+        BoundCheck(f"test.check{i}", g.display_name(), lam, s)
+        for i, s in enumerate(statuses[g.display_name()])])
+    code, out, err = run(capsys, "repro", "free_energy.small_corpus")
+    record = json.loads(out)
+    assert (code, err, record["status"]) == (2, "", "failed")
+    payload = record["payload"]
+    assert payload["comparisons"] == 4
+    assert payload["by_status"] == {HOLDS: 2, FAILS: 1, INCONCLUSIVE: 1}
+    assert [(c["bound"], c["graph"], c["status"]) for c in payload["failing"]] == [
+        ("test.check1", "kn:3", FAILS), ("test.check0", "path:3", INCONCLUSIVE)]
+
+
+def test_repro_run_without_ids_runs_every_item_sorted(monkeypatch):
+    monkeypatch.setattr(repro, "REGISTRY", {"b.second": lambda: (repro.VERIFIED, {}),
+                                            "a.first": lambda: (repro.FAILED, {"n": 1})})
+    for ids in (None, []):
+        assert [r.to_json() for r in repro.run(ids)] == [
+            {"id": "a.first", "status": "failed", "payload": {"n": 1}},
+            {"id": "b.second", "status": "verified", "payload": {}}]
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    code, out, _ = run(capsys, "poly", "kn:2")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hardcore_lab", "poly", "kn:2"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert code == 0 and json.loads(out)["coefficients"] == "1,2"
 
 
 def test_repro_item_that_raises_is_a_failed_record(capsys, monkeypatch):

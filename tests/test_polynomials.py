@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -56,6 +57,7 @@ def test_text_round_trip():
     assert p.to_text() == "1,9,30,44,24"
     q = Poly.from_text("1/2, -3, 5/7")
     assert q.coeffs == (F(1, 2), -3, F(5, 7))
+    assert Poly().to_text() == "0" and Poly.from_text("0").is_zero
 
 
 @pytest.mark.parametrize("text", ["1,,2", ",1,2", "1,2,", "1, ,2", "", ","])
@@ -294,10 +296,22 @@ def test_ratfunc_evaluate():
      "rational function with zero denominator"),
     (lambda: RatFunc(Poly(), Poly([0, 0])), ZeroDivisionError,
      "rational function with zero denominator"),
-], ids=["negative_power", "negative_power_of_zero", "zero_denominator", "zero_over_zero"])
+    (lambda: Poly([1, 1]) + object(), TypeError,
+     "unsupported operand type(s) for +: 'Poly' and 'object'"),
+    (lambda: Poly([1, 1]) * object(), TypeError,
+     "unsupported operand type(s) for *: 'Poly' and 'object'"),
+], ids=["negative_power", "negative_power_of_zero", "zero_denominator", "zero_over_zero",
+        "add_foreign", "mul_foreign"])
 def test_undefined_operations_are_refused(call, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_equality_with_a_rational_or_a_foreign_object():
+    assert Poly([3]) == 3 and Poly([F(1, 2)]) == F(1, 2) and Poly() == 0
+    assert Poly([0, 1]) != 3 and not Poly([0, 1]) == "x"
+    f = RatFunc(Poly([0, 1]), Poly([1, 6]))
+    assert not f == object() and f != "x"
 
 
 def test_ratfunc_pole_raises():

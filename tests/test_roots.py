@@ -279,9 +279,7 @@ def _sign_at(cs, x):
 
 def _fraction_walk(cs, x):
     """The Stern-Brocot witness walk in Fraction arithmetic, as it ran before
-    it moved to integer pairs."""
-    if _sign_at(cs, x) >= 0:
-        raise ValueError("witness candidate does not certify failure")
+    it moved to integer pairs, from a candidate x with cs(x) < 0."""
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0
     for _ in range(128):
@@ -309,9 +307,6 @@ def test_integer_witness_walk_matches_the_fraction_walk():
                 got = _simplify_witness(cs, x)
                 assert got == _fraction_walk(cs, x) and type(got) is F
                 checked += 1
-            else:
-                with pytest.raises(ValueError):
-                    _simplify_witness(cs, x)
     # (x - 10^-6)^2 - 10^-30 dips below zero only in a window no mediant
     # within 128 steps reaches: the walk gives the candidate back
     narrow = Poly([10 ** 24 - 1, -2 * 10 ** 30, 10 ** 36]).coeffs

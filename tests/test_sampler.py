@@ -141,15 +141,12 @@ def test_glauber_step_support_on_k2():
 
 
 def test_single_site_stationary_frequency():
-    # One vertex at fugacity 1: occupancy probability exactly 1/2.
+    # One vertex at fugacity 1: occupancy probability exactly 1/2.  The size
+    # after each update is 0 or 1, so the kernel's s1 counts occupied steps.
     g = empty_graph(1)
-    rng, coin = SplitMix64(12), _coin_threshold(1)
-    occupied = size = 0
-    hits = 0
     total = 200000
-    for _ in range(total):
-        occupied, size = _step(rng, g, coin, occupied, size)
-        hits += occupied & 1
+    _, _, [(hits, _)] = _heat_bath(SplitMix64(12), g.adj, g.n, _coin_threshold(1), 0, 0,
+                                   (total,))
     freq = hits / total
     assert abs(freq - 0.5) < 0.01
 
@@ -239,11 +236,11 @@ def test_report_json_fields():
 
 
 def _block_draws(state, count):
-    """count draws from state in blocks of at most _BLOCK."""
+    """count draws from state, read as prefixes of full _BLOCK-draw blocks."""
     out = []
     while len(out) < count:
         m = min(_BLOCK, count - len(out))
-        out += _splitmix_block(state, m)
+        out += _splitmix_block(state)[:m]
         state = (state + m * _GAMMA) & _MASK
     return out, state
 
@@ -264,8 +261,8 @@ def test_splitmix_block_matches_next_u64():
 # Kernel cases: seed 2**64 - 5 wraps the counter.
 KERNEL_CASES = (("petersen", F(1), 3), ("path:5", F(4), 2**64 - 5),
                 ("kn:3", F(1, 4), 11), ("empty:6", F(4), 1001))
-# Step counts whose blocks (min(1024, 2k + 1) draws) end mid-update and that
-# span several blocks.
+# Step counts that stay inside one 1024-draw block, end near its edge (an
+# update takes one or two draws) and span several blocks.
 KERNEL_LENGTHS = (1, 2, 511, 512, 513, 3000, 0, 1)
 
 
@@ -300,7 +297,7 @@ def test_heat_bath_segments_match_the_reference_steps():
 def test_heat_bath_rejected_vertex_draw_at_a_block_edge():
     # On the edgeless graph every update draws a vertex and then a coin, and
     # on three vertices randrange rejects only the draw 2**64 - 1.  Place
-    # that draw where a vertex draw falls: inside a one-update block, just
+    # that draw where a vertex draw falls: first in a one-update run, just
     # before the end of a 1024-draw block (so that update, or the next, runs
     # off it) and at the start of the next block.
     g = generate("empty:3")

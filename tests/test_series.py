@@ -1,6 +1,7 @@
 """Multivariate polynomials, truncated series, and the symbolic reports."""
 
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,43 @@ def test_multipoly_partial_derivative():
     du, dv = _du_dv()
     p = du ** 3 * dv + 2 * du
     assert p.partial_derivative("d_u") == 3 * du * du * dv + 2
+    # a term without the variable drops out
+    assert (du + dv * dv).partial_derivative("d_u") == 1
+
+
+def test_multipoly_equality_with_a_rational_or_a_foreign_object():
+    du, _ = _du_dv()
+    assert MultiPoly.constant(V, 3) == 3 and MultiPoly.constant(V, F(1, 2)) == F(1, 2)
+    assert du != 1 and MultiPoly(V) == 0
+    assert not du == "d_u" and du != object()
+
+
+DU, X = MultiPoly.variable(V, "d_u"), MultiPoly.variable(("x",), "x")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MultiPoly(V, {(1,): 1}), ValueError,
+     "exponent vector length does not match variables"),
+    (lambda: MultiPoly.variable(V, "d_z"), ValueError, "undeclared variable 'd_z'"),
+    (lambda: DU.partial_derivative("d_z"), ValueError, "undeclared variable 'd_z'"),
+    (lambda: DU.constant_value(), ValueError, "not a constant: d_u"),
+    (lambda: DU + X, ValueError, "variable mismatch: ('d_u', 'd_v') vs ('x',)"),
+    (lambda: DU + object(), TypeError,
+     "unsupported operand type(s) for +: 'MultiPoly' and 'object'"),
+    (lambda: DU - object(), TypeError,
+     "unsupported operand type(s) for -: 'MultiPoly' and 'object'"),
+    (lambda: DU * object(), TypeError,
+     "unsupported operand type(s) for *: 'MultiPoly' and 'object'"),
+    (lambda: DU ** -1, ValueError, "negative power"),
+    (lambda: series_of(V, [1, X]), ValueError, "coefficient variable mismatch"),
+    (lambda: g_series(X, ("d",)), ValueError,
+     "degree polynomial must use the declared variables"),
+], ids=["exponent_length", "undeclared_variable", "undeclared_derivative", "not_constant",
+        "variable_mismatch", "add_foreign", "sub_foreign", "mul_foreign", "negative_power",
+        "series_coefficient_mismatch", "g_series_degree_mismatch"])
+def test_multipoly_and_series_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_multipoly_graded_lex_str():
