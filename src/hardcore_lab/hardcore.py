@@ -28,8 +28,7 @@ engine with only path and cycle leaves, under the same branch rule."""
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -47,17 +46,13 @@ class MemoLimitExceeded(RuntimeError):
 
 
 _DIGIT_BITS = 64  # the engine packs at x = 2^64, past C(64, 32) < 2^61
-if array("Q").itemsize * 8 != _DIGIT_BITS:
-    raise ImportError("the engine unpacks 64-bit digits through array('Q')")
 
 
 def _digits(value: int) -> tuple[int, ...]:
-    """The coefficients of the polynomial packed as value at 2^64, read as
-    the little-endian 64-bit words of its bytes."""
-    words = array("Q", value.to_bytes((value.bit_length() + 63) >> 6 << 3, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return tuple(words)
+    """The coefficients of the polynomial packed as value at 2^64: its
+    little-endian bytes read as standard-size little-endian words, "<Q"."""
+    n = (value.bit_length() + 63) >> 6
+    return struct.unpack(f"<{n}Q", value.to_bytes(n << 3, "little"))
 
 
 def _path_product(empty: list[int], occupied: list[int], path) -> int:

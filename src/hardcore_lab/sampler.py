@@ -14,7 +14,7 @@ the burn-in and all batches, and the current block carries across them.
 
 from __future__ import annotations
 
-import sys
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,29 +57,28 @@ class SplitMix64:
 
 
 # Block drawing.  splitmix64 is counter-based: the k-th draw after state s is
-# mix(s + k*GAMMA mod 2**64).  A block of _BLOCK draws is computed at once,
-# lane k of one big int holding draw k+1 in 128 bits: the 64-bit lane value
-# times a 64-bit constant fits its lane, so after every multiply and
-# xor-shift, `& _LANE` restores each lane mod 2**64 and nothing carries or
-# shifts across lanes.  The last xor-shift needs no mask: it moves lane k+1's
-# bits only into lane k's high word, which is never read.
+# mix(s + k*GAMMA mod 2**64).  A block of _BLOCK draws is computed at once in
+# one big int laid out as _LANES, lane k holding draw k+1 in the low half of
+# 128 bits: the 64-bit lane value times a 64-bit constant fits its lane, so
+# after every multiply and xor-shift, `& _LANE` restores each lane mod 2**64
+# and nothing carries or shifts across lanes.  The last xor-shift needs no
+# mask: it moves lane k+1's bits only into lane k's high word, never read.
 _BLOCK = 1024
-_REP = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")  # 1 per lane
+_LANES = struct.Struct("<" + "Q8x" * _BLOCK)  # a little-endian 64-bit word, 8 skipped bytes
+_REP = int.from_bytes(_LANES.pack(*[1] * _BLOCK), "little")  # 1 per lane
 _LANE = _MASK * _REP  # the low 64 bits of each lane
-_G_K = _GAMMA * int.from_bytes(
-    b"".join((k + 1).to_bytes(16, "little") for k in range(_BLOCK)), "little")
-# The low 64-bit word of each lane in the native-order words of `to_bytes`.
-_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+_G_K = _GAMMA * int.from_bytes(_LANES.pack(*range(1, _BLOCK + 1)), "little")
 
 
-def _splitmix_block(state: int) -> list[int]:
-    """The next _BLOCK outputs of splitmix64 from state, the same values
-    _BLOCK calls of `SplitMix64.next_u64` return."""
+def _splitmix_block(state: int) -> tuple[int, ...]:
+    """The next _BLOCK outputs of splitmix64 from state, read from the low
+    words of the lanes: the values _BLOCK calls of `SplitMix64.next_u64`
+    return."""
     z = (state * _REP + _G_K) & _LANE
     z = ((z ^ (z >> 30)) & _LANE) * 0xBF58476D1CE4E5B9 & _LANE
     z = ((z ^ (z >> 27)) & _LANE) * 0x94D049BB133111EB & _LANE
     z ^= z >> 31
-    return memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+    return _LANES.unpack(z.to_bytes(_LANES.size, "little"))
 
 
 def _heat_bath(rng: SplitMix64, adj, n: int, coin: int, occupied: int, size: int,

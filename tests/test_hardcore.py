@@ -123,6 +123,13 @@ def test_packed_digits_do_not_carry_at_the_cap():
     assert comb(MAX_VERTICES, MAX_VERTICES // 2) < 2 ** hardcore._DIGIT_BITS == 2 ** 64
     assert independence_polynomial(empty_graph(MAX_VERTICES)) == ONE_PLUS ** 64
     assert independence_polynomial(generate("kab:32,32")) == 2 * ONE_PLUS ** 32 - Poly([1])
+    # _digits reads the words of the one little-endian layout: the pure
+    # integer digits, with no trailing zero word (33 of them for wide).
+    mask = 2 ** 64 - 1
+    wide = sum((i * 0x9E3779B97F4A7C15 & mask) << 64 * i for i in range(1, 33))
+    for value in (0, 1, mask, 2 ** 64, 7 + (9 << 64 * 4), wide):
+        n = (value.bit_length() + 63) // 64
+        assert hardcore._digits(value) == tuple((value >> 64 * i) & mask for i in range(n))
 
 
 def test_memo_limit(monkeypatch):

@@ -246,6 +246,9 @@ def _block_draws(state, count):
 
 
 def test_splitmix_block_matches_next_u64():
+    # the lane constants are their defining sums over 128-bit lanes
+    assert sampler._REP == sum(1 << 128 * k for k in range(_BLOCK))
+    assert sampler._G_K == _GAMMA * sum((k + 1) << 128 * k for k in range(_BLOCK))
     # three consecutive requests of m draws each, from seeds including one
     # whose counter wraps 2**64 at once
     for seed in (0, 20260809, 2**64 - 5):
@@ -364,17 +367,22 @@ def test_rng_state_counts_the_draws_consumed(monkeypatch):
 
 
 def test_glauber_step_interleaved_with_a_reference_replay():
+    # kernel calls of mixed lengths, each followed by a reference replay of
+    # the same length: calls end inside a block, near its edge and past it,
+    # and single updates sit between them
+    lengths = (1, 2, 511, 1, 512, 1024, 2, 513, 1025, 1)
     for spec, lam, seed in (("kab:2,3", F(3, 2), 3), ("empty:1", F(1), 12),
                             ("kn:4", F(1, 4), 2**64 - 5)):
         g = generate(spec)
         rng, coin = SplitMix64(seed), _coin_threshold(lam)
         ref = SplitMix64(seed)
         occupied = size = ref_occupied = ref_size = 0
-        for _ in range(3000):
-            occupied, size = _step(rng, g, coin, occupied, size)
-            ref_occupied, ref_size, _, _ = _reference_steps(ref, g, lam, ref_occupied,
-                                                            ref_size, 1)
-            assert (occupied, size, rng.state) == (ref_occupied, ref_size, ref.state)
+        for k in lengths:
+            occupied, size, sums = _heat_bath(rng, g.adj, g.n, coin, occupied, size, (k,))
+            ref_occupied, ref_size, s1, s2 = _reference_steps(ref, g, lam, ref_occupied,
+                                                              ref_size, k)
+            assert (occupied, size, rng.state, sums) == (ref_occupied, ref_size, ref.state,
+                                                         [(s1, s2)]), (spec, k)
 
 
 def _reference_report(g, lam, steps, burn_in, seed):

@@ -454,6 +454,18 @@ def test_only_the_verdict_module_reads_the_print_limit():
     assert readers == {"verdict.py"}
 
 
+def test_no_module_reads_the_platform_byte_order():
+    # Packed words are read through explicit little-endian struct layouts,
+    # the same on every platform: no library module reads sys.byteorder or
+    # imports array, whose words take the platform's order and size.
+    found = [
+        f"{path.name} {name}"
+        for path in MODULES
+        for name in set(_names_used(TREES[path])) & {"byteorder", "array"}
+    ]
+    assert found == []
+
+
 def test_each_repro_id_is_stated_once():
     # A repro item's id is its REGISTRY key and nowhere else in repro.py:
     # the item returns (status, payload), and _run_item alone builds the
