@@ -3,7 +3,7 @@ pairs that separate them.
 
 COUNT, MAX, COEF and FV compare coefficients; PART, OCC and VAR compare
 values, derivatives-of-logs, and second log-derivatives pointwise on the
-half-line, decided exactly by Sturm-based sign analysis.
+half-line, decided exactly by Descartes bisection.
 """
 
 from hardcore_lab import compare, implication_web_check, var_difference_certificate

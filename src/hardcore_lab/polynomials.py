@@ -18,6 +18,9 @@ exact while every coefficient lies in (-2^(k-1), 2^(k-1)).  A coefficient of
 a*b is at most |a|_1 max|b_j|, so k is their two bit lengths plus one.  The
 cutoff is measured on engine and orderings shapes: schoolbook is 1.4-1.7x
 faster at 2 coefficients a side, they tie at 5, Kronecker leads 1.1-2x at 6-8.
+The same packing gives the Taylor shift p(x + 1) that the Descartes
+bisection in `roots` runs on (`_int_shift`): one Horner pass in x + 1 at
+x = 2^k, then one `_unpack`.
 
 The one variance numerator kernel, `var_numerator`, is here too: the
 profile's V, `var_of_polynomial` and the VAR certificate all read it.
@@ -25,8 +28,10 @@ profile's V, `var_of_polynomial` and the VAR certificate all read it.
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts.
-`RatFunc` reduction and the Sturm chains in `roots` both run on
-`_int_cofactors`, which returns the gcd h with the quotients f/h and g/h.
+`RatFunc` reduction and the squarefree part in `roots` both run on
+`_int_cofactors`, which returns the gcd h with the quotients f/h and g/h:
+the Descartes bisection that decides half-line signs, and the Sturm chains
+that only isolate roots, both start from that squarefree part.
 It is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
 1989; Geddes, Czapor and Labahn, "Algorithms for Computer Algebra", 1992,
 sec. 7.7) at x = 2^k with 2^(k-1) >= 1 + min(|f|_inf, |g|_inf), on the same
@@ -99,6 +104,17 @@ def _unpack(value: int, k: int, n: int) -> Coeffs:
             value += 1
         out.append(digit)
     return tuple(out)
+
+
+def _int_shift(cs: Coeffs) -> Coeffs:
+    """The coefficients of p(x + 1) for integer cs, by one Horner pass in
+    x + 1 at x = 2^k: each is at most |p|_1 2^deg in size, so k is that
+    bound's bit length plus one."""
+    k = (sum(map(abs, cs)) << (len(cs) - 1)).bit_length() + 1
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << k) + acc + c
+    return _unpack(acc, k, len(cs))
 
 
 def _int_mul(a: Coeffs, b: Coeffs) -> Coeffs:

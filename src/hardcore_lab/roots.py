@@ -1,36 +1,61 @@
-"""Sturm chains, positive real root isolation, and the half-line
-nonnegativity decision procedure.
+"""Positive real root isolation, and the half-line and segment
+nonnegativity decisions.
 
 Everything here is exact: interval endpoints and witnesses are rationals and
-no verdict ever depends on floating point.  Internally the chains are kept as
-primitive integer coefficient lists (positive rescaling never changes a sign
-variation), built with the primitive integer kernel of `polynomials`
-(content split, pseudo-remainders, squarefree part); this module defines no
-gcd or division of its own.
+no verdict ever depends on floating point.  Polynomials are kept as
+primitive integer coefficient lists (positive rescaling never changes a
+sign), built with the primitive integer kernel of `polynomials` (content
+split, pseudo-remainders, squarefree part, Taylor shift); this module
+defines no gcd or division of its own.
 
-Each isolation or decision call keeps one dict of the chain's sign
-variations at each point, shared by `_isolate` and `_refine`: a bisection
-step evaluates the chain at its midpoint alone.
+Two routes find positive roots.  `isolate_positive_roots` isolates them
+with a Sturm chain; each call keeps one dict of the chain's sign variations
+at each point, shared by `_isolate` and `_refine`, so a bisection step
+evaluates the chain at its midpoint alone.  The half-line decision counts
+them by Descartes' rule of signs instead, which needs no remainder sequence
+(`_descartes_roots`; Collins and Akritas, SYMSAC 1976; Rouillier and
+Zimmermann, J. Comput. Appl. Math. 162, 2004).  A node of its bisection of
+(0, B) is P(x) = c q(a + (b - a) x) on (0, 1), c > 0, for the squarefree
+part q.  The sign variations of (x + 1)^n P(1 / (x + 1)) bound the roots in
+(a, b) and share their parity, so a count of 0 or 1 is exact.  The halves
+are 2^n P(x / 2) and its shift by 1, each shift one packed Horner pass
+(`polynomials._int_shift`).  A zero constant term in the right half is an
+exact root at the midpoint: it is recorded and divided out, so no node has
+a root at its left end.  A root at a right end, P = (x - 1) S, multiplies
+the count's polynomial by x, so the count is that of S, which has no root
+there.  On squarefree q the counts fall to 0 or 1 once the intervals are
+small next to the distances between q's complex roots (the one- and
+two-circle theorems; Krandick and Mehlhorn, J. Symb. Comput. 41, 2006), so
+the bisection ends.  A node whose count is 1 but one of whose ends is an
+exact root is bisected on until the two part: then no interval's end is a
+root, and the point halfway between the facing ends of two consecutive
+roots lies strictly between them.
 
 There is one half-line decision, `_halfline_witness`, on integer
 coefficients: it returns nothing when the polynomial holds, else its
 witness.  `nonneg_on_halfline` adds the margin p(w), and `orderings.compare`
 calls it on its own integer polynomials.  Its sign probes stop at, and its
-isolation starts from, a positive-root bound B, a power of two: the least
-one at or above Kioustelidis' bound 2 max (|c_(n-k)| / c_n)^(1/k) over the
+bisection covers, a positive-root bound B, a power of two: the least one at
+or above Kioustelidis' bound 2 max (|c_(n-k)| / c_n)^(1/k) over the
 negative c_(n-k) (J. Comput. Appl. Math. 16, 1986), or Cauchy's where that
 is smaller.  For x >= B, each negative term has |c_(n-k)| x^(n-k) <=
 c_n x^n 2^-k, so p(x) >= c_n x^n (1 - sum_k 2^-k) > 0; past Cauchy's bound
 p has no root at all.
 
-The witness does not depend on where isolation starts.  A negative sample
-is walked down the Stern-Brocot tree to the first negative mediant, and two
-samples in one negative gap between roots walk alike up to the first
-mediant that separates them, which lies in the gap and so is negative.  The
-one exception is a walk that reaches its 128-step cap and returns its
-sample.  Probes past B are positive, so stopping there moves no witness
-either.  `isolate_positive_roots` keeps Cauchy's bound of the squarefree
-part as its start, so its plain intervals stay as they were.
+The witness depends only on which gap between consecutive roots is the
+first negative one.  The sign is constant on each gap, and the gaps below
+the first root and past the last have the signs of the lowest and leading
+coefficients, both positive by then, so only the inner gaps are sampled,
+in increasing order.  A negative sample is walked down the Stern-Brocot
+tree to the first negative mediant, and two samples in one negative gap
+walk alike up to the first mediant that separates them, which lies in the
+gap and so is negative.  So the bisection finds the witness the Sturm
+chain's samples found, except where a walk reaches its 128-step cap and
+returns its sample: there `_chain_witness` takes the sample the chain
+gives, so that no witness moves.  Probes past B are positive, so stopping
+there moves no witness either.  `isolate_positive_roots` keeps Cauchy's
+bound of the squarefree part as its start, so its plain intervals stay as
+they were.
 
 The segment decision maps [a, b] onto the half-line by one integer Horner pass.
 """
@@ -47,6 +72,7 @@ from .polynomials import (
     _int_horner,
     _int_mul,
     _int_primitive,
+    _int_shift,
     _int_squarefree,
     _pseudo_rem,
 )
@@ -165,19 +191,52 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     return intervals
 
 
+def _sign_changes(cs: Coeffs) -> int:
+    signs = [c < 0 for c in cs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _descartes_roots(q: Coeffs, e: int) -> list[tuple[Fraction, Fraction]]:
+    """The distinct roots of the squarefree integer q in (0, 2^e), which
+    must hold them all, sorted: (m, m) for a root m found exactly at a
+    bisection midpoint, else an open interval (lo, hi) holding one root,
+    whose ends are not roots."""
+    found = []
+    # A node (P, k, j, lo_root, hi_root) is the interval (k, k + 1) 2^(e-j):
+    # P(x) is a positive multiple of q((k + x) 2^(e-j)), divided by x where
+    # its left end is an exact root, and lo_root and hi_root say whether its
+    # ends are exact roots.
+    stack = [(tuple(c << (e * i) for i, c in enumerate(q)), 0, 0, False, False)]
+    while stack:
+        p, k, j, lo_root, hi_root = stack.pop()
+        # P's own sign changes bound its roots on (0, oo): none, no shift.
+        v = _sign_changes(p) and _sign_changes(_int_shift(p[::-1]))
+        if v == 0:
+            continue
+        if v == 1 and not (lo_root or hi_root):
+            found.append((Fraction(k << e, 1 << j), Fraction((k + 1) << e, 1 << j)))
+            continue
+        n = len(p) - 1
+        left = tuple(c << (n - i) for i, c in enumerate(p))
+        right = _int_shift(left)
+        mid_root = not right[0]
+        if mid_root:
+            right = right[1:]
+            m = Fraction((2 * k + 1) << e, 2 << j)
+            found.append((m, m))
+        stack.append((right, 2 * k + 1, j + 1, mid_root, hi_root))
+        stack.append((left, 2 * k, j + 1, lo_root, mid_root))
+    found.sort()
+    return found
+
+
 # -- decision procedures ----------------------------------------------------
 
-def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
+def _stern_brocot(cs: Coeffs, x: Fraction) -> Fraction | None:
     """Walk the Stern-Brocot tree toward x, returning the first mediant that
-    still certifies a negative value; keeps reported witnesses readable.
-    Mediants are integer pairs in lowest terms, compared by cross-multiplying;
-    only the one returned becomes a Fraction.
-
-    x must have cs(x) < 0, so the walk returns a witness even when it ends at
-    its cap.  Every caller passes such a point: a power of two at or past
-    Cauchy's bound when the lead is negative (no root lies there, so cs has
-    the lead's sign), a negative probe or sample, and the first 1/2^k that
-    `_witness_near_zero` finds negative."""
+    certifies a negative value, or None if 128 steps find none.  Mediants
+    are integer pairs in lowest terms, compared by cross-multiplying; only
+    the one returned becomes a Fraction."""
     num, den = x.numerator, x.denominator
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0
@@ -189,7 +248,20 @@ def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
             lo_n, lo_d = m_n, m_d
         else:
             hi_n, hi_d = m_n, m_d
-    return x
+    return None
+
+
+def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
+    """The first mediant toward x that certifies a negative value, else x
+    itself; keeps reported witnesses readable.
+
+    x must have cs(x) < 0, so the walk returns a witness even when it ends at
+    its cap.  Every caller passes such a point: a power of two at or past
+    Cauchy's bound when the lead is negative (no root lies there, so cs has
+    the lead's sign), a negative probe or chain sample, and the first 1/2^k
+    that `_witness_near_zero` finds negative."""
+    w = _stern_brocot(cs, x)
+    return x if w is None else w
 
 
 def _witness_near_zero(cs: Coeffs) -> Fraction:
@@ -199,6 +271,26 @@ def _witness_near_zero(cs: Coeffs) -> Fraction:
     return _simplify_witness(cs, Fraction(1, den))
 
 
+def _chain_witness(cs: Coeffs, r: Coeffs, bound: int) -> Fraction:
+    """The witness from the samples between the Sturm chain's isolating
+    intervals of r's roots in (0, bound], refined until consecutive ones
+    leave a gap, for a cs with a negative gap there.  `_halfline_witness`
+    asks for it only where the walk from its own sample reaches its cap."""
+    chain = _int_chain(r)
+    seen: dict = {}
+    intervals = _isolate(chain, Fraction(bound), seen)
+    for i in range(len(intervals) - 1):
+        (lo1, hi1), (lo2, hi2) = intervals[i], intervals[i + 1]
+        while hi1 >= lo2:
+            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
+            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
+        intervals[i], intervals[i + 1] = (lo1, hi1), (lo2, hi2)
+    for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
+        s = (hi1 + lo2) / 2
+        if _int_horner(cs, s.numerator, s.denominator) < 0:
+            return _simplify_witness(cs, s)
+
+
 def _halfline_witness(cs) -> Fraction | None:
     """None when the integer polynomial cs is >= 0 on [0, oo), else the
     rational witness where it is negative.  Only the signs of its values are
@@ -206,11 +298,13 @@ def _halfline_witness(cs) -> Fraction | None:
 
     Necessary sign checks at 0 and at infinity come first, then sign probes
     at 1/4, 1, 4, ... up to the bound B of `_positive_root_bound`, to catch
-    failures early; to certify a hold, the distinct positive roots of the
-    squarefree part are isolated in (0, B] and the sign is sampled strictly
-    between consecutive isolating intervals and beyond the last one.  Sign is
-    constant between consecutive distinct roots, so the procedure is
-    complete.  A negative sample becomes the witness by `_simplify_witness`.
+    failures early.  To certify a hold, the Descartes bisection finds the
+    distinct positive roots of the squarefree part in (0, B), some exactly,
+    and the sign is sampled strictly between each two consecutive ones.
+    Sign is constant between consecutive distinct roots, so the procedure is
+    complete.  A negative sample becomes the witness by the Stern-Brocot
+    walk; the module docstring says why it is the witness the Sturm chain
+    gave, and what is done where the walk reaches its cap.
     """
     while cs and not cs[-1]:
         cs = cs[:-1]
@@ -235,26 +329,12 @@ def _halfline_witness(cs) -> Fraction | None:
             return _simplify_witness(cs, Fraction(num, den))
         num, den = 4 * num // den, 1  # the probes are 1/4, 1, 4, 16, ...
 
-    chain = _int_chain(r)
-    seen: dict = {}
-    intervals = _isolate(chain, Fraction(bound), seen)
-
-    # Refine until consecutive intervals leave a gap to sample in.
-    for i in range(len(intervals) - 1):
-        lo1, hi1 = intervals[i]
-        lo2, hi2 = intervals[i + 1]
-        while hi1 >= lo2:
-            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
-            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
-        intervals[i] = (lo1, hi1)
-        intervals[i + 1] = (lo2, hi2)
-
-    samples = [(hi1 + lo2) / 2 for (_, hi1), (lo2, _) in zip(intervals, intervals[1:])]
-    if intervals:
-        samples.append(intervals[-1][1] + 1)
-    for s in samples:
+    roots = _descartes_roots(_int_squarefree(_int_primitive(r)), bound.bit_length() - 1)
+    for (_, hi1), (lo2, _) in zip(roots, roots[1:]):
+        s = (hi1 + lo2) / 2
         if _int_horner(cs, s.numerator, s.denominator) < 0:
-            return _simplify_witness(cs, s)
+            w = _stern_brocot(cs, s)
+            return w if w is not None else _chain_witness(cs, r, bound)
     return None
 
 

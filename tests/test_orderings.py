@@ -329,3 +329,40 @@ def test_pointwise_orderings_on_rational_pairs():
     assert _assert_pointwise_match(pairs) > 300
     v = compare("VAR", Poly([1, F(1, 2), F(1, 5)]), Poly([1, F(1, 3)]))
     assert v.fails and v.witness == 45 and v.margin == F(-3615, 188018944)
+
+
+def _violates(kind: str, p: Poly, q: Poly, w) -> bool:
+    """Whether p < q in the pointwise kind's defining quantity at w: the
+    partition function, the occupancy fraction x p'/p, or the variance
+    x (x p'/p)', each evaluated from p and q in Fractions."""
+    def quantities(f: Poly):
+        z, d1, d2 = f.evaluate(w), f.derivative().evaluate(w), f.derivative().derivative().evaluate(w)
+        e = w * d1 / z
+        return z, e, e + w * w * d2 / z - e * e
+
+    index = ("PART", "OCC", "VAR").index(kind)
+    return quantities(p)[index] < quantities(q)[index]
+
+
+def test_every_failing_witness_violates_its_definition():
+    # On the repro web's 2,000 pairs and the lemma pairs, every failing PART
+    # and VAR witness, and every OCC witness above 0, shows p below q in the
+    # ordering's own quantity.  An OCC witness of 0, where both occupancy
+    # fractions are 0, shows nothing: that count is pinned until the OCC
+    # decision returns a positive point.
+    rng = SplitMix64(20260809)
+    pairs = [random_generating_pair(rng) for _ in range(2000)] + _lemma_pairs()
+    fails = {"PART": 0, "OCC": 0, "VAR": 0}
+    occ_at_zero = 0
+    for p, q in pairs:
+        for kind in fails:
+            v = compare(kind, p, q)
+            if v.holds:
+                continue
+            fails[kind] += 1
+            if kind == "OCC" and v.witness == 0:
+                occ_at_zero += 1
+                continue
+            assert v.witness > 0 and _violates(kind, p, q, v.witness), (kind, p, q)
+    assert min(fails.values()) > 100, fails
+    assert occ_at_zero == 974

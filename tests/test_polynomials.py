@@ -18,6 +18,7 @@ from hardcore_lab.polynomials import (
     _int_cofactors,
     _int_mul,
     _int_primitive,
+    _int_shift,
     _int_squarefree,
     _pack,
     _pseudo_rem,
@@ -136,7 +137,8 @@ def _gcd_cases(monkeypatch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Seeded nonzero integer pairs for the gcd kernel: planted common
     factors and powers of x, constants, coefficients near C(64, 32), the
     engine's marginal and variance pairs, and the (p, p') pairs of the
-    orderings' Sturm chains."""
+    squarefree step that the orderings' half-line decisions take before
+    their Descartes bisection."""
     rng = random.Random(2626)
     cases = [_planted_pair(rng, bits) for bits in (1, 3, 8, 30) for _ in range(40)]
     cases += [((5,), (1, 2, 1)), ((-3,), (-6,)), ((0, 0, 1), (0, 1)), ((0, 2), (0, 0, -4)),
@@ -379,6 +381,22 @@ def test_int_mul_matches_schoolbook_on_both_sides_of_the_cutoff():
         got = _int_mul(a, b)
         assert got == _schoolbook(a, b) and _int_mul(b, a) == got, (a, b)
         assert all(type(c) is int for c in got)
+
+
+
+def test_int_shift_matches_the_binomial_expansion():
+    # p(x + 1) has coefficients sum_i c_i C(i, j); equal signs at full size
+    # push them toward the |p|_1 2^deg bound the packing width covers.
+    rng = random.Random(78)
+    cases = [(0,), (5,), (-1, 1), (0, 0, 0, 1), (1, 0, 0, 0, 0)]
+    for n in (1, 2, 5, 9, 17, 40):
+        for bits in (1, 7, 40, 130):
+            top = (1 << bits) - 1
+            cases += [(top,) * n, (-top,) * n, tuple(top if i % 2 else -top for i in range(n))]
+            cases += [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(3)]
+    for cs in cases:
+        want = tuple(sum(c * comb(i, j) for i, c in enumerate(cs)) for j in range(len(cs)))
+        assert _int_shift(cs) == want, cs
 
 
 def test_integer_polys_stay_integer():

@@ -1,4 +1,9 @@
-"""Sturm machinery: isolation and the half-line nonnegativity decision."""
+"""Root isolation and the half-line nonnegativity decision.
+
+Descartes bisection decides the half-line sign; the Sturm chain only
+isolates.  The chain, and the decision as it ran on it
+(`halfline_from_cauchy`), are the independent route each decision here is
+checked against."""
 
 import hashlib
 import random
@@ -6,8 +11,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from hardcore_lab.polynomials import Poly, _content_split, _int_exact_div, _int_horner
+from hardcore_lab.polynomials import (
+    Poly,
+    _content_split,
+    _int_exact_div,
+    _int_horner,
+    _int_squarefree,
+)
 from hardcore_lab.roots import (
+    _descartes_roots,
     _halfline_witness,
     _int_chain,
     _int_root_bound,
@@ -425,11 +437,44 @@ def test_positive_root_bound_is_a_power_of_two_past_every_root():
     assert missed > 10
 
 
+def _bisection_cases():
+    """Roots where the bisection of (0, B) lands exactly: at B/2, B/4 and
+    3B/4, at 1/2, 1 and 2, two adjacent dyadic roots, double dyadic roots,
+    and an exact dyadic root with an irrational one in the next cell, whose
+    interval touches it until the bisection parts them."""
+    cases = [_planted(roots) for roots in ([1, 2], [2, 4], [4, 6], [F(1, 2), 1], [2, 6],
+                                           [F(1, 2), 2], [F(3, 2), 2], [F(3, 4), 1])]
+    cases += [_planted(roots, Poly([1, -1, 1])) for roots in ([1, 1, 2, 2], [2, 2, 4, 4], [F(1, 2)] * 2)]
+    cases += [_planted([r], Poly([-n, 0, 1])) for r, n in ((2, 5), (1, 2), (2, 3), (4, 17),
+                                                            (F(1, 2), 3), (3, 10))]
+    cases += [_planted([r], Poly([n, 0, -1]) * -1) for r, n in ((2, 5), (F(3, 2), 2))]
+    cases.append(_planted([2, 2], Poly([-5, 0, 1]) * Poly([-6, 0, 1])))
+    # B = 2: a root in (1, 5/4) makes the bisection split (1, 2) at 3/2 = 3B/4
+    cases.append(_planted([F(3, 2)], Poly([-2, -5, -1, 2, 4])))
+    return cases
+
+
+def _root_counts(p: Poly):
+    """The distinct positive roots of p that the Descartes bisection finds in
+    (0, B) and that the Sturm chain isolates there; None for a constant or
+    a negative lead, which the bisection never sees."""
+    cs = _content_split(p)[1]
+    r = cs[next(i for i, c in enumerate(cs) if c):] if cs else ()
+    if len(r) < 2 or r[-1] < 0:
+        return None
+    bound = _positive_root_bound(r)
+    found = _descartes_roots(_int_squarefree(r), bound.bit_length() - 1)
+    return found, bound, len(_isolate(_int_chain(r), F(bound), {}))
+
+
 def test_halfline_matches_the_cauchy_start():
     # The positive-root bound moves where the probes stop and isolation
-    # starts, not the verdict, the witness or the margin: every sample in one
-    # negative gap walks to the same witness.  Narrow negative gaps, as in
-    # the narrow case above, and planted double roots included.
+    # starts, not the verdict, the witness or the margin, and neither does
+    # deciding by Descartes bisection in place of the chain: every sample in
+    # one negative gap walks to the same witness.  Narrow negative gaps, as
+    # in the narrow case above (whose walk ends at its cap), planted double
+    # roots and exact dyadic roots included.  The bisection finds as many
+    # distinct positive roots as the chain isolates.
     rng = SplitMix64(77)
     cases = [Poly([10 ** 24 - 1, -2 * 10 ** 30, 10 ** 36]), Poly([1, -3, 0, 1])]
     for e in range(1, 9):
@@ -437,16 +482,25 @@ def test_halfline_matches_the_cauchy_start():
         cases.append(Poly([10 ** (4 * e) - 1, -2 * 10 ** (3 * e), 10 ** (2 * e)]) * Poly([1, 1]))
         cases.append(_planted([F(1, 10 ** e), F(1, 10 ** e) + F(1, 10 ** (2 * e))]))
     cases += _root_bound_cases()
+    cases += _bisection_cases()
     for _ in range(400):
         cases.append(Poly([rng.randrange(101) - 50 for _ in range(rng.randrange(10) + 1)]))
         roots = [F(1 + rng.randrange(100), 1 + rng.randrange(9)) for _ in range(rng.randrange(4))]
         cases.append(_planted(roots + roots[:1], Poly([1 + rng.randrange(30), -rng.randrange(30),
                                                        1 + rng.randrange(30)])))
     fails = 0
+    exact: set = set()
     for p in cases:
         got, want = nonneg_on_halfline(p), halfline_from_cauchy(p)
         assert typed(got) == typed(want), p
         if got.fails:
             fails += 1
             assert got.witness == _halfline_witness(_content_split(p)[1])
+        counts = _root_counts(p)
+        if counts is not None:
+            found, bound, isolated = counts
+            assert len(found) == isolated, p
+            exact |= {(lo, lo / bound) for lo, hi in found if lo == hi}
     assert fails > 300
+    at = {x for x, _ in exact}
+    assert {F(1, 2), F(1), F(2)} <= at and {F(1, 4), F(1, 2), F(3, 4)} <= {y for _, y in exact}

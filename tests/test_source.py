@@ -4,6 +4,7 @@ import ast
 from collections import Counter
 from itertools import pairwise
 from pathlib import Path
+from types import ModuleType
 
 import hardcore_lab
 from hardcore_lab import cli, repro
@@ -482,3 +483,104 @@ def test_each_repro_id_is_stated_once():
     assert len(registry) > 20
     assert {item_id: strings[item_id] for item_id in registry if strings[item_id] != 1} == {}
     assert builders == ["_run_item"] and len(module_calls) == 1
+
+
+BENCH = Path(hardcore_lab.__file__).parents[2] / "verdict_bench"
+# The files through which the benchmark reaches the library.
+BENCH_FILES = ("tracing.py", "workloads.py", "reference.py", "worker.py",
+               "tests/test_verdict_bench.py")
+
+
+def _bench_reads(tree: ast.Module) -> set[str]:
+    """Every hardcore_lab attribute a benchmark file reads, as a dotted path
+    from the package: chains on the worker's library namespace (`lib`,
+    `LIB`, `self.lib`), on a name or instance attribute bound to one of
+    those chains, and on an imported hardcore_lab; the TRACED table; and
+    `from hardcore_lab... import` names.  A local name bound to anything but
+    a module is recorded where it is bound, not followed."""
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            return [node.id, *reversed(parts)]
+        return None
+
+    def chain(node):
+        """The package path node reads, or None."""
+        parts = dotted(node)
+        if parts is None:
+            return None
+        if parts[:2] == ["self", "lib"]:
+            parts = ["lib", *parts[2:]]
+        key = parts[0] if parts[0] != "self" or len(parts) < 2 else "self." + parts[1]
+        rest = parts[1:] if key == parts[0] else parts[2:]
+        if key in ("lib", "LIB"):
+            return "hardcore_lab." + ".".join(rest) if rest else None
+        base = aliases.get(key) or ("hardcore_lab" if key == "hardcore_lab" else None)
+        return ".".join([base, *rest]) if base else None
+
+    aliases: dict[str, str] = {}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+            if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(node.targets[0].elts, node.value.elts))
+            for target, value in pairs:
+                path, name = chain(value), dotted(target)
+                if path is None or name is None:
+                    continue
+                if name[0] == "self" and len(name) == 2:
+                    aliases["self." + name[1]] = path
+                elif len(name) == 1 and path.count(".") == 1:  # a library module
+                    aliases[name[0]] = path
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                                                for t in node.targets):
+            reads |= {f"hardcore_lab.{module}.{attr}"
+                      for module, attr, _ in ast.literal_eval(node.value)}
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hardcore_lab"):
+            reads |= {f"{node.module}.{alias.name}" for alias in node.names}
+    outer = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in outer:
+            path = chain(node)
+            if path is not None:
+                reads.add(path)
+    return reads
+
+
+def _resolves(path: str) -> bool:
+    obj = hardcore_lab
+    for part in path.split(".")[1:]:
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            return False
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # Tier-1 does not run verdict_bench/, so a library name it reaches could
+    # go with tier-1 green and break every workload or --trace run.  Each
+    # one must resolve, and the worker's namespace must hold each module the
+    # benchmark reads through it.  bounds.lambert_w_interval is the one
+    # exception: a benchmark test still expects bounds to bind it, which the
+    # Lambert W rules above forbid (ROADMAP, known defects).
+    worker = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    namespace = next(ast.literal_eval(node.value) for node in worker.body
+                     if isinstance(node, ast.Assign)
+                     and ast.unparse(node.targets[0]) == "LIBRARY_MODULES")
+    reads = set()
+    for name in BENCH_FILES:
+        reads |= _bench_reads(ast.parse((BENCH / name).read_text(encoding="utf-8")))
+    modules = {path.split(".")[1] for path in reads
+               if isinstance(getattr(hardcore_lab, path.split(".")[1], None), ModuleType)}
+    missing = {path for path in reads if not _resolves(path)}
+    assert {"hardcore_lab.hardcore.profile", "hardcore_lab.polynomials.Poly.evaluate",
+            "hardcore_lab.roots.nonneg_on_halfline", "hardcore_lab.roots.isolate_positive_roots",
+            "hardcore_lab.orderings.implication_web_check"} <= reads
+    assert len(reads) > 40 and len(modules) == 10
+    assert modules <= set(namespace)
+    assert missing == {"hardcore_lab.bounds.lambert_w_interval"}
