@@ -336,7 +336,8 @@ def _violates(kind: str, p: Poly, q: Poly, w) -> bool:
     partition function, the occupancy fraction x p'/p, or the variance
     x (x p'/p)', each evaluated from p and q in Fractions."""
     def quantities(f: Poly):
-        z, d1, d2 = f.evaluate(w), f.derivative().evaluate(w), f.derivative().derivative().evaluate(w)
+        d = f.derivative()
+        z, d1, d2 = f.evaluate(w), d.evaluate(w), d.derivative().evaluate(w)
         e = w * d1 / z
         return z, e, e + w * w * d2 / z - e * e
 

@@ -444,7 +444,8 @@ def _bisection_cases():
     interval touches it until the bisection parts them."""
     cases = [_planted(roots) for roots in ([1, 2], [2, 4], [4, 6], [F(1, 2), 1], [2, 6],
                                            [F(1, 2), 2], [F(3, 2), 2], [F(3, 4), 1])]
-    cases += [_planted(roots, Poly([1, -1, 1])) for roots in ([1, 1, 2, 2], [2, 2, 4, 4], [F(1, 2)] * 2)]
+    cases += [_planted(roots, Poly([1, -1, 1]))
+              for roots in ([1, 1, 2, 2], [2, 2, 4, 4], [F(1, 2)] * 2)]
     cases += [_planted([r], Poly([-n, 0, 1])) for r, n in ((2, 5), (1, 2), (2, 3), (4, 17),
                                                             (F(1, 2), 3), (3, 10))]
     cases += [_planted([r], Poly([n, 0, -1]) * -1) for r, n in ((2, 5), (F(3, 2), 2))]

@@ -507,21 +507,18 @@ def _bench_reads(tree: ast.Module) -> set[str]:
             return [node.id, *reversed(parts)]
         return None
 
+    # Names, and instance attributes as "self.name", bound to a package path.
+    aliases = {"lib": "hardcore_lab", "LIB": "hardcore_lab", "self.lib": "hardcore_lab",
+               "hardcore_lab": "hardcore_lab"}
+
     def chain(node):
         """The package path node reads, or None."""
-        parts = dotted(node)
-        if parts is None:
-            return None
-        if parts[:2] == ["self", "lib"]:
-            parts = ["lib", *parts[2:]]
-        key = parts[0] if parts[0] != "self" or len(parts) < 2 else "self." + parts[1]
-        rest = parts[1:] if key == parts[0] else parts[2:]
-        if key in ("lib", "LIB"):
-            return "hardcore_lab." + ".".join(rest) if rest else None
-        base = aliases.get(key) or ("hardcore_lab" if key == "hardcore_lab" else None)
-        return ".".join([base, *rest]) if base else None
+        parts = dotted(node) or [""]
+        if parts[0] == "self" and len(parts) > 1:
+            parts = ["self." + parts[1], *parts[2:]]
+        base = aliases.get(parts[0])
+        return ".".join([base, *parts[1:]]) if base and len(parts) > 1 else None
 
-    aliases: dict[str, str] = {}
     reads = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
