@@ -1,7 +1,10 @@
-"""The summary step of tools/bench_pairs.py, on canned pair records."""
+"""The summary step of tools/bench_pairs.py, on canned pair records, and its
+refusal of fewer than ten pairs."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
@@ -39,3 +42,11 @@ def test_summary_of_one_pair_has_flat_quartiles_and_ties_count_for_neither():
     row = out["w"]["op_tail_ms"]
     assert row["base_quartiles"] == row["change_quartiles"] == [3.0, 3.0]
     assert (row["won"], row["lost"], row["gain"]) == (0, 0, False)
+
+
+def test_fewer_than_ten_seeds_are_refused_before_any_run(tmp_path):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "HEAD", "--change", "HEAD", "--seeds", "1", "2",
+                          "--out", str(out)])
+    assert not out.exists()

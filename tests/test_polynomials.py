@@ -383,7 +383,6 @@ def test_int_mul_matches_schoolbook_on_both_sides_of_the_cutoff():
         assert all(type(c) is int for c in got)
 
 
-
 def test_int_shift_matches_the_binomial_expansion():
     # p(x + 1) has coefficients sum_i c_i C(i, j); equal signs at full size
     # push them toward the |p|_1 2^deg bound the packing width covers.

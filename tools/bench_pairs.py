@@ -2,19 +2,21 @@
 revisions.
 
     python3 tools/bench_pairs.py --base HEAD~1 --change HEAD \
-        --workloads orderings_web --seeds 11 12 13 --out BENCH_46.json
+        --workloads orderings_web --seeds 11 12 13 14 15 16 17 18 19 20 \
+        --out BENCH_46.json
 
 Each revision is unpacked by `git archive` into a fresh temporary directory,
 so neither tree holds a `__pycache__`, and every process runs with
 PYTHONDONTWRITEBYTECODE=1.  For each workload and seed, each tree's own
-`verdict_bench/run.py` runs once, and the tree that goes first alternates
-from pair to pair.  A run whose result is not correct stops the script
-before anything is written.
+`verdict_bench/run.py` runs once, for the `run_seconds` of BENCHMARK.json,
+and the tree that goes first alternates from pair to pair.  At least ten
+seeds are needed, so that a gain can be won in nine pairs of ten.  A run
+whose result is not correct stops the script before anything is written.
 
 The layer timing is `roots._halfline_witness` over the PART, OCC and VAR
-numerators of the `repro` web (seed 20260809, 2,000 pairs), in a fresh
-process per tree and pair; a name missing from a tree is reported as
-missing.
+numerators of the `repro` web (seed 20260809, 2,000 pairs), one pair per
+seed, in a fresh process per tree; a name missing from a tree is reported
+as missing.
 
 The output holds, for each workload or layer and each metric, both sides'
 medians and quartiles, and the pairs the change won.
@@ -37,6 +39,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 LAYER = "roots._halfline_witness"
 LAYER_REPEATS = 5
+MIN_PAIRS = 10
 
 # Run in a tree with its src/ first on the path: prints one JSON object.
 LAYER_SCRIPT = f"""
@@ -153,24 +156,25 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--change", required=True)
     parser.add_argument("--workloads", nargs="*", default=["orderings_web"])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[11, 12, 13])
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--layer-pairs", type=int, default=10)
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) < MIN_PAIRS:
+        parser.error(f"--seeds needs at least {MIN_PAIRS} seeds, one pair each")
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     records = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"base": archive(args.base, Path(tmp) / "base"),
                  "change": archive(args.change, Path(tmp) / "change")}
-        jobs = [(w, seed, lambda tree, w=w, seed=seed: run_workload(tree, w, seed, args.seconds))
+        jobs = [(w, seed, lambda tree, w=w, seed=seed: run_workload(tree, w, seed, seconds))
                 for w in args.workloads for seed in args.seeds]
-        jobs += [(LAYER, i, run_layer) for i in range(args.layer_pairs)]
+        jobs += [(LAYER, seed, run_layer) for seed in args.seeds]
         for i, (name, seed, job) in enumerate(jobs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             record = {"name": name, "seed": seed, "first": order[0]}
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
                                            check=True).stdout.strip()
                       for side in ("base", "change")},
         "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-        "seconds": args.seconds, "seeds": args.seeds, "source_lines": lines,
+        "seconds": seconds, "seeds": args.seeds, "source_lines": lines,
         "summary": summarize(records, better), "pairs": records,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
