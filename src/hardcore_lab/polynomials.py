@@ -30,8 +30,8 @@ splits into a positive rational content times a primitive integer part, and
 gcds, exact quotients and squarefree parts are computed on the integer parts.
 `RatFunc` reduction and the squarefree part in `roots` both run on
 `_int_cofactors`, which returns the gcd h with the quotients f/h and g/h:
-the Descartes bisection that decides half-line signs, and the Sturm chains
-that only isolate roots, both start from that squarefree part.
+the Descartes bisection, the one route in `roots` that finds positive roots,
+starts from that squarefree part.
 It is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
 1989; Geddes, Czapor and Labahn, "Algorithms for Computer Algebra", 1992,
 sec. 7.7) at x = 2^k with 2^(k-1) >= 1 + min(|f|_inf, |g|_inf), on the same
@@ -323,24 +323,6 @@ def _int_primitive(cs) -> Coeffs:
     return tuple(c // g for c in cs)
 
 
-def _pseudo_rem(f: Coeffs, g: Coeffs) -> tuple[list[int], int]:
-    """Integer pseudo-remainder: (r, s) with r = lc(g)^s * (f mod g)."""
-    work = list(f)
-    lg = g[-1]
-    steps = 0
-    while work and len(work) >= len(g):
-        top = work.pop()
-        shift = len(work) - (len(g) - 1)
-        for i in range(len(work)):
-            work[i] *= lg
-        for i in range(len(g) - 1):
-            work[shift + i] -= top * g[i]
-        steps += 1
-        while work and work[-1] == 0:
-            work.pop()
-    return work, steps
-
-
 def _int_cofactors(f: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
     """(h, f / h, g / h) for primitive f and g, both nonzero (`RatFunc`
     returns first on a zero numerator and refuses a zero denominator, and
@@ -387,9 +369,10 @@ def _derivative(cs: Coeffs) -> Coeffs:
 
 
 def _int_squarefree(cs: Coeffs) -> Coeffs:
-    """cs / gcd(cs, cs') for nonconstant primitive cs (each `roots` caller
-    returns first on a constant); the quotient is primitive (Gauss's lemma)
-    and keeps the sign of the leading coefficient."""
+    """cs / gcd(cs, cs') for nonconstant primitive cs (its callers,
+    `roots.isolate_positive_roots` and `roots._halfline_witness`, return
+    first on a constant); the quotient is primitive (Gauss's lemma) and
+    keeps the sign of the leading coefficient."""
     return _int_cofactors(cs, _int_primitive(_derivative(cs)))[1]
 
 

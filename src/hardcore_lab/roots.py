@@ -5,31 +5,40 @@ Everything here is exact: interval endpoints and witnesses are rationals and
 no verdict ever depends on floating point.  Polynomials are kept as
 primitive integer coefficient lists (positive rescaling never changes a
 sign), built with the primitive integer kernel of `polynomials` (content
-split, pseudo-remainders, squarefree part, Taylor shift); this module
-defines no gcd or division of its own.
+split, squarefree part, Taylor shift); this module defines no gcd or
+division of its own.
 
-Two routes find positive roots.  `isolate_positive_roots` isolates them
-with a Sturm chain; each call keeps one dict of the chain's sign variations
-at each point, shared by `_isolate` and `_refine`, so a bisection step
-evaluates the chain at its midpoint alone.  The half-line decision counts
-them by Descartes' rule of signs instead, which needs no remainder sequence
-(`_descartes_roots`; Collins and Akritas, SYMSAC 1976; Rouillier and
-Zimmermann, J. Comput. Appl. Math. 162, 2004).  A node of its bisection of
-(0, B) is P(x) = c q(a + (b - a) x) on (0, 1), c > 0, for the squarefree
-part q.  The sign variations of (x + 1)^n P(1 / (x + 1)) bound the roots in
-(a, b) and share their parity, so a count of 0 or 1 is exact.  The halves
-are 2^n P(x / 2) and its shift by 1, each shift one packed Horner pass
-(`polynomials._int_shift`).  A zero constant term in the right half is an
-exact root at the midpoint: it is recorded and divided out, so no node has
-a root at its left end.  A root at a right end, P = (x - 1) S, multiplies
-the count's polynomial by x, so the count is that of S, which has no root
-there.  On squarefree q the counts fall to 0 or 1 once the intervals are
-small next to the distances between q's complex roots (the one- and
-two-circle theorems; Krandick and Mehlhorn, J. Symb. Comput. 41, 2006), so
-the bisection ends.  A node whose count is 1 but one of whose ends is an
-exact root is bisected on until the two part: then no interval's end is a
-root, and the point halfway between the facing ends of two consecutive
-roots lies strictly between them.
+One route finds positive roots: Descartes bisection (`_descartes_roots`;
+Collins and Akritas, SYMSAC 1976; Rouillier and Zimmermann, J. Comput.
+Appl. Math. 162, 2004), which needs no remainder sequence.  A node of its
+bisection of (0, B) is P(x) = c q(a + (b - a) x) on (0, 1), c > 0, for the
+squarefree part q.  The sign variations of (x + 1)^n P(1 / (x + 1)) bound
+the roots in (a, b) and share their parity, so a count of 0 or 1 is exact.
+The halves are 2^n P(x / 2) and its shift by 1, each shift one packed
+Horner pass (`polynomials._int_shift`).  A zero constant term in the right
+half is an exact root at the midpoint: it is recorded and divided out, so
+no node has a root at its left end.  A root at a right end, P = (x - 1) S,
+multiplies the count's polynomial by x, so the count is that of S, which
+has no root there.  On squarefree q the counts fall to 0 or 1 once the
+intervals are small next to the distances between q's complex roots (the
+one- and two-circle theorems; Krandick and Mehlhorn, J. Symb. Comput. 41,
+2006), so the bisection ends.  A node whose count is 1 but one of whose
+ends is an exact root is bisected on until the two part, so no open
+record's end is a root.
+
+Isolating intervals depend only on the roots.  `isolate_positive_roots`
+halves (0, B], B the power of two at or above Cauchy's bound of q, while a
+node holds two or more roots: each interval is the largest node of that
+halving that holds its root alone, and any exact root finder gives the
+same ones.  The bisection above, on the same B, splits every node that
+holds two roots (two in the open node count at least 2, and a root at its
+right end was found at an earlier midpoint), so each of its records is a
+node at least as deep as those intervals.  A record is thus inside or
+outside each node the halving visits, and the node (a, b] holds the roots
+of the records whose right ends lie in (a, b]; an exact root (m, m) ends
+at m.  Refining halves (lo, hi], which holds one simple root r, on the
+signs of q alone: r lies in (lo, mid] exactly when q(mid) = 0, or
+q(hi) != 0 and q(mid) has the sign of q(hi).
 
 There is one half-line decision, `_halfline_witness`, on integer
 coefficients: it returns nothing when the polynomial holds, else its
@@ -40,76 +49,44 @@ or above Kioustelidis' bound 2 max (|c_(n-k)| / c_n)^(1/k) over the
 negative c_(n-k) (J. Comput. Appl. Math. 16, 1986), or Cauchy's where that
 is smaller.  For x >= B, each negative term has |c_(n-k)| x^(n-k) <=
 c_n x^n 2^-k, so p(x) >= c_n x^n (1 - sum_k 2^-k) > 0; past Cauchy's bound
-p has no root at all.
+p has no root at all.  Probes past B are positive, so stopping there moves
+no witness.
 
-The witness depends only on which gap between consecutive roots is the
-first negative one.  The sign is constant on each gap, and the gaps below
+The witness depends only on the first negative gap between consecutive
+roots, cap included.  The sign is constant on each gap, and the gaps below
 the first root and past the last have the signs of the lowest and leading
 coefficients, both positive by then, so only the inner gaps are sampled,
-in increasing order.  A negative sample is walked down the Stern-Brocot
-tree to the first negative mediant, and two samples in one negative gap
-walk alike up to the first mediant that separates them, which lies in the
-gap and so is negative.  So the bisection finds the witness the Sturm
-chain's samples found, except where a walk reaches its 128-step cap and
-returns its sample: there `_chain_witness` takes the sample the chain
-gives, so that no witness moves.  Probes past B are positive, so stopping
-there moves no witness either.  `isolate_positive_roots` keeps Cauchy's
-bound of the squarefree part as its start, so its plain intervals stay as
-they were.
+in increasing order.  Each is sampled at its simplest dyadic, the point of
+largest 2-adic valuation between the facing ends of two records, less an
+end that is an exact root (`_gap_sample`).  No point inside a dyadic
+isolating interval is simpler than that interval's ends, so this is the
+simplest dyadic of the whole open gap, whatever route found the roots.  A
+negative sample is walked down the Stern-Brocot tree to the first negative
+mediant, and two samples in one negative gap walk alike up to the first
+mediant that separates them, which lies in the gap and so is negative: a
+walk that ends before its 128-step cap gives the same witness from any
+sample.  A walk that reaches the cap returns its sample, which the gap
+fixes.
 
 The segment decision maps [a, b] onto the half-line by one integer Horner pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .polynomials import (
     Coeffs,
     Poly,
     _content_split,
-    _derivative,
     _int_horner,
     _int_mul,
     _int_primitive,
     _int_shift,
     _int_squarefree,
-    _pseudo_rem,
 )
 from .verdict import FAILS, HOLDS, Verdict
-
-
-def _int_chain(cs: Coeffs) -> list[Coeffs]:
-    """Sturm chain of the squarefree part, as primitive integer polynomials.
-
-    cs need not be primitive: a positive content changes no sign.
-    Pseudo-remainders scale the true remainder by lc(g)^s; an odd power of a
-    negative leading coefficient flips the sign, which is compensated before
-    the negated remainder joins the chain.
-    """
-    q = _int_squarefree(_int_primitive(cs))
-    chain = [q, _int_primitive(_derivative(q))]
-    while chain[-1]:
-        r, steps = _pseudo_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        flip = -1 if (chain[-1][-1] < 0 and steps % 2) else 1
-        chain.append(_int_primitive([-flip * c for c in r]))
-    return chain
-
-
-def _chain_variations(chain: list[Coeffs], x: Fraction, seen: dict) -> int:
-    """Sign variations of the chain at x, kept in seen for later steps."""
-    v = seen.get(x)
-    if v is None:
-        values = [y for y in (_int_horner(cs, x.numerator, x.denominator) for cs in chain) if y]
-        v = seen[x] = sum((s < 0) != (t < 0) for s, t in zip(values, values[1:]))
-    return v
-
-
-def _chain_count(chain: list[Coeffs], a: Fraction, b: Fraction, seen: dict) -> int:
-    """Distinct real roots in the half-open interval (a, b]."""
-    return _chain_variations(chain, a, seen) - _chain_variations(chain, b, seen)
 
 
 def _pow2_exponent(top: int, lc: int) -> int:
@@ -136,43 +113,14 @@ def _positive_root_bound(cs: Coeffs) -> int:
     return min(1 << e, _int_root_bound(cs).numerator)
 
 
-def _isolate(chain: list[Coeffs], bound: Fraction, seen: dict) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the positive roots in (0, bound], which must
-    hold them all."""
-    intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), bound, _chain_count(chain, Fraction(0), bound, seen))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            intervals.append((a, b))
-            continue
-        mid = (a + b) / 2
-        kl = _chain_count(chain, a, mid, seen)
-        stack.append((a, mid, kl))
-        stack.append((mid, b, k - kl))
-    intervals.sort()
-    return intervals
-
-
-def _refine(chain: list[Coeffs], lo: Fraction, hi: Fraction, width,
-            seen: dict) -> tuple[Fraction, Fraction]:
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _chain_count(chain, lo, mid, seen) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, each containing exactly one root of p in
     (0, oo).
 
     Intervals are half-open (lo, hi] and sorted increasingly; pass max_width
-    to refine each below a requested width, which must be positive.
+    to refine each below a requested width, which must be positive.  The
+    module docstring says which intervals these are and how they are
+    counted from the Descartes records.
     """
     width = None if max_width is None else Fraction(max_width)
     if width is not None and width <= 0:
@@ -183,12 +131,34 @@ def isolate_positive_roots(p: Poly, max_width=None) -> list[tuple[Fraction, Frac
     cs = cs[next(i for i, c in enumerate(cs) if c):]  # x = 0 is excluded anyway
     if len(cs) <= 1:
         return []
-    chain = _int_chain(cs)
-    seen: dict = {}
-    intervals = _isolate(chain, _int_root_bound(chain[0]), seen)
-    if width is not None:
-        intervals = [_refine(chain, lo, hi, width, seen) for lo, hi in intervals]
-    return intervals
+    q = _int_squarefree(cs)
+    bound = _int_root_bound(q)
+    ends = [hi for _, hi in _descartes_roots(q, bound.numerator.bit_length() - 1)]
+    intervals: list[tuple[Fraction, Fraction]] = []
+    # (a, b, inside): the node (a, b] and the right ends of the records in it
+    stack = [(Fraction(0), bound, ends)]
+    while stack:
+        a, b, inside = stack.pop()
+        if len(inside) > 1:
+            mid = (a + b) / 2
+            i = bisect_right(inside, mid)
+            stack += [(mid, b, inside[i:]), (a, mid, inside[:i])]
+        elif inside:
+            intervals.append((a, b))
+    if width is None:
+        return intervals
+    refined = []
+    for lo, hi in intervals:
+        at_hi = _int_horner(q, hi.numerator, hi.denominator)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            at_mid = _int_horner(q, mid.numerator, mid.denominator)
+            if not at_mid or (at_hi and (at_mid < 0) == (at_hi < 0)):
+                hi, at_hi = mid, at_mid
+            else:
+                lo = mid
+        refined.append((lo, hi))
+    return refined
 
 
 def _sign_changes(cs: Coeffs) -> int:
@@ -232,11 +202,31 @@ def _descartes_roots(q: Coeffs, e: int) -> list[tuple[Fraction, Fraction]]:
 
 # -- decision procedures ----------------------------------------------------
 
-def _stern_brocot(cs: Coeffs, x: Fraction) -> Fraction | None:
-    """Walk the Stern-Brocot tree toward x, returning the first mediant that
-    certifies a negative value, or None if 128 steps find none.  Mediants
-    are integer pairs in lowest terms, compared by cross-multiplying; only
-    the one returned becomes a Fraction."""
+def _gap_sample(left: tuple[Fraction, Fraction], right: tuple[Fraction, Fraction]) -> Fraction:
+    """The point of largest 2-adic valuation in [hi_1, lo_2], less an end
+    that is an exact root, for two consecutive records of `_descartes_roots`.
+    On the grid 1/den, den twice the larger denominator, the ends are even,
+    so a .. b stays nonempty; its point of most trailing zeros is b with the
+    bits below the highest one where a - 1 and b differ cleared."""
+    (lo1, hi1), (lo2, hi2) = left, right
+    den = 2 * max(hi1.denominator, lo2.denominator)
+    a = hi1.numerator * (den // hi1.denominator) + (lo1 == hi1)
+    b = lo2.numerator * (den // lo2.denominator) - (lo2 == hi2)
+    t = ((a - 1) ^ b).bit_length() - 1
+    return Fraction(b >> t << t, den)
+
+
+def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
+    """The first mediant on the Stern-Brocot walk toward x that certifies a
+    negative value, or x itself if 128 steps find none; keeps reported
+    witnesses readable.  Mediants are integer pairs in lowest terms,
+    compared by cross-multiplying; only the one returned becomes a Fraction.
+
+    x must have cs(x) < 0, so the walk returns a witness even when it ends at
+    its cap.  Every caller passes such a point: a power of two at or past
+    Cauchy's bound when the lead is negative (no root lies there, so cs has
+    the lead's sign), a negative probe or gap sample, and the first 1/2^k
+    that `_witness_near_zero` finds negative."""
     num, den = x.numerator, x.denominator
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0
@@ -248,20 +238,7 @@ def _stern_brocot(cs: Coeffs, x: Fraction) -> Fraction | None:
             lo_n, lo_d = m_n, m_d
         else:
             hi_n, hi_d = m_n, m_d
-    return None
-
-
-def _simplify_witness(cs: Coeffs, x: Fraction) -> Fraction:
-    """The first mediant toward x that certifies a negative value, else x
-    itself; keeps reported witnesses readable.
-
-    x must have cs(x) < 0, so the walk returns a witness even when it ends at
-    its cap.  Every caller passes such a point: a power of two at or past
-    Cauchy's bound when the lead is negative (no root lies there, so cs has
-    the lead's sign), a negative probe or chain sample, and the first 1/2^k
-    that `_witness_near_zero` finds negative."""
-    w = _stern_brocot(cs, x)
-    return x if w is None else w
+    return x
 
 
 def _witness_near_zero(cs: Coeffs) -> Fraction:
@@ -269,26 +246,6 @@ def _witness_near_zero(cs: Coeffs) -> Fraction:
     while _int_horner(cs, 1, den) >= 0:
         den *= 2
     return _simplify_witness(cs, Fraction(1, den))
-
-
-def _chain_witness(cs: Coeffs, r: Coeffs, bound: int) -> Fraction:
-    """The witness from the samples between the Sturm chain's isolating
-    intervals of r's roots in (0, bound], refined until consecutive ones
-    leave a gap, for a cs with a negative gap there.  `_halfline_witness`
-    asks for it only where the walk from its own sample reaches its cap."""
-    chain = _int_chain(r)
-    seen: dict = {}
-    intervals = _isolate(chain, Fraction(bound), seen)
-    for i in range(len(intervals) - 1):
-        (lo1, hi1), (lo2, hi2) = intervals[i], intervals[i + 1]
-        while hi1 >= lo2:
-            lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
-            lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
-        intervals[i], intervals[i + 1] = (lo1, hi1), (lo2, hi2)
-    for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
-        s = (hi1 + lo2) / 2
-        if _int_horner(cs, s.numerator, s.denominator) < 0:
-            return _simplify_witness(cs, s)
 
 
 def _halfline_witness(cs) -> Fraction | None:
@@ -300,11 +257,12 @@ def _halfline_witness(cs) -> Fraction | None:
     at 1/4, 1, 4, ... up to the bound B of `_positive_root_bound`, to catch
     failures early.  To certify a hold, the Descartes bisection finds the
     distinct positive roots of the squarefree part in (0, B), some exactly,
-    and the sign is sampled strictly between each two consecutive ones.
-    Sign is constant between consecutive distinct roots, so the procedure is
-    complete.  A negative sample becomes the witness by the Stern-Brocot
-    walk; the module docstring says why it is the witness the Sturm chain
-    gave, and what is done where the walk reaches its cap.
+    and the sign is sampled strictly between each two consecutive ones, at
+    the gap's simplest dyadic (`_gap_sample`).  Sign is constant between
+    consecutive distinct roots, so the procedure is complete.  A negative
+    sample becomes the witness by the Stern-Brocot walk; the module
+    docstring says why that witness depends only on the gap, also where the
+    walk reaches its cap.
     """
     while cs and not cs[-1]:
         cs = cs[:-1]
@@ -330,11 +288,10 @@ def _halfline_witness(cs) -> Fraction | None:
         num, den = 4 * num // den, 1  # the probes are 1/4, 1, 4, 16, ...
 
     roots = _descartes_roots(_int_squarefree(_int_primitive(r)), bound.bit_length() - 1)
-    for (_, hi1), (lo2, _) in zip(roots, roots[1:]):
-        s = (hi1 + lo2) / 2
+    for left, right in zip(roots, roots[1:]):
+        s = _gap_sample(left, right)
         if _int_horner(cs, s.numerator, s.denominator) < 0:
-            w = _stern_brocot(cs, s)
-            return w if w is not None else _chain_witness(cs, r, bound)
+            return _simplify_witness(cs, s)
     return None
 
 

@@ -21,7 +21,6 @@ from hardcore_lab.polynomials import (
     _int_shift,
     _int_squarefree,
     _pack,
-    _pseudo_rem,
     var_numerator,
 )
 from hardcore_lab.sampler import SplitMix64
@@ -85,6 +84,24 @@ def test_evaluation_is_a_homomorphism():
 
 def _primitive(p: Poly):
     return _content_split(p)[1]
+
+
+def _pseudo_rem(f, g):
+    """Integer pseudo-remainder: (r, s) with r = lc(g)^s * (f mod g)."""
+    work = list(f)
+    lg = g[-1]
+    steps = 0
+    while work and len(work) >= len(g):
+        top = work.pop()
+        shift = len(work) - (len(g) - 1)
+        for i in range(len(work)):
+            work[i] *= lg
+        for i in range(len(g) - 1):
+            work[shift + i] -= top * g[i]
+        steps += 1
+        while work and work[-1] == 0:
+            work.pop()
+    return work, steps
 
 
 def _prs_gcd(f, g):

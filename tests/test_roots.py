@@ -1,9 +1,10 @@
 """Root isolation and the half-line nonnegativity decision.
 
-Descartes bisection decides the half-line sign; the Sturm chain only
-isolates.  The chain, and the decision as it ran on it
-(`halfline_from_cauchy`), are the independent route each decision here is
-checked against."""
+The library finds positive roots by Descartes bisection alone.  The Sturm
+chain kept here (`_int_chain` to `_refine`, on the pseudo-remainder of
+`test_polynomials`) is the independent route each result is checked
+against: `sturm_isolate` for the isolating intervals, and
+`halfline_from_cauchy` for the half-line decision as it ran on the chain."""
 
 import hashlib
 import random
@@ -14,18 +15,18 @@ import pytest
 from hardcore_lab.polynomials import (
     Poly,
     _content_split,
+    _derivative,
     _int_exact_div,
     _int_horner,
+    _int_primitive,
     _int_squarefree,
 )
 from hardcore_lab.roots import (
     _descartes_roots,
+    _gap_sample,
     _halfline_witness,
-    _int_chain,
     _int_root_bound,
-    _isolate,
     _positive_root_bound,
-    _refine,
     _simplify_witness,
     _witness_near_zero,
     isolate_positive_roots,
@@ -34,6 +35,88 @@ from hardcore_lab.roots import (
 )
 from hardcore_lab.sampler import SplitMix64
 from hardcore_lab.verdict import FAILS, HOLDS, Verdict
+from test_polynomials import _pseudo_rem
+
+
+# -- the Sturm chain: the reference route ------------------------------------
+
+def _int_chain(cs):
+    """Sturm chain of the squarefree part, as primitive integer polynomials.
+
+    cs need not be primitive: a positive content changes no sign.
+    Pseudo-remainders scale the true remainder by lc(g)^s; an odd power of a
+    negative leading coefficient flips the sign, which is compensated before
+    the negated remainder joins the chain.
+    """
+    q = _int_squarefree(_int_primitive(cs))
+    chain = [q, _int_primitive(_derivative(q))]
+    while chain[-1]:
+        r, steps = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        flip = -1 if (chain[-1][-1] < 0 and steps % 2) else 1
+        chain.append(_int_primitive([-flip * c for c in r]))
+    return chain
+
+
+def _chain_variations(chain, x, seen):
+    """Sign variations of the chain at x, kept in seen for later steps."""
+    v = seen.get(x)
+    if v is None:
+        values = [y for y in (_int_horner(cs, x.numerator, x.denominator) for cs in chain) if y]
+        v = seen[x] = sum((s < 0) != (t < 0) for s, t in zip(values, values[1:]))
+    return v
+
+
+def _chain_count(chain, a, b, seen):
+    """Distinct real roots in the half-open interval (a, b]."""
+    return _chain_variations(chain, a, seen) - _chain_variations(chain, b, seen)
+
+
+def _isolate(chain, bound, seen):
+    """Isolating intervals of the positive roots in (0, bound], which must
+    hold them all."""
+    intervals = []
+    stack = [(F(0), bound, _chain_count(chain, F(0), bound, seen))]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1:
+            intervals.append((a, b))
+            continue
+        mid = (a + b) / 2
+        kl = _chain_count(chain, a, mid, seen)
+        stack.append((a, mid, kl))
+        stack.append((mid, b, k - kl))
+    intervals.sort()
+    return intervals
+
+
+def _refine(chain, lo, hi, width, seen):
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if _chain_count(chain, lo, mid, seen) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def sturm_isolate(p: Poly, width=None):
+    """`isolate_positive_roots` as the Sturm chain computed it: isolation
+    from Cauchy's bound of the squarefree part, then each interval halved
+    by the chain's counts to the first width at or below width."""
+    cs = _content_split(p)[1]
+    cs = cs[next(i for i, c in enumerate(cs) if c):]
+    if len(cs) <= 1:
+        return []
+    chain = _int_chain(cs)
+    seen: dict = {}
+    intervals = _isolate(chain, _int_root_bound(chain[0]), seen)
+    if width is not None:
+        intervals = [_refine(chain, lo, hi, width, seen) for lo, hi in intervals]
+    return intervals
 
 
 def test_perfect_square_holds():
@@ -346,11 +429,26 @@ def test_isolation_digest_is_pinned():
     assert h.hexdigest() == "c05eda0fa75c1b2e8e48025b919f5a844c6aa9f24131abaeed2a7a06638846ee"
 
 
+def _simplest_by_scan(a, b, open_a, open_b):
+    """The point of largest 2-adic valuation between 0 < a <= b, less an end
+    that is open: the multiples of 2^j, for j falling from a power of two
+    past b, until one fits."""
+    step = F(2) ** b.numerator.bit_length()
+    while True:
+        x = -(-a // step) * step
+        if open_a and x == a:
+            x += step
+        if x < b or (x == b and not open_b):
+            return x
+        step /= 2
+
+
 def halfline_from_cauchy(p: Poly) -> Verdict:
     """The half-line decision as it ran before its search started at the
     positive-root bound: sign probes up to twice Cauchy's bound of the
     polynomial stripped of its zero root, and isolation from Cauchy's bound
-    of its squarefree part.  The reference for `nonneg_on_halfline` and the
+    of its squarefree part by the Sturm chain, each gap sampled at its
+    simplest dyadic.  The reference for `nonneg_on_halfline` and the
     pointwise orderings."""
     if p.is_zero:
         return Verdict(HOLDS)
@@ -383,7 +481,9 @@ def halfline_from_cauchy(p: Poly) -> Verdict:
             lo1, hi1 = _refine(chain, lo1, hi1, (hi1 - lo1) / 2, seen)
             lo2, hi2 = _refine(chain, lo2, hi2, (hi2 - lo2) / 2, seen)
         intervals[i], intervals[i + 1] = (lo1, hi1), (lo2, hi2)
-    samples = [(hi1 + lo2) / 2 for (_, hi1), (lo2, _) in zip(intervals, intervals[1:])]
+    # The intervals are half-open, so hi1 may be the root and lo2 never is.
+    samples = [_simplest_by_scan(hi1, lo2, p.evaluate(hi1) == 0, False)
+               for (_, hi1), (lo2, _) in zip(intervals, intervals[1:])]
     if intervals:
         samples.append(intervals[-1][1] + 1)
     for x in samples:
@@ -457,8 +557,9 @@ def _bisection_cases():
 
 def _root_counts(p: Poly):
     """The distinct positive roots of p that the Descartes bisection finds in
-    (0, B) and that the Sturm chain isolates there; None for a constant or
-    a negative lead, which the bisection never sees."""
+    (0, B), B, and the number the reference Sturm chain isolates there; None
+    for a constant or a negative lead, which the half-line decision never
+    bisects."""
     cs = _content_split(p)[1]
     r = cs[next(i for i, c in enumerate(cs) if c):] if cs else ()
     if len(r) < 2 or r[-1] < 0:
@@ -505,3 +606,66 @@ def test_halfline_matches_the_cauchy_start():
     assert fails > 300
     at = {x for x, _ in exact}
     assert {F(1, 2), F(1), F(2)} <= at and {F(1, 4), F(1, 2), F(3, 4)} <= {y for _, y in exact}
+
+
+def _digest_polynomials():
+    """The 160 seeded polynomials of `test_isolation_digest_is_pinned`."""
+    rng = random.Random(1013)
+    for _ in range(160):
+        p = Poly([rng.randint(-20, 20) for _ in range(1 + rng.randrange(7))])
+        if p.is_zero:
+            p = Poly([1])
+        for _ in range(rng.randrange(5)):
+            num, den = 1 + rng.randrange(40), 1 + rng.randrange(12)
+            p = p * Poly([-num, den]) ** (1 + rng.randrange(2))
+        yield p
+
+
+def test_isolation_matches_the_sturm_chain():
+    # Isolating intervals depend only on the roots: the Descartes records,
+    # counted by their right ends, give the chain's largest single-root
+    # nodes, and the signs of q alone halve them as the chain's counts do.
+    # Width 2^-40 refines past every Descartes leaf; many intervals end at
+    # an exact root, where q(hi) = 0.
+    cases = list(_digest_polynomials()) + _root_bound_cases() + _bisection_cases()
+    at_root = 0
+    for p in cases:
+        for width in (None, F(1, 1000), F(1, 2 ** 40)):
+            got = isolate_positive_roots(p, width)
+            assert got == sturm_isolate(p, width), (p, width)
+            at_root += sum(p.evaluate(hi) == 0 for _, hi in got)
+    assert at_root > 100
+
+
+def test_gap_sample_is_the_simplest_dyadic_of_the_gap():
+    # The bit-level sample against the grid scan, on records placed by hand
+    # and on each two consecutive records the bisection finds in the cases
+    # above.  An end that is an exact root is never the sample.
+    def exact(x):
+        return F(x), F(x)
+
+    placed = [
+        (((F(3, 8), F(1, 2)), (F(37, 4), F(19, 2))), F(8)),  # 1, 2, 4 and 8 fit
+        (((F(9, 2), F(5)), (F(7), F(15, 2))), F(6)),  # 5, 6 and 7, no power of two
+        (((F(1, 2), F(1)), (F(1), F(3, 2))), F(1)),  # a shared end that is no root
+        ((exact(F(3, 4)), exact(F(1))), F(7, 8)),  # one grid step: the midpoint alone
+        ((exact(F(5, 8)), exact(F(3, 4))), F(11, 16)),
+        ((exact(1), exact(2)), F(3, 2)),  # exact roots at both ends
+        ((exact(2), exact(4)), F(3)),
+        ((exact(1), exact(3)), F(2)),
+        ((exact(4), (F(6), F(8))), F(6)),  # touching the exact root B/2 = 4
+        (((F(3), F(7, 2)), exact(4)), F(7, 2)),
+    ]
+    pairs = [(left, right) for (left, right), _ in placed]
+    for p in _bisection_cases() + _root_bound_cases():
+        found = _root_counts(p)[0]
+        pairs += zip(found, found[1:])
+    for (left, right), want in placed:
+        assert _gap_sample(left, right) == want
+    for left, right in pairs:
+        (lo1, hi1), (lo2, hi2) = left, right
+        got = _gap_sample(left, right)
+        assert got == _simplest_by_scan(hi1, lo2, lo1 == hi1, lo2 == hi2), (left, right)
+        assert (hi1 < got if lo1 == hi1 else hi1 <= got), (left, right)
+        assert (got < lo2 if lo2 == hi2 else got <= lo2), (left, right)
+    assert len(pairs) > 300
