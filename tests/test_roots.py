@@ -431,7 +431,7 @@ def test_isolation_digest_is_pinned():
 
 def _simplest_by_scan(a, b, open_a, open_b):
     """The point of largest 2-adic valuation between 0 < a <= b, less an end
-    that is open: the multiples of 2^j, for j falling from a power of two
+    that is open: the multiples of a step that halves from a power of two
     past b, until one fits."""
     step = F(2) ** b.numerator.bit_length()
     while True:
