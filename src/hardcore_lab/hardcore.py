@@ -14,7 +14,8 @@ C(64, 32) < 2^61, so no base-2^64 digit ever carries: a branch is one shift
 and add and a component product one big-integer multiply.  The engine's
 one entrance is HardCoreProfile._packed; variance_via_marginals adds its
 packed pair residuals in chunks small enough not to carry, and unpacks each
-chunk's sum once.
+chunk's sum once.  This module owns the 2^64 layout: `_digits` is its one
+reader, and the neighborhood table packs each Z_F there too.
 
 One BFS pass per component finds it, sums its degrees and picks its branch
 vertex; an isolated vertex multiplies the product by 1 + x in place.  Every
@@ -35,8 +36,7 @@ from itertools import zip_longest
 from math import comb
 
 from .graphs import Graph, bits_of
-from .polynomials import (Poly, RatFunc, _derivative, _int_horner, _int_poly, _unpack,
-                          var_numerator)
+from .polynomials import Poly, RatFunc, _derivative, _int_horner, _int_poly, var_numerator
 
 DEFAULT_MEMO_LIMIT = 1 << 22
 
@@ -363,12 +363,10 @@ class HardCoreProfile:
         The table does not go through the engine memo.  Per vertex, each
         subset's Z_F comes from two smaller subsets by branching on its
         highest picked neighbor v: Z(F) = Z(F - v) + x Z(F - N[v]).  Each Z_F
-        is held as its value at x = 2^k, k = max degree + 2: a coefficient
-        of Z_F on d <= k - 2 vertices is at most C(d, j) < 2^(k-1), so one
-        step is a shift and an add, equal values are equal polynomials, and
-        only the distinct entries are unpacked."""
+        is packed at x = 2^64, like every engine value, so one step is a
+        shift and an add, equal values are equal polynomials, and only the
+        distinct entries are read back, by _digits."""
         adj = self.graph.adj
-        k = self.graph.max_degree + 2
         table: dict[int, tuple[Poly, Poly, int, int]] = {}
         for u in range(self.graph.n):
             neighbors = list(bits_of(adj[u]))
@@ -379,10 +377,11 @@ class HardCoreProfile:
                 below = 0
                 for w in bits_of(adj[v] & adj[u] & ((1 << v) - 1)):
                     below |= bit[w]
-                values += [z + (values[rest & ~below] << k) for rest, z in enumerate(values)]
+                values += [z + (values[rest & ~below] << _DIGIT_BITS)
+                           for rest, z in enumerate(values)]
             for picks, value in enumerate(values):
                 if value not in table:
-                    zf = _int_poly(_unpack(value, k, len(neighbors) + 1))
+                    zf = _int_poly(_digits(value))
                     mask = sum(1 << v for i, v in enumerate(neighbors) if picks >> i & 1)
                     table[value] = (zf, _int_poly(_derivative(zf.coeffs)), u, mask)
         return tuple(table.values())

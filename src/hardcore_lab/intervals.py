@@ -23,13 +23,13 @@ fresh bisection, the one place where a bracket becomes an interval.
 
 The logarithm resumes the same way.  ``log_series(v)`` records the partial
 sums of its atanh series and their tail bounds once: a smaller tol sums on
-from the last term, and a larger one reads a recorded term.  It is the one
-entrance to the logarithm: the one-shot ``log1p_interval``,
-``entropy_interval`` and ``free_energy_interval`` read fresh series at each
-call.  A caller that refines comparisons round by round, as the
-triangle-free checks and the combined chain do, keeps one series and one
-bisection per argument across its rounds and sides, and pays only for the
-terms and steps each round adds.
+from the last term, and a larger one reads a recorded term; log 2 is one
+such record, ``_LOG2``.  It is the one entrance to the logarithm: the
+one-shot ``log1p_interval``, ``entropy_interval`` and
+``free_energy_interval`` read fresh series at each call.  A caller that
+refines comparisons round by round, as the triangle-free checks and the
+combined chain do, keeps one series and one bisection per argument across
+its rounds and sides, and pays only for the terms and steps each round adds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .polynomials import Poly
 from .verdict import format_rational
@@ -111,11 +110,6 @@ def _lift(value) -> RationalInterval:
     return RationalInterval.point(value)
 
 
-@cache
-def _log2_enclosure(tol: Fraction) -> RationalInterval:
-    return _atanh_sums(Fraction(1, 3))(tol)
-
-
 def log1p_interval(x, tol) -> RationalInterval:
     """Enclosure of log(1 + x) for rational x > -1, width <= tol."""
     x = Fraction(x)
@@ -157,7 +151,7 @@ def log_series(v):
         tol = _positive_tol(tol)
         if k == 0:
             return body(tol / 2)
-        return body(tol / 2) + _log2_enclosure(tol / (4 * abs(k))) * k
+        return body(tol / 2) + _LOG2(tol / (4 * abs(k))) * k
 
     return enclose
 
@@ -191,6 +185,9 @@ def _atanh_sums(y: Fraction):
                 return record[-1][2]
 
     return enclose
+
+
+_LOG2 = _atanh_sums(Fraction(1, 3))
 
 
 def exp_interval(w, tol) -> RationalInterval:

@@ -4,12 +4,12 @@ implication-web harness.
 
 The pointwise kinds PART, OCC and VAR each build one integer polynomial from
 the padded pair and hand it to the one half-line decision,
-`roots._halfline_witness`: PART p - q; OCC p' q - q' p, one packed product
-at 2^k; VAR the certificate N_p q^2 - N_q p^2, which reads both variance
-numerators from the one kernel in `polynomials` and is one packed product
-too.  A rational pair is first scaled by one common denominator L, which
-changes no sign and so no witness.  A failing margin, PART/L, x c/(p q) or
-c/(p q)^2 at the witness x, is one Fraction of integer Horner values."""
+`roots._halfline_witness`: PART p - q; OCC p' q - q' p; VAR the
+certificate N_p q^2 - N_q p^2.  The OCC and VAR numerators are built in
+`polynomials`, which owns every packing width.  A rational pair is first
+scaled by one common denominator L, which changes no sign and so no
+witness.  A failing margin, PART/L, x c/(p q) or c/(p q)^2 at the witness
+x, is one Fraction of integer Horner values."""
 
 from __future__ import annotations
 
@@ -18,14 +18,12 @@ from fractions import Fraction
 from math import lcm
 
 from .polynomials import (
-    Coeffs,
     Poly,
     _content_split,
     _int_horner,
+    _int_occ_numerator,
     _int_poly,
-    _int_var_numerator,
-    _pack,
-    _unpack,
+    _int_var_certificate,
 )
 from .roots import _halfline_witness
 from .verdict import FAILS, HOLDS, Verdict
@@ -128,28 +126,6 @@ def compare(kind: OrderingKind | str, p: Poly, q: Poly, *, padded=None) -> Verdi
 def compare_all(p: Poly, q: Poly) -> dict[OrderingKind, Verdict]:
     padded = _padded(p, q)
     return {kind: compare(kind, p, q, padded=padded) for kind in OrderingKind}
-
-
-def _int_occ_numerator(a, b) -> Coeffs:
-    """The len(a) + len(b) - 2 coefficients of a' b - b' a for integer a and
-    b: x a'/a >= x b'/b on x >= 0 reduces to it being >= 0 there, both sides
-    being positive.  Each coefficient is at most |a'|_1 |b|_1 + |b'|_1 |a|_1
-    in size, so one value at 2^k past that gives it."""
-    da = [i * c for i, c in enumerate(a)][1:]
-    db = [i * c for i, c in enumerate(b)][1:]
-    k = (sum(map(abs, da)) * sum(map(abs, b)) + sum(map(abs, db)) * sum(map(abs, a))).bit_length() + 1
-    return _unpack(_pack(da, k) * _pack(b, k) - _pack(db, k) * _pack(a, k), k, len(a) + len(b) - 2)
-
-
-def _int_var_certificate(a, b) -> Coeffs:
-    """The 2 (len(a) + len(b)) - 4 coefficients of N_a b^2 - N_b a^2 for
-    integer a and b.  Each is at most |N_a|_1 |b|_1^2 + |N_b|_1 |a|_1^2 in
-    size, so one value at 2^k past that gives it."""
-    na, nb = _int_var_numerator(a), _int_var_numerator(b)
-    a_l1, b_l1 = sum(map(abs, a)), sum(map(abs, b))
-    k = (sum(map(abs, na)) * b_l1 * b_l1 + sum(map(abs, nb)) * a_l1 * a_l1).bit_length() + 1
-    pa, pb = _pack(a, k), _pack(b, k)
-    return _unpack(_pack(na, k) * pb * pb - _pack(nb, k) * pa * pa, k, 2 * (len(a) + len(b)) - 4)
 
 
 def var_difference_certificate(p: Poly, q: Poly) -> Poly:

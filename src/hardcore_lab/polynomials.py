@@ -22,8 +22,14 @@ The same packing gives the Taylor shift p(x + 1) that the Descartes
 bisection in `roots` runs on (`_int_shift`): one Horner pass in x + 1 at
 x = 2^k, then one `_unpack`.
 
-The one variance numerator kernel, `var_numerator`, is here too: the
-profile's V, `var_of_polynomial` and the VAR certificate all read it.
+This module owns every Kronecker width.  The variance numerator N =
+(theta^2 p) p - (theta p)^2, theta = x d/dx, is one packed value at 2^k
+(`_var_packed`): `var_numerator` unpacks it for the profile's V, and the
+orderings' VAR certificate N_a b^2 - N_b a^2 reads N_a and N_b packed at
+its own k (`_int_var_certificate`), as their OCC numerator a' b - b' a is
+one packed value (`_int_occ_numerator`).  A product of packed values is
+exact at any k, so only the final digits need a bound, and N has one:
+N_m = sum_{i+j=m} (i-j)^2 a_i a_j / 2, so |N|_1 <= deg^2 |p|_1^2 / 2.
 
 This module also holds the library's one exact gcd kernel.  A polynomial
 splits into a positive rational content times a primitive integer part, and
@@ -132,16 +138,38 @@ def _int_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
 
 
-def _int_var_numerator(cs: Coeffs) -> Coeffs:
-    """The 2 len(cs) - 2 coefficients of N = (theta^2 p) p - (theta p)^2,
-    theta = x d/dx, for integer cs: N_m = sum_{i+j=m} (i-j)^2 a_i a_j / 2, so
-    |N|_1 <= S2 S0 - S1^2, S_r = sum_j j^r |a_j|, and N is one value at 2^k."""
+def _var_packed(cs: Coeffs, k: int) -> int:
+    """N at 2^k for integer cs (see the module docstring), exact at any k."""
     t1 = [j * c for j, c in enumerate(cs)]
-    t2 = [j * c for j, c in enumerate(t1)]
-    s1 = sum(map(abs, t1))
-    k = (sum(map(abs, t2)) * sum(map(abs, cs)) - s1 * s1).bit_length() + 1
     t = _pack(t1, k)
-    return _unpack(_pack(t2, k) * _pack(cs, k) - t * t, k, 2 * len(cs) - 2)
+    return _pack([j * c for j, c in enumerate(t1)], k) * _pack(cs, k) - t * t
+
+
+def _int_var_numerator(cs: Coeffs) -> Coeffs:
+    """The 2 len(cs) - 2 coefficients of N, past |N|_1 <= deg^2 |p|_1^2 / 2."""
+    k = (((len(cs) - 1) * sum(map(abs, cs))) ** 2).bit_length() + 1
+    return _unpack(_var_packed(cs, k), k, 2 * len(cs) - 2)
+
+
+def _int_occ_numerator(a: Coeffs, b: Coeffs) -> Coeffs:
+    """The len(a) + len(b) - 2 coefficients of a' b - b' a for integer a and
+    b: x a'/a >= x b'/b on x >= 0 reduces to it being >= 0 there, both sides
+    being positive.  Each coefficient is at most |a'|_1 |b|_1 + |b'|_1 |a|_1
+    in size, so one value at 2^k past that gives it."""
+    da = [i * c for i, c in enumerate(a)][1:]
+    db = [i * c for i, c in enumerate(b)][1:]
+    k = (sum(map(abs, da)) * sum(map(abs, b)) + sum(map(abs, db)) * sum(map(abs, a))).bit_length() + 1
+    return _unpack(_pack(da, k) * _pack(b, k) - _pack(db, k) * _pack(a, k), k, len(a) + len(b) - 2)
+
+
+def _int_var_certificate(a: Coeffs, b: Coeffs) -> Coeffs:
+    """The 2 (len(a) + len(b)) - 4 coefficients of N_a b^2 - N_b a^2 for
+    integer a and b, each at most (deg_a^2 + deg_b^2) (|a|_1 |b|_1)^2 / 2."""
+    l1 = sum(map(abs, a)) * sum(map(abs, b))
+    k = (((len(a) - 1) ** 2 + (len(b) - 1) ** 2) * l1 * l1).bit_length() + 1
+    pa, pb = _pack(a, k), _pack(b, k)
+    return _unpack(_var_packed(a, k) * pb * pb - _var_packed(b, k) * pa * pa,
+                   k, 2 * (len(a) + len(b)) - 4)
 
 
 def _int_horner(cs: Coeffs, num: int, den: int) -> int:

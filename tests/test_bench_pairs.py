@@ -1,6 +1,8 @@
-"""The summary step of tools/bench_pairs.py, on canned pair records, and its
-refusal of fewer than ten pairs."""
+"""The summary step of tools/bench_pairs.py, on canned pair records, its
+refusal of fewer than ten pairs, and the names its layer timing needs."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -50,3 +52,18 @@ def test_fewer_than_ten_seeds_are_refused_before_any_run(tmp_path):
         bench_pairs.main(["--base", "HEAD", "--change", "HEAD", "--seeds", "1", "2",
                           "--out", str(out)])
     assert not out.exists()
+
+
+def test_every_name_the_layer_timing_needs_resolves():
+    # The layer script reports a missing name instead of failing, so a kernel
+    # moved without a re-export would write {"missing": ...} into a benchmark
+    # record while tier-1 stays green: each name on its need list resolves
+    # in this tree's hardcore_lab.
+    script = ast.parse(bench_pairs.LAYER_SCRIPT)
+    need = next(node.value for node in script.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "need")
+    names = [(module.id, attr.value) for module, attr in (pair.elts for pair in need.elts)]
+    assert len(names) == 4
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"hardcore_lab.{module}"), attr)]
+    assert missing == []

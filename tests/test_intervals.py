@@ -141,7 +141,7 @@ def test_log_argument_jump_ends_where_the_halving_loops_did(monkeypatch):
     seen = []
     monkeypatch.setattr(intervals, "_atanh_sums",
                         lambda y: seen.append(y) or (lambda tol: RationalInterval.point(y)))
-    monkeypatch.setattr(intervals, "_log2_enclosure", lambda tol: RationalInterval.point(1))
+    monkeypatch.setattr(intervals, "_LOG2", lambda tol: RationalInterval.point(1))
     rng = random.Random(9151)
     values = [F(3, 2) * F(2) ** j for j in range(-70, 71)]
     values += [F(3, 4) * F(2) ** j for j in range(-70, 71)]

@@ -20,6 +20,8 @@ from hardcore_lab.polynomials import (
     _int_primitive,
     _int_shift,
     _int_squarefree,
+    _int_var_certificate,
+    _int_var_numerator,
     _pack,
     var_numerator,
 )
@@ -482,3 +484,28 @@ def test_var_numerator_matches_the_two_product_formula():
         got, want = var_numerator(p), _var_by_products(p)
         assert got == want, p
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_var_kernels_at_their_edges_match_the_products():
+    # The numerator and the VAR certificate N_a b^2 - N_b a^2, which reads
+    # N_a and N_b packed at its own width, against Poly products on length-1
+    # and length-2 inputs, 1 + x^d up to d = 64, alternating signs and
+    # coefficients near 2^200.  1 + x^d has N = d^2 x^d while |p|_1^2 = 4,
+    # so a width without the deg^2 factor fails on it.
+    top = 1 << 200
+    inputs = [(7,), (-top,), (1, 1), (3, -5), (top, -top), (1, 0), (0, top)]
+    inputs += [(1,) + (0,) * (d - 1) + (1,) for d in range(1, 65)]
+    for n in (3, 8, 17, 40):
+        inputs += [tuple((-1) ** i * (i + 1) for i in range(n)),
+                   tuple((-1) ** i * (top - i) for i in range(n)),
+                   tuple(top - 3 * i for i in range(n))]
+    for cs in inputs:
+        ns = _int_var_numerator(cs)
+        assert len(ns) == 2 * len(cs) - 2 and Poly(ns) == _var_by_products(Poly(cs)), cs
+    partners = inputs[:7] + [inputs[16], inputs[70]] + inputs[-9:-6] + inputs[-3:]
+    for a in inputs:
+        for b in partners:
+            p, q = Poly(a), Poly(b)
+            cert = _int_var_certificate(a, b)
+            assert len(cert) == 2 * (len(a) + len(b)) - 4, (a, b)
+            assert Poly(cert) == _var_by_products(p) * q * q - _var_by_products(q) * p * p, (a, b)

@@ -467,6 +467,17 @@ def test_no_module_reads_the_platform_byte_order():
     assert found == []
 
 
+def test_each_packed_layout_has_one_owner():
+    # Two packed layouts, each named in one module: polynomials picks every
+    # Kronecker width (_pack, _unpack), and hardcore owns the engine's
+    # x = 2^64 (_digits, _DIGIT_BITS), where the neighborhood table packs too.
+    used = {path.name: set(_names_used(tree)) for path, tree in TREES.items()}
+    owners = {name: {module for module, names in used.items() if name in names}
+              for name in ("_pack", "_unpack", "_digits", "_DIGIT_BITS")}
+    assert owners == {"_pack": {"polynomials.py"}, "_unpack": {"polynomials.py"},
+                      "_digits": {"hardcore.py"}, "_DIGIT_BITS": {"hardcore.py"}}
+
+
 def test_each_repro_id_is_stated_once():
     # A repro item's id is its REGISTRY key and nowhere else in repro.py:
     # the item returns (status, payload), and _run_item alone builds the
