@@ -2,7 +2,6 @@
 refusal of fewer than ten pairs, and the names its layer timing needs."""
 
 import ast
-import importlib
 import importlib.util
 from pathlib import Path
 
